@@ -19,7 +19,6 @@ from .mpoly import (
     MPoly,
     content_primitive,
     partial_derivative,
-    squarefree_part,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -51,7 +50,6 @@ from .discriminant import (
     group_product,
     homogenize,
     implicitize,
-    lambda_map,
     monomial_map,
     transfer,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "MPoly",
     "content_primitive",
     "partial_derivative",
-    "squarefree_part",
     "substitute_monomial",
     "sylvester_resultant",
     "ParamSpec",
@@ -101,7 +98,6 @@ __all__ = [
     "group_product",
     "homogenize",
     "implicitize",
-    "lambda_map",
     "monomial_map",
     "transfer",
 ]

@@ -103,7 +103,6 @@ def cmd_analyze(args):
         "m": spec.m,
         "d": spec.d,
         "g": gcd_maximal_minors(C),
-        "removed_common_factor": list(spec.removed_common),
         "defect": defect_test(spec, trials=args.trials, seed=args.seed).value,
         "merged_rows": merged_rows,
         "scaling": [str(x) for x in lam],
@@ -123,7 +122,6 @@ def cmd_analyze(args):
         "n = %d, m = %d" % (spec.n, spec.m),
         "d = %d" % spec.d,
         "g = %d" % report["g"],
-        "removed common factor: %s" % (report["removed_common_factor"],),
         "defect test: %s" % report["defect"],
         "merged rows: %s" % (report["merged_rows"],),
         "scaling: %s" % ", ".join(report["scaling"]),

@@ -44,13 +44,17 @@ def minimal_generators(points):
 
 @dataclass(frozen=True)
 class Staircase2:
-    """Monomial ideal in two variables, held as its minimal generators."""
+    """Monomial ideal in two variables, held as its minimal generators:
+    whatever generators it is given are minimalized on construction."""
 
     gens: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "gens", minimal_generators(self.gens))
+
     @classmethod
     def of(cls, points) -> "Staircase2":
-        return cls(gens=minimal_generators(points))
+        return cls(gens=points)
 
 
 def _require_zero_dimensional(gens):
@@ -65,10 +69,9 @@ def _cross(o, u, v):
 def staircase_multiplicity(s: Staircase2) -> int:
     """Multiplicity e = 2 * area enclosed by the axes and the lower hull of
     the staircase generators."""
-    gens = minimal_generators(s.gens)
-    _require_zero_dimensional(gens)
+    _require_zero_dimensional(s.gens)
     chain = []
-    for p in gens:  # already sorted by first coordinate
+    for p in s.gens:  # sorted by first coordinate
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
@@ -82,16 +85,14 @@ def staircase_multiplicity(s: Staircase2) -> int:
 def colength(s: Staircase2) -> int:
     """Number of standard monomials under the staircase (the codimension of
     the ideal in the local ring)."""
-    gens = minimal_generators(s.gens)
-    _require_zero_dimensional(gens)
-    a_pure = next(a for a, b in gens if b == 0)
-    return sum(min(b for a, b in gens if a <= x) for x in range(a_pure))
+    _require_zero_dimensional(s.gens)
+    a_pure = next(a for a, b in s.gens if b == 0)
+    return sum(min(b for a, b in s.gens if a <= x) for x in range(a_pure))
 
 
 @dataclass(frozen=True)
 class DegreeReport:
     d: int
-    deg_psi: int
     points: tuple  # (BasePoint, multiplicity) pairs
     degree: int
 
@@ -128,14 +129,15 @@ def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
     total = 0
     for bp in base_points(spec):
         loc = localize(spec, bp)
-        assert loc.monomial, "uniform matrix produced a non-monomial local ideal"
+        if not loc.monomial:
+            raise ValueError("uniform matrix produced a non-monomial local ideal")
         e = staircase_multiplicity(Staircase2.of(loc.gens))
         pairs.append((bp, e))
         total += e
     degree = spec.d * spec.d - total
     if degree < 1:
         raise ValueError("degree formula produced %d, input is degenerate" % degree)
-    return DegreeReport(d=spec.d, deg_psi=1, points=tuple(pairs), degree=degree)
+    return DegreeReport(d=spec.d, points=tuple(pairs), degree=degree)
 
 
 def sparse_origin_multiplicity(exponents) -> int:

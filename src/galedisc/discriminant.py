@@ -3,10 +3,13 @@ between them.
 
 The two-column case is implicitized exactly: clearing psi to a pair of
 pencils den_k(u) y_k - num_k(u) and eliminating u with a Sylvester
-resultant leaves the defining polynomial of the image curve, which is then
-normalized (content and stray monomial factors out, square-free part,
-canonical sign). A pair of sanity checks, the logarithmic Gauss map
-inversion and a sampled commuting-diagram test, guard the construction.
+resultant leaves the defining polynomial of the image curve once content
+and stray monomial factors are divided out and the sign is made canonical.
+No square-free pass is needed: the Horn-Kapranov parametrization is
+birational, so the resultant is the defining polynomial to the first
+power, and the degree check rejects anything else. A pair of sanity
+checks, the logarithmic Gauss map inversion and a sampled
+commuting-diagram test, guard the construction.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -19,18 +22,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .intmat import (
-    IntMatrix,
-    adjugate,
-    gcd_maximal_minors,
-    smith_normal_form,
-    solve_in_lattice,
-)
+from .intmat import IntMatrix, adjugate, gcd_maximal_minors, smith_normal_form
 from .mpoly import (
     MPoly,
     content_primitive,
     partial_derivative,
-    squarefree_part,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -81,9 +77,12 @@ def _pencils(spec: ParamSpec):
 def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     """Defining polynomial of the closure of the image of psi, for m = 2.
 
-    Requires a matrix without proportional rows (merge first); the result
-    is primitive, square-free and sign-normalized, and is validated by
-    degree count and by vanishing at sampled parametrized points.
+    Requires a matrix without proportional rows (merge first). The
+    resultant, freed of its content and monomial factor and sign-normalized,
+    is the result: psi is birational onto its image, so the resultant is
+    the defining polynomial to the first power and needs no square-free
+    pass. It is validated by degree count, which rejects any power, and by
+    vanishing at sampled parametrized points.
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
@@ -114,12 +113,7 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
-    curve = resultant.restrict((3, 4))
-    _, curve = content_primitive(curve)
-    mins = curve.min_exponents()
-    if any(mins):
-        curve = curve.shift(tuple(-x for x in mins))
-    delta = squarefree_part(curve)
+    _, delta = content_primitive(resultant.restrict((3, 4)).split_monomial()[1])
 
     if delta.total_degree() != spec.d:
         raise ValueError(
@@ -163,8 +157,10 @@ def gauss_inverse_check(
     """
     if delta.n_vars != spec.m:
         raise ValueError("variable count mismatch")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         for _attempt in range(50):
             u = sample_off_arrangement(spec, rng)
             try:
@@ -173,17 +169,12 @@ def gauss_inverse_check(
                 continue  # singular point, resample
             break
         else:
-            raise RuntimeError("could not find a smooth parametrized point")
+            raise ValueError("could not find a smooth parametrized point")
         for i in range(spec.m):
             for j in range(i + 1, spec.m):
                 if g[i] * u[j] != g[j] * u[i]:
                     return False
     return True
-
-
-def lambda_map(M: IntMatrix, u):
-    """The linear substitution u -> M u."""
-    return M.mul_vec(u)
 
 
 def monomial_map(M: IntMatrix, y):
@@ -209,14 +200,16 @@ def diagram_check(
     C1 = C2 * M."""
     if C2 * M != C1:
         raise ValueError("matrix relation C2 * M = C1 violated")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     s1 = build(C1)
     s2 = build(C2)
     rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         u = sample_off_arrangement(s1, rng)
         # The C2-forms at M u coincide with the C1-forms at u, so M u is
         # off the C2-arrangement automatically.
-        if monomial_map(M, evaluate_psi(s2, lambda_map(M, u))) != evaluate_psi(s1, u):
+        if monomial_map(M, evaluate_psi(s2, M.mul_vec(u))) != evaluate_psi(s1, u):
             return False
     return True
 
@@ -233,8 +226,7 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     monomial by a root of unity whose product over the group is
     (-1)^(d+1)."""
     n = g.n_vars
-    mins = g.min_exponents()
-    g0 = g.shift(tuple(-x for x in mins))
+    mins, g0 = g.split_monomial()
     k0 = var_index - 1
     if g0.degree_in(var_index) == 0:
         prod = g0 ** d
@@ -278,7 +270,8 @@ def group_product(f: MPoly, M: IntMatrix) -> MPoly:
         if dk > 1:
             g = _unit_root_product(g, k + 1, dk)
     out = substitute_monomial(g, snf.U)
-    assert not out.is_laurent, "group product left negative exponents"
+    if out.is_laurent:
+        raise ValueError("group product left negative exponents")
     return out
 
 
@@ -295,7 +288,8 @@ def transfer(delta2: MPoly, M: IntMatrix):
     alpha_{adj M} is alpha_{det M * I} up to the monomial y^v, so dividing
     every exponent by det M and clearing minimal exponents recovers delta1
     exactly; non-divisible exponents mean the input was not such a
-    defining polynomial."""
+    defining polynomial. v = M (-e) for the cleared minimal exponents e, so
+    it lies in the lattice by construction."""
     if not M.is_square or M.rows != delta2.n_vars:
         raise ValueError("matrix shape mismatch")
     det = M.det()
@@ -318,12 +312,8 @@ def transfer(delta2: MPoly, M: IntMatrix):
                 )
             e2.append(x // det)
         terms[tuple(e2)] = c
-    out = MPoly(delta2.n_vars, terms)
-    mins = out.min_exponents()
-    out = out.shift(tuple(-x for x in mins))
-    v = tuple(M.mul_vec([-x for x in mins]))
-    if solve_in_lattice(M, v) is None:
-        raise ValueError("transfer consistency failure: v outside the column lattice")
+    mins, out = MPoly(delta2.n_vars, terms).split_monomial()
+    v = M.mul_vec([-x for x in mins])
     c, prim = content_primitive(out)
     if c != 1:
         raise ValueError("transfer consistency failure: content %d" % c)
@@ -345,9 +335,7 @@ def homogenize(delta: MPoly, B: IntMatrix) -> MPoly:
     terms = {}
     for e, c in delta.terms.items():
         terms[tuple(B.mul_vec(e))] = c
-    assert len(terms) == len(delta.terms)
-    out = MPoly(B.rows, terms)
-    mins = out.min_exponents()
-    out = out.shift(tuple(-x for x in mins))
-    _, prim = content_primitive(out)
+    if len(terms) != len(delta.terms):
+        raise ValueError("exponent embedding merged terms")
+    _, prim = content_primitive(MPoly(B.rows, terms).split_monomial()[1])
     return prim

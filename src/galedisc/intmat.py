@@ -314,11 +314,12 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     d = IntMatrix(a)
     um = IntMatrix(u)
     vm = IntMatrix(v)
-    assert um * d * vm == m
-    assert abs(um.det()) == 1 and abs(vm.det()) == 1
     factors = tuple(a[i][i] for i in range(n))
-    for i in range(n - 1):
-        assert factors[i + 1] % factors[i] == 0 if factors[i] != 0 else factors[i + 1] == 0
+    if um * d * vm != m or abs(um.det()) != 1 or abs(vm.det()) != 1:
+        raise ArithmeticError("Smith form does not reconstruct the input")
+    for f, g in zip(factors, factors[1:]):
+        if (g % f if f else g) != 0:
+            raise ArithmeticError("invariant factors fail the divisibility chain")
     return SNFDecomposition(U=um, D=d, V=vm, invariant_factors=factors)
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-import sympy
-
 from .intmat import IntMatrix, _int_det
 
 
@@ -204,6 +202,12 @@ class MPoly:
             raise ValueError("zero input")
         return tuple(min(e[i] for e in self.terms) for i in range(self.n_vars))
 
+    def split_monomial(self):
+        """Split off the largest monomial factor: (e, q) with self = y^e * q,
+        e the componentwise minimal exponents."""
+        mins = self.min_exponents()
+        return mins, self.shift(tuple(-x for x in mins))
+
     def shift(self, delta) -> "MPoly":
         """Multiply by the (Laurent) monomial with exponent vector delta."""
         if len(delta) != self.n_vars:
@@ -362,37 +366,6 @@ def partial_derivative(p: MPoly, var_index: int) -> MPoly:
     return MPoly(p.n_vars, t)
 
 
-def _to_sympy(p: MPoly, syms):
-    return sympy.Poly.from_dict(dict(p.terms), *syms, domain=sympy.ZZ)
-
-
-def _from_sympy(poly, n_vars: int) -> MPoly:
-    return MPoly(
-        n_vars,
-        {tuple(int(x) for x in mono): int(c) for mono, c in poly.terms()},
-    )
-
-
-def squarefree_part(p: MPoly) -> MPoly:
-    """Product of the distinct irreducible factors of p, primitive and
-    sign-normalized. Rejects Laurent input."""
-    if not p:
-        raise ValueError("zero input")
-    if p.is_laurent:
-        raise ValueError("negative exponents unsupported")
-    _, prim = content_primitive(p)
-    if prim.is_constant():
-        return MPoly.one(p.n_vars)
-    syms = sympy.symbols("t0:%d" % p.n_vars)
-    f = _to_sympy(prim, syms)
-    g = f
-    for s in syms:
-        g = g.gcd(f.diff(s))
-    sf = f.exquo(g)
-    _, out = content_primitive(_from_sympy(sf, p.n_vars))
-    return out
-
-
 # -- determinants of polynomial matrices -------------------------------------
 
 
@@ -489,10 +462,16 @@ def _eval_int_matrix(mat, point):
         r = []
         for p in row:
             v = p.evaluate(point)
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise ArithmeticError("non-integral Sylvester entry")
             r.append(int(v))
         out.append(r)
     return out
+
+
+def _require_integral(coeffs):
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("interpolated determinant is not integral")
 
 
 def _det_by_interpolation(mat, n_vars: int, active, bounds) -> MPoly:
@@ -516,8 +495,8 @@ def _det_by_interpolation(mat, n_vars: int, active, bounds) -> MPoly:
             vals.append(_int_det(_eval_int_matrix(mat, pt)))
         coeffs = _newton_interpolate(nodes, vals)
         t = {}
+        _require_integral(coeffs)
         for k, c in enumerate(coeffs):
-            assert c.denominator == 1
             if c:
                 e = [0] * n_vars
                 e[v] = k
@@ -538,14 +517,13 @@ def _det_by_interpolation(mat, n_vars: int, active, bounds) -> MPoly:
             pt[v2] = b
             vals.append(_int_det(_eval_int_matrix(mat, pt)))
         coeffs = _newton_interpolate(nodes1, vals)
-        for c in coeffs:
-            assert c.denominator == 1
+        _require_integral(coeffs)
         slices.append([int(c) for c in coeffs])
     t = {}
     for k in range(d1 + 1):
         coeffs = _newton_interpolate(nodes2, [s[k] for s in slices])
+        _require_integral(coeffs)
         for l, c in enumerate(coeffs):
-            assert c.denominator == 1
             if c:
                 e = [0] * n_vars
                 e[v1] = k
@@ -616,5 +594,6 @@ def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
     for e, c in p.terms.items():
         e2 = m.mul_vec(e)
         t[tuple(e2)] = c
-    assert len(t) == len(p.terms)
+    if len(t) != len(p.terms):
+        raise ArithmeticError("monomial substitution merged terms")
     return MPoly(p.n_vars, t)

@@ -33,16 +33,14 @@ class ParamSpec:
     """C plus the cleared numerator exponents.
 
     numer_exps[k][i] is the exponent of l_i in f_k, with k = 0 the common
-    denominator row; every f_k has the same total degree d. removed_common
-    records the per-form exponents stripped because every f_k shared them
-    (always the zero vector for the construction used here, kept so reports
-    can show it).
+    denominator row; every f_k has the same total degree d. The f_k share
+    no factor l_i: f_0 misses l_i when row i has no negative entry, and
+    otherwise f_k does, for k the column of the most negative entry.
     """
 
     C: IntMatrix
     numer_exps: tuple
     d: int
-    removed_common: tuple
 
     @property
     def n(self) -> int:
@@ -68,13 +66,10 @@ def build(C: IntMatrix) -> ParamSpec:
     exps = [tuple(e0)]
     for k in range(m):
         exps.append(tuple(C.entries[i][k] + e0[i] for i in range(n)))
-    # A factor common to every f_k would drop out of the pencil; remove it.
-    common = tuple(min(exps[k][i] for k in range(m + 1)) for i in range(n))
-    if any(common):
-        exps = [tuple(e[i] - common[i] for i in range(n)) for e in exps]
     degrees = {sum(e) for e in exps}
-    assert len(degrees) == 1, "pencil degrees disagree"
-    return ParamSpec(C=C, numer_exps=tuple(exps), d=degrees.pop(), removed_common=common)
+    if len(degrees) != 1:
+        raise ValueError("pencil degrees disagree")
+    return ParamSpec(C=C, numer_exps=tuple(exps), d=degrees.pop())
 
 
 def primitive_direction(row):
@@ -129,16 +124,12 @@ def _forms_at(C: IntMatrix, u):
     return [sum(C.entries[i][j] * u[j] for j in range(C.cols)) for i in range(C.rows)]
 
 
-def evaluate_psi(spec: ParamSpec, u, translate=None):
-    """psi at an exact rational point off the arrangement.
-
-    translate, when given, scales coordinate k by translate[k]; merge
-    reports exactly this scaling.
-    """
+def _forms_off_arrangement(spec: ParamSpec, u):
+    """The forms l_i at an exact rational point, which must make none of
+    them vanish."""
     if len(u) != spec.m:
         raise ValueError("point length mismatch")
-    uu = [Fraction(x) for x in u]
-    forms = _forms_at(spec.C, uu)
+    forms = _forms_at(spec.C, [Fraction(x) for x in u])
     dead = [i + 1 for i, l in enumerate(forms) if l == 0]
     if dead:
         raise ValueError(
@@ -147,6 +138,16 @@ def evaluate_psi(spec: ParamSpec, u, translate=None):
                ", ".join(map(str, dead)),
                "" if len(dead) > 1 else "es")
         )
+    return forms
+
+
+def evaluate_psi(spec: ParamSpec, u, translate=None):
+    """psi at an exact rational point off the arrangement.
+
+    translate, when given, scales coordinate k by translate[k]; merge
+    reports exactly this scaling.
+    """
+    forms = _forms_off_arrangement(spec, u)
     out = []
     for k in range(spec.m):
         y = Fraction(1)
@@ -162,18 +163,7 @@ def evaluate_psi(spec: ParamSpec, u, translate=None):
 
 def log_jacobian(spec: ParamSpec, u):
     """The m x m matrix J_jk = sum_i c_ij c_ik / l_i(u), exact."""
-    if len(u) != spec.m:
-        raise ValueError("point length mismatch")
-    uu = [Fraction(x) for x in u]
-    forms = _forms_at(spec.C, uu)
-    dead = [i + 1 for i, l in enumerate(forms) if l == 0]
-    if dead:
-        raise ValueError(
-            "point on the arrangement: form%s %s vanish%s"
-            % ("s" if len(dead) > 1 else "",
-               ", ".join(map(str, dead)),
-               "" if len(dead) > 1 else "es")
-        )
+    forms = _forms_off_arrangement(spec, u)
     m = spec.m
     jac = []
     for j in range(m):
@@ -236,8 +226,10 @@ def defect_test(spec: ParamSpec, trials: int = 5, seed: int = 0) -> Verdict:
     reported as probably defective, which for these integer samples is
     wrong only with vanishing probability.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         u = sample_off_arrangement(spec, rng)
         if rank_of_fractions(log_jacobian(spec, u)) == spec.m - 1:
             return Verdict.NON_DEFECTIVE

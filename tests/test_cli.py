@@ -196,6 +196,27 @@ def test_trials_flag_is_plumbed_through(files, capsys):
 # ---------------------------------------------------------------- exit codes
 
 
+def test_gauss_check_constant_polynomial_exits_one(files, capsys):
+    const = {"vars": ["y1", "y2"], "terms": [{"c": "5", "e": [0, 0]}]}
+    code, out, err = run(
+        capsys, "gauss-check", files("b.json", {"rows": B_ROWS}), files("k.json", const)
+    )
+    assert code == 1
+    assert err == "error: could not find a smooth parametrized point\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_exit_one(files, capsys, trials):
+    poly = files("db.json", {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS})
+    matrix = files("b.json", {"rows": B_ROWS})
+    for argv in (["gauss-check", matrix, poly], ["analyze", matrix]):
+        code, out, err = run(capsys, *argv, "--trials", trials)
+        assert code == 1
+        assert err == "error: trials must be at least 1\n"
+        assert out == ""
+
+
 def test_domain_error_exits_one(files, capsys):
     code, out, err = run(capsys, "analyze", files("bad.json", {"rows": [[1, 1], [2, 3]]}))
     assert code == 1

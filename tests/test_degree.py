@@ -92,6 +92,12 @@ def test_staircase_of_convenience():
     assert s.gens == ((0, 3), (2, 1), (4, 0))
 
 
+def test_staircase_holds_minimal_generators_by_construction():
+    s = Staircase2(gens=[(4, 0), (0, 3), (2, 1), (4, 4), (0, 3)])
+    assert s.gens == ((0, 3), (2, 1), (4, 0))
+    assert s == Staircase2.of(s.gens)
+
+
 # ---------------------------------------------------------------- multiplicities
 
 
@@ -161,7 +167,7 @@ def test_colength_matches_counting_oracle(data):
 
 def test_degree_of_the_quartic_surface():
     rep = degree_uniform(C42)
-    assert rep.d == 3 and rep.degree == 4 and rep.deg_psi == 1
+    assert rep.d == 3 and rep.degree == 4
     assert [(p.vanishing, e) for p, e in rep.points] == [((1, 2), 4), ((1, 4), 1)]
 
 
@@ -181,7 +187,8 @@ def test_degree_of_four_point_configuration():
     rep = degree_uniform(CDERIVED)
     assert rep.d == 3 and rep.degree == 4
     assert sorted(e for _, e in rep.points) == [1, 1, 1, 2]
-    assert rep.d**2 == rep.deg_psi * rep.degree + sum(e for _, e in rep.points)
+    # d^2 = deg(psi) * degree + sum e, with deg(psi) = 1 as psi is birational
+    assert rep.d**2 == 1 * rep.degree + sum(e for _, e in rep.points)
 
 
 def test_degree_refuses_nonuniform_input():

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from galedisc.discriminant import (
     diagram_check,
@@ -13,13 +14,19 @@ from galedisc.discriminant import (
     group_product,
     homogenize,
     implicitize,
-    lambda_map,
     monomial_map,
     transfer,
 )
 from galedisc.intmat import IntMatrix
-from galedisc.mpoly import MPoly, partial_derivative, substitute_monomial
-from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
+from galedisc.mpoly import MPoly, content_primitive, partial_derivative, substitute_monomial
+from galedisc.parametrization import (
+    Verdict,
+    build,
+    defect_test,
+    evaluate_psi,
+    primitive_direction,
+    sample_off_arrangement,
+)
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -108,6 +115,45 @@ def test_implicitize_seed_insensitive():
     assert implicitize(build(B), seed=0) == implicitize(build(B), seed=1234)
 
 
+def sympy_squarefree_part(p):
+    """Square-free part of p by sympy, primitive and sign-normalized."""
+    syms = sympy.symbols("y1:%d" % (p.n_vars + 1))
+    sf = sympy.Poly.from_dict(dict(p.terms), *syms, domain=sympy.ZZ).sqf_part()
+    terms = {tuple(int(x) for x in e): int(c) for e, c in sf.terms()}
+    return content_primitive(MPoly(p.n_vars, terms))[1]
+
+
+@st.composite
+def curve_specs(draw):
+    """n x 2 inputs of implicitize, n = 3..5: zero column sums, no zero
+    row, no two proportional rows, and a curve as image."""
+    head = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4)
+    )
+    rows = [list(r) for r in head] + [[-sum(r[0] for r in head), -sum(r[1] for r in head)]]
+    assume(all(any(r) for r in rows))
+    assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
+    spec = build(IntMatrix(rows))
+    assume(defect_test(spec) is Verdict.NON_DEFECTIVE)
+    return spec
+
+
+@pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])
+def test_implicitize_is_squarefree_on_acceptance_matrices(mat):
+    """psi is birational, so the normalized resultant is already square-free."""
+    delta = implicitize(build(mat))
+    assert sympy_squarefree_part(delta) == delta
+    # the oracle does see a square
+    assert sympy_squarefree_part(delta * delta) == delta
+
+
+@given(curve_specs())
+@settings(deadline=None, max_examples=20)
+def test_implicitize_is_squarefree_on_random_matrices(spec):
+    delta = implicitize(spec)
+    assert sympy_squarefree_part(delta) == delta
+
+
 # ---------------------------------------------------------------- Gauss map
 
 
@@ -149,6 +195,19 @@ def test_gauss_inverse_check_rejects_unrelated_polynomial():
     assert gauss_inverse_check(build(B), lin, trials=20, seed=0) is False
 
 
+def test_gauss_inverse_check_rejects_constant_polynomial():
+    with pytest.raises(ValueError, match="could not find a smooth parametrized point"):
+        gauss_inverse_check(build(B), MPoly.constant(2, 5))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_checks_need_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        gauss_inverse_check(build(B), DELTA_B, trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        diagram_check(C, B, M35, trials=trials)
+
+
 def test_quartic_vanishes_and_its_mistranscription_does_not():
     spec = build(C42)
     rng = random.Random(4)
@@ -165,7 +224,7 @@ def test_quartic_vanishes_and_its_mistranscription_does_not():
 
 
 def test_lambda_map_golden():
-    assert lambda_map(M35, (1, 1)) == (-3, 3)
+    assert M35.mul_vec((1, 1)) == (-3, 3)
 
 
 def test_monomial_map_golden():

@@ -11,7 +11,6 @@ from galedisc.mpoly import (
     MPoly,
     content_primitive,
     partial_derivative,
-    squarefree_part,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -188,6 +187,20 @@ def test_shift_and_min_exponents():
     assert q.shift((1, 1)) == p
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=30)
+def test_split_monomial_inverts_shift(data):
+    p = poly2(data, max_terms=4, laurent=True)
+    if not p:
+        return
+    mins, q = p.split_monomial()
+    assert mins == p.min_exponents()
+    assert q.shift(mins) == p
+    assert q.min_exponents() == (0, 0)
+    # shifting keeps graded-lex order, so a sign-normalized p stays normalized
+    assert q.trailing_coefficient() == p.trailing_coefficient()
+
+
 def test_restrict_and_set_var_one():
     p = MPoly(3, {(2, 0, 1): 5, (0, 0, 3): 1})
     assert p.set_var_one(3) == MPoly(3, {(2, 0, 0): 5, (0, 0, 0): 1})
@@ -222,31 +235,6 @@ def test_json_coefficients_are_strings():
     assert big.to_json_dict()["terms"][0]["c"] == str(10**40)
     back, _ = MPoly.from_json_dict(big.to_json_dict())
     assert back == big
-
-
-# ---------------------------------------------------------------- squarefree part
-
-
-def test_squarefree_part_collapses_multiplicity():
-    p = (X + Y) * (X + Y) * (X - Y)
-    sq = squarefree_part(p)
-    assert sq == ((X + Y) * (X - Y)).sign_normalized()
-    assert squarefree_part(X**5) == X
-    with pytest.raises(ValueError, match="negative exponents"):
-        squarefree_part(MPoly(2, {(-1, 0): 1}))
-
-
-@given(st.data())
-@settings(deadline=None, max_examples=25)
-def test_squarefree_divides_and_has_no_square_factor(data):
-    p = poly2(data, max_terms=3, cmax=4, emax=2)
-    if p == MPoly.zero(2):
-        return
-    sq = squarefree_part(p * p)
-    y1, y2 = sympy.symbols("y1 y2")
-    a = sympy.Poly(to_sympy(p * p, (y1, y2)), y1, y2)
-    b = sympy.Poly(to_sympy(sq, (y1, y2)), y1, y2)
-    assert sympy.rem(a, b) == 0 or a.rem(b).is_zero
 
 
 # ---------------------------------------------------------------- resultants

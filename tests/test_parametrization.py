@@ -43,7 +43,17 @@ def test_build_cubic_dependency_matrix():
     spec = build(B)
     assert (spec.n, spec.m, spec.d) == (4, 2, 3)
     assert spec.numer_exps == ((0, 3, 0, 0), (1, 1, 1, 0), (2, 0, 0, 1))
-    assert spec.removed_common == (0, 0, 0, 0)
+
+
+@given(st.integers(0, 10_000))
+@settings(deadline=None, max_examples=30)
+def test_build_pencil_shares_no_form(seed):
+    """No l_i divides every f_k, so the pencil needs no common factor
+    stripped."""
+    rng = random.Random(seed)
+    m = rng.choice((2, 3))
+    spec = build(random_regular_matrix(rng, m + rng.randint(0, 3), m))
+    assert all(min(e[i] for e in spec.numer_exps) == 0 for i in range(spec.n))
 
 
 @pytest.mark.parametrize(
@@ -163,6 +173,12 @@ def test_defect_rank_deficient_matrix_is_defective():
 def test_defect_test_is_seed_stable():
     spec = build(C)
     assert defect_test(spec, seed=123) is defect_test(spec, seed=123)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_defect_test_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        defect_test(build(B), trials=trials)
 
 
 # ---------------------------------------------------------------- proportional rows
