@@ -14,6 +14,7 @@ total degree first, then exponents read from the last variable backwards.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .intmat import IntMatrix, _int_det
@@ -437,109 +438,153 @@ def _det_bareiss_poly(mat, n_vars: int) -> MPoly:
     return result if sign == 1 else -result
 
 
-def _newton_interpolate(xs, ys):
-    """Coefficients (ascending) of the unique degree < len(xs) polynomial
-    through the given points. Exact over Fraction."""
-    n = len(xs)
-    dd = [Fraction(y) for y in ys]
+def _newton_interpolate(ys):
+    """Ascending coefficients of the integer polynomial of degree
+    < len(ys) that takes the values ys at the nodes 0, 1, ..., len(ys) - 1.
+
+    The divided differences of an integer polynomial at consecutive integers
+    are integers, so each division must come out exact; raises
+    ArithmeticError when one does not.
+    """
+    n = len(ys)
+    dd = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * n
+            dd[i], r = divmod(dd[i] - dd[i - 1], j)
+            if r:
+                raise ArithmeticError("interpolated resultant is not integral")
+    coeffs = [0] * n
     coeffs[0] = dd[n - 1]
     for i in range(n - 2, -1, -1):
-        # multiply by (x - xs[i]) then add dd[i]
+        # multiply by (x - i) then add dd[i]
         for k in range(n - 1, 0, -1):
-            coeffs[k] = coeffs[k - 1] - xs[i] * coeffs[k]
-        coeffs[0] = dd[i] - xs[i] * coeffs[0]
+            coeffs[k] = coeffs[k - 1] - i * coeffs[k]
+        coeffs[0] = dd[i] - i * coeffs[0]
     return coeffs
 
 
-def _eval_int_matrix(mat, point):
-    """Evaluate a matrix of MPoly at an integer point, as list-of-lists."""
-    out = []
-    for row in mat:
-        r = []
-        for p in row:
-            v = p.evaluate(point)
-            if v.denominator != 1:
-                raise ArithmeticError("non-integral Sylvester entry")
-            r.append(int(v))
-        out.append(r)
-    return out
+def _exact_quo(n, d):
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError("non-exact subresultant division")
+    return q
 
 
-def _require_integral(coeffs):
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("interpolated determinant is not integral")
+def _prem(a, b):
+    """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b, for integer
+    coefficient lists (leading first) with len(a) >= len(b)."""
+    lb, n = b[0], len(b)
+    r = list(a)
+    for i in range(len(a) - n + 1):
+        c = r[i]
+        for j in range(i + 1, len(r)):
+            r[j] *= lb
+        if c:
+            for j in range(1, n):
+                r[i + j] -= c * b[j]
+    r = r[len(a) - n + 1 :]
+    while r and not r[0]:
+        del r[0]
+    return r
 
 
-def _det_by_interpolation(mat, n_vars: int, active, bounds) -> MPoly:
-    """Determinant via evaluation at integer nodes plus Newton interpolation.
+def _int_resultant(a, b):
+    """Resultant of two integer polynomials given as coefficient lists,
+    leading first, of formal degrees len(a) - 1 and len(b) - 1: the
+    determinant of their Sylvester matrix with the rows of a first.
 
-    `active` lists the (0-based) variables actually occurring in the matrix
-    entries; supports one or two of them. Degree bounds must dominate the
-    true degrees of the determinant.
+    Vanishing leading coefficients are peeled off by expanding that matrix
+    along its first column; what is left goes through the subresultant PRS
+    (Cohen, GTM 138, Alg. 3.3.7), O(len(a) * len(b)) integer operations.
     """
-    n = len(mat)
-    base = [0] * n_vars
+    f = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if da == 0:
+            return f * a[0] ** db
+        if db == 0:
+            return f * b[0] ** da
+        if a[0] and b[0]:
+            break
+        if a[0]:
+            f *= a[0]
+            b = b[1:]
+        elif b[0]:
+            f *= -b[0] if db & 1 else b[0]
+            a = a[1:]
+        else:
+            return 0
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            f = -f
+    g = h = 1
+    while db:
+        delta = da - db
+        if da & db & 1:
+            f = -f
+        r = _prem(a, b)
+        if not r:
+            return 0
+        d = g * h**delta
+        a, b = b, [_exact_quo(x, d) for x in r]
+        g = a[0]
+        if delta:
+            h = _exact_quo(g**delta, h ** (delta - 1))
+        da, db = db, len(b) - 1
+    return f * _exact_quo(b[0] ** da, h ** (da - 1))
 
-    if len(active) == 1:
-        v = active[0]
-        d = bounds[v]
-        nodes = list(range(d + 1))
-        vals = []
-        for a in nodes:
-            pt = list(base)
-            pt[v] = a
-            vals.append(_int_det(_eval_int_matrix(mat, pt)))
-        coeffs = _newton_interpolate(nodes, vals)
-        t = {}
-        _require_integral(coeffs)
-        for k, c in enumerate(coeffs):
-            if c:
-                e = [0] * n_vars
-                e[v] = k
-                t[tuple(e)] = int(c)
-        return MPoly(n_vars, t)
 
-    v1, v2 = active
-    d1, d2 = bounds[v1], bounds[v2]
-    nodes1 = list(range(d1 + 1))
-    nodes2 = list(range(d2 + 1))
-    # First interpolate in v1 at each fixed v2 node, then in v2.
-    slices = []
-    for b in nodes2:
+def _det_by_interpolation(pcs, qcs, n_vars: int, active, bounds) -> MPoly:
+    """Resultant of the polynomials with coefficient lists pcs and qcs
+    (MPoly, leading first) in the eliminated variable, by evaluation and
+    interpolation (Collins, J. ACM 1971).
+
+    The grid is {0..bounds[v]} for each variable v in `active` (0-based), the
+    variables actually occurring; the bounds must dominate the true degrees
+    of the resultant. Each coefficient is evaluated once per node, in
+    integers, each node takes one `_int_resultant`, and Newton interpolation
+    along each variable in turn gives back the coefficients.
+    """
+    split = len(pcs)
+    terms = [[(c, [e[v] for v in active]) for e, c in f.terms.items()] for f in pcs + qcs]
+    dims = [bounds[v] + 1 for v in active]
+    grid = {}
+    for node in product(*(range(d) for d in dims)):
         vals = []
-        for a in nodes1:
-            pt = list(base)
-            pt[v1] = a
-            pt[v2] = b
-            vals.append(_int_det(_eval_int_matrix(mat, pt)))
-        coeffs = _newton_interpolate(nodes1, vals)
-        _require_integral(coeffs)
-        slices.append([int(c) for c in coeffs])
+        for f in terms:
+            s = 0
+            for c, e in f:
+                for x, k in zip(node, e):
+                    c *= x**k
+                s += c
+            vals.append(s)
+        grid[node] = _int_resultant(vals[:split], vals[split:])
+    for i, d in enumerate(dims):
+        for node in [nd for nd in grid if not nd[i]]:
+            line = [node[:i] + (k,) + node[i + 1 :] for k in range(d)]
+            for key, c in zip(line, _newton_interpolate([grid[nd] for nd in line])):
+                grid[key] = c
     t = {}
-    for k in range(d1 + 1):
-        coeffs = _newton_interpolate(nodes2, [s[k] for s in slices])
-        _require_integral(coeffs)
-        for l, c in enumerate(coeffs):
-            if c:
-                e = [0] * n_vars
-                e[v1] = k
-                e[v2] = l
-                t[tuple(e)] = int(c)
+    for node, c in grid.items():
+        e = [0] * n_vars
+        for v, k in zip(active, node):
+            e[v] = k
+        t[tuple(e)] = c
     return MPoly(n_vars, t)
 
 
 def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
-    """Resultant of p and q with respect to one variable (1-based), as the
-    determinant of their Sylvester matrix.
+    """Resultant of p and q with respect to one variable (1-based): the
+    determinant of their Sylvester matrix, with the rows of p first.
 
-    Small matrices go through fraction-free elimination directly on the
-    polynomial entries; large ones with at most two other variables in play
-    are evaluated at integer nodes and interpolated, which is dramatically
-    faster for the big elimination steps.
+    Small matrices go through fraction-free Bareiss elimination directly on
+    the polynomial entries. Matrices of size 10 or more, with at most two
+    other variables in play and at most 5000 grid nodes, are evaluated
+    instead: at each integer node of the grid every coefficient of p and q
+    is evaluated once, in integers, a univariate subresultant PRS gives the
+    resultant there, and integer Newton interpolation recovers the
+    polynomial. That is dramatically faster for the big elimination steps.
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
@@ -553,31 +598,28 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     zero = MPoly.zero(n_vars)
     pc = p.coeffs_in(var_index)
     qc = q.coeffs_in(var_index)
+    pcs = [pc.get(dp - j, zero) for j in range(dp + 1)]
+    qcs = [qc.get(dq - j, zero) for j in range(dq + 1)]
     size = dp + dq
-    mat = [[zero] * size for _ in range(size)]
-    for i in range(dq):
-        for j in range(dp + 1):
-            mat[i][i + j] = pc.get(dp - j, zero)
-    for i in range(dp):
-        for j in range(dq + 1):
-            mat[dq + i][i + j] = qc.get(dq - j, zero)
 
     if size >= 10:
+        # Row by row, the Sylvester matrix has dq rows of p's coefficients
+        # and dp rows of q's: a bound on the determinant's degree in each v.
         bounds = [0] * n_vars
-        for row in mat:
-            for v in range(n_vars):
-                if v == var_index - 1:
-                    continue
-                bounds[v] += max((e.degree_in(v + 1) for e in row if e), default=0)
+        for v in range(n_vars):
+            if v != var_index - 1:
+                bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
         active = [v for v in range(n_vars) if bounds[v] > 0]
         grid = 1
         for v in active:
             grid *= bounds[v] + 1
         if len(active) <= 2 and grid <= 5000:
-            if not active:
-                ints = [[int(e.evaluate([0] * n_vars)) for e in row] for row in mat]
-                return MPoly.constant(n_vars, _int_det(ints))
-            return _det_by_interpolation(mat, n_vars, active, bounds)
+            return _det_by_interpolation(pcs, qcs, n_vars, active, bounds)
+    mat = [[zero] * size for _ in range(size)]
+    for i in range(dq):
+        mat[i][i : i + dp + 1] = pcs
+    for i in range(dp):
+        mat[dq + i][i : i + dq + 1] = qcs
     return _det_bareiss_poly(mat, n_vars)
 
 

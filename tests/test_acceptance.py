@@ -130,6 +130,17 @@ def test_transfer_theorem_with_exact_unit_group_factorization():
     assert lhs == rhs
 
 
+def test_transfer_on_large_interpolated_resultants_under_twenty_seconds():
+    # Each transfer takes a group product of Sylvester size 22 or 23 on the
+    # interpolation path; implicitizing B*M directly is the independent side.
+    t0 = time.perf_counter()
+    delta_b = implicitize(build(B))
+    for rows in ([[1, 0], [3, 12]], [[1, 0], [4, 8]], [[2, 1], [0, 4]]):
+        M = IntMatrix(rows)
+        assert transfer(delta_b, M)[0] == implicitize(build(B * M))
+    assert time.perf_counter() - t0 < 20.0
+
+
 def test_parametrization_diagram_commutes_at_twenty_points():
     assert diagram_check(C, B, M35, trials=20, seed=0)
 

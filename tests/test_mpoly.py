@@ -1,11 +1,13 @@
 """Sparse exact polynomial arithmetic, canonical signs, resultants, monomial substitution."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from galedisc import mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
@@ -14,7 +16,7 @@ from galedisc.mpoly import (
     substitute_monomial,
     sylvester_resultant,
 )
-from galedisc.mpoly import _det_bareiss_poly, _det_by_interpolation, _newton_interpolate
+from galedisc.mpoly import _det_bareiss_poly, _int_resultant, _newton_interpolate
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -294,36 +296,114 @@ def test_resultant_multiplicative_in_second_argument(data):
 # ---------------------------------------------------------------- determinant engines
 
 
-def test_interpolation_engine_agrees_with_bareiss():
-    """Both determinant routes must give the same polynomial on a dense-ish matrix."""
-    import random
+def sylvester_matrix(p, q, var_index):
+    """The Sylvester matrix of p and q in one variable, rows of p first."""
+    dp, dq = p.degree_in(var_index), q.degree_in(var_index)
+    pc, qc = p.coeffs_in(var_index), q.coeffs_in(var_index)
+    zero = MPoly.zero(p.n_vars)
+    size = dp + dq
+    rows = [[zero] * size for _ in range(size)]
+    for i in range(dq):
+        for j in range(dp + 1):
+            rows[i][i + j] = pc.get(dp - j, zero)
+    for i in range(dp):
+        for j in range(dq + 1):
+            rows[dq + i][i + j] = qc.get(dq - j, zero)
+    return rows
 
-    rng = random.Random(11)
-    n = 4
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(
-                MPoly(
-                    2,
-                    {
-                        (rng.randrange(3), rng.randrange(3)): rng.randint(-4, 4),
-                        (0, 0): rng.randint(-4, 4),
-                    },
-                )
+
+# Leading coefficients in Z[y1, y2] (variables 2 and 3 of Z[x, y1, y2]) that
+# vanish on nodes of the interpolation grid, one of them vanishing with each
+# of the others at (y1, y2) = (2, 1), plus a unit that never does.
+LEADS3 = {
+    "y1 - 2": MPoly(3, {(0, 1, 0): 1, (0, 0, 0): -2}),
+    "y1*y2": MPoly(3, {(0, 1, 1): 1}),
+    "y2 - 1": MPoly(3, {(0, 0, 1): 1, (0, 0, 0): -1}),
+    "3": MPoly.constant(3, 3),
+}
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=15)
+def test_interpolation_engine_agrees_with_bareiss(data):
+    """On Z[x, y1, y2] pairs of Sylvester size >= 10, whose leading
+    coefficients vanish on grid nodes (both at once on some), the
+    interpolation path gives the Bareiss determinant of the same matrix."""
+
+    def draw(d):
+        lead = LEADS3[data.draw(st.sampled_from(sorted(LEADS3)))]
+        rest = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, d - 1), st.integers(0, 1), st.integers(0, 1)),
+                st.integers(-3, 3).filter(bool),
+                min_size=1,
+                max_size=4,
             )
-        rows.append(row)
-    direct = _det_bareiss_poly([row[:] for row in rows], 2)
-    interp = _det_by_interpolation(rows, 2, [0, 1], [2 * n, 2 * n])
-    assert direct == interp
+        )
+        return lead * MPoly(3, {(d, 0, 0): 1}) + MPoly(3, rest)
+
+    dp = data.draw(st.integers(4, 6))
+    p, q = draw(dp), draw(data.draw(st.integers(10 - dp, 6)))
+    with mock.patch.object(
+        mpoly, "_det_by_interpolation", wraps=mpoly._det_by_interpolation
+    ) as engine:
+        ours = sylvester_resultant(p, q, 1)
+    assert engine.called
+    assert ours == _det_bareiss_poly(sylvester_matrix(p, q, 1), 3)
+
+
+def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
+    # size 10 and no other variable: a one-node grid; Res = prod (i - j)
+    p = q = MPoly.one(2)
+    for i in range(1, 6):
+        p = p * (X - i)
+        q = q * (X - (i + 5))
+    expected = 1
+    for i in range(1, 6):
+        for j in range(6, 11):
+            expected *= i - j
+    assert sylvester_resultant(p, q, 1) == MPoly.constant(2, expected)
+    assert sylvester_resultant(p, q * (X - 3), 1) == MPoly.zero(2)
 
 
 def test_newton_interpolation_round_trip():
-    coeffs = [Fraction(3), Fraction(-2), Fraction(0), Fraction(5)]  # 3 - 2t + 5t^3
-    nodes = [Fraction(k) for k in range(4)]
-    values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in nodes]
-    assert _newton_interpolate(nodes, values) == coeffs
+    coeffs = [3, -2, 0, 5]  # 3 - 2t + 5t^3
+    values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in range(4)]
+    assert _newton_interpolate(values) == coeffs
+
+
+def test_newton_interpolation_rejects_non_integer_polynomial():
+    # 0, 0, 1 at t = 0, 1, 2 interpolate to t(t - 1)/2, not in Z[t]
+    with pytest.raises(ArithmeticError):
+        _newton_interpolate([0, 0, 1])
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=8),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=8),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-9, 9).filter(bool),
+)
+@settings(deadline=None, max_examples=60)
+def test_int_resultant_matches_sympy(a, b, lead_a, lead_b):
+    """The per-node kernel against sympy.resultant, and the formal-degree
+    corrections against the identities of the expanded Sylvester matrix."""
+    a, b = [lead_a] + a, [lead_b] + b  # leading coefficient first
+    t = sympy.symbols("t")
+    dp, dq = len(a) - 1, len(b) - 1
+
+    def expr(cs):
+        return sum(c * t ** (len(cs) - 1 - i) for i, c in enumerate(cs))
+
+    # the argument-order sign quirk, as in test_resultant_matches_sympy
+    if dp >= dq:
+        theirs = sympy.resultant(expr(a), expr(b), t)
+    else:
+        theirs = (-1) ** (dp * dq) * sympy.resultant(expr(b), expr(a), t)
+    assert _int_resultant(a, b) == theirs
+    assert _int_resultant([0] + a, b) == (-1) ** dq * lead_b * theirs
+    assert _int_resultant(a, [0] + b) == lead_a * theirs
+    assert _int_resultant([0] + a, [0] + b) == 0
 
 
 # ---------------------------------------------------------------- monomial substitution
