@@ -218,18 +218,26 @@ def diagram_check(
 
 
 def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
-    """Product of g over the scalings y_var -> w * y_var, w^d = 1.
+    """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index.
 
-    Computed as a univariate resultant against t^d - y_var^d after moving
-    the scaled variable into a fresh slot t. Laurent input is handled by
+    This is the norm of g down to y_k^d. With G_j the coefficients of g in
+    y_k and e = deg_{y_k} g, e <= 1 gives the closed form
+    G0^d - (-G1)^d * y_k^d. For e >= 2 it is the resultant against
+    t^d - Y of g with y_k moved to a fresh slot t, where Y takes y_k's
+    freed slot at exponent 1; since t^d - Y is monic in t, substituting
+    Y = y_k^d afterwards commutes with the resultant, and the grid along Y
+    is d times shorter than along y_k. Laurent input is handled by
     shifting all exponents up front; each scaling multiplies the shifted
     monomial by a root of unity whose product over the group is
     (-1)^(d+1)."""
     n = g.n_vars
     mins, g0 = g.split_monomial()
     k0 = var_index - 1
-    if g0.degree_in(var_index) == 0:
-        prod = g0 ** d
+    coeffs = g0.coeffs_in(var_index)
+    if max(coeffs) <= 1:
+        zero = MPoly.zero(n)
+        y_d = MPoly.variable(n, var_index) ** d
+        prod = coeffs.get(0, zero) ** d - (-coeffs.get(1, zero)) ** d * y_d
     else:
         b = MPoly(
             n + 1,
@@ -239,9 +247,15 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
             },
         )
         e_y = [0] * (n + 1)
-        e_y[k0] = d
+        e_y[k0] = 1
         a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(e_y): -1})
-        prod = sylvester_resultant(a, b, n + 1).restrict(tuple(range(1, n + 1)))
+        prod = MPoly(
+            n,
+            {
+                e[:k0] + (d * e[k0],) + e[k0 + 1 : n]: c
+                for e, c in sylvester_resultant(a, b, n + 1).terms.items()
+            },
+        )
     out = prod.shift(tuple(d * x for x in mins))
     if ((d + 1) * mins[k0]) % 2:
         out = -out

@@ -5,6 +5,9 @@ Coefficients are arbitrary-precision ints; exponent vectors are tuples and
 may go negative (Laurent polynomials show up as intermediate objects in the
 monomial substitutions). Rational numbers appear only in `evaluate`.
 
+Resultants have a single engine, evaluation and interpolation in integers
+(Collins, J. ACM 1971): no determinant is ever taken over polynomials.
+
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
 graded-lex *minimal* term has positive coefficient. Graded lex here compares
@@ -327,10 +330,17 @@ class MPoly:
         n = len(names)
         terms = {}
         for t in d["terms"]:
-            c = int(t["c"])
-            e = tuple(int(x) for x in t["e"])
+            c, e = t["c"], t["e"]
+            if isinstance(c, bool) or not isinstance(c, (int, str)):
+                raise ValueError("coefficient %r is not an integer" % (c,))
+            c = int(c)
+            if not isinstance(e, list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in e
+            ):
+                raise ValueError("exponent %r is not a list of integers" % (e,))
             if len(e) != n:
                 raise ValueError("bad exponent length in term")
+            e = tuple(e)
             if c:
                 terms[e] = terms.get(e, 0) + c
         return cls(n, terms), list(names)
@@ -367,75 +377,7 @@ def partial_derivative(p: MPoly, var_index: int) -> MPoly:
     return MPoly(p.n_vars, t)
 
 
-# -- determinants of polynomial matrices -------------------------------------
-
-
-def _exact_div(num: MPoly, den: MPoly) -> MPoly:
-    """Exact division num/den, for use inside fraction-free elimination.
-
-    Raises ArithmeticError if the division does not come out exact; the
-    Bareiss invariant guarantees it always does there.
-    """
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return num
-    if den.is_constant():
-        d = den.terms[(0,) * den.n_vars]
-        t = {}
-        for e, c in num.terms.items():
-            q, r = divmod(c, d)
-            if r:
-                raise ArithmeticError("non-exact constant division")
-            t[e] = q
-        return MPoly(num.n_vars, t)
-    den_lead = max(den.terms, key=_gl_key)
-    dc = den.terms[den_lead]
-    rem = dict(num.terms)
-    quo = {}
-    while rem:
-        e_r = max(rem, key=_gl_key)
-        c_r = rem[e_r]
-        e_q = tuple(a - b for a, b in zip(e_r, den_lead))
-        if any(x < 0 for x in e_q):
-            raise ArithmeticError("non-exact division (exponents)")
-        c_q, r = divmod(c_r, dc)
-        if r:
-            raise ArithmeticError("non-exact division (coefficients)")
-        quo[e_q] = quo.get(e_q, 0) + c_q
-        for e_d, c_d in den.terms.items():
-            e = tuple(a + b for a, b in zip(e_q, e_d))
-            nc = rem.get(e, 0) - c_q * c_d
-            if nc:
-                rem[e] = nc
-            else:
-                rem.pop(e, None)
-    return MPoly(num.n_vars, quo)
-
-
-def _det_bareiss_poly(mat, n_vars: int) -> MPoly:
-    """Fraction-free Bareiss determinant of a square matrix of MPoly."""
-    n = len(mat)
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = MPoly.one(n_vars)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(n_vars)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = MPoly.zero(n_vars)
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+# -- resultants --------------------------------------------------------------
 
 
 def _newton_interpolate(ys):
@@ -578,13 +520,11 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     """Resultant of p and q with respect to one variable (1-based): the
     determinant of their Sylvester matrix, with the rows of p first.
 
-    Small matrices go through fraction-free Bareiss elimination directly on
-    the polynomial entries. Matrices of size 10 or more, with at most two
-    other variables in play and at most 5000 grid nodes, are evaluated
-    instead: at each integer node of the grid every coefficient of p and q
-    is evaluated once, in integers, a univariate subresultant PRS gives the
-    resultant there, and integer Newton interpolation recovers the
-    polynomial. That is dramatically faster for the big elimination steps.
+    The determinant is never formed over polynomials: at each integer node
+    of a grid over the other variables that occur, every coefficient of p
+    and q is evaluated once, in integers, a univariate subresultant PRS
+    gives the resultant there, and integer Newton interpolation recovers
+    the polynomial (`_det_by_interpolation`).
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
@@ -600,27 +540,14 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     qc = q.coeffs_in(var_index)
     pcs = [pc.get(dp - j, zero) for j in range(dp + 1)]
     qcs = [qc.get(dq - j, zero) for j in range(dq + 1)]
-    size = dp + dq
-
-    if size >= 10:
-        # Row by row, the Sylvester matrix has dq rows of p's coefficients
-        # and dp rows of q's: a bound on the determinant's degree in each v.
-        bounds = [0] * n_vars
-        for v in range(n_vars):
-            if v != var_index - 1:
-                bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
-        active = [v for v in range(n_vars) if bounds[v] > 0]
-        grid = 1
-        for v in active:
-            grid *= bounds[v] + 1
-        if len(active) <= 2 and grid <= 5000:
-            return _det_by_interpolation(pcs, qcs, n_vars, active, bounds)
-    mat = [[zero] * size for _ in range(size)]
-    for i in range(dq):
-        mat[i][i : i + dp + 1] = pcs
-    for i in range(dp):
-        mat[dq + i][i : i + dq + 1] = qcs
-    return _det_bareiss_poly(mat, n_vars)
+    # Row by row, the Sylvester matrix has dq rows of p's coefficients and
+    # dp rows of q's: a bound on the determinant's degree in each v.
+    bounds = [0] * n_vars
+    for v in range(n_vars):
+        if v != var_index - 1:
+            bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
+    active = [v for v in range(n_vars) if bounds[v] > 0]
+    return _det_by_interpolation(pcs, qcs, n_vars, active, bounds)
 
 
 def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:

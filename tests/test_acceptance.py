@@ -32,6 +32,7 @@ from galedisc.parametrization import (
     Verdict,
     build,
     defect_test,
+    evaluate_psi,
     log_jacobian,
     sample_off_arrangement,
 )
@@ -139,6 +140,23 @@ def test_transfer_on_large_interpolated_resultants_under_twenty_seconds():
         M = IntMatrix(rows)
         assert transfer(delta_b, M)[0] == implicitize(build(B * M))
     assert time.perf_counter() - t0 < 20.0
+
+
+def test_quartic_transfers_through_high_degree_group_products_under_ten_seconds():
+    # deg_{y_k} g = 7 and 12 at the scaling variable, so both group products
+    # are resultants in three variables; the transferred polynomial must
+    # vanish on the C42 * M parametrization, sampled apart from any resultant.
+    t0 = time.perf_counter()
+    for rows in ([[1, 0, 0], [0, 1, 0], [2, 0, 13]], [[7, 3, 0], [0, 1, 0], [0, 0, 1]]):
+        M = IntMatrix(rows)
+        delta1, _ = transfer(QUARTIC42, M)
+        spec = build(C42 * M)
+        rng = random.Random(0)
+        for _ in range(5):
+            y = evaluate_psi(spec, sample_off_arrangement(spec, rng))
+            assert delta1.evaluate(y) == 0
+            assert (delta1 + 1).evaluate(y) != 0
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_parametrization_diagram_commutes_at_twenty_points():

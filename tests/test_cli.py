@@ -247,6 +247,19 @@ def test_bool_entries_are_rejected(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "term",
+    [{"c": 1.5, "e": [1, 0]}, {"c": 1, "e": [True, 0.7]}, {"c": 1, "e": "10"}],
+    ids=["float-coefficient", "bool-and-float-exponents", "string-exponent"],
+)
+def test_non_integer_polynomial_fields_exit_two(files, capsys, term):
+    poly = files("p.json", {"vars": ["y1", "y2"], "terms": [term]})
+    code, out, err = run(capsys, "group-product", poly, files("m.json", {"rows": [[1, 0], [0, 3]]}))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad polynomial" in err
+
+
 # ---------------------------------------------------------------- determinism
 
 

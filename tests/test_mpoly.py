@@ -1,13 +1,12 @@
 """Sparse exact polynomial arithmetic, canonical signs, resultants, monomial substitution."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from galedisc import mpoly
+from galedisc.discriminant import _unit_root_product
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
@@ -16,7 +15,7 @@ from galedisc.mpoly import (
     substitute_monomial,
     sylvester_resultant,
 )
-from galedisc.mpoly import _det_bareiss_poly, _int_resultant, _newton_interpolate
+from galedisc.mpoly import _gl_key, _int_resultant, _newton_interpolate
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -239,6 +238,20 @@ def test_json_coefficients_are_strings():
     assert back == big
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"c": 1.5, "e": [1, 0]},  # int(1.5) would read 1
+        {"c": True, "e": [1, 0]},
+        {"c": 1, "e": [True, 0.7]},  # would read (1, 0)
+        {"c": 1, "e": "10"},  # the string would iterate into (1, 0)
+    ],
+)
+def test_json_rejects_non_integer_fields(term):
+    with pytest.raises(ValueError, match="not an integer|not a list of integers"):
+        MPoly.from_json_dict({"vars": ["y1", "y2"], "terms": [term]})
+
+
 # ---------------------------------------------------------------- resultants
 
 
@@ -293,7 +306,76 @@ def test_resultant_multiplicative_in_second_argument(data):
     assert lhs == rhs
 
 
-# ---------------------------------------------------------------- determinant engines
+# ---------------------------------------------------------------- Bareiss oracle
+
+
+def _exact_div(num, den):
+    """Exact division num/den, for use inside fraction-free elimination.
+
+    Raises ArithmeticError if the division does not come out exact; the
+    Bareiss invariant guarantees it always does there.
+    """
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return num
+    if den.is_constant():
+        d = den.terms[(0,) * den.n_vars]
+        t = {}
+        for e, c in num.terms.items():
+            q, r = divmod(c, d)
+            if r:
+                raise ArithmeticError("non-exact constant division")
+            t[e] = q
+        return MPoly(num.n_vars, t)
+    den_lead = max(den.terms, key=_gl_key)
+    dc = den.terms[den_lead]
+    rem = dict(num.terms)
+    quo = {}
+    while rem:
+        e_r = max(rem, key=_gl_key)
+        c_r = rem[e_r]
+        e_q = tuple(a - b for a, b in zip(e_r, den_lead))
+        if any(x < 0 for x in e_q):
+            raise ArithmeticError("non-exact division (exponents)")
+        c_q, r = divmod(c_r, dc)
+        if r:
+            raise ArithmeticError("non-exact division (coefficients)")
+        quo[e_q] = quo.get(e_q, 0) + c_q
+        for e_d, c_d in den.terms.items():
+            e = tuple(a + b for a, b in zip(e_q, e_d))
+            nc = rem.get(e, 0) - c_q * c_d
+            if nc:
+                rem[e] = nc
+            else:
+                rem.pop(e, None)
+    return MPoly(num.n_vars, quo)
+
+
+def _det_bareiss_poly(mat, n_vars):
+    """Fraction-free Bareiss determinant of a square matrix of MPoly, taken
+    on the polynomial entries: the oracle for the interpolation engine."""
+    n = len(mat)
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = MPoly.one(n_vars)
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return MPoly.zero(n_vars)
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
+            m[i][k] = MPoly.zero(n_vars)
+        prev = pivot
+    result = m[n - 1][n - 1]
+    return result if sign == 1 else -result
 
 
 def sylvester_matrix(p, q, var_index):
@@ -326,9 +408,9 @@ LEADS3 = {
 @given(st.data())
 @settings(deadline=None, max_examples=15)
 def test_interpolation_engine_agrees_with_bareiss(data):
-    """On Z[x, y1, y2] pairs of Sylvester size >= 10, whose leading
+    """On Z[x, y1, y2] pairs of Sylvester size 2 to 12, whose leading
     coefficients vanish on grid nodes (both at once on some), the
-    interpolation path gives the Bareiss determinant of the same matrix."""
+    resultant is the Bareiss determinant of the same matrix."""
 
     def draw(d):
         lead = LEADS3[data.draw(st.sampled_from(sorted(LEADS3)))]
@@ -342,14 +424,47 @@ def test_interpolation_engine_agrees_with_bareiss(data):
         )
         return lead * MPoly(3, {(d, 0, 0): 1}) + MPoly(3, rest)
 
-    dp = data.draw(st.integers(4, 6))
-    p, q = draw(dp), draw(data.draw(st.integers(10 - dp, 6)))
-    with mock.patch.object(
-        mpoly, "_det_by_interpolation", wraps=mpoly._det_by_interpolation
-    ) as engine:
-        ours = sylvester_resultant(p, q, 1)
-    assert engine.called
-    assert ours == _det_bareiss_poly(sylvester_matrix(p, q, 1), 3)
+    p, q = draw(data.draw(st.integers(1, 6))), draw(data.draw(st.integers(1, 6)))
+    assert sylvester_resultant(p, q, 1) == _det_bareiss_poly(sylvester_matrix(p, q, 1), 3)
+
+
+def unit_root_product_by_sylvester(g, var_index, d):
+    """The group product by its definition: Laurent exponents shifted off,
+    the Sylvester determinant of t^d - y_k^d and g with y_k moved to t, the
+    shift put back with the sign (-1)^((d+1) * min_k)."""
+    n, k0 = g.n_vars, var_index - 1
+    mins, g0 = g.split_monomial()
+    b = MPoly(n + 1, {e[:k0] + (0,) + e[k0 + 1 :] + (e[k0],): c for e, c in g0.terms.items()})
+    y_d = [0] * (n + 1)
+    y_d[k0] = d
+    a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(y_d): -1})
+    det = _det_bareiss_poly(sylvester_matrix(a, b, n + 1), n + 1)
+    out = det.restrict(tuple(range(1, n + 1))).shift(tuple(d * x for x in mins))
+    return -out if (d + 1) * mins[k0] % 2 else out
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=12)
+def test_unit_root_product_matches_the_sylvester_definition(data):
+    """Closed form (e <= 1) and resultant in Y = y_k^d (e >= 2), in 2 and 3
+    variables with Laurent shifts, against the polynomial Bareiss
+    determinant of the Sylvester matrix. Each coefficient G_j has at most
+    4 - n terms: the oracle's cost grows steeply with the terms of g."""
+    n = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, n))
+    e = data.draw(st.integers(0, 4))
+    d = data.draw(st.integers(2, 16))
+    others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
+    g = MPoly.zero(n)
+    for j in range(e + 1):
+        coeff = data.draw(
+            st.dictionaries(others, st.integers(-3, 3).filter(bool), min_size=int(j == e), max_size=4 - n)
+        )
+        g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
+    g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
+    if not g:
+        return
+    assert _unit_root_product(g, k, d) == unit_root_product_by_sylvester(g, k, d)
 
 
 def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
