@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .intmat import IntMatrix, _int_det
 from .parametrization import ParamSpec, primitive_direction
@@ -57,20 +58,22 @@ def _cross3(a, b):
     )
 
 
-def _normalize_point(p):
-    idx = next((i for i, x in enumerate(p) if x != 0), None)
-    if idx is None:
-        return None
-    lead = Fraction(p[idx])
-    return tuple(Fraction(x) / lead for x in p)
+def _vanishing_at(C: IntMatrix, p):
+    """1-based indices of the forms that vanish at the integer point p."""
+    a, b, c = p
+    return tuple(
+        i + 1
+        for i, (r0, r1, r2) in enumerate(C.entries)
+        if r0 * a + r1 * b + r2 * c == 0
+    )
 
 
-def _vanishing_at(C: IntMatrix, coords):
-    out = []
-    for i, row in enumerate(C.entries):
-        if sum(c * x for c, x in zip(row, coords)) == 0:
-            out.append(i + 1)
-    return tuple(out)
+def _integer_point(coords):
+    """An integer representative of a rational point: coords times the
+    least common denominator."""
+    coords = [Fraction(x) for x in coords]
+    den = lcm(*(x.denominator for x in coords))
+    return tuple(x.numerator * (den // x.denominator) for x in coords)
 
 
 def base_points(spec: ParamSpec):
@@ -94,23 +97,28 @@ def base_points(spec: ParamSpec):
         ):
             raise ValueError("base locus not finite (direction %s)" % (w,))
 
+    # Crossings are keyed by the primitive integer cross product, so the
+    # vanishing tests are integer dot products; the Fraction coordinates
+    # are built only for the points reported.
     seen = {}
     for i, j in combinations(range(spec.n), 2):
         p = _cross3(C.entries[i], C.entries[j])
-        coords = _normalize_point(p)
-        if coords is None:  # proportional rows
+        if not any(p):  # proportional rows
             continue
-        if coords not in seen:
-            seen[coords] = _vanishing_at(C, coords)
+        w, _ = primitive_direction(p)
+        if w not in seen:
+            seen[w] = _vanishing_at(C, w)
 
     points = []
-    for coords, vanishing in seen.items():
+    for w, vanishing in seen.items():
         van0 = [i - 1 for i in vanishing]
         basic = all(
             any(spec.numer_exps[k][i] > 0 for i in van0)
             for k in range(spec.m + 1)
         )
         if basic:
+            lead = next(x for x in w if x)
+            coords = tuple(Fraction(x, lead) for x in w)
             points.append(BasePoint(coords=coords, vanishing=vanishing))
     points.sort(key=lambda bp: bp.coords)
     return points
@@ -120,28 +128,30 @@ def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
     """Local exponent data of the pencil at a base point.
 
     The vanishing set is recomputed from the coordinates rather than taken
-    from p. Proportional vanishing forms are collapsed into one direction
-    class each; the class exponent of a pencil member is the sum over the
-    class of its factor exponents.
+    from p, on the integer point they represent; any representative, ints
+    or Fractions, normalized or not, names the same point. Proportional
+    vanishing forms are collapsed into one direction class each; the class
+    exponent of a pencil member is the sum over the class of its factor
+    exponents.
     """
     if spec.m != 3:
         raise ValueError("localization needs m = 3")
-    vanishing = _vanishing_at(spec.C, p.coords)
+    vanishing = _vanishing_at(spec.C, _integer_point(p.coords))
     van0 = [i - 1 for i in vanishing]
     directions = []
     cls_of = {}
+    cls = []  # the direction class of each vanishing form
     for i in van0:
         w, _ = primitive_direction(spec.C.entries[i])
         if w not in cls_of:
             cls_of[w] = len(directions)
             directions.append(w)
-        # membership recorded through cls_of below
+        cls.append(cls_of[w])
     per_form = []
     for k in range(spec.m + 1):
         exps = [0] * len(directions)
-        for i in van0:
-            w, _ = primitive_direction(spec.C.entries[i])
-            exps[cls_of[w]] += spec.numer_exps[k][i]
+        for i, c in zip(van0, cls):
+            exps[c] += spec.numer_exps[k][i]
         unit = any(
             spec.numer_exps[k][i] > 0
             for i in range(spec.n)

@@ -84,10 +84,13 @@ def staircase_multiplicity(s: Staircase2) -> int:
 
 def colength(s: Staircase2) -> int:
     """Number of standard monomials under the staircase (the codimension of
-    the ideal in the local ring)."""
+    the ideal in the local ring).
+
+    With the minimal generators (a_0, b_0), ..., (a_r, b_r) sorted by a, so
+    a_0 = 0 and b_r = 0, the columns a_i <= x < a_(i+1) each hold b_i
+    standard monomials: the sum of (a_(i+1) - a_i) * b_i."""
     _require_zero_dimensional(s.gens)
-    a_pure = next(a for a, b in s.gens if b == 0)
-    return sum(min(b for a, b in s.gens if a <= x) for x in range(a_pure))
+    return sum((a1 - a0) * b0 for (a0, b0), (a1, _) in zip(s.gens, s.gens[1:]))
 
 
 @dataclass(frozen=True)

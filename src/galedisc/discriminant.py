@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .intmat import IntMatrix, adjugate, gcd_maximal_minors, smith_normal_form
 from .mpoly import (
@@ -123,11 +124,27 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     rng = random.Random(seed)
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        if delta.evaluate(evaluate_psi(spec, u)) != 0:
+        if _cleared_value(spec, delta, u):
             raise ValueError(
                 "implicitization validation failed: nonzero at a parametrized point"
             )
     return delta
+
+
+def _cleared_value(spec: ParamSpec, delta: MPoly, u) -> int:
+    """f_0(u)^d * delta(psi(u)) at an integer point u off the arrangement,
+    with f_k(u) = prod_i l_i(u)^numer_exps[k][i] and d = deg delta = spec.d.
+
+    This is the integer sum of c_e f_1^e1 f_2^e2 f_0^(d - e1 - e2) over the
+    terms of delta; since f_0(u) != 0 it vanishes exactly when
+    delta(psi(u)) does."""
+    d = spec.d
+    forms = [r0 * u[0] + r1 * u[1] for r0, r1 in spec.C.entries]
+    f0, f1, f2 = (prod(map(pow, forms, exps)) for exps in spec.numer_exps)
+    p0, p1, p2 = ([f**j for j in range(d + 1)] for f in (f0, f1, f2))
+    return sum(
+        c * p1[e1] * p2[e2] * p0[d - e1 - e2] for (e1, e2), c in delta.terms.items()
+    )
 
 
 # -- sanity checks ------------------------------------------------------------

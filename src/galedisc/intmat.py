@@ -123,6 +123,31 @@ def _int_det(m) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _int_rank(m) -> int:
+    """Rank of a list-of-lists integer matrix by fraction-free (Bareiss)
+    elimination: a column without a pivot is skipped, and every division
+    is exact.
+
+    Mutates its argument.
+    """
+    rank = 0
+    prev = 1
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        r = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if r is None:
+            continue
+        m[rank], m[r] = m[r], m[rank]
+        pivot = m[rank][c]
+        for i in range(rank + 1, len(m)):
+            for j in range(c + 1, ncols):
+                m[i][j] = (pivot * m[i][j] - m[i][c] * m[rank][j]) // prev
+            m[i][c] = 0
+        prev = pivot
+        rank += 1
+    return rank
+
+
 def _row_hnf(entries, want_transform=False):
     """Row Hermite normal form of a list-of-rows integer matrix.
 

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _int_rank
 
 
 class Verdict(Enum):
@@ -179,31 +179,21 @@ def log_jacobian(spec: ParamSpec, u):
     return tuple(jac)
 
 
-def rank_of_fractions(rows) -> int:
-    """Rank of a matrix given as rows of Fractions, by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c] / pr[c]
-                m[r] = [a - f * b for a, b in zip(m[r], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _scaled_log_jacobian(spec: ParamSpec, u):
+    """L * log_jacobian(spec, u) with L = prod_i l_i(u), at an integer point
+    u off the arrangement: entries sum_i c_ij c_ik (L / l_i(u)), integers
+    with the rank of the log-Jacobian since L != 0."""
+    forms = _forms_at(spec.C, u)
+    total = prod(forms)
+    cofactors = [total // l for l in forms]
+    m = spec.m
+    return [
+        [
+            sum(row[j] * row[k] * q for row, q in zip(spec.C.entries, cofactors))
+            for k in range(m)
+        ]
+        for j in range(m)
+    ]
 
 
 def sample_off_arrangement(spec: ParamSpec, rng: random.Random, bound: int = 10000):
@@ -224,13 +214,14 @@ def defect_test(spec: ParamSpec, trials: int = 5, seed: int = 0) -> Verdict:
     rank m - 1 (it always kills u itself). One witness sample settles the
     question; if every sample comes out smaller the configuration is
     reported as probably defective, which for these integer samples is
-    wrong only with vanishing probability.
+    wrong only with vanishing probability. The rank is taken in integers,
+    on the log-Jacobian scaled by prod_i l_i(u).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     for _ in range(trials):
         u = sample_off_arrangement(spec, rng)
-        if rank_of_fractions(log_jacobian(spec, u)) == spec.m - 1:
+        if _int_rank(_scaled_log_jacobian(spec, u)) == spec.m - 1:
             return Verdict.NON_DEFECTIVE
     return Verdict.PROBABLY_DEFECTIVE

@@ -1,12 +1,15 @@
 """Base point enumeration on three-column matrices and localized monomial data."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galedisc.basepoints import BasePoint, base_points, is_uniform, localize
 from galedisc.intmat import IntMatrix
-from galedisc.parametrization import build
+from galedisc.parametrization import build, primitive_direction
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -17,6 +20,96 @@ C53 = IntMatrix([[1, -7, -6], [-1, 4, 3], [1, 0, 4], [0, 1, -1], [-1, 2, 0]])
 
 def F(x):
     return Fraction(x)
+
+
+# ---------------------------------------------------------------- Fraction oracle
+#
+# The enumeration as it ran on Fraction coordinates: each crossing is
+# normalized to first nonzero coordinate 1 and the vanishing set is read off
+# by rational dot products. base_points and localize work on integer points
+# and must agree with it exactly.
+
+
+def oracle_normalize_point(p):
+    idx = next((i for i, x in enumerate(p) if x != 0), None)
+    if idx is None:
+        return None
+    lead = Fraction(p[idx])
+    return tuple(Fraction(x) / lead for x in p)
+
+
+def oracle_vanishing_at(C, coords):
+    return tuple(
+        i + 1
+        for i, row in enumerate(C.entries)
+        if sum(c * x for c, x in zip(row, coords)) == 0
+    )
+
+
+def oracle_base_points(spec):
+    """(coords, vanishing) of every base point, sorted by coords."""
+    C = spec.C
+    seen = {}
+    for i, j in combinations(range(spec.n), 2):
+        a, b = C.entries[i], C.entries[j]
+        p = (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+        coords = oracle_normalize_point(p)
+        if coords is not None and coords not in seen:
+            seen[coords] = oracle_vanishing_at(C, coords)
+    return sorted(
+        (coords, vanishing)
+        for coords, vanishing in seen.items()
+        if all(
+            any(spec.numer_exps[k][i - 1] > 0 for i in vanishing)
+            for k in range(spec.m + 1)
+        )
+    )
+
+
+def oracle_localize(spec, coords):
+    """(vanishing, directions, per_form, gens, monomial) at a point."""
+    vanishing = oracle_vanishing_at(spec.C, coords)
+    van0 = [i - 1 for i in vanishing]
+    cls_of = {}
+    for i in van0:
+        cls_of.setdefault(primitive_direction(spec.C.entries[i])[0], len(cls_of))
+    per_form = []
+    for exps_k in spec.numer_exps:
+        exps = [0] * len(cls_of)
+        for i in van0:
+            exps[cls_of[primitive_direction(spec.C.entries[i])[0]]] += exps_k[i]
+        unit = any(exps_k[i] > 0 for i in range(spec.n) if i not in van0)
+        per_form.append((tuple(exps), unit))
+    gens = {exps for exps, _ in per_form}
+    monomial = len(cls_of) <= 2
+    if monomial:
+        gens = {
+            g
+            for g in gens
+            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)
+        }
+    return vanishing, tuple(cls_of), tuple(per_form), tuple(sorted(gens)), monomial
+
+
+def random_surface_matrix(rng):
+    """A regular n x 3 matrix with a finite base locus. Small entries make
+    three or more concurrent lines and proportional rows common, as in C43."""
+    while True:
+        n = rng.randint(4, 8)
+        bound = rng.choice((1, 2, 5))
+        rows = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(n - 1)]
+        rows.append([-sum(r[k] for r in rows) for k in range(3)])
+        if not all(any(r) for r in rows):
+            continue
+        spec = build(IntMatrix(rows))
+        try:
+            return spec, base_points(spec)
+        except ValueError as exc:
+            assert "base locus not finite" in str(exc)
 
 
 # ---------------------------------------------------------------- uniformity
@@ -75,6 +168,28 @@ def test_base_points_rejects_positive_dimensional_locus():
         base_points(build(IntMatrix(rows)))
 
 
+@given(st.integers(0, 10_000))
+@settings(deadline=None, max_examples=80)
+def test_base_points_and_localize_match_the_fraction_oracle(seed):
+    spec, pts = random_surface_matrix(random.Random(seed))
+    assert [(p.coords, p.vanishing) for p in pts] == oracle_base_points(spec)
+    for p in pts:
+        vanishing, directions, per_form, gens, monomial = oracle_localize(spec, p.coords)
+        li = localize(spec, p)
+        assert li.base == BasePoint(p.coords, vanishing)
+        assert (li.directions, li.per_form) == (directions, per_form)
+        assert (li.gens, li.monomial) == (gens, monomial)
+
+
+def test_base_point_oracle_sees_concurrent_lines():
+    """The oracle's cases include points where three or more lines meet."""
+    specs = [random_surface_matrix(random.Random(seed)) for seed in range(40)]
+    assert any(len(p.vanishing) >= 3 for _, pts in specs for p in pts)
+    assert oracle_base_points(build(C43)) == [
+        (p.coords, p.vanishing) for p in base_points(build(C43))
+    ]
+
+
 def test_coords_normalized_first_nonzero_one():
     for p in base_points(build(C43)):
         lead = next(c for c in p.coords if c)
@@ -127,6 +242,25 @@ def test_localize_rejects_non_basic_points():
     fake = BasePoint((F(1), F(-1), F(1)), (3,))
     with pytest.raises(ValueError, match="not a base point of the pencil"):
         localize(spec, fake)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (1, -2, 0),
+        (-3, 6, 0),
+        (Fraction(1, 3), Fraction(-2, 3), F(0)),
+        (Fraction(-5, 7), Fraction(10, 7), 0),
+    ],
+)
+def test_localize_takes_any_representative(coords):
+    """Plain ints and non-normalized Fractions name the same point as the
+    reported coordinates; the given coordinates are kept as they are."""
+    spec = build(C42)
+    good = base_points(spec)[0]
+    li = localize(spec, BasePoint(coords, ()))
+    assert li.base == BasePoint(coords, good.vanishing)
+    assert (li.gens, li.per_form) == (localize(spec, good).gens, localize(spec, good).per_form)
 
 
 def test_localize_recomputes_vanishing_set():

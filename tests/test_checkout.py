@@ -1,5 +1,6 @@
 """The package and its demo scripts run from a plain source checkout."""
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,23 @@ def test_import_leaves_sympy_out():
 def test_demo_script_runs(script):
     out = run_from_checkout(str(ROOT / "scripts" / script))
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [
+        ("degree", [[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]]),
+        ("implicitize", [[1, 2], [-2, -3], [1, 0], [0, 1]]),
+    ],
+)
+def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows):
+    """Under python -O, which strips asserts, the exact checks still run
+    and the output is byte-identical."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"rows": rows}))
+    plain = run_from_checkout("-m", "galedisc", command, str(path))
+    optimized = run_from_checkout("-O", "-m", "galedisc", command, str(path))
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout

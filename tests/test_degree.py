@@ -131,6 +131,13 @@ def test_colength_goldens(gens, length):
     assert colength(Staircase2.of(gens)) == length
 
 
+@pytest.mark.parametrize("a", [10**6, 10**12, 10**30])
+def test_colength_of_a_huge_pure_power_is_immediate(a):
+    """The closed form does no work per column: a pure power of any size
+    costs the same as a small one."""
+    assert colength(Staircase2.of([(a, 0), (0, 3), (1, 1)])) == 3 + (a - 1)
+
+
 def test_multiplicity_requires_pure_powers_on_both_axes():
     with pytest.raises(ValueError, match="not zero-dimensional"):
         staircase_multiplicity(Staircase2.of([(1, 1)]))

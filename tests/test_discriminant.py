@@ -7,7 +7,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import galedisc.discriminant
 from galedisc.discriminant import (
+    _cleared_value,
     diagram_check,
     gauss_inverse_check,
     gauss_map,
@@ -109,6 +111,49 @@ def test_implicitize_output_vanishes_on_the_image(mat):
     for _ in range(20):
         u = sample_off_arrangement(spec, rng)
         assert delta.evaluate(evaluate_psi(spec, u)) == 0
+
+
+@pytest.mark.parametrize("exponent", sorted(DELTA_B.terms))
+def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
+    """implicitize sees Delta_B with one coefficient doubled: same total
+    degree, so only the vanishing check at parametrized points rejects it."""
+    real = galedisc.discriminant.content_primitive
+
+    def perturbed(p):
+        c, prim = real(p)
+        assert prim == DELTA_B
+        terms = dict(prim.terms)
+        terms[exponent] *= 2
+        return c, MPoly(prim.n_vars, terms)
+
+    monkeypatch.setattr(galedisc.discriminant, "content_primitive", perturbed)
+    with pytest.raises(ValueError, match="nonzero at a parametrized point"):
+        implicitize(build(B))
+
+
+@pytest.mark.parametrize(
+    "mat, delta", [(B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)]
+)
+def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
+    """The integer validation value equals f_0(u)^d * delta(psi(u)) computed
+    in Fractions, for the defining polynomial (zero) and for each of its
+    one-coefficient changes (nonzero)."""
+    spec = build(mat)
+    rng = random.Random(3)
+    changed = []
+    for e in delta.terms:
+        terms = dict(delta.terms)
+        terms[e] *= 2
+        changed.append(MPoly(2, terms))
+    for _ in range(3):
+        u = sample_off_arrangement(spec, rng)
+        f0 = 1
+        for row, k in zip(spec.C.entries, spec.numer_exps[0]):
+            f0 *= (row[0] * u[0] + row[1] * u[1]) ** k
+        for p in [delta] + changed:
+            expected = f0**spec.d * p.evaluate(evaluate_psi(spec, u))
+            assert _cleared_value(spec, p, u) == expected
+            assert (expected == 0) == (p is delta)
 
 
 def test_implicitize_seed_insensitive():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galedisc.intmat import IntMatrix
+from galedisc.intmat import IntMatrix, _int_rank
 from galedisc.parametrization import (
     Verdict,
+    _scaled_log_jacobian,
     build,
     defect_test,
     evaluate_psi,
@@ -24,6 +25,34 @@ BPRIME = IntMatrix([[-5, -3], [13, 8], [-11, -7], [3, 2]])
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
 ANTIPODAL = IntMatrix([[1, 0], [0, 1], [-1, 0], [0, -1]])
+
+
+def rank_of_fractions(rows) -> int:
+    """Rank of a matrix given as rows of Fractions, by Gaussian elimination:
+    the reference for the integer rank that defect_test takes."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for c in range(ncols):
+        pivot = None
+        for r in range(rank, len(m)):
+            if m[r][c] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pr = m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c] != 0:
+                f = m[r][c] / pr[c]
+                m[r] = [a - f * b for a, b in zip(m[r], pr)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def random_regular_matrix(rng, n, m):
@@ -173,6 +202,69 @@ def test_defect_rank_deficient_matrix_is_defective():
 def test_defect_test_is_seed_stable():
     spec = build(C)
     assert defect_test(spec, seed=123) is defect_test(spec, seed=123)
+
+
+def random_defective_matrix(rng, m):
+    """A regular matrix whose log-Jacobian has rank below m - 1: antipodal
+    row pairs, whose terms cancel, or for m = 3 the rows of an n x 2
+    matrix pushed into Z^3, whose Jacobian has rank at most 1."""
+    if m == 2 or rng.random() < 0.5:
+        while True:
+            half = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(2, 3))]
+            if all(any(r) for r in half):
+                return IntMatrix(half + [[-x for x in r] for r in half])
+    while True:
+        a = random_regular_matrix(rng, rng.randint(3, 5), 2)
+        lift = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
+        rows = [[sum(r[t] * lift[k][t] for t in range(2)) for k in range(3)] for r in a.entries]
+        if all(any(r) for r in rows):
+            return IntMatrix(rows)
+
+
+def defect_test_by_fractions(spec, trials=5, seed=0):
+    """defect_test over Fractions: the rank of the unscaled log-Jacobian by
+    Gaussian elimination, on the same random draws."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        u = sample_off_arrangement(spec, rng)
+        if rank_of_fractions(log_jacobian(spec, u)) == spec.m - 1:
+            return Verdict.NON_DEFECTIVE
+    return Verdict.PROBABLY_DEFECTIVE
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["regular", "defective"]))
+@settings(deadline=None, max_examples=60)
+def test_integer_rank_matches_fraction_rank_of_log_jacobian(seed, kind):
+    rng = random.Random(seed)
+    m = rng.choice((2, 3))
+    if kind == "regular":
+        mat = random_regular_matrix(rng, m + rng.randint(0, 4), m)
+    else:
+        mat = random_defective_matrix(rng, m)
+    spec = build(mat)
+    for _ in range(3):
+        u = sample_off_arrangement(spec, rng)
+        scaled = _scaled_log_jacobian(spec, u)
+        total = 1
+        for row in mat.entries:
+            total *= sum(c * x for c, x in zip(row, u))
+        assert scaled == [[total * x for x in row] for row in log_jacobian(spec, u)]
+        assert _int_rank(scaled) == rank_of_fractions(log_jacobian(spec, u))
+    assert defect_test(spec, seed=seed) is defect_test_by_fractions(spec, seed=seed)
+
+
+@given(st.integers(0, 10_000))
+@settings(deadline=None, max_examples=60)
+def test_int_rank_matches_fraction_rank(seed):
+    """Low-rank products make columns without a pivot, which the
+    fraction-free elimination skips."""
+    rng = random.Random(seed)
+    rows, cols, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+    left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+    mat = [[sum(l[t] * right[t][j] for t in range(inner)) for j in range(cols)] for l in left]
+    expected = rank_of_fractions([[Fraction(x) for x in r] for r in mat])
+    assert _int_rank([list(r) for r in mat]) == expected
 
 
 @pytest.mark.parametrize("trials", [0, -1])
