@@ -9,11 +9,8 @@ from .intmat import (
     SNFDecomposition,
     adjugate,
     gcd_maximal_minors,
-    hermite_column_basis,
-    kernel_basis,
     lll_reduce,
     smith_normal_form,
-    solve_in_lattice,
 )
 from .mpoly import (
     MPoly,
@@ -28,7 +25,6 @@ from .parametrization import (
     build,
     defect_test,
     evaluate_psi,
-    log_jacobian,
     merge_proportional_rows,
     primitive_direction,
     sample_off_arrangement,
@@ -44,13 +40,11 @@ from .degree import (
     staircase_multiplicity,
 )
 from .discriminant import (
-    diagram_check,
     gauss_inverse_check,
     gauss_map,
     group_product,
     homogenize,
     implicitize,
-    monomial_map,
     transfer,
 )
 
@@ -61,11 +55,8 @@ __all__ = [
     "SNFDecomposition",
     "adjugate",
     "gcd_maximal_minors",
-    "hermite_column_basis",
-    "kernel_basis",
     "lll_reduce",
     "smith_normal_form",
-    "solve_in_lattice",
     "MPoly",
     "content_primitive",
     "partial_derivative",
@@ -76,7 +67,6 @@ __all__ = [
     "build",
     "defect_test",
     "evaluate_psi",
-    "log_jacobian",
     "merge_proportional_rows",
     "primitive_direction",
     "sample_off_arrangement",
@@ -92,12 +82,10 @@ __all__ = [
     "minimal_generators",
     "sparse_origin_multiplicity",
     "staircase_multiplicity",
-    "diagram_check",
     "gauss_inverse_check",
     "gauss_map",
     "group_product",
     "homogenize",
     "implicitize",
-    "monomial_map",
     "transfer",
 ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .intmat import IntMatrix, _int_det
+from .intmat import IntMatrix
 from .parametrization import ParamSpec, primitive_direction
 
 
@@ -185,8 +185,11 @@ def is_uniform(C: IntMatrix) -> bool:
         raise ValueError("uniformity test needs three columns")
     if C.rows < 3:
         raise ValueError("need at least three rows")
-    for rows in combinations(range(C.rows), 3):
-        sub = [list(C.entries[i]) for i in rows]
-        if _int_det(sub) == 0:
-            return False
+    # det(C_i, C_j, C_k) is the dot product of C_k with C_i x C_j.
+    rows = C.entries
+    for i, j in combinations(range(len(rows)), 2):
+        p = _cross3(rows[i], rows[j])
+        for k in range(j + 1, len(rows)):
+            if p[0] * rows[k][0] + p[1] * rows[k][1] + p[2] * rows[k][2] == 0:
+                return False
     return True

@@ -7,9 +7,9 @@ resultant leaves the defining polynomial of the image curve once content
 and stray monomial factors are divided out and the sign is made canonical.
 No square-free pass is needed: the Horn-Kapranov parametrization is
 birational, so the resultant is the defining polynomial to the first
-power, and the degree check rejects anything else. A pair of sanity
-checks, the logarithmic Gauss map inversion and a sampled
-commuting-diagram test, guard the construction.
+power, and the degree check rejects anything else. A sampled sanity
+check, the logarithmic Gauss map inversion, certifies a candidate
+polynomial against the parametrization.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -34,7 +34,6 @@ from .mpoly import (
 from .parametrization import (
     ParamSpec,
     Verdict,
-    build,
     defect_test,
     evaluate_psi,
     primitive_direction,
@@ -191,43 +190,6 @@ def gauss_inverse_check(
             for j in range(i + 1, spec.m):
                 if g[i] * u[j] != g[j] * u[i]:
                     return False
-    return True
-
-
-def monomial_map(M: IntMatrix, y):
-    """alpha_M at a rational point: coordinate j is y^(column j of M)."""
-    vals = [Fraction(x) for x in y]
-    out = []
-    for j in range(M.cols):
-        v = Fraction(1)
-        for k in range(M.rows):
-            e = M.entries[k][j]
-            if e:
-                if vals[k] == 0 and e < 0:
-                    raise ValueError("pole in monomial map")
-                v *= vals[k] ** e
-        out.append(v)
-    return tuple(out)
-
-
-def diagram_check(
-    C1: IntMatrix, C2: IntMatrix, M: IntMatrix, trials: int = 20, seed: int = 0
-) -> bool:
-    """Sampled check that psi_C1 = alpha_M o psi_C2 o lambda_M when
-    C1 = C2 * M."""
-    if C2 * M != C1:
-        raise ValueError("matrix relation C2 * M = C1 violated")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    s1 = build(C1)
-    s2 = build(C2)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        u = sample_off_arrangement(s1, rng)
-        # The C2-forms at M u coincide with the C1-forms at u, so M u is
-        # off the C2-arrangement automatically.
-        if monomial_map(M, evaluate_psi(s2, M.mul_vec(u))) != evaluate_psi(s1, u):
-            return False
     return True
 
 

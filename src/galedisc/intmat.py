@@ -1,9 +1,9 @@
 """Exact integer matrix algorithms.
 
-Kernels (saturated, Hermite-canonical), gcd of maximal minors, Smith normal
-form with unimodular transforms, adjugates, LLL reduction over exact
-rationals, and lattice membership solving. Everything is arbitrary-precision
-integer or Fraction arithmetic; no floating point is used anywhere.
+Determinants and ranks by fraction-free elimination, gcd of maximal
+minors, Smith normal form with unimodular transforms, adjugates, and LLL
+reduction over exact rationals. Everything is arbitrary-precision integer
+or Fraction arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ from itertools import combinations
 class IntMatrix:
     """Immutable integer matrix stored row-major.
 
-    Supports zero-column matrices (a trivial kernel basis is one of those)
-    but not zero-row ones.
+    Entries must be ints: floats, bools and other types raise TypeError
+    instead of being truncated. Supports zero-column matrices but not
+    zero-row ones.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        if any(type(x) is not int for row in rows for x in row):
+            raise TypeError("integer entries only")
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
@@ -37,24 +40,12 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def col(self, j: int):
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        if self.cols == 0:
-            raise ValueError("cannot transpose a zero-column matrix")
-        return IntMatrix(list(zip(*self.entries)))
 
     @property
     def is_square(self) -> bool:
@@ -146,86 +137,6 @@ def _int_rank(m) -> int:
         prev = pivot
         rank += 1
     return rank
-
-
-def _row_hnf(entries, want_transform=False):
-    """Row Hermite normal form of a list-of-rows integer matrix.
-
-    Returns (H, U) with U unimodular, U*M = H, H in row echelon form with
-    positive pivots and entries above each pivot reduced to [0, pivot).
-    The form is the canonical one, so equal row lattices give equal H.
-    """
-    h = [list(r) for r in entries]
-    nrows = len(h)
-    ncols = len(h[0]) if h else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if want_transform else None
-
-    def addrow(dst, src, q):
-        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        if u is not None:
-            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
-
-    def swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def negate(i):
-        h[i] = [-a for a in h[i]]
-        if u is not None:
-            u[i] = [-a for a in u[i]]
-
-    r = 0
-    for c in range(ncols):
-        live = [i for i in range(r, nrows) if h[i][c] != 0]
-        if not live:
-            continue
-        # Euclid on the column until a single nonzero entry remains.
-        while len(live) > 1:
-            live.sort(key=lambda i: (abs(h[i][c]), i))
-            base = live[0]
-            for i in live[1:]:
-                addrow(i, base, h[i][c] // h[base][c])
-            live = [i for i in live if h[i][c] != 0]
-        if live[0] != r:
-            swap(live[0], r)
-        if h[r][c] < 0:
-            negate(r)
-        for i in range(r):
-            if h[i][c] != 0:
-                addrow(i, r, h[i][c] // h[r][c])
-        r += 1
-        if r == nrows:
-            break
-    return h, u
-
-
-def hermite_column_basis(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice spanned by the columns of m.
-
-    Computed as the transposed row Hermite form with zero columns dropped;
-    two matrices span the same column lattice iff this agrees.
-    """
-    h, _ = _row_hnf(m.transpose().entries)
-    keep = [row for row in h if any(row)]
-    if not keep:
-        return IntMatrix([[] for _ in range(m.rows)])
-    return IntMatrix(list(zip(*keep)))
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice {x : a*x = 0}, as columns.
-
-    The kernel of an integer matrix is automatically saturated, so the gcd
-    of the maximal minors of the result is 1 whenever the kernel is
-    nontrivial. The basis is canonicalized through the Hermite form to make
-    outputs reproducible.
-    """
-    h, u = _row_hnf(a.transpose().entries, want_transform=True)
-    kern = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not kern:
-        return IntMatrix([[] for _ in range(a.cols)])
-    return hermite_column_basis(IntMatrix(list(zip(*kern))))
 
 
 def gcd_maximal_minors(c: IntMatrix) -> int:
@@ -367,28 +278,11 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix(adj)
 
 
-def solve_in_lattice(m: IntMatrix, v):
-    """Integer solution x of m*x = v, or None when v is outside the column
-    lattice of m. Raises on singular m."""
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    det = m.det()
-    if det == 0:
-        raise ValueError("singular matrix")
-    if len(v) != m.rows:
-        raise ValueError("vector length mismatch")
-    adj = adjugate(m)
-    x = [Fraction(sum(adj.entries[i][j] * v[j] for j in range(m.rows)), det) for i in range(m.rows)]
-    if all(xi.denominator == 1 for xi in x):
-        return tuple(int(xi) for xi in x)
-    return None
-
-
 def lll_reduce(b: IntMatrix) -> IntMatrix:
     """LLL-reduced basis (delta = 3/4) of the column lattice of b.
 
     Exact rational Gram-Schmidt throughout. The output spans the same
-    lattice as the input (checked by callers via hermite_column_basis).
+    lattice as the input, by unimodular column operations only.
     Raises 'rank deficient' when the columns are dependent.
     """
     n, m = b.rows, b.cols

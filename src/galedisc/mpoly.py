@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .intmat import IntMatrix, _int_det
+from .intmat import IntMatrix
 
 
 def _gl_key(e):
@@ -28,7 +28,10 @@ def _gl_key(e):
 
 
 class MPoly:
-    """Immutable sparse polynomial in n_vars variables over Z."""
+    """Immutable sparse polynomial in n_vars variables over Z.
+
+    Exponents and coefficients must be ints: floats, bools and other types
+    raise TypeError instead of being truncated."""
 
     __slots__ = ("n_vars", "terms")
 
@@ -39,10 +42,13 @@ class MPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for e, c in items:
-                e = tuple(int(x) for x in e)
+                e = tuple(e)
                 if len(e) != n_vars:
                     raise ValueError("exponent length mismatch")
-                if not isinstance(c, int):
+                for x in e:
+                    if type(x) is not int:
+                        raise TypeError("integer exponents only")
+                if type(c) is not int:
                     raise TypeError("integer coefficients only")
                 if c:
                     clean[e] = clean.get(e, 0) + c
@@ -271,14 +277,10 @@ class MPoly:
         for e, c in self.terms.items():
             val = Fraction(c)
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if pt[i] == 0:
-                    if k < 0:
-                        raise ValueError("pole at variable %d" % (i + 1))
-                    val = Fraction(0)
-                    break
-                val *= pt[i] ** k
+                if k < 0 and pt[i] == 0:
+                    raise ValueError("pole at variable %d" % (i + 1))
+                if k:
+                    val *= pt[i] ** k
             total += val
         return total
 
@@ -557,7 +559,7 @@ def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
     monomials; the result is Laurent whenever m*e goes negative."""
     if not m.is_square or m.rows != p.n_vars:
         raise ValueError("matrix shape mismatch")
-    if _int_det([list(r) for r in m.entries]) == 0:
+    if m.det() == 0:
         raise ValueError("singular matrix")
     t = {}
     for e, c in p.terms.items():

@@ -6,10 +6,10 @@ linear forms l_i = <C_i, u> and the map
     psi_C(u) = ( prod_i l_i(u)^{c_i1}, ..., prod_i l_i(u)^{c_im} ),
 
 together with its clearing to a pencil of degree-d forms f_0, ..., f_m.
-This module builds that data, evaluates psi and its logarithmic Jacobian
-exactly, merges proportional rows (tracking the induced coordinate
-scaling), and runs the randomized rank test that distinguishes the
-hypersurface case from the defective one.
+This module builds that data, evaluates psi exactly, merges proportional
+rows (tracking the induced coordinate scaling), and runs the randomized
+rank test on the logarithmic Jacobian that distinguishes the hypersurface
+case from the defective one.
 """
 
 from __future__ import annotations
@@ -141,12 +141,8 @@ def _forms_off_arrangement(spec: ParamSpec, u):
     return forms
 
 
-def evaluate_psi(spec: ParamSpec, u, translate=None):
-    """psi at an exact rational point off the arrangement.
-
-    translate, when given, scales coordinate k by translate[k]; merge
-    reports exactly this scaling.
-    """
+def evaluate_psi(spec: ParamSpec, u):
+    """psi at an exact rational point off the arrangement."""
     forms = _forms_off_arrangement(spec, u)
     out = []
     for k in range(spec.m):
@@ -155,34 +151,15 @@ def evaluate_psi(spec: ParamSpec, u, translate=None):
             c = spec.C.entries[i][k]
             if c:
                 y *= forms[i] ** c
-        if translate is not None:
-            y *= translate[k]
         out.append(y)
     return tuple(out)
 
 
-def log_jacobian(spec: ParamSpec, u):
-    """The m x m matrix J_jk = sum_i c_ij c_ik / l_i(u), exact."""
-    forms = _forms_off_arrangement(spec, u)
-    m = spec.m
-    jac = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            row.append(
-                sum(
-                    Fraction(spec.C.entries[i][j] * spec.C.entries[i][k], 1) / forms[i]
-                    for i in range(spec.n)
-                )
-            )
-        jac.append(tuple(row))
-    return tuple(jac)
-
-
-def _scaled_log_jacobian(spec: ParamSpec, u):
-    """L * log_jacobian(spec, u) with L = prod_i l_i(u), at an integer point
-    u off the arrangement: entries sum_i c_ij c_ik (L / l_i(u)), integers
-    with the rank of the log-Jacobian since L != 0."""
+def _log_jacobian_scaled(spec: ParamSpec, u):
+    """The logarithmic Jacobian J_jk = sum_i c_ij c_ik / l_i(u) of psi,
+    scaled by L = prod_i l_i(u), at an integer point u off the arrangement:
+    entries sum_i c_ij c_ik (L / l_i(u)), integers with the rank of J since
+    L != 0."""
     forms = _forms_at(spec.C, u)
     total = prod(forms)
     cofactors = [total // l for l in forms]
@@ -222,6 +199,6 @@ def defect_test(spec: ParamSpec, trials: int = 5, seed: int = 0) -> Verdict:
     rng = random.Random(seed)
     for _ in range(trials):
         u = sample_off_arrangement(spec, rng)
-        if _int_rank(_scaled_log_jacobian(spec, u)) == spec.m - 1:
+        if _int_rank(_log_jacobian_scaled(spec, u)) == spec.m - 1:
             return Verdict.NON_DEFECTIVE
     return Verdict.PROBABLY_DEFECTIVE

@@ -121,6 +121,16 @@ def test_uniformity_goldens():
     assert is_uniform(CDERIVED)
 
 
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=6))
+@settings(deadline=None, max_examples=100)
+def test_uniformity_matches_every_three_by_three_minor(rows):
+    """The cross-product test agrees with the determinants of all 3 x 3
+    row selections; small entries make vanishing minors common."""
+    picks = combinations(range(len(rows)), 3)
+    minors = [IntMatrix([rows[i] for i in pick]).det() for pick in picks]
+    assert is_uniform(IntMatrix(rows)) == all(minors)
+
+
 def test_uniformity_input_validation():
     with pytest.raises(ValueError, match="three columns"):
         is_uniform(IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]]))

@@ -26,6 +26,22 @@ def test_import_leaves_sympy_out():
     assert out.stdout == "False\n"
 
 
+def test_star_import_exports_exactly_the_public_names():
+    """__all__ names every public non-module name of the package and
+    nothing else, so a name left behind by a deletion fails here."""
+    code = (
+        "import types, galedisc\n"
+        "from galedisc import *\n"
+        "public = {k for k, v in vars(galedisc).items()\n"
+        "          if not k.startswith('_') and not isinstance(v, types.ModuleType)}\n"
+        "assert len(set(galedisc.__all__)) == len(galedisc.__all__), 'duplicate'\n"
+        "print(sorted(set(galedisc.__all__) ^ public))"
+    )
+    out = run_from_checkout("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "script", ["degree_demo.py", "implicitize_demo.py", "transfer_demo.py"]
 )

@@ -10,13 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 import galedisc.discriminant
 from galedisc.discriminant import (
     _cleared_value,
-    diagram_check,
     gauss_inverse_check,
     gauss_map,
     group_product,
     homogenize,
     implicitize,
-    monomial_map,
     transfer,
 )
 from galedisc.intmat import IntMatrix
@@ -29,6 +27,7 @@ from galedisc.parametrization import (
     primitive_direction,
     sample_off_arrangement,
 )
+from oracles import diagram_check, monomial_map, solve_in_lattice
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -249,8 +248,6 @@ def test_gauss_inverse_check_rejects_constant_polynomial():
 def test_sampled_checks_need_a_trial(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         gauss_inverse_check(build(B), DELTA_B, trials=trials)
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        diagram_check(C, B, M35, trials=trials)
 
 
 def test_quartic_vanishes_and_its_mistranscription_does_not():
@@ -396,10 +393,13 @@ def test_transfer_composes_with_implicitization():
 
 
 def test_transfer_reports_lattice_membership_of_v():
-    from galedisc.intmat import solve_in_lattice
-
-    _, v = transfer(DELTA_B, M35)
-    assert solve_in_lattice(M35, v) is not None
+    """v lies in the column lattice of M, i.e. adj(M) v = 0 mod det M, for
+    M35 and the benchmark's "tri" [[1, b], [0, k]] and "low" [[1, 0], [b, k]]
+    shapes."""
+    for rows in ([[-3, 0], [2, 1]], [[1, 2], [0, 3]], [[1, 0], [3, 3]], [[1, 0], [4, 5]]):
+        M = IntMatrix(rows)
+        _, v = transfer(DELTA_B, M)
+        assert solve_in_lattice(M, v) is not None
 
 
 # ---------------------------------------------------------------- homogenization

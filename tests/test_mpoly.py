@@ -55,6 +55,22 @@ def test_constructors_and_predicates():
     assert not (X + Y).is_constant()
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1.9, 0): 1},
+        {(True, 0): 1},
+        {(Fraction(1), 0): 1},
+        {(1, 0): 2.0},
+        {(1, 0): True},
+    ],
+    ids=["float-exponent", "bool-exponent", "fraction-exponent", "float-coefficient", "bool-coefficient"],
+)
+def test_non_integers_are_rejected_not_truncated(terms):
+    with pytest.raises(TypeError, match="integer"):
+        MPoly(2, terms)
+
+
 def test_zero_coefficients_are_dropped():
     p = MPoly(2, {(1, 0): 1, (0, 1): 0})
     assert p == X
@@ -178,6 +194,11 @@ def test_evaluate_exact():
     assert laurent.evaluate((Fraction(2), Fraction(1))) == Fraction(1, 2)
     with pytest.raises(ValueError, match="pole at variable 1"):
         laurent.evaluate((Fraction(0), Fraction(1)))
+    # A zero coordinate with a positive exponent hides no pole at another
+    # variable, whichever comes first.
+    for exponent, pole in (((1, -1), 2), ((-1, 1), 1)):
+        with pytest.raises(ValueError, match="pole at variable %d" % pole):
+            MPoly(2, {exponent: 1}).evaluate((0, 0))
 
 
 def test_shift_and_min_exponents():

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from galedisc.intmat import IntMatrix, _int_rank
 from galedisc.parametrization import (
     Verdict,
-    _scaled_log_jacobian,
+    _forms_off_arrangement,
+    _log_jacobian_scaled,
     build,
     defect_test,
     evaluate_psi,
-    log_jacobian,
     merge_proportional_rows,
     primitive_direction,
     sample_off_arrangement,
@@ -123,13 +123,6 @@ def test_psi_value_golden():
     assert evaluate_psi(spec, (Fraction(1), Fraction(1))) == (Fraction(3, 25), Fraction(-9, 125))
 
 
-def test_psi_torus_translate_scales_coordinatewise():
-    spec = build(B)
-    plain = evaluate_psi(spec, (Fraction(1), Fraction(1)))
-    moved = evaluate_psi(spec, (Fraction(1), Fraction(1)), translate=(Fraction(2), Fraction(3)))
-    assert moved == (2 * plain[0], 3 * plain[1])
-
-
 def test_psi_rejects_arrangement_points():
     spec = build(B)
     with pytest.raises(ValueError, match="point on the arrangement: form 1 vanishes"):
@@ -147,6 +140,20 @@ def test_psi_is_scale_invariant():
 
 
 # ---------------------------------------------------------------- jacobian
+
+
+def log_jacobian(spec, u):
+    """The m x m matrix J_jk = sum_i c_ij c_ik / l_i(u) over Fractions, at an
+    exact rational point off the arrangement: the oracle of
+    _log_jacobian_scaled."""
+    forms = _forms_off_arrangement(spec, u)
+    return tuple(
+        tuple(
+            sum(Fraction(row[j] * row[k]) / l for row, l in zip(spec.C.entries, forms))
+            for k in range(spec.m)
+        )
+        for j in range(spec.m)
+    )
 
 
 def test_log_jacobian_golden():
@@ -244,7 +251,7 @@ def test_integer_rank_matches_fraction_rank_of_log_jacobian(seed, kind):
     spec = build(mat)
     for _ in range(3):
         u = sample_off_arrangement(spec, rng)
-        scaled = _scaled_log_jacobian(spec, u)
+        scaled = _log_jacobian_scaled(spec, u)
         total = 1
         for row in mat.entries:
             total *= sum(c * x for c, x in zip(row, u))
