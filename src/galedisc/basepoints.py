@@ -79,6 +79,10 @@ def _integer_point(coords):
 def base_points(spec: ParamSpec):
     """All base points of the pencil, sorted by coordinates.
 
+    A point's vanishing set is the union of the row pairs crossing there: a
+    line k through the crossing w of non-proportional rows i and j is
+    non-proportional to one of them, and that pair crosses at w too.
+
     Raises when m != 3 or when an entire arrangement line consists of base
     points, which happens exactly when some direction class carries a
     positive exponent in every pencil member.
@@ -97,31 +101,29 @@ def base_points(spec: ParamSpec):
         ):
             raise ValueError("base locus not finite (direction %s)" % (w,))
 
-    # Crossings are keyed by the primitive integer cross product, so the
-    # vanishing tests are integer dot products; the Fraction coordinates
-    # are built only for the points reported.
-    seen = {}
+    through = {}
     for i, j in combinations(range(spec.n), 2):
         p = _cross3(C.entries[i], C.entries[j])
         if not any(p):  # proportional rows
             continue
         w, _ = primitive_direction(p)
-        if w not in seen:
-            seen[w] = _vanishing_at(C, w)
+        through.setdefault(w, set()).update((i, j))
 
     points = []
-    for w, vanishing in seen.items():
-        van0 = [i - 1 for i in vanishing]
-        basic = all(
-            any(spec.numer_exps[k][i] > 0 for i in van0)
-            for k in range(spec.m + 1)
+    for w, van0 in through.items():
+        if all(any(exps[i] > 0 for i in van0) for exps in spec.numer_exps):
+            points.append((w, next(x for x in w if x), sorted(van0)))
+    # A primitive w has a positive lead (first nonzero entry), so w scaled by
+    # L / lead, L the lcm of the leads, sorts as the coordinates w / lead.
+    L = lcm(*(lead for _, lead, _ in points))
+    points.sort(key=lambda p: tuple(x * (L // p[1]) for x in p[0]))
+    return [
+        BasePoint(
+            coords=tuple(Fraction(x, lead) for x in w),
+            vanishing=tuple(i + 1 for i in van0),
         )
-        if basic:
-            lead = next(x for x in w if x)
-            coords = tuple(Fraction(x, lead) for x in w)
-            points.append(BasePoint(coords=coords, vanishing=vanishing))
-    points.sort(key=lambda bp: bp.coords)
-    return points
+        for w, lead, van0 in points
+    ]
 
 
 def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:

@@ -18,19 +18,23 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix
 from .parametrization import Verdict, build, defect_test
-from .basepoints import BasePoint, base_points, is_uniform, localize
+from .basepoints import base_points, is_uniform
+
+
+def _exponent_pair(p):
+    """p as a pair of nonnegative ints; other types raise TypeError."""
+    a, b = p
+    if type(a) is not int or type(b) is not int:
+        raise TypeError("integer exponents only")
+    if a < 0 or b < 0:
+        raise ValueError("exponents must be nonnegative")
+    return a, b
 
 
 def minimal_generators(points):
     """Minimal generating set of the monomial ideal spanned by the given
     (a, b) exponent pairs: duplicates and dominated pairs removed, sorted."""
-    pts = set()
-    for p in points:
-        a, b = p
-        a, b = int(a), int(b)
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        pts.add((a, b))
+    pts = {_exponent_pair(p) for p in points}
     if not pts:
         raise ValueError("empty generator set")
     return tuple(
@@ -117,9 +121,9 @@ class DegreeReport:
 def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
     """Degree of the parametrized surface for a uniform n x 3 matrix.
 
-    Uniformity makes every base point an ordinary double point of the
-    arrangement with a bona fide monomial local ideal, so the correction
-    term is a staircase multiplicity at each point.
+    Uniformity makes every base point the crossing of exactly two rows i
+    and j, where the local ideal is the staircase spanned by the exponent
+    pairs (E_k[i], E_k[j]) of the pencil members f_k.
     """
     if C.cols != 3:
         raise ValueError("degree formula needs a three-column matrix")
@@ -131,10 +135,10 @@ def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
     pairs = []
     total = 0
     for bp in base_points(spec):
-        loc = localize(spec, bp)
-        if not loc.monomial:
-            raise ValueError("uniform matrix produced a non-monomial local ideal")
-        e = staircase_multiplicity(Staircase2.of(loc.gens))
+        i, j = (v - 1 for v in bp.vanishing)
+        e = staircase_multiplicity(
+            Staircase2.of([(exps[i], exps[j]) for exps in spec.numer_exps])
+        )
         pairs.append((bp, e))
         total += e
     degree = spec.d * spec.d - total
@@ -150,7 +154,7 @@ def sparse_origin_multiplicity(exponents) -> int:
     the multiplicity equals the staircase multiplicity of the monomial
     ideal the support generates, independent of the coefficients.
     """
-    pts = [(int(a), int(b)) for a, b in exponents]
+    pts = [_exponent_pair(p) for p in exponents]
     if not any(a >= 1 and b == 0 for a, b in pts) or not any(
         a == 0 and b >= 1 for a, b in pts
     ):

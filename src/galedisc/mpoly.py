@@ -330,21 +330,14 @@ class MPoly:
         if not isinstance(names, list) or not names or not all(isinstance(s, str) for s in names):
             raise ValueError("bad 'vars' field")
         n = len(names)
-        terms = {}
+        terms = []
         for t in d["terms"]:
             c, e = t["c"], t["e"]
             if isinstance(c, bool) or not isinstance(c, (int, str)):
                 raise ValueError("coefficient %r is not an integer" % (c,))
-            c = int(c)
-            if not isinstance(e, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in e
-            ):
+            if not isinstance(e, list):
                 raise ValueError("exponent %r is not a list of integers" % (e,))
-            if len(e) != n:
-                raise ValueError("bad exponent length in term")
-            e = tuple(e)
-            if c:
-                terms[e] = terms.get(e, 0) + c
+            terms.append((e, int(c)))
         return cls(n, terms), list(names)
 
 

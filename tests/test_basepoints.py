@@ -167,6 +167,20 @@ def test_base_points_vanishing_sets_of_four_point_surface():
     assert [p.vanishing for p in pts] == [(1, 4), (1, 3), (1, 2), (2, 3)]
 
 
+def test_proportional_rows_through_a_crossing_join_its_vanishing_set():
+    """Rows 3 and 4 are proportional, so they never cross each other, yet
+    both pass through the crossing (0:0:1) of rows 1 and 2 and through the
+    point where row 6 meets them."""
+    spec = build(IntMatrix([[1, 0, 0], [0, 1, 0], [1, -1, 0], [3, -3, 0], [-1, -1, 1], [-4, 4, -1]]))
+    pts = [(p.coords, p.vanishing) for p in base_points(spec)]
+    assert pts == [
+        ((F(0), F(0), F(1)), (1, 2, 3, 4)),
+        ((F(0), F(1), F(4)), (1, 6)),
+        ((F(1), F(1), F(0)), (3, 4, 6)),
+    ]
+    assert pts == oracle_base_points(spec)
+
+
 def test_base_points_requires_three_columns():
     with pytest.raises(ValueError, match="needs m = 3"):
         base_points(build(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])))

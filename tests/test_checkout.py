@@ -50,14 +50,40 @@ def test_demo_script_runs(script):
     assert out.returncode == 0, out.stderr
 
 
+def point(coords, vanishing, **extra):
+    return {"point": coords.split(), "vanishing": vanishing, **extra}
+
+
 @pytest.mark.parametrize(
-    "command, rows",
+    "command, rows, golden_base_points",
     [
-        ("degree", [[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]]),
-        ("implicitize", [[1, 2], [-2, -3], [1, 0], [0, 1]]),
+        pytest.param(
+            "degree",
+            [[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]],
+            [point("1 -2 0", [1, 2], e=4), point("1 -1/2 -1/2", [1, 4], e=1)],
+            id="degree-rows0",
+        ),
+        pytest.param(
+            "implicitize", [[1, 2], [-2, -3], [1, 0], [0, 1]], None, id="implicitize-rows1"
+        ),
+        # C43: concurrent lines, and rows 1 and 3 are equal
+        pytest.param(
+            "analyze",
+            [[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]],
+            [
+                point("0 0 1", [1, 3, 4]),
+                point("1 1/2 -1/2", [2, 4]),
+                point("1 1/2 -1/4", [4, 5]),
+                point("1 1 0", [1, 2, 3, 5]),
+                point("1 1 1", [1, 3, 6]),
+                point("1 2 1", [2, 6]),
+                point("1 3 1", [5, 6]),
+            ],
+            id="analyze-rows2",
+        ),
     ],
 )
-def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows):
+def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows, golden_base_points):
     """Under python -O, which strips asserts, the exact checks still run
     and the output is byte-identical."""
     path = tmp_path / "matrix.json"
@@ -68,3 +94,5 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows):
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
     assert plain.stdout
+    if golden_base_points is not None:
+        assert json.loads(plain.stdout)["base_points"] == golden_base_points

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galedisc.basepoints import base_points, is_uniform, localize
 from galedisc.degree import (
     Staircase2,
     colength,
@@ -15,6 +16,7 @@ from galedisc.degree import (
     staircase_multiplicity,
 )
 from galedisc.intmat import IntMatrix
+from galedisc.parametrization import Verdict, build, defect_test
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -85,6 +87,26 @@ def test_minimal_generators_rejections():
         minimal_generators([(-1, 2)])
     with pytest.raises(ValueError, match="empty generator set"):
         minimal_generators([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [minimal_generators, Staircase2.of, sparse_origin_multiplicity],
+    ids=["minimal_generators", "Staircase2.of", "sparse_origin_multiplicity"],
+)
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1.9, 0), (0, 2.7)],  # would read (1, 0) and (0, 2)
+        [(2.9, 0), (0, True)],  # would read (2, 0) and (0, 1)
+        [(2, 0), (0, Fraction(3))],
+        [(2, 0), ("0", 3)],
+    ],
+    ids=["floats", "float-and-bool", "fraction", "string"],
+)
+def test_non_integer_exponents_are_rejected_not_truncated(call, points):
+    with pytest.raises(TypeError, match="integer exponents only"):
+        call(points)
 
 
 def test_staircase_of_convenience():
@@ -206,6 +228,46 @@ def test_degree_refuses_nonuniform_input():
 def test_degree_needs_three_columns():
     with pytest.raises(ValueError, match="three-column matrix"):
         degree_uniform(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
+
+
+def random_uniform_spec(rng):
+    """A uniform n x 3 matrix C, n = 4..12, with zero column sums, a finite
+    base locus, a surface as image and degree at least 1; with build(C),
+    its base points and the local ideals localize finds at them."""
+    while True:
+        n = rng.randint(4, 12)
+        bound = 3 if n <= 8 else 6
+        rows = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(n - 1)]
+        rows.append([-sum(r[k] for r in rows) for k in range(3)])
+        C = IntMatrix(rows)
+        if not is_uniform(C):
+            continue
+        spec = build(C)
+        try:
+            pts = base_points(spec)
+        except ValueError as exc:
+            assert "base locus not finite" in str(exc)
+            continue
+        if defect_test(spec, trials=5) is not Verdict.NON_DEFECTIVE:
+            continue
+        ideals = [localize(spec, p) for p in pts]
+        if spec.d**2 > sum(staircase_multiplicity(Staircase2.of(li.gens)) for li in ideals):
+            return C, spec, pts, ideals
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=25)
+def test_degree_matches_the_localize_oracle(seed):
+    """Each point's multiplicity, read off the pair of crossing rows, equals
+    the staircase multiplicity of the ideal that localize finds there."""
+    C, spec, pts, ideals = random_uniform_spec(random.Random(seed))
+    assert all(li.monomial for li in ideals)
+    local = [staircase_multiplicity(Staircase2.of(li.gens)) for li in ideals]
+    rep = degree_uniform(C)
+    assert [(p.coords, p.vanishing, e) for p, e in rep.points] == [
+        (p.coords, p.vanishing, e) for p, e in zip(pts, local)
+    ]
+    assert rep.degree == spec.d**2 - sum(local)
 
 
 def test_degree_is_seed_independent():

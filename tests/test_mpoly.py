@@ -260,16 +260,21 @@ def test_json_coefficients_are_strings():
 
 
 @pytest.mark.parametrize(
-    "term",
+    "term, error, message",
     [
-        {"c": 1.5, "e": [1, 0]},  # int(1.5) would read 1
-        {"c": True, "e": [1, 0]},
-        {"c": 1, "e": [True, 0.7]},  # would read (1, 0)
-        {"c": 1, "e": "10"},  # the string would iterate into (1, 0)
+        # int(1.5) would read 1
+        pytest.param({"c": 1.5, "e": [1, 0]}, ValueError, "not an integer", id="term0"),
+        pytest.param({"c": True, "e": [1, 0]}, ValueError, "not an integer", id="term1"),
+        # would read (1, 0); the MPoly constructor rejects it
+        pytest.param({"c": 1, "e": [True, 0.7]}, TypeError, "integer exponents only", id="term2"),
+        # the string would iterate into (1, 0)
+        pytest.param({"c": 1, "e": "10"}, ValueError, "not a list of integers", id="term3"),
+        # a zero coefficient does not let a bad exponent through
+        pytest.param({"c": 0, "e": [0.5, 0]}, TypeError, "integer exponents only", id="zero-coefficient"),
     ],
 )
-def test_json_rejects_non_integer_fields(term):
-    with pytest.raises(ValueError, match="not an integer|not a list of integers"):
+def test_json_rejects_non_integer_fields(term, error, message):
+    with pytest.raises(error, match=message):
         MPoly.from_json_dict({"vars": ["y1", "y2"], "terms": [term]})
 
 
