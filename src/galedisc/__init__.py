@@ -7,7 +7,6 @@ monomial coordinate changes between nested exponent lattices.
 from .intmat import (
     IntMatrix,
     SNFDecomposition,
-    adjugate,
     gcd_maximal_minors,
     lll_reduce,
     smith_normal_form,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "IntMatrix",
     "SNFDecomposition",
-    "adjugate",
     "gcd_maximal_minors",
     "lll_reduce",
     "smith_normal_form",

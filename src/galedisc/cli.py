@@ -44,18 +44,10 @@ def load_matrix(path) -> IntMatrix:
     d = _load_json(path)
     if not isinstance(d, dict) or "rows" not in d:
         raise InputError("%s: expected an object with a 'rows' field" % path)
-    rows = d["rows"]
-    if (
-        not isinstance(rows, list)
-        or not rows
-        or not all(isinstance(r, list) for r in rows)
-        or not all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r)
-    ):
-        raise InputError("%s: 'rows' must be a nonempty list of integer lists" % path)
     try:
-        return IntMatrix(rows)
-    except ValueError as e:
-        raise InputError("%s: %s" % (path, e))
+        return IntMatrix(d["rows"])
+    except (TypeError, ValueError) as e:
+        raise InputError("%s: bad matrix: %s" % (path, e))
 
 
 def load_poly(path):
@@ -194,14 +186,16 @@ def cmd_gauss_check(args):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed for sampled checks")
-    common.add_argument("--trials", type=int, default=5, help="number of random samples")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument(
         "--json", dest="text", action="store_false", default=False,
         help="JSON output (default)",
     )
     fmt.add_argument("--text", dest="text", action="store_true", help="plain text output")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="PRNG seed for sampled checks")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=5, help="number of random samples")
 
     parser = argparse.ArgumentParser(
         prog="galedisc",
@@ -211,15 +205,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="summarize a matrix")
+    p = sub.add_parser("analyze", parents=[common, seed, trials], help="summarize a matrix")
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("degree", parents=[common], help="degree of the parametrized surface (uniform n x 3)")
+    p = sub.add_parser("degree", parents=[common, seed], help="degree of the parametrized surface (uniform n x 3)")
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("implicitize", parents=[common], help="defining polynomial of the image curve (n x 2)")
+    p = sub.add_parser("implicitize", parents=[common, seed], help="defining polynomial of the image curve (n x 2)")
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_implicitize)
 
@@ -236,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("support", help="JSON file with an 'exponents' list of [a, b] pairs")
     p.set_defaults(func=cmd_sparse_mult)
 
-    p = sub.add_parser("gauss-check", parents=[common], help="check a candidate defining polynomial against psi")
+    p = sub.add_parser("gauss-check", parents=[common, seed, trials], help="check a candidate defining polynomial against psi")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("poly", help="polynomial JSON file")
     p.set_defaults(func=cmd_gauss_check)

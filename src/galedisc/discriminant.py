@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from math import prod
 
-from .intmat import IntMatrix, adjugate, gcd_maximal_minors, smith_normal_form
+from .intmat import IntMatrix, gcd_maximal_minors, smith_normal_form
 from .mpoly import (
     MPoly,
     content_primitive,
@@ -197,26 +197,25 @@ def gauss_inverse_check(
 
 
 def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
-    """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index.
+    """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index,
+    written in Y = y_k^d: Y holds the slot of y_k.
 
     This is the norm of g down to y_k^d. With G_j the coefficients of g in
     y_k and e = deg_{y_k} g, e <= 1 gives the closed form
-    G0^d - (-G1)^d * y_k^d. For e >= 2 it is the resultant against
-    t^d - Y of g with y_k moved to a fresh slot t, where Y takes y_k's
-    freed slot at exponent 1; since t^d - Y is monic in t, substituting
-    Y = y_k^d afterwards commutes with the resultant, and the grid along Y
-    is d times shorter than along y_k. Laurent input is handled by
+    G0^d - (-G1)^d * Y. For e >= 2 it is the resultant against t^d - Y of
+    g with y_k moved to a fresh slot t. Laurent input is handled by
     shifting all exponents up front; each scaling multiplies the shifted
     monomial by a root of unity whose product over the group is
-    (-1)^(d+1)."""
+    (-1)^(d+1), and the shift comes back as y^(d * mins) in Y: mins[k] in
+    slot k, d * mins[j] elsewhere."""
     n = g.n_vars
     mins, g0 = g.split_monomial()
     k0 = var_index - 1
     coeffs = g0.coeffs_in(var_index)
     if max(coeffs) <= 1:
         zero = MPoly.zero(n)
-        y_d = MPoly.variable(n, var_index) ** d
-        prod = coeffs.get(0, zero) ** d - (-coeffs.get(1, zero)) ** d * y_d
+        y = MPoly.variable(n, var_index)
+        prod = coeffs.get(0, zero) ** d - (-coeffs.get(1, zero)) ** d * y
     else:
         b = MPoly(
             n + 1,
@@ -228,26 +227,33 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
         e_y = [0] * (n + 1)
         e_y[k0] = 1
         a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(e_y): -1})
-        prod = MPoly(
-            n,
-            {
-                e[:k0] + (d * e[k0],) + e[k0 + 1 : n]: c
-                for e, c in sylvester_resultant(a, b, n + 1).terms.items()
-            },
-        )
-    out = prod.shift(tuple(d * x for x in mins))
+        prod = sylvester_resultant(a, b, n + 1).restrict(tuple(range(1, n + 1)))
+    out = prod.shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
     if ((d + 1) * mins[k0]) % 2:
         out = -out
     return out
 
 
+def _smith_norm(f: MPoly, snf) -> MPoly:
+    """Product h of f over the scalings that alpha_M kills, for the Smith
+    form P M Q = D, written in Y_k = y_k^(d_k): f moved along P, then one
+    norm per invariant factor d_k > 1. The group product of f is h
+    composed with alpha_(P^-1 D) = alpha_(M Q)."""
+    h = substitute_monomial(f, snf.P)
+    for k, dk in enumerate(snf.invariant_factors):
+        if dk > 1:
+            h = _unit_root_product(h, k + 1, dk)
+    return h
+
+
 def group_product(f: MPoly, M: IntMatrix) -> MPoly:
     """Product of f over the |det M| coordinate scalings that alpha_M kills.
 
-    Conjugating by the Smith normal form M = U D V reduces the group to an
-    independent product of root-of-unity scalings, one per invariant
-    factor. The result has integer coefficients again, and is f itself for
-    unimodular M.
+    In Smith coordinates P M Q = D the group is an independent product of
+    root-of-unity scalings, one per invariant factor, and the product is
+    the Smith norm h composed with alpha_(M Q), as M Q = P^-1 D. The
+    result has integer coefficients again, and is f itself for unimodular
+    M.
     """
     if not M.is_square or M.rows != f.n_vars:
         raise ValueError("matrix shape mismatch")
@@ -257,12 +263,7 @@ def group_product(f: MPoly, M: IntMatrix) -> MPoly:
     if abs(det) == 1 or not f:
         return f
     snf = smith_normal_form(M)
-    u_inv = adjugate(snf.U).scale(snf.U.det())
-    g = substitute_monomial(f, u_inv)
-    for k, dk in enumerate(snf.invariant_factors):
-        if dk > 1:
-            g = _unit_root_product(g, k + 1, dk)
-    out = substitute_monomial(g, snf.U)
+    out = substitute_monomial(_smith_norm(f, snf), M * snf.Q)
     if out.is_laurent:
         raise ValueError("group product left negative exponents")
     return out
@@ -277,35 +278,20 @@ def transfer(delta2: MPoly, M: IntMatrix):
 
         delta1(alpha_M(y)) = y^v * prod over the scaling group of delta2,
 
-    v a vector in the column lattice of M. The group product composed with
-    alpha_{adj M} is alpha_{det M * I} up to the monomial y^v, so dividing
-    every exponent by det M and clearing minimal exponents recovers delta1
-    exactly; non-divisible exponents mean the input was not such a
-    defining polynomial. v = M (-e) for the cleared minimal exponents e, so
-    it lies in the lattice by construction."""
+    v a vector in the column lattice of M. The group product is the Smith
+    norm h composed with alpha_(M Q), so delta1 is h composed with
+    alpha_Q, as M^-1 P^-1 D = Q, once minimal exponents e are cleared;
+    v = M (-e) lies in the lattice by construction."""
     if not M.is_square or M.rows != delta2.n_vars:
         raise ValueError("matrix shape mismatch")
-    det = M.det()
-    if det == 0:
+    if M.det() == 0:
         raise ValueError("singular matrix")
     if not delta2:
         raise ValueError("zero input")
     if delta2.content() != 1:
         raise ValueError("input polynomial is not primitive")
-    prod = group_product(delta2, M)
-    q = substitute_monomial(prod, adjugate(M))
-    terms = {}
-    for e, c in q.terms.items():
-        e2 = []
-        for x in e:
-            if x % det:
-                raise ValueError(
-                    "transfer consistency failure: exponent %d not divisible by %d"
-                    % (x, det)
-                )
-            e2.append(x // det)
-        terms[tuple(e2)] = c
-    mins, out = MPoly(delta2.n_vars, terms).split_monomial()
+    snf = smith_normal_form(M)
+    mins, out = substitute_monomial(_smith_norm(delta2, snf), snf.Q).split_monomial()
     v = M.mul_vec([-x for x in mins])
     c, prim = content_primitive(out)
     if c != 1:
@@ -325,10 +311,6 @@ def homogenize(delta: MPoly, B: IntMatrix) -> MPoly:
         raise ValueError("rank deficient")
     if not delta:
         raise ValueError("zero input")
-    terms = {}
-    for e, c in delta.terms.items():
-        terms[tuple(B.mul_vec(e))] = c
-    if len(terms) != len(delta.terms):
-        raise ValueError("exponent embedding merged terms")
+    terms = {tuple(B.mul_vec(e)): c for e, c in delta.terms.items()}
     _, prim = content_primitive(MPoly(B.rows, terms).split_monomial()[1])
     return prim

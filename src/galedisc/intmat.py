@@ -1,7 +1,7 @@
 """Exact integer matrix algorithms.
 
-Determinants and ranks by fraction-free elimination, gcd of maximal
-minors, Smith normal form with unimodular transforms, adjugates, and LLL
+Determinants and ranks by one fraction-free elimination, gcd of maximal
+minors, Smith normal form with its unimodular transforms, and LLL
 reduction over exact rationals. Everything is arbitrary-precision integer
 or Fraction arithmetic; no floating point is used anywhere.
 """
@@ -65,9 +65,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * x for a, x in zip(r, v)) for r in self.entries)
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in r] for r in self.entries])
-
     def det(self) -> int:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
@@ -86,49 +83,25 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-def _int_det(m) -> int:
-    """Fraction-free Bareiss determinant of a list-of-lists integer matrix.
-
-    Mutates its argument.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _int_rank(m) -> int:
-    """Rank of a list-of-lists integer matrix by fraction-free (Bareiss)
-    elimination: a column without a pivot is skipped, and every division
-    is exact.
+def _bareiss(m):
+    """Fraction-free (Bareiss) elimination of a list-of-lists integer
+    matrix: a column without a pivot is skipped, and every division is
+    exact. Returns the rank and the last pivot signed by the row swaps,
+    which for a square matrix of full rank is its determinant.
 
     Mutates its argument.
     """
     rank = 0
     prev = 1
+    sign = 1
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
         r = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if r is None:
             continue
-        m[rank], m[r] = m[r], m[rank]
+        if r != rank:
+            m[rank], m[r] = m[r], m[rank]
+            sign = -sign
         pivot = m[rank][c]
         for i in range(rank + 1, len(m)):
             for j in range(c + 1, ncols):
@@ -136,7 +109,19 @@ def _int_rank(m) -> int:
             m[i][c] = 0
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign * prev
+
+
+def _int_rank(m) -> int:
+    """Rank of a list-of-lists integer matrix; mutates its argument."""
+    return _bareiss(m)[0]
+
+
+def _int_det(m) -> int:
+    """Determinant of a square list-of-lists integer matrix: the signed
+    last pivot, or 0 when the rank falls short. Mutates its argument."""
+    rank, last = _bareiss(m)
+    return last if rank == len(m) else 0
 
 
 def gcd_maximal_minors(c: IntMatrix) -> int:
@@ -156,54 +141,37 @@ def gcd_maximal_minors(c: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """M = U * D * V with U, V unimodular and D = diag(invariant_factors)."""
+    """P * M * Q = D with P, Q unimodular and D = diag(invariant_factors)."""
 
-    U: IntMatrix
+    P: IntMatrix
     D: IntMatrix
-    V: IntMatrix
+    Q: IntMatrix
     invariant_factors: tuple
 
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form of a square integer matrix.
 
-    Returns M = U*D*V with |det U| = |det V| = 1 and nonnegative diagonal
-    d_1 | d_2 | ... | d_n. Pivot selection is by minimal absolute value,
-    first in row-major order, so the decomposition is deterministic.
+    Returns P*M*Q = D with |det P| = |det Q| = 1 and nonnegative diagonal
+    d_1 | d_2 | ... | d_n: every row operation on M is applied to P and
+    every column operation to Q. Pivot selection is by minimal absolute
+    value, first in row-major order, so the decomposition is deterministic.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
     n = m.rows
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    # a = [[M, I], [I, 0]]: row operations on the top n rows build P in the
+    # top right block, column operations on the left n columns build Q in
+    # the bottom left block, and M turns into D.
+    a = [list(r) + e for r, e in zip(m.entries, eye)] + [e + [0] * n for e in eye]
 
-    # Row op a <- L a is compensated by U <- U L^{-1}; column op a <- a R
-    # by V <- R^{-1} V, which keeps U*a*V equal to m throughout.
-    def row_add(i, j, q):  # a[i] -= q*a[j]
+    def row_add(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        for r in range(n):
-            u[r][j] += q * u[r][i]
 
-    def col_add(i, j, q):  # col i of a -= q * col j
-        for r in range(n):
-            a[r][i] -= q * a[r][j]
-        v[j] = [x + q * y for x, y in zip(v[j], v[i])]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        for r in range(n):
-            u[r][i] = -u[r][i]
+    def col_add(i, j, q):  # col i -= q * col j
+        for r in a:
+            r[i] -= q * r[j]
 
     for t in range(n):
         while True:
@@ -217,10 +185,9 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             if pivot is None:
                 break
             pi, pj = pivot
-            if pi != t:
-                row_swap(pi, t)
-            if pj != t:
-                col_swap(pj, t)
+            a[pi], a[t] = a[t], a[pi]
+            for r in a:
+                r[pj], r[t] = r[t], r[pj]
             dirty = False
             for i in range(t + 1, n):
                 if a[i][t] != 0:
@@ -245,37 +212,18 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
                 break
             row_add(t, offender, -1)  # fold the offending row into row t
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
 
-    d = IntMatrix(a)
-    um = IntMatrix(u)
-    vm = IntMatrix(v)
+    d = IntMatrix([r[:n] for r in a[:n]])
+    pm = IntMatrix([r[n:] for r in a[:n]])
+    qm = IntMatrix([r[:n] for r in a[n:]])
     factors = tuple(a[i][i] for i in range(n))
-    if um * d * vm != m or abs(um.det()) != 1 or abs(vm.det()) != 1:
+    if pm * m * qm != d or abs(pm.det()) != 1 or abs(qm.det()) != 1:
         raise ArithmeticError("Smith form does not reconstruct the input")
     for f, g in zip(factors, factors[1:]):
         if (g % f if f else g) != 0:
             raise ArithmeticError("invariant factors fail the divisibility chain")
-    return SNFDecomposition(U=um, D=d, V=vm, invariant_factors=factors)
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate (transposed cofactor matrix): m * adjugate(m) = det(m) * I."""
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    n = m.rows
-    if n == 1:
-        return IntMatrix([[1]])
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m.entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    return IntMatrix(adj)
+    return SNFDecomposition(P=pm, D=d, Q=qm, invariant_factors=factors)
 
 
 def lll_reduce(b: IntMatrix) -> IntMatrix:

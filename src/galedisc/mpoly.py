@@ -554,10 +554,4 @@ def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
         raise ValueError("matrix shape mismatch")
     if m.det() == 0:
         raise ValueError("singular matrix")
-    t = {}
-    for e, c in p.terms.items():
-        e2 = m.mul_vec(e)
-        t[tuple(e2)] = c
-    if len(t) != len(p.terms):
-        raise ArithmeticError("monomial substitution merged terms")
-    return MPoly(p.n_vars, t)
+    return MPoly(p.n_vars, {tuple(m.mul_vec(e)): c for e, c in p.terms.items()})

@@ -6,7 +6,9 @@ parametrizations of C1 = C2 * M, and integer solving in a column lattice.
 import random
 from fractions import Fraction
 
-from galedisc.intmat import IntMatrix, adjugate
+import sympy
+
+from galedisc.intmat import IntMatrix
 from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
 
 
@@ -50,7 +52,8 @@ def solve_in_lattice(m: IntMatrix, v):
     det = m.det()
     if det == 0:
         raise ValueError("singular matrix")
-    w = adjugate(m).mul_vec(v)
+    adj = sympy.Matrix(m.to_lists()).adjugate()
+    w = [int(x) for x in adj * sympy.Matrix(v)]
     if any(x % det for x in w):
         return None
     return tuple(x // det for x in w)

@@ -260,8 +260,8 @@ def test_property_suites_within_sixty_seconds():
         n = rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         dec = smith_normal_form(m)
-        assert dec.U * dec.D * dec.V == m
-        assert abs(dec.U.det()) == 1 and abs(dec.V.det()) == 1
+        assert dec.P * m * dec.Q == dec.D
+        assert abs(dec.P.det()) == 1 and abs(dec.Q.det()) == 1
         f = dec.invariant_factors
         assert math.prod(f) == abs(m.det())
         for a, b in zip(f, f[1:]):

@@ -260,6 +260,43 @@ def test_non_integer_polynomial_fields_exit_two(files, capsys, term):
     assert err.startswith("error:") and "bad polynomial" in err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, True]], [[1.5]], ["12"], [], [[1], [2, 3]]],
+    ids=["bool", "float", "string-row", "empty", "ragged"],
+)
+def test_malformed_matrix_rows_exit_two(files, capsys, rows):
+    code, out, err = run(capsys, "analyze", files("bad.json", {"rows": rows}))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad matrix" in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("degree", "--trials"),
+        ("implicitize", "--trials"),
+        ("transfer", "--trials"),
+        ("transfer", "--seed"),
+        ("multiplicity", "--trials"),
+        ("multiplicity", "--seed"),
+        ("sparse-mult", "--trials"),
+        ("sparse-mult", "--seed"),
+        ("group-product", "--trials"),
+        ("group-product", "--seed"),
+    ],
+)
+def test_options_a_command_ignores_are_refused(files, capsys, command, option):
+    """--seed and --trials exist only where a sampled check reads them."""
+    inputs = {"transfer": 2, "group-product": 2}.get(command, 1)
+    argv = [command] + [files("x%d.json" % i, {"rows": B_ROWS}) for i in range(inputs)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 4" % option in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- determinism
 
 

@@ -402,6 +402,66 @@ def test_transfer_reports_lattice_membership_of_v():
         assert solve_in_lattice(M, v) is not None
 
 
+def lattice_change(data, n):
+    """A nonsingular n x n matrix with |det| <= 8."""
+    entry = st.integers(-3, 3) if n == 2 else st.integers(-2, 2)
+    m = IntMatrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(0 < abs(m.det()) <= 8)
+    return m
+
+
+def primitive_poly(data, n):
+    """A primitive polynomial with at most four terms of degree <= 2 in
+    each variable."""
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(0, 2) for _ in range(n))),
+            st.integers(-4, 4).filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    f = MPoly(n, terms)
+    assume(f.content() == 1)
+    return f
+
+
+def transfer_by_adjugate(f, M):
+    """transfer by the adjugate route: the group product composed with
+    alpha_(adj M), every exponent divided by det M, the minimal exponents e
+    cleared and v = M (-e)."""
+    det = M.det()
+    adj = sympy.Matrix(M.to_lists()).adjugate()
+    q = substitute_monomial(group_product(f, M), IntMatrix([[int(x) for x in r] for r in adj.tolist()]))
+    assert all(x % det == 0 for e in q.terms for x in e)
+    q = MPoly(f.n_vars, {tuple(x // det for x in e): c for e, c in q.terms.items()})
+    mins, out = q.split_monomial()
+    c, prim = content_primitive(out)
+    assert c == 1
+    return prim, M.mul_vec([-x for x in mins])
+
+
+@given(st.integers(2, 3), st.data())
+@settings(deadline=None, max_examples=40)
+def test_transfer_matches_the_adjugate_route(n, data):
+    M = lattice_change(data, n)
+    f = primitive_poly(data, n)
+    assert transfer(f, M) == transfer_by_adjugate(f, M)
+
+
+@given(st.integers(2, 3), st.data())
+@settings(deadline=None, max_examples=40)
+def test_transfer_of_a_laurent_shift(n, data):
+    """transfer(y^a f, M) = (delta1, v - |det M| a): each of the |det M|
+    factors of the group product carries y^a, up to a root of unity."""
+    M = lattice_change(data, n)
+    f = primitive_poly(data, n)
+    a = data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n))))
+    delta1, v = transfer(f, M)
+    det = abs(M.det())
+    assert transfer(f.shift(a), M) == (delta1, tuple(x - det * y for x, y in zip(v, a)))
+
+
 # ---------------------------------------------------------------- homogenization
 
 

@@ -1,4 +1,4 @@
-"""Exact integer matrix layer: determinants, minors, Smith form, adjugate, LLL."""
+"""Exact integer matrix layer: determinants, minors, Smith form, LLL."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,6 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from galedisc.intmat import (
     IntMatrix,
-    adjugate,
     gcd_maximal_minors,
     lll_reduce,
     smith_normal_form,
@@ -92,6 +91,21 @@ def test_det_transpose_invariant(m):
     assert IntMatrix(list(zip(*m.entries))).det() == m.det()
 
 
+@given(st.integers(1, 5), st.data())
+@settings(deadline=None, max_examples=120)
+def test_det_matches_sympy(n, data):
+    """Random, singular (a row repeated or scaled) and row-swap-needing
+    (a zero leading entry) matrices against sympy's determinant."""
+    rows = data.draw(small_matrix(n, n)).to_lists()
+    shape = data.draw(st.sampled_from(["random", "singular", "swap"]))
+    if shape == "singular" and n > 1:
+        rows[-1] = [data.draw(st.integers(-3, 3)) * x for x in rows[0]]
+    elif shape == "swap":
+        rows[0][0] = 0
+    m = IntMatrix(rows)
+    assert m.det() == sympy.Matrix(rows).det()
+
+
 # ---------------------------------------------------------------- minors
 
 
@@ -119,8 +133,8 @@ def test_gcd_maximal_minors_rejects_wide_matrix():
 def test_snf_golden_invariant_factors():
     dec = smith_normal_form(IntMatrix([[-3, 0], [2, 1]]))
     assert dec.invariant_factors == (1, 3)
-    assert dec.U * dec.D * dec.V == IntMatrix([[-3, 0], [2, 1]])
-    assert abs(dec.U.det()) == 1 and abs(dec.V.det()) == 1
+    assert dec.P * IntMatrix([[-3, 0], [2, 1]]) * dec.Q == dec.D
+    assert abs(dec.P.det()) == 1 and abs(dec.Q.det()) == 1
 
 
 def test_snf_of_diagonal_with_swapped_divisibility():
@@ -133,9 +147,9 @@ def test_snf_of_diagonal_with_swapped_divisibility():
 def test_snf_reconstruction_and_chain(n, data):
     m = data.draw(small_matrix(n, n))
     dec = smith_normal_form(m)
-    assert dec.U * dec.D * dec.V == m
-    assert abs(dec.U.det()) == 1
-    assert abs(dec.V.det()) == 1
+    assert dec.P * m * dec.Q == dec.D
+    assert abs(dec.P.det()) == 1
+    assert abs(dec.Q.det()) == 1
     f = dec.invariant_factors
     assert all(x >= 0 for x in f)
     for a, b in zip(f, f[1:]):
@@ -153,20 +167,7 @@ def test_snf_invariant_factor_product_is_det(m):
     assert prod == abs(m.det())
 
 
-# ---------------------------------------------------------------- adjugate / solving
-
-
-def test_adjugate_golden():
-    assert adjugate(IntMatrix([[1, 2], [3, 4]])).to_lists() == [[4, -2], [-3, 1]]
-
-
-@given(small_matrix(3, 3))
-@settings(deadline=None, max_examples=60)
-def test_adjugate_identity(m):
-    d = m.det()
-    prod = m * adjugate(m)
-    expect = IntMatrix([[d if i == j else 0 for j in range(3)] for i in range(3)])
-    assert prod == expect
+# ---------------------------------------------------------------- solving
 
 
 @pytest.mark.parametrize(

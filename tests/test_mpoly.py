@@ -472,8 +472,9 @@ def unit_root_product_by_sylvester(g, var_index, d):
 @given(st.data())
 @settings(deadline=None, max_examples=12)
 def test_unit_root_product_matches_the_sylvester_definition(data):
-    """Closed form (e <= 1) and resultant in Y = y_k^d (e >= 2), in 2 and 3
-    variables with Laurent shifts, against the polynomial Bareiss
+    """Closed form (e <= 1) and resultant (e >= 2), written in Y = y_k^d
+    and put back with Y = y_k^d, in 2 and 3 variables with Laurent shifts,
+    against the polynomial Bareiss
     determinant of the Sylvester matrix. Each coefficient G_j has at most
     4 - n terms: the oracle's cost grows steeply with the terms of g."""
     n = data.draw(st.integers(2, 3))
@@ -490,7 +491,9 @@ def test_unit_root_product_matches_the_sylvester_definition(data):
     g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
     if not g:
         return
-    assert _unit_root_product(g, k, d) == unit_root_product_by_sylvester(g, k, d)
+    y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
+    norm = substitute_monomial(_unit_root_product(g, k, d), y_d)
+    assert norm == unit_root_product_by_sylvester(g, k, d)
 
 
 def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
