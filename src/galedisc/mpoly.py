@@ -6,7 +6,13 @@ may go negative (Laurent polynomials show up as intermediate objects in the
 monomial substitutions). Rational numbers appear only in `evaluate`.
 
 Resultants have a single engine, evaluation and interpolation in integers
-(Collins, J. ACM 1971): no determinant is ever taken over polynomials.
+(Collins, J. ACM 1971): no determinant is ever taken over polynomials. The
+engine takes its node set from the caller, any lower set that holds the
+resultant's support (Newton interpolation on lower sets, Dyn-Floater,
+J. Approx. Theory 177, 2014), so each caller sizes the work by what the
+resultant can hold: `sylvester_resultant` passes the box of its degree
+bounds, the group products in `discriminant` pass the lower closure of a
+sumset.
 
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
@@ -375,9 +381,10 @@ def partial_derivative(p: MPoly, var_index: int) -> MPoly:
 # -- resultants --------------------------------------------------------------
 
 
-def _newton_interpolate(ys):
-    """Ascending coefficients of the integer polynomial of degree
-    < len(ys) that takes the values ys at the nodes 0, 1, ..., len(ys) - 1.
+def _divided_differences(ys):
+    """Newton coefficients of the integer polynomial of degree < len(ys)
+    that takes the values ys at the nodes 0, 1, ..., len(ys) - 1: the
+    coefficients on the falling factorials t(t - 1)...(t - j + 1).
 
     The divided differences of an integer polynomial at consecutive integers
     are integers, so each division must come out exact; raises
@@ -390,14 +397,54 @@ def _newton_interpolate(ys):
             dd[i], r = divmod(dd[i] - dd[i - 1], j)
             if r:
                 raise ArithmeticError("interpolated resultant is not integral")
+    return dd
+
+
+def _newton_to_monomial(dd):
+    """Ascending monomial coefficients of sum_j dd[j] t(t - 1)...(t - j + 1)."""
+    n = len(dd)
     coeffs = [0] * n
     coeffs[0] = dd[n - 1]
     for i in range(n - 2, -1, -1):
-        # multiply by (x - i) then add dd[i]
+        # multiply by (t - i) then add dd[i]
         for k in range(n - 1, 0, -1):
             coeffs[k] = coeffs[k - 1] - i * coeffs[k]
         coeffs[0] = dd[i] - i * coeffs[0]
     return coeffs
+
+
+def _interpolate(grid) -> None:
+    """Turn the values of an integer polynomial at the nodes of a lower set
+    (a dict from exponent tuples to ints that holds every node below any of
+    its nodes) into its coefficients, in place. The polynomial's support
+    must lie in the set.
+
+    Newton interpolation on a lower set (Dyn-Floater, J. Approx. Theory 177,
+    2014): each axis-parallel line of a lower set is a prefix 0..L-1, so
+    divided differences along every axis in turn give the coefficients on
+    the products of falling factorials, and a change of basis along every
+    axis in turn gives the monomial ones. On a box the two passes may
+    interleave; on a lower set they may not, as a line shorter than its
+    neighbours sees none of their higher Newton terms. Raises
+    ArithmeticError on values no integer polynomial takes.
+    """
+    if not grid:
+        return
+    lines = []
+    for i in range(len(next(iter(grid)))):
+        for node in grid:
+            if not node[i]:
+                head, tail = node[:i], node[i + 1 :]
+                line = [node]
+                nd = head + (1,) + tail
+                while nd in grid:
+                    line.append(nd)
+                    nd = head + (len(line),) + tail
+                if len(line) > 1:
+                    lines.append(line)
+    for step in (_divided_differences, _newton_to_monomial):
+        for line in lines:
+            grid.update(zip(line, step([grid[nd] for nd in line])))
 
 
 def _exact_quo(n, d):
@@ -472,22 +519,24 @@ def _int_resultant(a, b):
     return f * _exact_quo(b[0] ** da, h ** (da - 1))
 
 
-def _det_by_interpolation(pcs, qcs, n_vars: int, active, bounds) -> MPoly:
+def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
     """Resultant of the polynomials with coefficient lists pcs and qcs
-    (MPoly, leading first) in the eliminated variable, by evaluation and
-    interpolation (Collins, J. ACM 1971).
+    (MPoly in one ring, leading first) in the eliminated variable, by
+    evaluation and interpolation (Collins, J. ACM 1971).
 
-    The grid is {0..bounds[v]} for each variable v in `active` (0-based), the
-    variables actually occurring; the bounds must dominate the true degrees
-    of the resultant. Each coefficient is evaluated once per node, in
-    integers, each node takes one `_int_resultant`, and Newton interpolation
-    along each variable in turn gives back the coefficients.
+    `active` lists the variables (0-based) that occur in the resultant, and
+    `nodes` is a lower set of exponent tuples over them that contains its
+    support: the caller sizes it by what the resultant can hold, a box for
+    `sylvester_resultant` and the group's sumset for a norm
+    (`discriminant._unit_root_product`). Each coefficient is evaluated
+    once per node, in integers, each node takes one `_int_resultant`, and
+    `_interpolate` gives back the coefficients.
     """
+    n_vars = pcs[0].n_vars
     split = len(pcs)
     terms = [[(c, [e[v] for v in active]) for e, c in f.terms.items()] for f in pcs + qcs]
-    dims = [bounds[v] + 1 for v in active]
     grid = {}
-    for node in product(*(range(d) for d in dims)):
+    for node in nodes:
         vals = []
         for f in terms:
             s = 0
@@ -497,11 +546,7 @@ def _det_by_interpolation(pcs, qcs, n_vars: int, active, bounds) -> MPoly:
                 s += c
             vals.append(s)
         grid[node] = _int_resultant(vals[:split], vals[split:])
-    for i, d in enumerate(dims):
-        for node in [nd for nd in grid if not nd[i]]:
-            line = [node[:i] + (k,) + node[i + 1 :] for k in range(d)]
-            for key, c in zip(line, _newton_interpolate([grid[nd] for nd in line])):
-                grid[key] = c
+    _interpolate(grid)
     t = {}
     for node, c in grid.items():
         e = [0] * n_vars
@@ -516,10 +561,10 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     determinant of their Sylvester matrix, with the rows of p first.
 
     The determinant is never formed over polynomials: at each integer node
-    of a grid over the other variables that occur, every coefficient of p
-    and q is evaluated once, in integers, a univariate subresultant PRS
-    gives the resultant there, and integer Newton interpolation recovers
-    the polynomial (`_det_by_interpolation`).
+    of the box of its degree bounds in the other variables, every
+    coefficient of p and q is evaluated once, in integers, a univariate
+    subresultant PRS gives the resultant there, and integer Newton
+    interpolation recovers the polynomial (`_det_by_interpolation`).
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
@@ -542,7 +587,7 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
         if v != var_index - 1:
             bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
     active = [v for v in range(n_vars) if bounds[v] > 0]
-    return _det_by_interpolation(pcs, qcs, n_vars, active, bounds)
+    return _det_by_interpolation(pcs, qcs, active, product(*(range(bounds[v] + 1) for v in active)))
 
 
 def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:

@@ -159,6 +159,14 @@ def test_group_product_subcommand(files, capsys):
     assert max(degrees) == 9
 
 
+def test_transfer_with_a_huge_group_order_exits_one(files, capsys):
+    poly = files("db.json", {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS})
+    code, out, err = run(capsys, "transfer", poly, files("m.json", {"rows": [[1, 0], [0, 10**6]]}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: group product too large") and "9000003" in err
+
+
 # ---------------------------------------------------------------- multiplicity commands
 
 

@@ -1,6 +1,7 @@
 """Implicitization, Gauss map checks, lattice transfer, and homogenization."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -325,6 +326,41 @@ def test_group_product_laurent_identity():
     assert v == (-9, 3)
     shifted = substitute_monomial(DELTA_C, M35).shift(tuple(-x for x in v))
     assert prod == shifted
+
+
+def test_group_product_of_a_laurent_shift():
+    """Laurent input gives the Laurent product: y1^-1 Delta_B over the
+    kernel of M35 is the transferred polynomial composed with the monomial
+    map, over y^v with the v = (-6, 3) of its transfer."""
+    f = DELTA_B.shift((-1, 0))
+    _, v = transfer(f, M35)
+    assert v == (-6, 3)
+    shifted = substitute_monomial(DELTA_C, M35).shift(tuple(-x for x in v))
+    assert group_product(-f, M35) == shifted
+    assert group_product(f, M35) == group_product(DELTA_B, M35).shift((-3, 0))
+
+
+def test_a_huge_group_order_is_refused_before_any_norm():
+    """|det M| = 10^6 would take a norm of Delta_B of degree 2 * 10^6; the
+    estimate (e + 1) (d deg_y1 + 1) = 3 * 3000001 is refused at once."""
+    M = IntMatrix([[1, 0], [0, 10**6]])
+    for call in (transfer, group_product):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="group product too large.* 9000003 "):
+            call(DELTA_B, M)
+        assert time.perf_counter() - t0 < 1.0
+
+
+@given(st.integers(2, 3), st.data())
+@settings(deadline=None, max_examples=30)
+def test_group_product_of_laurent_input_obeys_the_transfer_law(n, data):
+    """For Laurent f = y^a g, the group product is +-(delta1 composed with
+    alpha_M) / y^v with (delta1, v) = transfer(f, M)."""
+    M = lattice_change(data, n)
+    f = primitive_poly(data, n).shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
+    delta1, v = transfer(f, M)
+    shifted = substitute_monomial(delta1, M).shift(tuple(-x for x in v))
+    assert group_product(f, M) in (shifted, -shifted)
 
 
 @given(st.integers(0, 10_000))

@@ -1,12 +1,14 @@
 """Sparse exact polynomial arithmetic, canonical signs, resultants, monomial substitution."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from galedisc.discriminant import _unit_root_product
+from galedisc.discriminant import _norm_nodes, _unit_root_product
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
@@ -15,7 +17,7 @@ from galedisc.mpoly import (
     substitute_monomial,
     sylvester_resultant,
 )
-from galedisc.mpoly import _gl_key, _int_resultant, _newton_interpolate
+from galedisc.mpoly import _divided_differences, _gl_key, _int_resultant, _interpolate, _newton_to_monomial
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -472,14 +474,30 @@ def unit_root_product_by_sylvester(g, var_index, d):
 @given(st.data())
 @settings(deadline=None, max_examples=12)
 def test_unit_root_product_matches_the_sylvester_definition(data):
-    """Closed form (e <= 1) and resultant (e >= 2), written in Y = y_k^d
-    and put back with Y = y_k^d, in 2 and 3 variables with Laurent shifts,
-    against the polynomial Bareiss
-    determinant of the Sylvester matrix. Each coefficient G_j has at most
-    4 - n terms: the oracle's cost grows steeply with the terms of g."""
+    """The closed forms (e <= 2) and the sumset-grid resultant (e >= 3),
+    written in Y = y_k^d and put back with Y = y_k^d, in 2 and 3 variables
+    with Laurent shifts, against the polynomial Bareiss determinant of the
+    Sylvester matrix. Each coefficient G_j has at most 4 - n terms: the
+    oracle's cost grows steeply with the terms of g."""
+    g, k, d = draw_norm_input(data, data.draw(st.integers(0, 4)))
+    assert_unit_root_product_matches(g, k, d)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=20)
+def test_unit_root_product_of_degree_two_matches_the_sylvester_definition(data):
+    """The e = 2 closed form G2^d Y^2 - s_d Y + G0^d, with d up to 16, in 2
+    and 3 variables with Laurent shifts, against the Bareiss oracle."""
+    g, k, d = draw_norm_input(data, 2)
+    assume(g.split_monomial()[1].degree_in(k) == 2)
+    assert_unit_root_product_matches(g, k, d)
+
+
+def draw_norm_input(data, e):
+    """(g, k, d): g of degree e in y_k before a drawn Laurent shift, d in
+    2..16."""
     n = data.draw(st.integers(2, 3))
     k = data.draw(st.integers(1, n))
-    e = data.draw(st.integers(0, 4))
     d = data.draw(st.integers(2, 16))
     others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
     g = MPoly.zero(n)
@@ -488,12 +506,70 @@ def test_unit_root_product_matches_the_sylvester_definition(data):
             st.dictionaries(others, st.integers(-3, 3).filter(bool), min_size=int(j == e), max_size=4 - n)
         )
         g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
-    g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
-    if not g:
-        return
+    return g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n))))), k, d
+
+
+def assert_unit_root_product_matches(g, k, d):
+    n = g.n_vars
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
     norm = substitute_monomial(_unit_root_product(g, k, d), y_d)
     assert norm == unit_root_product_by_sylvester(g, k, d)
+
+
+def norm_by_sylvester_box(g, var_index, d):
+    """The norm of g down to Y = y_k^d, Y in the slot of y_k, as the
+    resultant of t^d - Y and g with y_k moved to t, interpolated on the
+    full box of `sylvester_resultant`."""
+    n, k0 = g.n_vars, var_index - 1
+    b = MPoly(n + 1, {e[:k0] + (0,) + e[k0 + 1 :] + (e[k0],): c for e, c in g.terms.items()})
+    y = [0] * (n + 1)
+    y[k0] = 1
+    a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(y): -1})
+    return sylvester_resultant(a, b, n + 1).restrict(tuple(range(1, n + 1)))
+
+
+def test_unit_root_product_golden_b_low13():
+    """The e = 11, d = 13 norm of the benchmark's B_low13 shape, g =
+    27t^11 + 4t^10 - 18vt^7 - v^2t^3 + 4v^3, on the 241 nodes of the sumset
+    grid: equal to the resultant on the 12 x 40 box, with the leading and
+    constant terms 27^13 Y^11 and 4^13 v^39 of the product over w^13 = 1."""
+    g = MPoly(2, {(0, 11): 27, (0, 10): 4, (1, 7): -18, (2, 3): -1, (3, 0): 4})
+    norm = _unit_root_product(g, 2, 13)
+    assert norm == norm_by_sylvester_box(g, 2, 13)
+    assert len(norm.terms) == 28
+    assert norm.terms[(0, 11)] == 27**13 and norm.terms[(39, 0)] == 4**13
+    assert _norm_nodes(g, 2, 13)[0] == [0, 1] and len(_norm_nodes(g, 2, 13)[1]) == 241
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=25)
+def test_norm_support_lies_in_the_sumset_grid(data):
+    """Every exponent of the norm, computed on the full box, is a node of
+    the lower set `_unit_root_product` interpolates on, which is a lower
+    set inside that box."""
+    n = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, n))
+    d = data.draw(st.integers(2, 8))
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(0, 5) if i == k - 1 else st.integers(0, 2) for i in range(n))),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    g = MPoly(n, terms)
+    assume(g.degree_in(k) >= 1)
+    active, nodes = _norm_nodes(g, k, d)
+    assert active == [v for v in range(n) if g.degree_in(v + 1) > 0]
+    support = norm_by_sylvester_box(g, k, d).terms
+    assert all(not e[v] for e in support for v in range(n) if v not in active)
+    assert {tuple(e[v] for v in active) for e in support} <= nodes
+    for node in nodes:
+        for v, x in zip(active, node):
+            assert x <= (g.degree_in(k) if v == k - 1 else d * g.degree_in(v + 1))
+        for i, x in enumerate(node):
+            assert not x or node[:i] + (x - 1,) + node[i + 1 :] in nodes
 
 
 def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
@@ -513,13 +589,61 @@ def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
 def test_newton_interpolation_round_trip():
     coeffs = [3, -2, 0, 5]  # 3 - 2t + 5t^3
     values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in range(4)]
-    assert _newton_interpolate(values) == coeffs
+    assert _newton_to_monomial(_divided_differences(values)) == coeffs
 
 
 def test_newton_interpolation_rejects_non_integer_polynomial():
     # 0, 0, 1 at t = 0, 1, 2 interpolate to t(t - 1)/2, not in Z[t]
     with pytest.raises(ArithmeticError):
-        _newton_interpolate([0, 0, 1])
+        _divided_differences([0, 0, 1])
+
+
+@st.composite
+def lower_sets(draw):
+    """A lower set in 1 to 3 variables: a box, or the union of the boxes
+    below up to four drawn corners."""
+    n = draw(st.integers(1, 3))
+    corner = st.tuples(*(st.integers(0, 5) for _ in range(n)))
+    corners = draw(st.lists(corner, min_size=1, max_size=1 if draw(st.booleans()) else 4))
+    return {node for top in corners for node in product(*(range(x + 1) for x in top))}
+
+
+@given(lower_sets(), st.data())
+@settings(deadline=None, max_examples=100)
+def test_lower_set_interpolation_round_trip(nodes, data):
+    """An integer polynomial whose support lies in a lower set comes back
+    exactly from its values on that set."""
+    support = data.draw(st.lists(st.sampled_from(sorted(nodes)), unique=True, max_size=8))
+    coeffs = {e: data.draw(st.integers(-(10**20), 10**20)) for e in support}
+    grid = {x: sum(c * prod(map(pow, x, e)) for e, c in coeffs.items()) for x in nodes}
+    _interpolate(grid)
+    assert grid == {x: coeffs.get(x, 0) for x in nodes}
+
+
+def test_lower_set_interpolation_runs_all_divided_differences_first():
+    """On {1, t1, t1^2, t2, t1 t2} the values of t1^2 must give back t1^2.
+    Converting the first axis to monomials before the second axis's
+    divided differences would read t1^2 + t1 t2: the short line t2 = 1
+    never sees the t1(t1 - 1) Newton term."""
+    nodes = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    grid = {x: x[0] ** 2 for x in nodes}
+    _interpolate(grid)
+    assert grid == {x: int(x == (2, 0)) for x in nodes}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # t1(t1 - 1)/2 along the first axis
+        {(0, 0): 0, (1, 0): 0, (2, 0): 1, (0, 1): 0, (1, 1): 0},
+        # t2(t2 - 1)/2 along the second axis, on an L-shaped set
+        {(0, 0): 0, (1, 0): 0, (0, 1): 0, (0, 2): 1},
+    ],
+    ids=["first-axis", "second-axis"],
+)
+def test_lower_set_interpolation_rejects_non_integer_polynomial(values):
+    with pytest.raises(ArithmeticError):
+        _interpolate(dict(values))
 
 
 @given(
