@@ -198,13 +198,37 @@ def gauss_inverse_check(
 # -- products over scaling groups and lattice transfer ------------------------
 
 
-# Bound on the box (e + 1) * prod_v (d * deg_v g0 + 1) of monomials that
-# holds one norm, checked before the norm is formed, so that a huge
-# invariant factor is refused at once. The largest box in the tests is
-# 12 800, an e = 7 norm. The work grows faster than the box: on a 2-core
-# Xeon that norm takes 0.4 s, while an e = 2 norm with a box of 9 003
-# takes 12 s.
-_NORM_BOX_LIMIT = 20_000
+# Work bounds checked before a norm is formed, so that a huge invariant
+# factor d is refused at once. A closed form (e <= 2) takes about d steps
+# over the terms of G0^d, s_d and G2^d (`_closed_form_terms`), on
+# coefficients of up to about d bits: work d^2 * terms. Interpolation
+# (e >= 3) takes a node per monomial of the box (e + 1) * prod_v
+# (d * deg_v g0 + 1), and each node pseudo-divides t^d - Y by g in about
+# d^2 integer operations: work d^2 * box. On a 2-core Xeon the norms just
+# under a limit that were timed took 0.7 to 17 seconds.
+_CLOSED_FORM_WORK_LIMIT = 10**10
+_INTERPOLATION_WORK_LIMIT = 5 * 10**7
+
+
+def _refuse_above(work: int, limit: int, d: int) -> None:
+    if work > limit:
+        raise ValueError(
+            "group product too large: a norm of order %d needs about %d "
+            "operations, above the limit of %d" % (d, work, limit)
+        )
+
+
+def _closed_form_terms(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int) -> int:
+    """Bound on the terms of G0^d, s_d and G2^d together: the monomials in
+    the bounding box of each. Each is a product of d steps, a step of s_d
+    being a factor G1 or half of a factor G0 * G2, so in each variable its
+    exponents span d times the span of one step (counted in half steps)."""
+    total = 0
+    for factors in (((g_0, 2),), ((g_2, 2),), ((g_1, 2), (g02, 1))):
+        exps = [tuple(w * x for x in e) for f, w in factors for e in f.terms]
+        if exps:
+            total += prod(d * (max(c) - min(c)) // 2 + 1 for c in zip(*exps))
+    return total
 
 
 def _norm_nodes(g0: MPoly, var_index: int, d: int):
@@ -249,42 +273,43 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
 
     This is the norm of g down to y_k^d, sized by what it can hold. With
     G_j the coefficients of g in y_k and e = deg_{y_k} g:
-    - e <= 1 gives the closed form G0^d - (-G1)^d * Y;
-    - e = 2 gives G2^d * Y^2 - s_d * Y + G0^d, where s_j = G2^j (r1^j + r2^j)
-      over the roots r1, r2 of g in y_k: s_0 = 2, s_1 = -G1 and
-      s_j = -G1 * s_(j-1) - G0 * G2 * s_(j-2);
+    - e <= 2 gives the closed form G2^d * Y^2 - s_d * Y + G0^d, where
+      s_j = G2^j (r1^j + r2^j) over the roots r1, r2 of g in y_k:
+      s_0 = 2, s_1 = -G1 and s_j = -G1 * s_(j-1) - G0 * G2 * s_(j-2).
+      With G2 = 0 it is G0^d - (-G1)^d * Y, taken by repeated squaring,
+      which on the `transfer` workload is faster than the d steps of the
+      recurrence;
     - e >= 3 gives the resultant against t^d - Y of g with y_k moved to t,
       interpolated on the lower closure of the d-fold sumset of supp(g)
       (`_norm_nodes`), not on the box of its degree bounds.
-    Before any of them, a box (e + 1) * prod_v (d * deg_v g + 1) above
-    _NORM_BOX_LIMIT raises ValueError. Laurent input is handled by
-    shifting all exponents up front; each scaling multiplies the shifted
-    monomial by a root of unity whose product over the group is
-    (-1)^(d+1), and the shift comes back as y^(d * mins) in Y: mins[k] in
-    slot k, d * mins[j] elsewhere."""
+    Each branch estimates its work first and raises ValueError above its
+    limit (_CLOSED_FORM_WORK_LIMIT, _INTERPOLATION_WORK_LIMIT). Laurent
+    input is handled by shifting all exponents up front; each scaling
+    multiplies the shifted monomial by a root of unity whose product over
+    the group is (-1)^(d+1), and the shift comes back as y^(d * mins) in
+    Y: mins[k] in slot k, d * mins[j] elsewhere."""
     n = g.n_vars
     mins, g0 = g.split_monomial()
     k0 = var_index - 1
     coeffs = g0.coeffs_in(var_index)
     e = max(coeffs)
-    box = (e + 1) * prod(d * g0.degree_in(v + 1) + 1 for v in range(n) if v != k0)
-    if box > _NORM_BOX_LIMIT:
-        raise ValueError(
-            "group product too large: a norm of order %d spans a box of %d "
-            "monomials, above the limit of %d" % (d, box, _NORM_BOX_LIMIT)
-        )
     zero = MPoly.zero(n)
     g_0, g_1, g_2 = (coeffs.get(j, zero) for j in range(3))
     y = MPoly.variable(n, var_index)
-    if e <= 1:
-        norm = g_0**d - (-g_1) ** d * y
-    elif e == 2:
+    if e <= 2:
         g02 = g_0 * g_2
-        s_prev, s = MPoly.constant(n, 2), -g_1
-        for _ in range(d - 1):
-            s_prev, s = s, -g_1 * s - g02 * s_prev
-        norm = g_2**d * y * y - s * y + g_0**d
+        terms = _closed_form_terms(g_0, g_1, g_2, g02, d)
+        _refuse_above(d * d * terms, _CLOSED_FORM_WORK_LIMIT, d)
+        if e <= 1:
+            norm = g_0**d - (-g_1) ** d * y
+        else:
+            s_prev, s = MPoly.constant(n, 2), -g_1
+            for _ in range(d - 1):
+                s_prev, s = s, -g_1 * s - g02 * s_prev
+            norm = g_2**d * y * y - s * y + g_0**d
     else:
+        box = (e + 1) * prod(d * g0.degree_in(v + 1) + 1 for v in range(n) if v != k0)
+        _refuse_above(d * d * box, _INTERPOLATION_WORK_LIMIT, d)
         pcs = [MPoly.one(n)] + [zero] * (d - 1) + [-y]
         qcs = [coeffs.get(e - j, zero) for j in range(e + 1)]
         norm = _det_by_interpolation(pcs, qcs, *_norm_nodes(g0, var_index, d))

@@ -164,7 +164,7 @@ def test_transfer_with_a_huge_group_order_exits_one(files, capsys):
     code, out, err = run(capsys, "transfer", poly, files("m.json", {"rows": [[1, 0], [0, 10**6]]}))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: group product too large") and "9000003" in err
+    assert err.startswith("error: group product too large") and "2500003000000000000" in err
 
 
 # ---------------------------------------------------------------- multiplicity commands

@@ -340,15 +340,44 @@ def test_group_product_of_a_laurent_shift():
     assert group_product(f, M35) == group_product(DELTA_B, M35).shift((-3, 0))
 
 
-def test_a_huge_group_order_is_refused_before_any_norm():
-    """|det M| = 10^6 would take a norm of Delta_B of degree 2 * 10^6; the
-    estimate (e + 1) (d deg_y1 + 1) = 3 * 3000001 is refused at once."""
-    M = IntMatrix([[1, 0], [0, 10**6]])
+def _in_last_variable(terms, n):
+    return MPoly(n, {(0,) * (n - 1) + e: c for e, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        DELTA_B,
+        _in_last_variable({(0,): 1, (1,): 3, (2,): 1}, 1),
+        _in_last_variable({(0,): 1, (1,): 3, (2,): 1}, 2),
+        _in_last_variable({(0,): 1, (1,): 1, (3,): 1}, 1),
+        _in_last_variable({(0,): 1, (1,): 1, (3,): 1}, 2),
+    ],
+    ids=["DeltaB", "closed_form_1var", "closed_form_2var", "interpolation_1var", "interpolation_2var"],
+)
+def test_a_huge_group_order_is_refused_before_any_norm(f):
+    """An invariant factor d = 10^6 in the last variable is refused at
+    once, also where g has no other variable and every box factor
+    d * deg_v g + 1 is 1: the recurrence and the pseudo-division of
+    t^d - Y both take d steps on growing integers, so each estimate grows
+    with d^2."""
+    n = f.n_vars
+    M = IntMatrix([[10**6 if i == j == n - 1 else int(i == j) for j in range(n)] for i in range(n)])
     for call in (transfer, group_product):
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match="group product too large.* 9000003 "):
-            call(DELTA_B, M)
+        with pytest.raises(ValueError, match="group product too large: a norm of order 1000000 "):
+            call(f, M)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_a_sparse_norm_of_large_order_is_not_refused():
+    """y1 + y2 under diag(1, 20000) spans a box of 20001 monomials in y1,
+    but its closed form has two terms: the estimate takes the span of each
+    of G0^d and s_d, so the norm y1^20000 - Y is formed."""
+    f = MPoly(2, {(1, 0): 1, (0, 1): 1})
+    delta1, v = transfer(f, IntMatrix([[1, 0], [0, 20000]]))
+    assert delta1 == MPoly(2, {(0, 1): 1, (20000, 0): -1})
+    assert v == (0, 0)
 
 
 @given(st.integers(2, 3), st.data())
