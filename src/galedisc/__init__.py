@@ -14,7 +14,6 @@ from .intmat import (
 from .mpoly import (
     MPoly,
     content_primitive,
-    partial_derivative,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -40,7 +39,6 @@ from .degree import (
 )
 from .discriminant import (
     gauss_inverse_check,
-    gauss_map,
     group_product,
     homogenize,
     implicitize,
@@ -57,7 +55,6 @@ __all__ = [
     "smith_normal_form",
     "MPoly",
     "content_primitive",
-    "partial_derivative",
     "substitute_monomial",
     "sylvester_resultant",
     "ParamSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "sparse_origin_multiplicity",
     "staircase_multiplicity",
     "gauss_inverse_check",
-    "gauss_map",
     "group_product",
     "homogenize",
     "implicitize",

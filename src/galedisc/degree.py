@@ -131,7 +131,9 @@ def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
         raise ValueError("non-uniform: degree formula unsupported")
     spec = build(C)
     if defect_test(spec, trials=5, seed=seed) is not Verdict.NON_DEFECTIVE:
-        raise ValueError("defective configuration: the image is not a surface")
+        raise ValueError(
+            "defective configuration: the image is not a surface (seed %d)" % seed
+        )
     pairs = []
     total = 0
     for bp in base_points(spec):

@@ -7,9 +7,11 @@ resultant leaves the defining polynomial of the image curve once content
 and stray monomial factors are divided out and the sign is made canonical.
 No square-free pass is needed: the Horn-Kapranov parametrization is
 birational, so the resultant is the defining polynomial to the first
-power, and the degree check rejects anything else. A sampled sanity
-check, the logarithmic Gauss map inversion, certifies a candidate
-polynomial against the parametrization.
+power, and the degree check rejects anything else. Two sampled checks
+certify a polynomial against the parametrization: its vanishing at
+parametrized points, which validates the implicitization, and the
+inversion of psi by the logarithmic Gauss map. Both evaluate in integers,
+on the terms at psi(u) times one common nonzero factor (`_cleared_terms`).
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -20,24 +22,22 @@ killed by it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import prod
-from operator import add
+from operator import add, getitem
 
 from .intmat import IntMatrix, gcd_maximal_minors, smith_normal_form
 from .mpoly import (
     MPoly,
     _det_by_interpolation,
     content_primitive,
-    partial_derivative,
     substitute_monomial,
     sylvester_resultant,
 )
 from .parametrization import (
     ParamSpec,
     Verdict,
+    _forms_at,
     defect_test,
-    evaluate_psi,
     primitive_direction,
     sample_off_arrangement,
 )
@@ -95,7 +95,9 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
             raise ValueError("proportional rows present: merge them first")
         dirs.add(w)
     if defect_test(spec, trials=5, seed=seed) is not Verdict.NON_DEFECTIVE:
-        raise ValueError("defective configuration: the closure is not a hypersurface")
+        raise ValueError(
+            "defective configuration: the closure is not a hypersurface (seed %d)" % seed
+        )
 
     pencils, degrees = _pencils(spec)
     # Dehomogenize u and eliminate the remaining variable. Setting u2 = 1
@@ -125,43 +127,49 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     rng = random.Random(seed)
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        if _cleared_value(spec, delta, u):
+        if sum(_cleared_terms(spec, delta, u).values()):
             raise ValueError(
-                "implicitization validation failed: nonzero at a parametrized point"
+                "implicitization validation failed: nonzero at a parametrized "
+                "point u = %s (seed %d)" % (u, seed)
             )
     return delta
 
 
-def _cleared_value(spec: ParamSpec, delta: MPoly, u) -> int:
-    """f_0(u)^d * delta(psi(u)) at an integer point u off the arrangement,
-    with f_k(u) = prod_i l_i(u)^numer_exps[k][i] and d = deg delta = spec.d.
-
-    This is the integer sum of c_e f_1^e1 f_2^e2 f_0^(d - e1 - e2) over the
-    terms of delta; since f_0(u) != 0 it vanishes exactly when
-    delta(psi(u)) does."""
-    d = spec.d
-    forms = [r0 * u[0] + r1 * u[1] for r0, r1 in spec.C.entries]
-    f0, f1, f2 = (prod(map(pow, forms, exps)) for exps in spec.numer_exps)
-    p0, p1, p2 = ([f**j for j in range(d + 1)] for f in (f0, f1, f2))
-    return sum(
-        c * p1[e1] * p2[e2] * p0[d - e1 - e2] for (e1, e2), c in delta.terms.items()
-    )
+# -- sampled checks in integers -----------------------------------------------
 
 
-# -- sanity checks ------------------------------------------------------------
+def _powers(f: int, low: int, high: int) -> dict:
+    """x -> f^(x - low) for low <= x <= high, by running products."""
+    p = {low: 1}
+    for x in range(low + 1, high + 1):
+        p[x] = p[x - 1] * f
+    return p
 
 
-def gauss_map(delta: MPoly, y):
-    """Scaled gradient (y_1 d_1 delta, ..., y_m d_m delta) at a point."""
-    if len(y) != delta.n_vars:
-        raise ValueError("point length mismatch")
-    vals = tuple(
-        Fraction(y[k - 1]) * partial_derivative(delta, k).evaluate(y)
-        for k in range(1, delta.n_vars + 1)
-    )
-    if all(v == 0 for v in vals):
-        raise ValueError("Gauss map undefined here: all scaled partials vanish")
-    return vals
+def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
+    """e -> F * c_e * y^e for each term c_e y^e of delta, at y = psi(u) for
+    an integer point u off the arrangement: one common factor F makes every
+    value an integer, for any m and for Laurent delta.
+
+    With f_k(u) = prod_i l_i(u)^numer_exps[k][i] each y_k is f_k / f_0, so
+    F = f_0^D * prod_k f_k^(-a_k), for D = max_e |e| and
+    a_k = min(0, min_e e_k), turns the term into
+    c_e f_0^(D - |e|) prod_k f_k^(e_k - a_k). Since F != 0, a sum of the
+    values vanishes exactly when the same sum of the terms does at psi(u).
+    For delta of degree spec.d without negative exponents F = f_0^d."""
+    terms = delta.terms
+    if not terms:
+        return {}
+    forms = _forms_at(spec.C, u)
+    f0, *fs = (prod(map(pow, forms, row)) for row in spec.numer_exps)
+    degs = list(map(sum, terms))
+    top = max(degs)
+    p0 = _powers(f0, 0, top - min(degs))
+    tables = [_powers(f, min(0, *col), max(col)) for f, col in zip(fs, zip(*terms))]
+    return {
+        e: c * p0[top - s] * prod(map(getitem, tables, e))
+        for (e, c), s in zip(terms.items(), degs)
+    }
 
 
 def gauss_inverse_check(
@@ -171,7 +179,10 @@ def gauss_inverse_check(
 
     At y = psi(u) the vector (y_k d_k delta) must be proportional to u;
     that pins delta down as the defining polynomial of the image (up to
-    factors). Returns False on the first failed sample.
+    factors). It is taken in integers, times the common factor F of
+    `_cleared_terms`: g_k = sum_e e_k F c_e y^e. A point where every g_k
+    vanishes is singular and is resampled. Returns False on the first
+    failed sample.
     """
     if delta.n_vars != spec.m:
         raise ValueError("variable count mismatch")
@@ -181,11 +192,10 @@ def gauss_inverse_check(
     for _ in range(trials):
         for _attempt in range(50):
             u = sample_off_arrangement(spec, rng)
-            try:
-                g = gauss_map(delta, evaluate_psi(spec, u))
-            except ValueError:
-                continue  # singular point, resample
-            break
+            values = _cleared_terms(spec, delta, u).items()
+            g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
+            if any(g):
+                break
         else:
             raise ValueError("could not find a smooth parametrized point")
         for i in range(spec.m):

@@ -78,7 +78,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, n_vars: int, c: int) -> "MPoly":
-        return cls(n_vars, {(0,) * n_vars: int(c)})
+        return cls(n_vars, {(0,) * n_vars: c})
 
     @classmethod
     def variable(cls, n_vars: int, var_index: int) -> "MPoly":
@@ -168,9 +168,6 @@ class MPoly:
     @property
     def is_laurent(self) -> bool:
         return any(x < 0 for e in self.terms for x in e)
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
@@ -358,24 +355,6 @@ def content_primitive(p: MPoly):
     c = p.content()
     prim = MPoly(p.n_vars, {e: v // c for e, v in p.terms.items()})
     return c, prim.sign_normalized()
-
-
-def partial_derivative(p: MPoly, var_index: int) -> MPoly:
-    """d/dy_i with var_index 1-based; valid for Laurent terms too."""
-    if not 1 <= var_index <= p.n_vars:
-        raise ValueError("variable index out of range")
-    i = var_index - 1
-    t = {}
-    for e, c in p.terms.items():
-        if e[i] == 0:
-            continue
-        e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        nc = t.get(e2, 0) + c * e[i]
-        if nc:
-            t[e2] = nc
-        else:
-            del t[e2]
-    return MPoly(p.n_vars, t)
 
 
 # -- resultants --------------------------------------------------------------

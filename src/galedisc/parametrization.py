@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 from .intmat import IntMatrix, _int_rank
 
@@ -121,7 +122,7 @@ def merge_proportional_rows(C: IntMatrix):
 
 
 def _forms_at(C: IntMatrix, u):
-    return [sum(C.entries[i][j] * u[j] for j in range(C.cols)) for i in range(C.rows)]
+    return [sum(map(mul, row, u)) for row in C.entries]
 
 
 def _forms_off_arrangement(spec: ParamSpec, u):

@@ -54,6 +54,15 @@ def point(coords, vanishing, **extra):
     return {"point": coords.split(), "vanishing": vanishing, **extra}
 
 
+DELTA_B = {
+    "vars": ["y1", "y2"],
+    "terms": [
+        {"c": c, "e": e}
+        for c, e in (("4", [3, 0]), ("27", [0, 2]), ("-18", [1, 1]), ("-1", [2, 0]), ("4", [0, 1]))
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "command, rows, golden_base_points",
     [
@@ -65,6 +74,10 @@ def point(coords, vanishing, **extra):
         ),
         pytest.param(
             "implicitize", [[1, 2], [-2, -3], [1, 0], [0, 1]], None, id="implicitize-rows1"
+        ),
+        # the integer Gauss check of Delta_B, the polynomial file after the matrix
+        pytest.param(
+            "gauss-check", [[1, 2], [-2, -3], [1, 0], [0, 1]], None, id="gauss-check-rows1"
         ),
         # C43: concurrent lines, and rows 1 and 3 are equal
         pytest.param(
@@ -88,8 +101,13 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows, go
     and the output is byte-identical."""
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({"rows": rows}))
-    plain = run_from_checkout("-m", "galedisc", command, str(path))
-    optimized = run_from_checkout("-O", "-m", "galedisc", command, str(path))
+    args = [command, str(path)]
+    if command == "gauss-check":
+        poly = tmp_path / "delta.json"
+        poly.write_text(json.dumps(DELTA_B))
+        args.append(str(poly))
+    plain = run_from_checkout("-m", "galedisc", *args)
+    optimized = run_from_checkout("-O", "-m", "galedisc", *args)
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout

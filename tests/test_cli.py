@@ -214,6 +214,16 @@ def test_gauss_check_constant_polynomial_exits_one(files, capsys):
     assert out == ""
 
 
+def test_gauss_check_zero_polynomial_exits_one(files, capsys):
+    zero = {"vars": ["y1", "y2"], "terms": []}
+    code, out, err = run(
+        capsys, "gauss-check", files("b.json", {"rows": B_ROWS}), files("z.json", zero)
+    )
+    assert code == 1
+    assert err == "error: could not find a smooth parametrized point\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_trials_below_one_exit_one(files, capsys, trials):
     poly = files("db.json", {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import galedisc.degree
 from galedisc.basepoints import base_points, is_uniform, localize
 from galedisc.degree import (
     Staircase2,
@@ -223,6 +224,13 @@ def test_degree_of_four_point_configuration():
 def test_degree_refuses_nonuniform_input():
     with pytest.raises(ValueError, match="non-uniform: degree formula unsupported"):
         degree_uniform(C43)
+
+
+def test_a_defective_verdict_names_its_seed(monkeypatch):
+    """The verdict is randomized, so the refusal says which seed drew it."""
+    monkeypatch.setattr(galedisc.degree, "defect_test", lambda *a, **k: Verdict.PROBABLY_DEFECTIVE)
+    with pytest.raises(ValueError, match=r"^defective configuration: the image is not a surface \(seed 5\)$"):
+        degree_uniform(C42, seed=5)
 
 
 def test_degree_needs_three_columns():

@@ -10,16 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import galedisc.discriminant
 from galedisc.discriminant import (
-    _cleared_value,
+    _cleared_terms,
     gauss_inverse_check,
-    gauss_map,
     group_product,
     homogenize,
     implicitize,
     transfer,
 )
 from galedisc.intmat import IntMatrix
-from galedisc.mpoly import MPoly, content_primitive, partial_derivative, substitute_monomial
+from galedisc.mpoly import MPoly, content_primitive, substitute_monomial
 from galedisc.parametrization import (
     Verdict,
     build,
@@ -28,7 +27,14 @@ from galedisc.parametrization import (
     primitive_direction,
     sample_off_arrangement,
 )
-from oracles import diagram_check, monomial_map, solve_in_lattice
+from oracles import (
+    diagram_check,
+    gauss_inverse_check_fraction,
+    gauss_map,
+    monomial_map,
+    partial_derivative,
+    solve_in_lattice,
+)
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -127,32 +133,66 @@ def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
         return c, MPoly(prim.n_vars, terms)
 
     monkeypatch.setattr(galedisc.discriminant, "content_primitive", perturbed)
-    with pytest.raises(ValueError, match="nonzero at a parametrized point"):
+    with pytest.raises(ValueError, match="nonzero at a parametrized point") as info:
         implicitize(build(B))
+    # the failure names its witness, the first draw at the seed, and the seed
+    u = sample_off_arrangement(build(B), random.Random(0))
+    assert str(info.value).endswith("point u = %s (seed 0)" % (u,))
+
+
+def test_implicitize_names_the_seed_of_a_defective_verdict(monkeypatch):
+    """The verdict is randomized, so the refusal says which seed drew it."""
+    monkeypatch.setattr(galedisc.discriminant, "defect_test", lambda *a, **k: Verdict.PROBABLY_DEFECTIVE)
+    with pytest.raises(
+        ValueError, match=r"^defective configuration: the closure is not a hypersurface \(seed 5\)$"
+    ):
+        implicitize(build(B), seed=5)
 
 
 @pytest.mark.parametrize(
-    "mat, delta", [(B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)]
+    "mat, delta",
+    [
+        (B, DELTA_B),
+        (C, DELTA_C),
+        (BPRIME, DELTA_BPRIME),
+        (C42, QUARTIC42),
+        (B, DELTA_B.shift((-2, 1))),
+    ],
 )
 def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
-    """The integer validation value equals f_0(u)^d * delta(psi(u)) computed
-    in Fractions, for the defining polynomial (zero) and for each of its
-    one-coefficient changes (nonzero)."""
+    """The cleared terms sum to F * delta(psi(u)) computed in Fractions,
+    F = f_0^D * prod_k f_k^(-a_k), for the defining polynomial (zero) and
+    for each of its one-coefficient changes (nonzero); F = f_0^d for a
+    polynomial of degree d without negative exponents. The cases cover
+    m = 2, m = 3 and a Laurent shift."""
     spec = build(mat)
     rng = random.Random(3)
     changed = []
     for e in delta.terms:
         terms = dict(delta.terms)
         terms[e] *= 2
-        changed.append(MPoly(2, terms))
+        changed.append(MPoly(spec.m, terms))
+    top = max(sum(e) for e in delta.terms)
+    lows = [min(0, *col) for col in zip(*delta.terms)]
     for _ in range(3):
         u = sample_off_arrangement(spec, rng)
-        f0 = 1
-        for row, k in zip(spec.C.entries, spec.numer_exps[0]):
-            f0 *= (row[0] * u[0] + row[1] * u[1]) ** k
+        f = []
+        for exps in spec.numer_exps:
+            fk = 1
+            for row, k in zip(spec.C.entries, exps):
+                fk *= sum(c * x for c, x in zip(row, u)) ** k
+            f.append(fk)
+        factor = Fraction(f[0]) ** top
+        for fk, a in zip(f[1:], lows):
+            factor /= Fraction(fk) ** a
+        if not delta.is_laurent and top == spec.d:
+            assert factor == f[0] ** spec.d
+        y = evaluate_psi(spec, u)
+        values = _cleared_terms(spec, delta, u)
+        assert values == {e: factor * MPoly(spec.m, {e: c}).evaluate(y) for e, c in delta.terms.items()}
         for p in [delta] + changed:
-            expected = f0**spec.d * p.evaluate(evaluate_psi(spec, u))
-            assert _cleared_value(spec, p, u) == expected
+            expected = factor * p.evaluate(y)
+            assert sum(_cleared_terms(spec, p, u).values()) == expected
             assert (expected == 0) == (p is delta)
 
 
@@ -243,6 +283,92 @@ def test_gauss_inverse_check_rejects_unrelated_polynomial():
 def test_gauss_inverse_check_rejects_constant_polynomial():
     with pytest.raises(ValueError, match="could not find a smooth parametrized point"):
         gauss_inverse_check(build(B), MPoly.constant(2, 5))
+
+
+def gauss_outcome(check, spec, delta, trials, seed):
+    """The verdict of a Gauss check, or its ValueError message."""
+    try:
+        return check(spec, delta, trials=trials, seed=seed)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def gauss_candidates(data, delta):
+    """A candidate for the Gauss check in the variables of delta: a random
+    polynomial with Laurent exponents, y^a * delta, delta^2, zero or a
+    constant."""
+    m = delta.n_vars
+    kind = data.draw(st.sampled_from(["random", "shifted", "square", "zero", "constant"]))
+    if kind == "random":
+        terms = data.draw(
+            st.dictionaries(
+                st.tuples(*(st.integers(-2, 3) for _ in range(m))),
+                st.integers(-5, 5).filter(bool),
+                max_size=5,
+            )
+        )
+        return MPoly(m, terms)
+    if kind == "shifted":
+        return delta.shift(data.draw(st.tuples(*(st.integers(-3, 3) for _ in range(m)))))
+    if kind == "square":
+        return delta * delta
+    if kind == "zero":
+        return MPoly.zero(m)
+    return MPoly.constant(m, data.draw(st.integers(-5, 5).filter(bool)))
+
+
+@given(st.booleans(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_integer_gauss_check_agrees_with_the_fraction_oracle(surface, data):
+    """Same verdict, or the same error, as the scaled gradient taken in
+    Fractions at psi(u), for curves (m = 2) and the quartic surface (m = 3)."""
+    if surface:
+        spec, delta = build(C42), QUARTIC42
+    else:
+        spec = data.draw(curve_specs())
+        delta = implicitize(spec)
+    candidate = gauss_candidates(data, delta)
+    trials = data.draw(st.integers(1, 5))
+    seed = data.draw(st.integers(0, 10**6))
+    assert gauss_outcome(gauss_inverse_check, spec, candidate, trials, seed) == gauss_outcome(
+        gauss_inverse_check_fraction, spec, candidate, trials, seed
+    )
+
+
+@pytest.mark.parametrize(
+    "mat, delta",
+    [
+        (B, DELTA_B),
+        (B, DELTA_B.shift((-1, 2))),
+        (B, DELTA_B * DELTA_B),
+        (B, DELTA_C),
+        (B, MPoly.zero(2)),
+        (B, MPoly.constant(2, -3)),
+        (C, DELTA_C.shift((3, -4))),
+        (C42, QUARTIC42.shift((0, -1, 2))),
+        (C42, QUARTIC42 * QUARTIC42),
+        (C42, QUARTIC42_WRONG),
+        (C42, MPoly.zero(3)),
+    ],
+    ids=[
+        "cubic",
+        "cubic-laurent",
+        "cubic-squared",
+        "unrelated",
+        "zero",
+        "constant",
+        "rescaled-laurent",
+        "quartic-laurent",
+        "quartic-squared",
+        "mistranscribed-quartic",
+        "quartic-zero",
+    ],
+)
+def test_integer_gauss_check_agrees_with_the_fraction_oracle_on_fixed_inputs(mat, delta):
+    spec = build(mat)
+    for seed in (0, 1):
+        got = gauss_outcome(gauss_inverse_check, spec, delta, 20, seed)
+        assert got == gauss_outcome(gauss_inverse_check_fraction, spec, delta, 20, seed)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
