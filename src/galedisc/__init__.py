@@ -8,7 +8,6 @@ from .intmat import (
     IntMatrix,
     SNFDecomposition,
     gcd_maximal_minors,
-    lll_reduce,
     smith_normal_form,
 )
 from .mpoly import (
@@ -51,7 +50,6 @@ __all__ = [
     "IntMatrix",
     "SNFDecomposition",
     "gcd_maximal_minors",
-    "lll_reduce",
     "smith_normal_form",
     "MPoly",
     "content_primitive",

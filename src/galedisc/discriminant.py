@@ -5,6 +5,11 @@ The two-column case is implicitized exactly: clearing psi to a pair of
 pencils den_k(u) y_k - num_k(u) and eliminating u with a Sylvester
 resultant leaves the defining polynomial of the image curve once content
 and stray monomial factors are divided out and the sign is made canonical.
+The pencils are formed on the basis of C's column lattice with the
+shortest columns in the 1-norm, which reaches both successive minima, so
+each u-degree and the Sylvester size are as small as any basis allows and
+no cost estimate is needed; a monomial substitution brings the polynomial
+back to C's own basis.
 No square-free pass is needed: the Horn-Kapranov parametrization is
 birational, so the resultant is the defining polynomial to the first
 power, and the degree check rejects anything else. Two sampled checks
@@ -25,7 +30,7 @@ import random
 from math import prod
 from operator import add, getitem
 
-from .intmat import IntMatrix, gcd_maximal_minors, smith_normal_form
+from .intmat import IntMatrix, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
     _det_by_interpolation,
@@ -46,45 +51,44 @@ from .parametrization import (
 # -- implicitization (m = 2) --------------------------------------------------
 
 
-def _pencils(spec: ParamSpec):
-    """The cleared equations den_k(u) * y_k - num_k(u) in Z[u1,u2,y1,y2],
-    plus their u-degrees."""
+def _pencils(C: IntMatrix):
+    """The cleared equations den_k(u) * y_k - num_k(u) in Z[u1,u2,y1,y2] of
+    the n x 2 matrix C."""
     n_vars = 4
     pencils = []
-    degrees = []
     for k in range(2):
         num = MPoly.one(n_vars)
         den = MPoly.one(n_vars)
-        for i in range(spec.n):
-            c = spec.C.entries[i][k]
+        for row in C.entries:
+            c = row[k]
             if c == 0:
                 continue
-            form = MPoly(
-                n_vars,
-                {
-                    (1, 0, 0, 0): spec.C.entries[i][0],
-                    (0, 1, 0, 0): spec.C.entries[i][1],
-                },
-            )
+            form = MPoly(n_vars, {(1, 0, 0, 0): row[0], (0, 1, 0, 0): row[1]})
             if c > 0:
                 num = num * form ** c
             else:
                 den = den * form ** (-c)
         y = MPoly.variable(n_vars, 3 + k)
         pencils.append(den * y - num)
-        degrees.append(sum(max(spec.C.entries[i][k], 0) for i in range(spec.n)))
-    return pencils, degrees
+    return pencils
 
 
 def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     """Defining polynomial of the closure of the image of psi, for m = 2.
 
     Requires a matrix without proportional rows (merge first). The
-    resultant, freed of its content and monomial factor and sign-normalized,
-    is the result: psi is birational onto its image, so the resultant is
-    the defining polynomial to the first power and needs no square-free
-    pass. It is validated by degree count, which rejects any power, and by
-    vanishing at sampled parametrized points.
+    resultant is taken on the 1-norm-reduced basis C * U of the column
+    lattice (`l1_reduce`): the pencils' u-degrees are half the 1-norms of
+    the columns, and the reduced columns reach both successive minima, so
+    the Sylvester matrix is as small as any basis allows and no cost
+    estimate is needed to choose the basis. Since psi_(C U)(u) =
+    alpha_U(psi_C(U u)), the polynomial comes back by the monomial
+    substitution alpha_U. Freed of its content and monomial factor and
+    sign-normalized, it is the result: psi is birational onto its image,
+    so the resultant is the defining polynomial to the first power and
+    needs no square-free pass. It is validated on C itself, by degree
+    count, which rejects any power, and by vanishing at sampled
+    parametrized points.
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
@@ -99,25 +103,21 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
             "defective configuration: the closure is not a hypersurface (seed %d)" % seed
         )
 
-    pencils, degrees = _pencils(spec)
-    # Dehomogenize u and eliminate the remaining variable. Setting u2 = 1
-    # is degenerate when a pencil drops degree (both top coefficients kill
-    # u1^d); fall back to u1 = 1 in that case.
-    resultant = None
-    for keep_var, drop_var in ((1, 2), (2, 1)):
-        dehom = [g.set_var_one(drop_var) for g in pencils]
-        if all(h.degree_in(keep_var) == d for h, d in zip(dehom, degrees)):
-            resultant = sylvester_resultant(dehom[0], dehom[1], keep_var)
-            break
-    if resultant is None:
-        raise ValueError(
-            "implicitization validation failed: both dehomogenizations degenerate"
-        )
+    U = l1_reduce(spec.C)
+    # Setting u2 = 1 keeps each pencil's u1-degree: with no two rows
+    # proportional, at most one row has c_i1 = 0, and that row divides only
+    # one of num_k and den_k, so the other keeps its top term in u1. C * U
+    # has proportional rows only where C does.
+    dehom = [g.set_var_one(2) for g in _pencils(spec.C * U)]
+    resultant = sylvester_resultant(dehom[0], dehom[1], 1)
     if not resultant:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
-    _, delta = content_primitive(resultant.restrict((3, 4)).split_monomial()[1])
+    delta = resultant.restrict((3, 4))
+    if U.entries != ((1, 0), (0, 1)):
+        delta = substitute_monomial(delta, U)
+    _, delta = content_primitive(delta.split_monomial()[1])
 
     if delta.total_degree() != spec.d:
         raise ValueError(

@@ -1,16 +1,15 @@
 """Exact integer matrix algorithms.
 
 Determinants and ranks by one fraction-free elimination, gcd of maximal
-minors, Smith normal form with its unimodular transforms, and LLL
-reduction over exact rationals. Everything is arbitrary-precision integer
-or Fraction arithmetic; no floating point is used anywhere.
+minors, Smith normal form with its unimodular transforms, and the 1-norm
+reduction of a two-column basis. Everything is arbitrary-precision integer
+arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -226,48 +225,41 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     return SNFDecomposition(P=pm, D=d, Q=qm, invariant_factors=factors)
 
 
-def lll_reduce(b: IntMatrix) -> IntMatrix:
-    """LLL-reduced basis (delta = 3/4) of the column lattice of b.
+def l1_reduce(c: IntMatrix) -> IntMatrix:
+    """Unimodular 2 x 2 U whose product c * U has the shortest columns, in
+    the 1-norm, of any basis of the column lattice of the two-column c.
 
-    Exact rational Gram-Schmidt throughout. The output spans the same
-    lattice as the input, by unimodular column operations only.
-    Raises 'rank deficient' when the columns are dependent.
+    Generalized Gauss reduction (Kaib-Schnorr, J. Algorithms 21, 1996),
+    which works in any norm: with a the longer column, replace a by
+    a - q * b for the integer q that minimizes |a - q * b|_1, until no q
+    lowers it. The function q -> |a - q * b|_1 is convex and piecewise
+    linear with its kinks at the ratios a_i / b_i, so the floor and ceiling
+    of those ratios hold a minimizer. The columns reached are both
+    successive minima, so each column and their sum are as short as any
+    basis allows. U is the identity when no step lowers the sum.
     """
-    n, m = b.rows, b.cols
-    basis = [list(b.col(j)) for j in range(m)]
-    delta = Fraction(3, 4)
-
-    def gram_schmidt():
-        # Returns (mu, norms) of the orthogonalized basis; norms squared.
-        star = []
-        mu = [[Fraction(0)] * m for _ in range(m)]
-        norms = []
-        for i in range(m):
-            vec = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                dot = sum(Fraction(basis[i][k]) * star[j][k] for k in range(n))
-                if norms[j] == 0:
-                    raise ValueError("rank deficient")
-                mu[i][j] = dot / norms[j]
-                vec = [a - mu[i][j] * c for a, c in zip(vec, star[j])]
-            star.append(vec)
-            norms.append(sum(x * x for x in vec))
-        if any(nm == 0 for nm in norms):
+    if c.cols != 2:
+        raise ValueError("two columns required")
+    a, b = c.col(0), c.col(1)
+    ua, ub = (1, 0), (0, 1)
+    na, nb = _l1(a), _l1(b)
+    start = na + nb
+    while True:
+        if na < nb:
+            a, b, ua, ub, na, nb = b, a, ub, ua, nb, na
+        if not any(b):
             raise ValueError("rank deficient")
-        return mu, norms
+        qs = {x // y + r for x, y in zip(a, b) if y for r in (0, 1)}
+        nq, _, q = min((_l1(x - q * y for x, y in zip(a, b)), abs(q), q) for q in qs)
+        if nq >= na:
+            break
+        a = tuple(x - q * y for x, y in zip(a, b))
+        ua = (ua[0] - q * ub[0], ua[1] - q * ub[1])
+        na = nq
+    if na + nb == start:
+        return IntMatrix([[1, 0], [0, 1]])
+    return IntMatrix([[ua[0], ub[0]], [ua[1], ub[1]]])
 
-    k = 1
-    mu, norms = gram_schmidt()
-    while k < m:
-        for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:
-                basis[k] = [a - r * c for a, c in zip(basis[k], basis[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
-    return IntMatrix(list(zip(*basis)))
+
+def _l1(v) -> int:
+    return sum(map(abs, v))

@@ -1,17 +1,21 @@
 """Test-only references for maps the library does not need: the monomial
 map alpha_M at a rational point, the commuting triangle relating the
-parametrizations of C1 = C2 * M, integer solving in a column lattice, and
-the scaled gradient over `Fraction` that the library's integer Gauss check
-is held against.
+parametrizations of C1 = C2 * M, integer solving in a column lattice, a
+canonical basis of a column lattice, LLL reduction over `Fraction`, the
+implicitization of a curve on the basis C is written in, and the scaled
+gradient over `Fraction` that the library's integer Gauss check is held
+against.
 """
 
 import random
 from fractions import Fraction
 
 import sympy
+from sympy.matrices.normalforms import hermite_normal_form
 
+from galedisc.discriminant import _pencils
 from galedisc.intmat import IntMatrix
-from galedisc.mpoly import MPoly
+from galedisc.mpoly import MPoly, content_primitive, sylvester_resultant
 from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
 
 
@@ -60,6 +64,70 @@ def solve_in_lattice(m: IntMatrix, v):
     if any(x % det for x in w):
         return None
     return tuple(x // det for x in w)
+
+
+def hermite_column_basis(m: IntMatrix) -> IntMatrix:
+    """Canonical basis of the column lattice of an m of full column rank,
+    sympy's Hermite normal form: two such matrices span the same lattice
+    iff these agree."""
+    h = hermite_normal_form(sympy.Matrix(m.to_lists()))
+    return IntMatrix([[int(x) for x in row] for row in h.tolist()])
+
+
+def lll_reduce(b: IntMatrix) -> IntMatrix:
+    """LLL-reduced basis (delta = 3/4) of the column lattice of b.
+
+    Exact rational Gram-Schmidt throughout. The output spans the same
+    lattice as the input, by unimodular column operations only.
+    Raises 'rank deficient' when the columns are dependent.
+    """
+    n, m = b.rows, b.cols
+    basis = [list(b.col(j)) for j in range(m)]
+    delta = Fraction(3, 4)
+
+    def gram_schmidt():
+        # Returns (mu, norms) of the orthogonalized basis; norms squared.
+        star = []
+        mu = [[Fraction(0)] * m for _ in range(m)]
+        norms = []
+        for i in range(m):
+            vec = [Fraction(x) for x in basis[i]]
+            for j in range(i):
+                dot = sum(Fraction(basis[i][k]) * star[j][k] for k in range(n))
+                if norms[j] == 0:
+                    raise ValueError("rank deficient")
+                mu[i][j] = dot / norms[j]
+                vec = [a - mu[i][j] * c for a, c in zip(vec, star[j])]
+            star.append(vec)
+            norms.append(sum(x * x for x in vec))
+        if any(nm == 0 for nm in norms):
+            raise ValueError("rank deficient")
+        return mu, norms
+
+    k = 1
+    mu, norms = gram_schmidt()
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:
+                basis[k] = [a - r * c for a, c in zip(basis[k], basis[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return IntMatrix(list(zip(*basis)))
+
+
+def implicitize_unreduced(spec) -> MPoly:
+    """The implicitization on the basis C is written in, without the
+    library's checks: the pencils of C at u2 = 1, their Sylvester resultant
+    in u1, freed of its monomial factor and content and sign-normalized."""
+    p, q = (g.set_var_one(2) for g in _pencils(spec.C))
+    resultant = sylvester_resultant(p, q, 1).restrict((3, 4))
+    return content_primitive(resultant.split_monomial()[1])[1]
 
 
 def partial_derivative(p: MPoly, var_index: int) -> MPoly:

@@ -75,6 +75,13 @@ DELTA_B = {
         pytest.param(
             "implicitize", [[1, 2], [-2, -3], [1, 0], [0, 1]], None, id="implicitize-rows1"
         ),
+        # the degree-16 example, implicitized on its 1-norm-reduced basis
+        pytest.param(
+            "implicitize",
+            [[-5, -3], [13, 8], [-11, -7], [3, 2]],
+            None,
+            id="implicitize-degree-16",
+        ),
         # the integer Gauss check of Delta_B, the polynomial file after the matrix
         pytest.param(
             "gauss-check", [[1, 2], [-2, -3], [1, 0], [0, 1]], None, id="gauss-check-rows1"

@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 import galedisc.discriminant
 from galedisc.discriminant import (
     _cleared_terms,
+    _pencils,
     gauss_inverse_check,
     group_product,
     homogenize,
     implicitize,
     transfer,
 )
-from galedisc.intmat import IntMatrix
+from galedisc.intmat import IntMatrix, l1_reduce
 from galedisc.mpoly import MPoly, content_primitive, substitute_monomial
 from galedisc.parametrization import (
     Verdict,
@@ -31,6 +32,7 @@ from oracles import (
     diagram_check,
     gauss_inverse_check_fraction,
     gauss_map,
+    implicitize_unreduced,
     monomial_map,
     partial_derivative,
     solve_in_lattice,
@@ -209,18 +211,70 @@ def sympy_squarefree_part(p):
 
 
 @st.composite
-def curve_specs(draw):
-    """n x 2 inputs of implicitize, n = 3..5: zero column sums, no zero
-    row, no two proportional rows, and a curve as image."""
+def nonproportional_matrices(draw):
+    """n x 2 matrices, n = 3..5: zero column sums, no zero row and no two
+    proportional rows."""
     head = draw(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4)
     )
     rows = [list(r) for r in head] + [[-sum(r[0] for r in head), -sum(r[1] for r in head)]]
     assume(all(any(r) for r in rows))
     assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
-    spec = build(IntMatrix(rows))
+    return IntMatrix(rows)
+
+
+@st.composite
+def curve_specs(draw):
+    """n x 2 inputs of implicitize, n = 3..5: nonproportional matrices
+    with a curve as image."""
+    spec = build(draw(nonproportional_matrices()))
     assume(defect_test(spec) is Verdict.NON_DEFECTIVE)
     return spec
+
+
+@st.composite
+def unimodular_2x2(draw):
+    """A product of up to three elementary column operations and a sign."""
+    v = IntMatrix([[1, 0], [0, draw(st.sampled_from([1, -1]))]])
+    for q in draw(st.lists(st.integers(-2, 2), max_size=3)):
+        v = v * IntMatrix([[1, q], [0, 1]]) * IntMatrix([[0, 1], [1, 0]])
+    return v
+
+
+def pulled_back(delta, v):
+    """The defining polynomial of C from that of C * V: psi_(C V)(u) =
+    alpha_V(psi_C(V u)), so it is delta composed with alpha_V."""
+    return content_primitive(substitute_monomial(delta, v).split_monomial()[1])[1]
+
+
+@pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])
+def test_implicitize_matches_the_unreduced_resultant_on_acceptance_matrices(mat):
+    spec = build(mat)
+    assert implicitize(spec) == implicitize_unreduced(spec)
+
+
+@given(curve_specs())
+@settings(deadline=None, max_examples=30)
+def test_implicitize_matches_the_unreduced_resultant_on_random_matrices(spec):
+    assert implicitize(spec) == implicitize_unreduced(spec)
+
+
+@given(curve_specs(), unimodular_2x2())
+@settings(deadline=None, max_examples=30)
+def test_implicitize_obeys_the_transfer_law_for_unimodular_changes(spec, v):
+    assert pulled_back(implicitize(build(spec.C * v)), v) == implicitize(spec)
+
+
+@given(nonproportional_matrices())
+@settings(deadline=None, max_examples=60)
+def test_u2_one_keeps_each_pencil_degree(mat):
+    """Setting u2 = 1 never lowers a pencil's u1-degree, the sum of the
+    positive entries of its column, on C and on its reduced basis: no two
+    rows are proportional, so at most one has c_i1 = 0."""
+    for m in (mat, mat * l1_reduce(mat)):
+        pencils = _pencils(m)
+        for k, g in enumerate(pencils):
+            assert g.set_var_one(2).degree_in(1) == sum(max(x, 0) for x in m.col(k))
 
 
 @pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])

@@ -1,20 +1,21 @@
-"""Exact integer matrix layer: determinants, minors, Smith form, LLL."""
+"""Exact integer matrix layer: determinants, minors, Smith form, the 1-norm
+reduction of two columns, and the LLL oracle."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.matrices.normalforms import hermite_normal_form
 
 from galedisc.intmat import (
     IntMatrix,
     gcd_maximal_minors,
-    lll_reduce,
+    l1_reduce,
     smith_normal_form,
 )
-from oracles import solve_in_lattice
+from oracles import hermite_column_basis, lll_reduce, solve_in_lattice
 
 
 def small_matrix(rows, cols, lo=-9, hi=9):
@@ -192,14 +193,6 @@ def test_solve_in_lattice_rejects_singular():
 # ---------------------------------------------------------------- Hermite / LLL
 
 
-def hermite_column_basis(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the column lattice of a nonsingular m, sympy's
-    Hermite normal form: two such matrices span the same lattice iff
-    these agree."""
-    h = hermite_normal_form(sympy.Matrix(m.to_lists()))
-    return IntMatrix([[int(x) for x in row] for row in h.tolist()])
-
-
 def test_hermite_column_basis_is_canonical():
     m = IntMatrix([[2, 1], [0, 3]])
     h = hermite_column_basis(m)
@@ -228,3 +221,96 @@ def test_lll_property(b):
     red = lll_reduce(b)
     assert hermite_column_basis(red) == hermite_column_basis(b)
     assert abs(red.det()) == abs(b.det())
+
+
+# ---------------------------------------------------------------- 1-norm reduction
+
+BPRIME = IntMatrix([[-5, -3], [13, 8], [-11, -7], [3, 2]])
+IDENTITY = IntMatrix([[1, 0], [0, 1]])
+UNIMODULAR_UP_TO_3 = [
+    IntMatrix([[a, b], [c, d]])
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+    if abs(a * d - b * c) == 1
+]
+
+
+def column_norms(m: IntMatrix):
+    """The 1-norms of the columns, shorter first."""
+    return sorted(sum(map(abs, m.col(j))) for j in range(m.cols))
+
+
+def two_columns(lo, hi):
+    """n x 2 matrices of rank 2, n = 2..5."""
+    return (
+        st.integers(2, 5)
+        .flatmap(lambda n: small_matrix(n, 2, lo, hi))
+        .filter(lambda m: gcd_maximal_minors(m) != 0)
+    )
+
+
+@given(two_columns(-30, 30))
+@settings(deadline=None, max_examples=60)
+def test_l1_reduce_is_unimodular_and_keeps_the_lattice(c):
+    u = l1_reduce(c)
+    assert abs(u.det()) == 1
+    assert hermite_column_basis(c * u) == hermite_column_basis(c)
+
+
+@given(two_columns(-30, 30))
+@settings(deadline=None, max_examples=60)
+def test_l1_reduce_is_never_longer_than_the_input_or_lll(c):
+    """The sum of the column norms never rises, is at most that of the LLL
+    basis, and U is the identity unless the sum falls."""
+    u = l1_reduce(c)
+    total = sum(column_norms(c * u))
+    assert total <= sum(column_norms(c))
+    assert total <= sum(column_norms(lll_reduce(c)))
+    assert u == IDENTITY or total < sum(column_norms(c))
+
+
+@given(two_columns(-2, 2))
+@settings(deadline=None, max_examples=60)
+def test_l1_reduce_reaches_the_brute_force_minimum(c):
+    """Both successive minima: on small matrices no unimodular V with
+    entries in [-3, 3] gives a shorter column in either place, and the
+    smallest sum among them is the reduced one."""
+    reduced = column_norms(c * l1_reduce(c))
+    others = [column_norms(c * v) for v in UNIMODULAR_UP_TO_3]
+    assert all(x >= r for norms in others for x, r in zip(norms, reduced))
+    assert sum(reduced) == min(map(sum, others))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]]),
+        IntMatrix([[1, 0], [0, 1], [-1, -1]]),
+        IntMatrix([[3, 1], [1, 3]]),
+    ],
+    ids=["rescaled", "triangle", "tie"],
+)
+def test_l1_reduce_returns_the_identity_when_nothing_lowers_the_size(c):
+    assert l1_reduce(c) == IDENTITY
+
+
+def test_l1_reduce_golden_degree_16_example():
+    """BPRIME's pencils have u-degrees (16, 10), half its column norms; on
+    the reduced basis they have (2, 2), those of B, whose lattice it
+    spans."""
+    u = l1_reduce(BPRIME)
+    assert u == IntMatrix([[3, 2], [-5, -3]])
+    assert [n // 2 for n in column_norms(BPRIME)] == [10, 16]
+    assert [n // 2 for n in column_norms(BPRIME * u)] == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        (IntMatrix([[1, 2, 3], [3, 2, 1]]), "two columns required"),
+        (IntMatrix([[1, 2], [2, 4], [3, 6]]), "rank deficient"),
+        (IntMatrix([[0, 1], [0, 2]]), "rank deficient"),
+    ],
+)
+def test_l1_reduce_rejects(c, message):
+    with pytest.raises(ValueError, match=message):
+        l1_reduce(c)
