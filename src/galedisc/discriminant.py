@@ -21,16 +21,17 @@ on the terms at psi(u) times one common nonzero factor (`_cleared_terms`).
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
 change alpha_M and a product over the finite group of coordinate scalings
-killed by it.
+killed by it, taken as one norm per invariant factor of the Smith form on
+a basis whose norm row spans least over the support (`_norm_basis`).
 """
 
 from __future__ import annotations
 
 import random
-from math import prod
+from math import gcd, prod
 from operator import add, getitem
 
-from .intmat import IntMatrix, gcd_maximal_minors, l1_reduce, smith_normal_form
+from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
     _det_by_interpolation,
@@ -138,12 +139,17 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
 # -- sampled checks in integers -----------------------------------------------
 
 
-def _powers(f: int, low: int, high: int) -> dict:
-    """x -> f^(x - low) for low <= x <= high, by running products."""
-    p = {low: 1}
-    for x in range(low + 1, high + 1):
-        p[x] = p[x - 1] * f
-    return p
+def _powers(f: int, xs, low: int = 0) -> dict:
+    """x -> f^(x - low) for each x of xs, all >= low, by running products
+    over the distinct xs in increasing order, each step a power of f to
+    the gap: one small product per exponent on a dense run, and no more
+    powers than terms on a sparse one."""
+    out, p = {}, 1
+    for x in sorted(set(xs)):
+        p *= f ** (x - low)
+        out[x] = p
+        low = x
+    return out
 
 
 def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
@@ -154,9 +160,11 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
     With f_k(u) = prod_i l_i(u)^numer_exps[k][i] each y_k is f_k / f_0, so
     F = f_0^D * prod_k f_k^(-a_k), for D = max_e |e| and
     a_k = min(0, min_e e_k), turns the term into
-    c_e f_0^(D - |e|) prod_k f_k^(e_k - a_k). Since F != 0, a sum of the
-    values vanishes exactly when the same sum of the terms does at psi(u).
-    For delta of degree spec.d without negative exponents F = f_0^d."""
+    c_e f_0^(D - |e|) prod_k f_k^(e_k - a_k), each power taken from a
+    table over the exponents that occur (`_powers`). Since F != 0, a sum
+    of the values vanishes exactly when the same sum of the terms does at
+    psi(u). For delta of degree spec.d without negative exponents
+    F = f_0^d."""
     terms = delta.terms
     if not terms:
         return {}
@@ -164,8 +172,8 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
     f0, *fs = (prod(map(pow, forms, row)) for row in spec.numer_exps)
     degs = list(map(sum, terms))
     top = max(degs)
-    p0 = _powers(f0, 0, top - min(degs))
-    tables = [_powers(f, min(0, *col), max(col)) for f, col in zip(fs, zip(*terms))]
+    p0 = _powers(f0, [top - s for s in degs])
+    tables = [_powers(f, col, min(0, *col)) for f, col in zip(fs, zip(*terms))]
     return {
         e: c * p0[top - s] * prod(map(getitem, tables, e))
         for (e, c), s in zip(terms.items(), degs)
@@ -329,16 +337,118 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     return out
 
 
-def _smith_norm(f: MPoly, snf) -> MPoly:
-    """Product h of f over the scalings that alpha_M kills, for the Smith
-    form P M Q = D, written in Y_k = y_k^(d_k): f moved along P, then one
-    norm per invariant factor d_k > 1. The group product of f is h
-    composed with alpha_(P^-1 D) = alpha_(M Q)."""
-    h = substitute_monomial(f, snf.P)
+def _hull_edges(points):
+    """Edge vectors of the convex hull of sorted distinct plane points, in
+    order round it: two opposite ones for a segment, none for a point.
+    Round a convex polygon r . x goes up once and down once, so half the
+    sum of |r . g| over the edges g is the span max r . e - min r . e over
+    the points, a norm in r when the hull has area."""
+    ring = []
+    for side in (points, points[::-1]):
+        chain = []
+        for p in side:
+            while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        ring += chain[:-1]
+    return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
+
+
+def _turn(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _lower_closure_size(points) -> int:
+    """Number of points of N^2 at or below one of the plane points, taken
+    component-wise, once the points are shifted to start at 0 in each
+    coordinate: the size of the lower set of a norm of order 1."""
+    x0 = min(x for x, _ in points)
+    y0 = min(y for _, y in points)
+    top = {}
+    for x, y in points:
+        top[x - x0] = max(top.get(x - x0, 0), y - y0)
+    size = high = 0
+    for x in range(max(top), -1, -1):
+        high = max(high, top.get(x, 0))
+        size += high + 1
+    return size
+
+
+def _norm_basis(f: MPoly, M: IntMatrix, snf):
+    """(P, Q) with P M Q = D, the Smith form of M: Smith's own, or for a
+    2 x 2 M with D = diag(1, d) one whose second row, the norm row, spans
+    less over supp(f).
+
+    The norm runs in the variable of the norm row r, and its degree there
+    is span(r) = max r . e - min r . e over supp(f). Any primitive r with
+    r M = 0 mod d serves: completed by s to a unimodular P, P M = D X with
+    X unimodular, and Q = X^-1. These r form the lattice spanned by d P_1
+    and P_2. Twice the span is the 1-norm of r -> (r . g) over the hull
+    edges g of supp(f) (`_hull_edges`), so `l1_reduce` of the edges times
+    that basis gives its successive minima (generalized Gauss reduction,
+    Kaib-Schnorr, J. Algorithms 21, 1996); the shorter reduced vector
+    that is primitive in Z^2 is the row, and s = s0 - q r is the
+    completion of least span, which sets the node box in the other
+    variable. Of the signs of s and r, which orient the norm's lower set
+    of nodes, the one whose lower set at order 1 is least is taken
+    (`_lower_closure_size`). Smith's P stays unless the row is strictly
+    shorter, and when its own row has span <= 2, which takes the closed
+    form."""
+    P, Q = snf.P, snf.Q
+    if M.rows != 2 or snf.invariant_factors[0] != 1:
+        return P, Q
+    d = snf.invariant_factors[1]
+    first, row = P.entries
+    exps = sorted(f.terms)
+    dots = [row[0] * x + row[1] * y for x, y in exps]
+    if max(dots) - min(dots) <= 2:
+        return P, Q
+    edges = _hull_edges(exps)
+    if len(edges) < 3:  # supp(f) on a line: the span is no norm
+        return P, Q
+    G = IntMatrix(edges)
+
+    def span2(v):  # twice the span of v over supp(f)
+        return sum(map(abs, G.mul_vec(v)))
+
+    L = IntMatrix([[d * first[0], row[0]], [d * first[1], row[1]]])
+    LU = L * l1_reduce(G * L)
+    r = min((v for v in (LU.col(0), LU.col(1)) if gcd(*v) == 1), key=span2, default=row)
+    if span2(r) >= span2(row):
+        return P, Q
+    # complete r to det (s; r) = s_1 r_2 - s_2 r_1 = 1, by s_1 = r_2^-1 mod r_1
+    s1 = pow(r[1], -1, r[0]) if r[0] else r[1]
+    s = (s1, (s1 * r[1] - 1) // r[0] if r[0] else 0)
+    q = _l1_step(G.mul_vec(s), G.mul_vec(r))[1]
+    s = (s[0] - q * r[0], s[1] - q * r[1])
+    pts = [(s[0] * x + s[1] * y, r[0] * x + r[1] * y) for x, y in exps]
+    a, b = min(
+        ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+        key=lambda ab: _lower_closure_size([(ab[0] * x, ab[1] * y) for x, y in pts]),
+    )
+    P = IntMatrix([[a * s[0], a * s[1]], [b * r[0], b * r[1]]])
+    (x00, x01), r_m = (P * M).entries
+    x10, x11 = (x // d for x in r_m)
+    det = x00 * x11 - x01 * x10
+    Q = IntMatrix([[det * x11, -det * x01], [-det * x10, det * x00]])
+    if P * M * Q != snf.D:
+        raise ArithmeticError("reduced Smith basis does not reconstruct D")
+    return P, Q
+
+
+def _smith_norm(f: MPoly, M: IntMatrix):
+    """(h, Q): the product h of f over the scalings that alpha_M kills,
+    written in Y_k = y_k^(d_k) on a basis P M Q = D of the Smith form
+    (`_norm_basis`): f moved along P, then one norm per invariant factor
+    d_k > 1. The group product of f is h composed with
+    alpha_(P^-1 D) = alpha_(M Q)."""
+    snf = smith_normal_form(M)
+    P, Q = _norm_basis(f, M, snf)
+    h = substitute_monomial(f, P)
     for k, dk in enumerate(snf.invariant_factors):
         if dk > 1:
             h = _unit_root_product(h, k + 1, dk)
-    return h
+    return h, Q
 
 
 def group_product(f: MPoly, M: IntMatrix) -> MPoly:
@@ -358,8 +468,8 @@ def group_product(f: MPoly, M: IntMatrix) -> MPoly:
         raise ValueError("singular matrix")
     if abs(det) == 1 or not f:
         return f
-    snf = smith_normal_form(M)
-    return substitute_monomial(_smith_norm(f, snf), M * snf.Q)
+    h, Q = _smith_norm(f, M)
+    return substitute_monomial(h, M * Q)
 
 
 def transfer(delta2: MPoly, M: IntMatrix):
@@ -383,8 +493,8 @@ def transfer(delta2: MPoly, M: IntMatrix):
         raise ValueError("zero input")
     if delta2.content() != 1:
         raise ValueError("input polynomial is not primitive")
-    snf = smith_normal_form(M)
-    mins, out = substitute_monomial(_smith_norm(delta2, snf), snf.Q).split_monomial()
+    h, Q = _smith_norm(delta2, M)
+    mins, out = substitute_monomial(h, Q).split_monomial()
     v = M.mul_vec([-x for x in mins])
     c, prim = content_primitive(out)
     if c != 1:

@@ -249,8 +249,7 @@ def l1_reduce(c: IntMatrix) -> IntMatrix:
             a, b, ua, ub, na, nb = b, a, ub, ua, nb, na
         if not any(b):
             raise ValueError("rank deficient")
-        qs = {x // y + r for x, y in zip(a, b) if y for r in (0, 1)}
-        nq, _, q = min((_l1(x - q * y for x, y in zip(a, b)), abs(q), q) for q in qs)
+        nq, q = _l1_step(a, b)
         if nq >= na:
             break
         a = tuple(x - q * y for x, y in zip(a, b))
@@ -259,6 +258,15 @@ def l1_reduce(c: IntMatrix) -> IntMatrix:
     if na + nb == start:
         return IntMatrix([[1, 0], [0, 1]])
     return IntMatrix([[ua[0], ub[0]], [ua[1], ub[1]]])
+
+
+def _l1_step(a, b):
+    """(|a - q * b|_1, q) for the integer q that minimizes the 1-norm, the
+    one of least |q| among ties, for b not zero: one step of `l1_reduce`.
+    The floor and ceiling of the ratios a_i / b_i hold a minimizer."""
+    qs = {x // y + r for x, y in zip(a, b) if y for r in (0, 1)}
+    nq, _, q = min((_l1(x - q * y for x, y in zip(a, b)), abs(q), q) for q in qs)
+    return nq, q
 
 
 def _l1(v) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .intmat import IntMatrix
 
@@ -535,6 +535,15 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
     return MPoly(n_vars, t)
 
 
+# Work bound checked before any node is evaluated. Each node runs a PRS of
+# about size^2 steps on integers that grow about size times longer than the
+# coefficients, and the interpolation grows alike, so the work is taken as
+# nodes * size^5. Timed on a 2-core Xeon it read 5e-11 to 1e-10 s per
+# unit: size 32 on 289 nodes took 0.5 s, size 40 on 441 nodes 3.9 s
+# (4.5e10) and size 56 on 841 nodes 46 s.
+_RESULTANT_WORK_LIMIT = 5 * 10**10
+
+
 def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     """Resultant of p and q with respect to one variable (1-based): the
     determinant of their Sylvester matrix, with the rows of p first.
@@ -544,6 +553,8 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     coefficient of p and q is evaluated once, in integers, a univariate
     subresultant PRS gives the resultant there, and integer Newton
     interpolation recovers the polynomial (`_det_by_interpolation`).
+    Raises ValueError when the estimated work is above
+    _RESULTANT_WORK_LIMIT.
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
@@ -566,6 +577,14 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
         if v != var_index - 1:
             bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
     active = [v for v in range(n_vars) if bounds[v] > 0]
+    nodes = prod(bounds[v] + 1 for v in active)
+    work = nodes * (dp + dq) ** 5
+    if work > _RESULTANT_WORK_LIMIT:
+        raise ValueError(
+            "resultant too large: a Sylvester matrix of size %d on %d nodes needs "
+            "about %d operations, above the limit of %d"
+            % (dp + dq, nodes, work, _RESULTANT_WORK_LIMIT)
+        )
     return _det_by_interpolation(pcs, qcs, active, product(*(range(bounds[v] + 1) for v in active)))
 
 

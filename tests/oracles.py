@@ -2,9 +2,9 @@
 map alpha_M at a rational point, the commuting triangle relating the
 parametrizations of C1 = C2 * M, integer solving in a column lattice, a
 canonical basis of a column lattice, LLL reduction over `Fraction`, the
-implicitization of a curve on the basis C is written in, and the scaled
-gradient over `Fraction` that the library's integer Gauss check is held
-against.
+implicitization of a curve on the basis C is written in, the group
+product on the basis the Smith form comes with, and the scaled gradient
+over `Fraction` that the library's integer Gauss check is held against.
 """
 
 import random
@@ -13,9 +13,9 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from galedisc.discriminant import _pencils
-from galedisc.intmat import IntMatrix
-from galedisc.mpoly import MPoly, content_primitive, sylvester_resultant
+from galedisc.discriminant import _pencils, _unit_root_product
+from galedisc.intmat import IntMatrix, smith_normal_form
+from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
 
 
@@ -185,3 +185,17 @@ def gauss_inverse_check_fraction(spec, delta: MPoly, trials=20, seed=0) -> bool:
                 if g[i] * u[j] != g[j] * u[i]:
                     return False
     return True
+
+
+def group_product_on_smith_basis(f: MPoly, M: IntMatrix) -> MPoly:
+    """The group product on the basis P M Q = D that the Smith form comes
+    with, without choosing a shorter norm row: f moved along P, one norm
+    per invariant factor d_k > 1, then composed with alpha_(M Q)."""
+    if abs(M.det()) == 1 or not f:
+        return f
+    snf = smith_normal_form(M)
+    h = substitute_monomial(f, snf.P)
+    for k, dk in enumerate(snf.invariant_factors):
+        if dk > 1:
+            h = _unit_root_product(h, k + 1, dk)
+    return substitute_monomial(h, M * snf.Q)

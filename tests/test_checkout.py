@@ -50,6 +50,14 @@ def test_demo_script_runs(script):
     assert out.returncode == 0, out.stderr
 
 
+def test_bench_self_checks_pass():
+    """The benchmark's self-tests still hold against src/: its tracer
+    patches every binding of the resultant, and its workload generators
+    make the inputs their slots describe."""
+    out = run_from_checkout(str(ROOT / "bench" / "test_checks.py"))
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 def point(coords, vanishing, **extra):
     return {"point": coords.split(), "vanishing": vanishing, **extra}
 

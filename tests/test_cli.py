@@ -241,6 +241,13 @@ def test_domain_error_exits_one(files, capsys):
     assert "not regular" in err
 
 
+def test_a_too_large_resultant_exits_one(files, capsys):
+    code, out, err = run(capsys, "implicitize", files("c.json", {"rows": [[29, 1], [1, 27], [-30, -28]]}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: resultant too large: a Sylvester matrix of size 56 on 841 nodes")
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"rows": [[1, 2')

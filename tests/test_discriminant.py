@@ -11,6 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 import galedisc.discriminant
 from galedisc.discriminant import (
     _cleared_terms,
+    _hull_edges,
+    _norm_basis,
+    _norm_nodes,
     _pencils,
     gauss_inverse_check,
     group_product,
@@ -18,7 +21,7 @@ from galedisc.discriminant import (
     implicitize,
     transfer,
 )
-from galedisc.intmat import IntMatrix, l1_reduce
+from galedisc.intmat import IntMatrix, l1_reduce, smith_normal_form
 from galedisc.mpoly import MPoly, content_primitive, substitute_monomial
 from galedisc.parametrization import (
     Verdict,
@@ -32,6 +35,7 @@ from oracles import (
     diagram_check,
     gauss_inverse_check_fraction,
     gauss_map,
+    group_product_on_smith_basis,
     implicitize_unreduced,
     monomial_map,
     partial_derivative,
@@ -109,6 +113,22 @@ def test_implicitize_rejects_proportional_rows():
     dup = IntMatrix([[1, 1], [2, 2], [-1, -1], [-2, -2]])
     with pytest.raises(ValueError, match="proportional rows present: merge them first"):
         implicitize(build(dup))
+
+
+@pytest.mark.parametrize(
+    "rows, size, nodes",
+    [([[29, 1], [1, 27], [-30, -28]], 56, 841), ([[97, 1], [1, 91], [-98, -92]], 188, 9021)],
+    ids=["size-56", "size-188"],
+)
+def test_a_too_large_resultant_is_refused_before_any_node(rows, size, nodes):
+    """Already reduced, these take 46 s and more than a minute: the work
+    estimate refuses them at once, with the size and the node count."""
+    t0 = time.perf_counter()
+    with pytest.raises(
+        ValueError, match="resultant too large: a Sylvester matrix of size %d on %d nodes " % (size, nodes)
+    ):
+        implicitize(build(IntMatrix(rows)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("mat", [B, C], ids=["cubic", "rescaled"])
@@ -588,6 +608,93 @@ def test_group_product_keeps_content_one(seed):
             break
     m = IntMatrix([[rng.choice((1, 2)), 0], [rng.randint(-1, 1), rng.choice((1, 2))]])
     assert group_product(f, m).content() == 1
+
+
+def span(row, f):
+    dots = [row[0] * x + row[1] * y for x, y in f.terms]
+    return max(dots) - min(dots)
+
+
+@st.composite
+def lattice_changes_2x2(draw):
+    """A 2 x 2 M with 1 < |det M| <= 12; a scale c of 2 or 3 makes D =
+    diag(c, c k) non-cyclic."""
+    c = draw(st.sampled_from([1, 1, 2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2))
+    M = IntMatrix([[c * x for x in row] for row in rows])
+    assume(1 < abs(M.det()) <= 12)
+    return M
+
+
+@st.composite
+def laurent_polys_2(draw):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.integers(-4, 4).filter(bool),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return MPoly(2, terms)
+
+
+@given(lattice_changes_2x2(), laurent_polys_2())
+@settings(deadline=None, max_examples=80)
+def test_group_product_on_the_reduced_basis_equals_smith_basis(M, f):
+    """Exactly, not up to sign: the product over the group does not
+    depend on the basis its norm is taken in."""
+    assert group_product(f, M) == group_product_on_smith_basis(f, M)
+
+
+@given(lattice_changes_2x2(), laurent_polys_2())
+@settings(deadline=None, max_examples=80)
+def test_norm_basis_is_a_smith_basis_with_a_row_no_longer_than_smith(M, f):
+    """P M Q = D with P and Q unimodular; the norm row spans no more than
+    Smith's over supp(f), and when it is new the first row spans least
+    among its completions s + t r."""
+    snf = smith_normal_form(M)
+    P, Q = _norm_basis(f, M, snf)
+    assert P * M * Q == snf.D
+    assert abs(P.det()) == 1 and abs(Q.det()) == 1
+    assert span(P.entries[1], f) <= span(snf.P.entries[1], f)
+    if P != snf.P:
+        assert span(P.entries[1], f) < span(snf.P.entries[1], f)
+        s, r = P.entries
+        assert all(span(s, f) <= span((s[0] + t * r[0], s[1] + t * r[1]), f) for t in range(-6, 7))
+
+
+def test_b_low13_norm_degree_and_nodes_on_the_reduced_basis():
+    """The benchmark's B_low13 shape: the norm of Delta_B goes from degree
+    11 on 241 nodes in Smith's basis to degree 6 on 109 in the reduced
+    one, with the same group product."""
+    M = IntMatrix([[1, 0], [3, 13]])
+    snf = smith_normal_form(M)
+    P, _ = _norm_basis(DELTA_B, M, snf)
+    for basis, degree, nodes in ((snf.P, 11, 241), (P, 6, 109)):
+        g0 = substitute_monomial(DELTA_B, basis).split_monomial()[1]
+        assert g0.degree_in(2) == degree
+        assert len(_norm_nodes(g0, 2, 13)[1]) == nodes
+    assert group_product(DELTA_B, M) == group_product_on_smith_basis(DELTA_B, M)
+
+
+def test_a_norm_row_of_span_two_keeps_smith_basis():
+    """Smith's own row of span <= 2 already takes the closed form."""
+    M = IntMatrix([[1, 2], [0, 7]])
+    snf = smith_normal_form(M)
+    assert span(snf.P.entries[1], DELTA_B) <= 2
+    assert _norm_basis(DELTA_B, M, snf) == (snf.P, snf.Q)
+
+
+@given(
+    st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+)
+def test_hull_edges_give_twice_the_span(points, r):
+    edges = _hull_edges(sorted(points))
+    dots = [r[0] * x + r[1] * y for x, y in points]
+    assert sum(abs(r[0] * x + r[1] * y) for x, y in edges) == 2 * (max(dots) - min(dots))
+    assert sum(x for x, _ in edges) == sum(y for _, y in edges) == 0
 
 
 # ---------------------------------------------------------------- transfer
