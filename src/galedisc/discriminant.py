@@ -9,14 +9,17 @@ The pencils are formed on the basis of C's column lattice with the
 shortest columns in the 1-norm, which reaches both successive minima, so
 each u-degree and the Sylvester size are as small as any basis allows and
 no cost estimate is needed; a monomial substitution brings the polynomial
-back to C's own basis.
+back to C's own basis. They are built at u2 = 1 from integer coefficient
+lists, one convolution per linear form, and each uses one y_k only, so the
+resultant engine evaluates each once per line of its nodes.
 No square-free pass is needed: the Horn-Kapranov parametrization is
 birational, so the resultant is the defining polynomial to the first
 power, and the degree check rejects anything else. Two sampled checks
 certify a polynomial against the parametrization: its vanishing at
 parametrized points, which validates the implicitization, and the
 inversion of psi by the logarithmic Gauss map. Both evaluate in integers,
-on the terms at psi(u) times one common nonzero factor (`_cleared_terms`).
+on the terms at psi(u) times one common nonzero factor (`_cleared_terms`);
+implicitize's vanishing check runs on the reduced basis.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -28,7 +31,7 @@ a basis whose norm row spans least over the support (`_norm_basis`).
 from __future__ import annotations
 
 import random
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import add, getitem
 
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
@@ -43,6 +46,7 @@ from .parametrization import (
     ParamSpec,
     Verdict,
     _forms_at,
+    build,
     defect_test,
     primitive_direction,
     sample_off_arrangement,
@@ -52,26 +56,40 @@ from .parametrization import (
 # -- implicitization (m = 2) --------------------------------------------------
 
 
-def _pencils(C: IntMatrix):
-    """The cleared equations den_k(u) * y_k - num_k(u) in Z[u1,u2,y1,y2] of
-    the n x 2 matrix C."""
-    n_vars = 4
+def _affine_pencils(C: IntMatrix):
+    """The cleared equations den_k(u1) * y_k - num_k(u1) of the n x 2
+    matrix C at u2 = 1, in Z[u1, y1, y2].
+
+    num_k and den_k are the products of the forms c_i1 u1 + c_i2 to the
+    powers |c_ik| over the rows with c_ik > 0 and c_ik < 0, built as
+    integer coefficient lists, ascending in u1: each power by the binomial
+    theorem, then one convolution per form."""
     pencils = []
     for k in range(2):
-        num = MPoly.one(n_vars)
-        den = MPoly.one(n_vars)
-        for row in C.entries:
-            c = row[k]
-            if c == 0:
-                continue
-            form = MPoly(n_vars, {(1, 0, 0, 0): row[0], (0, 1, 0, 0): row[1]})
-            if c > 0:
-                num = num * form ** c
-            else:
-                den = den * form ** (-c)
-        y = MPoly.variable(n_vars, 3 + k)
-        pencils.append(den * y - num)
+        num, den = [1], [1]
+        for r0, r1 in C.entries:
+            c = (r0, r1)[k]
+            if c:
+                a = abs(c)
+                power = [comb(a, j) * r0**j * r1 ** (a - j) for j in range(a + 1)]
+                if c > 0:
+                    num = _convolve(num, power)
+                else:
+                    den = _convolve(den, power)
+        y = (0, 1, 0) if k == 0 else (0, 0, 1)
+        terms = [((j, y[1], y[2]), c) for j, c in enumerate(den)]
+        terms += [((j, 0, 0), -c) for j, c in enumerate(num)]
+        pencils.append(MPoly(3, terms))
     return pencils
+
+
+def _convolve(a, b):
+    """Product of two polynomials given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
@@ -82,14 +100,18 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     lattice (`l1_reduce`): the pencils' u-degrees are half the 1-norms of
     the columns, and the reduced columns reach both successive minima, so
     the Sylvester matrix is as small as any basis allows and no cost
-    estimate is needed to choose the basis. Since psi_(C U)(u) =
-    alpha_U(psi_C(U u)), the polynomial comes back by the monomial
-    substitution alpha_U. Freed of its content and monomial factor and
-    sign-normalized, it is the result: psi is birational onto its image,
-    so the resultant is the defining polynomial to the first power and
-    needs no square-free pass. It is validated on C itself, by degree
-    count, which rejects any power, and by vanishing at sampled
-    parametrized points.
+    estimate is needed to choose the basis. The pencils come as integer
+    coefficient lists in u1 at u2 = 1 (`_affine_pencils`), and each is
+    evaluated once per line of interpolation nodes, as it uses only its
+    own y_k. Freed of its content and monomial factor and sign-normalized,
+    the resultant is the defining polynomial on C * U: psi is birational
+    onto its image, so it is the defining polynomial to the first power
+    and needs no square-free pass. Since psi_(C U)(u) = alpha_U(psi_C(U u)),
+    the polynomial comes back to C by the monomial substitution alpha_U.
+    The degree count, which rejects any power, runs on the result over C.
+    The vanishing at sampled parametrized points runs on C * U, at the
+    points psi_C(U u) moved by alpha_U, where the numbers stay as small as
+    the reduced degrees.
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
@@ -105,30 +127,40 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
         )
 
     U = l1_reduce(spec.C)
+    CU = spec.C * U
     # Setting u2 = 1 keeps each pencil's u1-degree: with no two rows
     # proportional, at most one row has c_i1 = 0, and that row divides only
     # one of num_k and den_k, so the other keeps its top term in u1. C * U
     # has proportional rows only where C does.
-    dehom = [g.set_var_one(2) for g in _pencils(spec.C * U)]
-    resultant = sylvester_resultant(dehom[0], dehom[1], 1)
+    p, q = _affine_pencils(CU)
+    resultant = sylvester_resultant(p, q, 1)
     if not resultant:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
-    delta = resultant.restrict((3, 4))
+    _, reduced = content_primitive(resultant.restrict((2, 3)).split_monomial()[1])
+    delta = reduced
     if U.entries != ((1, 0), (0, 1)):
-        delta = substitute_monomial(delta, U)
-    _, delta = content_primitive(delta.split_monomial()[1])
+        # a unimodular substitution keeps the coefficients, so the content is 1
+        delta = substitute_monomial(reduced, U).split_monomial()[1].sign_normalized()
 
     if delta.total_degree() != spec.d:
         raise ValueError(
             "implicitization validation failed: degree %d, expected %d"
             % (delta.total_degree(), spec.d)
         )
+    # The vanishing check runs on C * U, where the numbers stay small: the
+    # forms of C * U at U^-1 u are those of C at u, and psi_(C U)(U^-1 u) =
+    # alpha_U(psi_C(u)), where `reduced` vanishes exactly when delta
+    # vanishes at psi_C(u).
+    spec_cu = build(CU)
+    (a, b), (c, d) = U.entries
+    det = a * d - b * c
+    U_inv = IntMatrix([[det * d, -det * b], [-det * c, det * a]])
     rng = random.Random(seed)
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        if sum(_cleared_terms(spec, delta, u).values()):
+        if sum(_cleared_terms(spec_cu, reduced, U_inv.mul_vec(u)).values()):
             raise ValueError(
                 "implicitization validation failed: nonzero at a parametrized "
                 "point u = %s (seed %d)" % (u, seed)

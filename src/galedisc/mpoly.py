@@ -12,7 +12,9 @@ resultant's support (Newton interpolation on lower sets, Dyn-Floater,
 J. Approx. Theory 177, 2014), so each caller sizes the work by what the
 resultant can hold: `sylvester_resultant` passes the box of its degree
 bounds, the group products in `discriminant` pass the lower closure of a
-sumset.
+sumset. Each of the two polynomials is evaluated once per distinct
+projection of a node onto the variables it uses, so a curve's pencils,
+each in one y_k, are evaluated once per line of nodes.
 
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
@@ -143,12 +145,13 @@ class MPoly:
             raise ValueError("negative power")
         result = MPoly.one(self.n_vars)
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __bool__(self):
         return bool(self.terms)
@@ -229,21 +232,6 @@ class MPoly:
             self.n_vars,
             {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
         )
-
-    def set_var_one(self, var_index: int) -> "MPoly":
-        """Substitute 1 for one variable (1-based), merging terms."""
-        if not 1 <= var_index <= self.n_vars:
-            raise ValueError("variable index out of range")
-        i = var_index - 1
-        t = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + (0,) + e[i + 1 :]
-            nc = t.get(e2, 0) + c
-            if nc:
-                t[e2] = nc
-            else:
-                del t[e2]
-        return MPoly(self.n_vars, t)
 
     def coeffs_in(self, var_index: int):
         """Coefficients with respect to one variable: a dict mapping the
@@ -507,24 +495,36 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
     `nodes` is a lower set of exponent tuples over them that contains its
     support: the caller sizes it by what the resultant can hold, a box for
     `sylvester_resultant` and the group's sumset for a norm
-    (`discriminant._unit_root_product`). Each coefficient is evaluated
-    once per node, in integers, each node takes one `_int_resultant`, and
+    (`discriminant._unit_root_product`). Each side, pcs or qcs, is
+    evaluated in integers once per distinct projection of a node onto the
+    active variables it uses: the cleared pencils of a curve each use one
+    y_k, so they are evaluated once per line of nodes, and a side with no
+    variable once. Each node takes one `_int_resultant`, and
     `_interpolate` gives back the coefficients.
     """
     n_vars = pcs[0].n_vars
-    split = len(pcs)
-    terms = [[(c, [e[v] for v in active]) for e, c in f.terms.items()] for f in pcs + qcs]
+    sides = []
+    for fs in (pcs, qcs):
+        used = [i for i, v in enumerate(active) if any(e[v] for f in fs for e in f.terms)]
+        terms = [[(c, [e[active[i]] for i in used]) for e, c in f.terms.items()] for f in fs]
+        sides.append((used, terms, {}))
     grid = {}
     for node in nodes:
         vals = []
-        for f in terms:
-            s = 0
-            for c, e in f:
-                for x, k in zip(node, e):
-                    c *= x**k
-                s += c
-            vals.append(s)
-        grid[node] = _int_resultant(vals[:split], vals[split:])
+        for used, terms, seen in sides:
+            key = tuple([node[i] for i in used])
+            side = seen.get(key)
+            if side is None:
+                side = seen[key] = []
+                for f in terms:
+                    s = 0
+                    for c, e in f:
+                        for x, k in zip(key, e):
+                            c *= x**k
+                        s += c
+                    side.append(s)
+            vals.append(side)
+        grid[node] = _int_resultant(*vals)
     _interpolate(grid)
     t = {}
     for node, c in grid.items():
@@ -548,11 +548,13 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     """Resultant of p and q with respect to one variable (1-based): the
     determinant of their Sylvester matrix, with the rows of p first.
 
-    The determinant is never formed over polynomials: at each integer node
-    of the box of its degree bounds in the other variables, every
-    coefficient of p and q is evaluated once, in integers, a univariate
-    subresultant PRS gives the resultant there, and integer Newton
-    interpolation recovers the polynomial (`_det_by_interpolation`).
+    The determinant is never formed over polynomials: on the integer nodes
+    of the box of its degree bounds in the other variables, the
+    coefficients of p and of q are evaluated in integers, each side once
+    per distinct projection of a node onto the variables it uses, a
+    univariate subresultant PRS gives the resultant at each node, and
+    integer Newton interpolation recovers the polynomial
+    (`_det_by_interpolation`).
     Raises ValueError when the estimated work is above
     _RESULTANT_WORK_LIMIT.
     """

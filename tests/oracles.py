@@ -2,9 +2,10 @@
 map alpha_M at a rational point, the commuting triangle relating the
 parametrizations of C1 = C2 * M, integer solving in a column lattice, a
 canonical basis of a column lattice, LLL reduction over `Fraction`, the
-implicitization of a curve on the basis C is written in, the group
-product on the basis the Smith form comes with, and the scaled gradient
-over `Fraction` that the library's integer Gauss check is held against.
+4-variable `MPoly` pencils of a curve and the implicitization on the basis
+C is written in, the group product on the basis the Smith form comes
+with, and the scaled gradient over `Fraction` that the library's integer
+Gauss check is held against.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from galedisc.discriminant import _pencils, _unit_root_product
+from galedisc.discriminant import _unit_root_product
 from galedisc.intmat import IntMatrix, smith_normal_form
 from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
@@ -121,11 +122,49 @@ def lll_reduce(b: IntMatrix) -> IntMatrix:
     return IntMatrix(list(zip(*basis)))
 
 
+def pencils(C: IntMatrix):
+    """The cleared equations den_k(u) * y_k - num_k(u) in Z[u1,u2,y1,y2] of
+    the n x 2 matrix C, as products of `MPoly` powers of the linear forms."""
+    n_vars = 4
+    out = []
+    for k in range(2):
+        num = MPoly.one(n_vars)
+        den = MPoly.one(n_vars)
+        for row in C.entries:
+            c = row[k]
+            if c == 0:
+                continue
+            form = MPoly(n_vars, {(1, 0, 0, 0): row[0], (0, 1, 0, 0): row[1]})
+            if c > 0:
+                num = num * form ** c
+            else:
+                den = den * form ** (-c)
+        y = MPoly.variable(n_vars, 3 + k)
+        out.append(den * y - num)
+    return out
+
+
+def set_var_one(p: MPoly, var_index: int) -> MPoly:
+    """Substitute 1 for one variable (1-based) of p, merging terms."""
+    if not 1 <= var_index <= p.n_vars:
+        raise ValueError("variable index out of range")
+    i = var_index - 1
+    t = {}
+    for e, c in p.terms.items():
+        e2 = e[:i] + (0,) + e[i + 1 :]
+        nc = t.get(e2, 0) + c
+        if nc:
+            t[e2] = nc
+        else:
+            del t[e2]
+    return MPoly(p.n_vars, t)
+
+
 def implicitize_unreduced(spec) -> MPoly:
     """The implicitization on the basis C is written in, without the
     library's checks: the pencils of C at u2 = 1, their Sylvester resultant
     in u1, freed of its monomial factor and content and sign-normalized."""
-    p, q = (g.set_var_one(2) for g in _pencils(spec.C))
+    p, q = (set_var_one(g, 2) for g in pencils(spec.C))
     resultant = sylvester_resultant(p, q, 1).restrict((3, 4))
     return content_primitive(resultant.split_monomial()[1])[1]
 

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import galedisc.discriminant
 from galedisc.discriminant import (
+    _affine_pencils,
     _cleared_terms,
     _hull_edges,
     _norm_basis,
     _norm_nodes,
-    _pencils,
     gauss_inverse_check,
     group_product,
     homogenize,
@@ -39,6 +39,8 @@ from oracles import (
     implicitize_unreduced,
     monomial_map,
     partial_derivative,
+    pencils,
+    set_var_one,
     solve_in_lattice,
 )
 
@@ -51,6 +53,8 @@ M36 = IntMatrix([[-11, -7], [3, 2]])
 M36_INV = IntMatrix([[-2, -7], [3, 11]])
 
 DELTA_B = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
+# the defining polynomial of B * l1_reduce(B), on which implicitize runs
+DELTA_B_REDUCED = MPoly(2, {(2, 1): 27, (0, 2): 4, (1, 1): -18, (0, 1): -1, (1, 0): 4})
 
 DELTA_C = MPoly(
     2,
@@ -141,15 +145,18 @@ def test_implicitize_output_vanishes_on_the_image(mat):
         assert delta.evaluate(evaluate_psi(spec, u)) == 0
 
 
-@pytest.mark.parametrize("exponent", sorted(DELTA_B.terms))
+@pytest.mark.parametrize("exponent", sorted(DELTA_B_REDUCED.terms))
 def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
-    """implicitize sees Delta_B with one coefficient doubled: same total
-    degree, so only the vanishing check at parametrized points rejects it."""
+    """implicitize sees the defining polynomial of B on its reduced basis
+    B * U, which the vanishing check tests, with one coefficient doubled:
+    Delta over B keeps its terms and total degree, so only that check
+    rejects it."""
+    assert pulled_back(DELTA_B_REDUCED, l1_reduce(B)) == DELTA_B
     real = galedisc.discriminant.content_primitive
 
     def perturbed(p):
         c, prim = real(p)
-        assert prim == DELTA_B
+        assert prim == DELTA_B_REDUCED
         terms = dict(prim.terms)
         terms[exponent] *= 2
         return c, MPoly(prim.n_vars, terms)
@@ -160,6 +167,22 @@ def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
     # the failure names its witness, the first draw at the seed, and the seed
     u = sample_off_arrangement(build(B), random.Random(0))
     assert str(info.value).endswith("point u = %s (seed 0)" % (u,))
+
+
+def test_implicitize_of_a_badly_written_basis_validates_on_the_reduced_one():
+    """B * V, V = [[89, 34], [34, 13]] unimodular, has degree 280: checking
+    Delta over it at ten points of psi took seconds, while the resultant
+    and the check on the reduced basis (degree 3) take milliseconds. The
+    result is Delta_B moved by alpha_(V^-1): the unreduced resultant of
+    B * V itself, of Sylvester size 387, is far above the work limit."""
+    v, v_inv = IntMatrix([[89, 34], [34, 13]]), IntMatrix([[13, -34], [-34, 89]])
+    spec = build(B * v)
+    assert spec.d == 280
+    t0 = time.perf_counter()
+    delta = implicitize(spec)
+    assert time.perf_counter() - t0 < 2.0
+    assert delta == pulled_back(implicitize_unreduced(build(B)), v_inv)
+    assert pulled_back(delta, v) == DELTA_B
 
 
 def test_implicitize_names_the_seed_of_a_defective_verdict(monkeypatch):
@@ -290,11 +313,13 @@ def test_implicitize_obeys_the_transfer_law_for_unimodular_changes(spec, v):
 def test_u2_one_keeps_each_pencil_degree(mat):
     """Setting u2 = 1 never lowers a pencil's u1-degree, the sum of the
     positive entries of its column, on C and on its reduced basis: no two
-    rows are proportional, so at most one has c_i1 = 0."""
+    rows are proportional, so at most one has c_i1 = 0. The pencils built
+    from integer coefficient lists are the `MPoly` products at u2 = 1."""
     for m in (mat, mat * l1_reduce(mat)):
-        pencils = _pencils(m)
-        for k, g in enumerate(pencils):
-            assert g.set_var_one(2).degree_in(1) == sum(max(x, 0) for x in m.col(k))
+        for k, (g, h) in enumerate(zip(pencils(m), _affine_pencils(m))):
+            g = set_var_one(g, 2)
+            assert g.degree_in(1) == sum(max(x, 0) for x in m.col(k))
+            assert h == g.restrict((1, 3, 4))
 
 
 @pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])

@@ -17,7 +17,7 @@ from galedisc.mpoly import (
     sylvester_resultant,
 )
 from galedisc.mpoly import _divided_differences, _gl_key, _int_resultant, _interpolate, _newton_to_monomial
-from oracles import partial_derivative
+from oracles import partial_derivative, set_var_one
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -95,6 +95,16 @@ def test_arithmetic_goldens():
     assert X - X == MPoly.zero(2)
     assert 2 * X == X + X
     assert -(X - Y) == Y - X
+
+
+def test_power_is_the_repeated_product():
+    """Square-and-multiply stops squaring after the last bit of k."""
+    p = MPoly(2, {(-1, 2): 3, (2, -1): -2, (1, 1): 1, (0, 0): 5})
+    assert p ** 0 == MPoly.one(2)
+    product = MPoly.one(2)
+    for k in range(1, 18):
+        product = product * p
+        assert p**k == product
 
 
 def test_mixed_arity_rejected():
@@ -237,7 +247,7 @@ def test_split_monomial_inverts_shift(data):
 
 def test_restrict_and_set_var_one():
     p = MPoly(3, {(2, 0, 1): 5, (0, 0, 3): 1})
-    assert p.set_var_one(3) == MPoly(3, {(2, 0, 0): 5, (0, 0, 0): 1})
+    assert set_var_one(p, 3) == MPoly(3, {(2, 0, 0): 5, (0, 0, 0): 1})
     q = MPoly(3, {(2, 0, 1): 5}).restrict((1, 3))
     assert q == MPoly(2, {(2, 1): 5})
     with pytest.raises(ValueError, match="drops a live variable"):
@@ -310,6 +320,23 @@ def test_resultant_rejects_laurent_input():
         sylvester_resultant(MPoly(2, {(-1, 0): 1}), X + Y, 1)
 
 
+def assert_resultant_matches_sympy(p, q):
+    """sylvester_resultant(p, q, 1) against sympy's resultant in the first
+    variable."""
+    syms = sympy.symbols("y1:%d" % (p.n_vars + 1))
+    ours = sylvester_resultant(p, q, 1)
+    dp, dq = p.degree_in(1), q.degree_in(1)
+    # sympy's PRS resultant effectively reorders the arguments tall-first and
+    # drops the (-1)^(dp*dq) swap sign, so hand it the taller one and restore
+    # the sign ourselves; ours is the Sylvester determinant with p rows first
+    if dp >= dq:
+        theirs = sympy.resultant(to_sympy(p, syms), to_sympy(q, syms), syms[0])
+    else:
+        swapped = sympy.resultant(to_sympy(q, syms), to_sympy(p, syms), syms[0])
+        theirs = (-1) ** (dp * dq) * swapped
+    assert to_sympy(ours, syms) == sympy.expand(theirs)
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=30)
 def test_resultant_matches_sympy(data):
@@ -317,18 +344,41 @@ def test_resultant_matches_sympy(data):
     q = poly2(data, max_terms=4, cmax=5, emax=3)
     if p.degree_in(1) < 1 or q.degree_in(1) < 1:
         return
-    y1, y2 = sympy.symbols("y1 y2")
-    ours = sylvester_resultant(p, q, 1)
-    dp, dq = p.degree_in(1), q.degree_in(1)
-    # sympy's PRS resultant effectively reorders the arguments tall-first and
-    # drops the (-1)^(dp*dq) swap sign, so hand it the taller one and restore
-    # the sign ourselves; ours is the Sylvester determinant with p rows first
-    if dp >= dq:
-        theirs = sympy.resultant(to_sympy(p, (y1, y2)), to_sympy(q, (y1, y2)), y1)
+    assert_resultant_matches_sympy(p, q)
+
+
+@given(st.data(), st.sampled_from(["pencils", "norm", "shared", "constant"]))
+@settings(deadline=None, max_examples=40)
+def test_resultant_matches_sympy_whatever_variables_each_side_uses(data, shape):
+    """In Z[x, y1, y2], x eliminated, the engine evaluates each side once
+    per projection of a node onto the variables it uses: curve pencils
+    den(x) y1 - num(x) against den'(x) y2 - num'(x); the group products'
+    x^d - y1 against a polynomial in x and y2; two sides sharing y1; and a
+    side in x alone."""
+
+    def ints(min_size):
+        return data.draw(st.lists(st.integers(-5, 5), min_size=min_size, max_size=5))
+
+    def pencil(k):
+        y = (0, 1, 0) if k == 1 else (0, 0, 1)
+        den, num = ints(1), ints(2)
+        return MPoly(3, [((j, y[1], y[2]), c) for j, c in enumerate(den)] + [((j, 0, 0), -c) for j, c in enumerate(num)])
+
+    def poly(vars_):
+        exps = st.tuples(st.integers(0, 4), *(st.integers(0, 2) if v in vars_ else st.just(0) for v in (1, 2)))
+        return MPoly(3, data.draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool), min_size=1, max_size=5)))
+
+    if shape == "pencils":
+        p, q = pencil(1), pencil(2)
+    elif shape == "norm":
+        d = data.draw(st.integers(1, 5))
+        p, q = MPoly(3, {(d, 0, 0): 1, (0, 1, 0): -1}), poly((2,))
+    elif shape == "shared":
+        p, q = poly((1,)), poly((1, 2))
     else:
-        swapped = sympy.resultant(to_sympy(q, (y1, y2)), to_sympy(p, (y1, y2)), y1)
-        theirs = (-1) ** (dp * dq) * swapped
-    assert to_sympy(ours, (y1, y2)) == sympy.expand(theirs)
+        p, q = poly(()), poly((1, 2))
+    assume(p.degree_in(1) >= 1 and q.degree_in(1) >= 1)
+    assert_resultant_matches_sympy(p, q)
 
 
 @given(st.data())
