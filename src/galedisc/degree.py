@@ -70,20 +70,24 @@ def _cross(o, u, v):
     return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
 
 
+def _chain(points):
+    """Convex chain of plane points in their order, dropping each point that
+    makes no strict left turn: the lower hull of points sorted by x."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def staircase_multiplicity(s: Staircase2) -> int:
     """Multiplicity e = 2 * area enclosed by the axes and the lower hull of
     the staircase generators."""
     _require_zero_dimensional(s.gens)
-    chain = []
-    for p in s.gens:  # sorted by first coordinate
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
-    polygon = [(0, 0)] + chain
-    twice_area = 0
-    for (x0, y0), (x1, y1) in zip(polygon, polygon[1:] + polygon[:1]):
-        twice_area += x0 * y1 - x1 * y0
-    return abs(twice_area)
+    polygon = [(0, 0)] + _chain(s.gens)  # gens are sorted by first coordinate
+    pairs = zip(polygon, polygon[1:] + polygon[:1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs))
 
 
 def colength(s: Staircase2) -> int:

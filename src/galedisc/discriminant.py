@@ -12,14 +12,16 @@ no cost estimate is needed; a monomial substitution brings the polynomial
 back to C's own basis. They are built at u2 = 1 from integer coefficient
 lists, one convolution per linear form, and each uses one y_k only, so the
 resultant engine evaluates each once per line of its nodes.
-No square-free pass is needed: the Horn-Kapranov parametrization is
-birational, so the resultant is the defining polynomial to the first
-power, and the degree check rejects anything else. Two sampled checks
-certify a polynomial against the parametrization: its vanishing at
-parametrized points, which validates the implicitization, and the
-inversion of psi by the logarithmic Gauss map. Both evaluate in integers,
-on the terms at psi(u) times one common nonzero factor (`_cleared_terms`);
-implicitize's vanishing check runs on the reduced basis.
+No defect test is needed, as without proportional rows psi always
+parametrizes a curve, and no square-free pass, as the Horn-Kapranov
+parametrization is birational: the resultant is the defining polynomial
+to the first power, and the degree check rejects anything else. Two
+sampled checks certify a polynomial against the parametrization: its
+vanishing at parametrized points, which validates the implicitization,
+and the inversion of psi by the logarithmic Gauss map. Both evaluate in
+integers, on the terms at psi(u) times one common nonzero factor
+(`_cleared_terms`, from the forms' values at u); implicitize's vanishing
+check runs on the reduced basis, whose forms at U^-1 u are C's at u.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -34,6 +36,7 @@ import random
 from math import comb, gcd, prod
 from operator import add, getitem
 
+from .degree import _chain
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
@@ -44,10 +47,8 @@ from .mpoly import (
 )
 from .parametrization import (
     ParamSpec,
-    Verdict,
     _forms_at,
     build,
-    defect_test,
     primitive_direction,
     sample_off_arrangement,
 )
@@ -95,8 +96,8 @@ def _convolve(a, b):
 def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     """Defining polynomial of the closure of the image of psi, for m = 2.
 
-    Requires a matrix without proportional rows (merge first). The
-    resultant is taken on the 1-norm-reduced basis C * U of the column
+    Requires a matrix without proportional rows (merge first); then the
+    image is always a curve, so no defect test runs. The resultant is taken on the 1-norm-reduced basis C * U of the column
     lattice (`l1_reduce`): the pencils' u-degrees are half the 1-norms of
     the columns, and the reduced columns reach both successive minima, so
     the Sylvester matrix is as small as any basis allows and no cost
@@ -109,40 +110,36 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     and needs no square-free pass. Since psi_(C U)(u) = alpha_U(psi_C(U u)),
     the polynomial comes back to C by the monomial substitution alpha_U.
     The degree count, which rejects any power, runs on the result over C.
-    The vanishing at sampled parametrized points runs on C * U, at the
-    points psi_C(U u) moved by alpha_U, where the numbers stay as small as
-    the reduced degrees.
+    The vanishing at sampled parametrized points psi_C(u) is checked on
+    C * U at U^-1 u, from the forms of C at u, where the numbers stay as
+    small as the reduced degrees.
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
-    dirs = set()
-    for row in spec.C.entries:
-        w, _ = primitive_direction(row)
-        if w in dirs:
-            raise ValueError("proportional rows present: merge them first")
-        dirs.add(w)
-    if defect_test(spec, trials=5, seed=seed) is not Verdict.NON_DEFECTIVE:
-        raise ValueError(
-            "defective configuration: the closure is not a hypersurface (seed %d)" % seed
-        )
+    if len({primitive_direction(row)[0] for row in spec.C.entries}) < spec.n:
+        raise ValueError("proportional rows present: merge them first")
+    # No defect test is needed: without proportional rows the image is a
+    # curve. The log-Jacobian J kills u, so its rank is at most 1, and
+    # J_11 = sum_i c_i1^2 / l_i(u) never vanishes identically: at u2 = 1
+    # each row with c_i1 != 0 gives it a pole at u1 = -c_i2 / c_i1 with
+    # residue c_i1, the poles are pairwise distinct, and at most one row
+    # has c_i1 = 0.
 
     U = l1_reduce(spec.C)
-    CU = spec.C * U
+    spec_cu = build(spec.C * U)
     # Setting u2 = 1 keeps each pencil's u1-degree: with no two rows
     # proportional, at most one row has c_i1 = 0, and that row divides only
     # one of num_k and den_k, so the other keeps its top term in u1. C * U
     # has proportional rows only where C does.
-    p, q = _affine_pencils(CU)
+    p, q = _affine_pencils(spec_cu.C)
     resultant = sylvester_resultant(p, q, 1)
     if not resultant:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
     _, reduced = content_primitive(resultant.restrict((2, 3)).split_monomial()[1])
-    delta = reduced
-    if U.entries != ((1, 0), (0, 1)):
-        # a unimodular substitution keeps the coefficients, so the content is 1
-        delta = substitute_monomial(reduced, U).split_monomial()[1].sign_normalized()
+    # a unimodular substitution keeps the coefficients, so the content is 1
+    delta = substitute_monomial(reduced, U).split_monomial()[1].sign_normalized()
 
     if delta.total_degree() != spec.d:
         raise ValueError(
@@ -150,17 +147,13 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
             % (delta.total_degree(), spec.d)
         )
     # The vanishing check runs on C * U, where the numbers stay small: the
-    # forms of C * U at U^-1 u are those of C at u, and psi_(C U)(U^-1 u) =
-    # alpha_U(psi_C(u)), where `reduced` vanishes exactly when delta
-    # vanishes at psi_C(u).
-    spec_cu = build(CU)
-    (a, b), (c, d) = U.entries
-    det = a * d - b * c
-    U_inv = IntMatrix([[det * d, -det * b], [-det * c, det * a]])
+    # forms of C * U at U^-1 u are those of C at u, so U^-1 u is never
+    # formed, and psi_(C U)(U^-1 u) = alpha_U(psi_C(u)), where `reduced`
+    # vanishes exactly when delta vanishes at psi_C(u).
     rng = random.Random(seed)
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        if sum(_cleared_terms(spec_cu, reduced, U_inv.mul_vec(u)).values()):
+        if sum(_cleared_terms(spec_cu, reduced, _forms_at(spec.C, u)).values()):
             raise ValueError(
                 "implicitization validation failed: nonzero at a parametrized "
                 "point u = %s (seed %d)" % (u, seed)
@@ -184,10 +177,11 @@ def _powers(f: int, xs, low: int = 0) -> dict:
     return out
 
 
-def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
+def _cleared_terms(spec: ParamSpec, delta: MPoly, forms) -> dict:
     """e -> F * c_e * y^e for each term c_e y^e of delta, at y = psi(u) for
-    an integer point u off the arrangement: one common factor F makes every
-    value an integer, for any m and for Laurent delta.
+    an integer point u off the arrangement, given by the values `forms` of
+    the linear forms l_i there: one common factor F makes every value an
+    integer, for any m and for Laurent delta.
 
     With f_k(u) = prod_i l_i(u)^numer_exps[k][i] each y_k is f_k / f_0, so
     F = f_0^D * prod_k f_k^(-a_k), for D = max_e |e| and
@@ -200,7 +194,6 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, u) -> dict:
     terms = delta.terms
     if not terms:
         return {}
-    forms = _forms_at(spec.C, u)
     f0, *fs = (prod(map(pow, forms, row)) for row in spec.numer_exps)
     degs = list(map(sum, terms))
     top = max(degs)
@@ -232,7 +225,7 @@ def gauss_inverse_check(
     for _ in range(trials):
         for _attempt in range(50):
             u = sample_off_arrangement(spec, rng)
-            values = _cleared_terms(spec, delta, u).items()
+            values = _cleared_terms(spec, delta, _forms_at(spec.C, u)).items()
             g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
             if any(g):
                 break
@@ -375,35 +368,8 @@ def _hull_edges(points):
     Round a convex polygon r . x goes up once and down once, so half the
     sum of |r . g| over the edges g is the span max r . e - min r . e over
     the points, a norm in r when the hull has area."""
-    ring = []
-    for side in (points, points[::-1]):
-        chain = []
-        for p in side:
-            while len(chain) > 1 and _turn(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        ring += chain[:-1]
+    ring = _chain(points)[:-1] + _chain(points[::-1])[:-1]
     return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
-
-
-def _turn(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _lower_closure_size(points) -> int:
-    """Number of points of N^2 at or below one of the plane points, taken
-    component-wise, once the points are shifted to start at 0 in each
-    coordinate: the size of the lower set of a norm of order 1."""
-    x0 = min(x for x, _ in points)
-    y0 = min(y for _, y in points)
-    top = {}
-    for x, y in points:
-        top[x - x0] = max(top.get(x - x0, 0), y - y0)
-    size = high = 0
-    for x in range(max(top), -1, -1):
-        high = max(high, top.get(x, 0))
-        size += high + 1
-    return size
 
 
 def _norm_basis(f: MPoly, M: IntMatrix, snf):
@@ -422,10 +388,10 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     that is primitive in Z^2 is the row, and s = s0 - q r is the
     completion of least span, which sets the node box in the other
     variable. Of the signs of s and r, which orient the norm's lower set
-    of nodes, the one whose lower set at order 1 is least is taken
-    (`_lower_closure_size`). Smith's P stays unless the row is strictly
-    shorter, and when its own row has span <= 2, which takes the closed
-    form."""
+    of nodes, the one whose lower set at order 1 is least is taken: the
+    `_norm_nodes` of the support moved by P and shifted to start at 0.
+    Smith's P stays unless the row is strictly shorter, and when its own
+    row has span <= 2, which takes the closed form."""
     P, Q = snf.P, snf.Q
     if M.rows != 2 or snf.invariant_factors[0] != 1:
         return P, Q
@@ -454,10 +420,12 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     q = _l1_step(G.mul_vec(s), G.mul_vec(r))[1]
     s = (s[0] - q * r[0], s[1] - q * r[1])
     pts = [(s[0] * x + s[1] * y, r[0] * x + r[1] * y) for x, y in exps]
-    a, b = min(
-        ((1, 1), (1, -1), (-1, 1), (-1, -1)),
-        key=lambda ab: _lower_closure_size([(ab[0] * x, ab[1] * y) for x, y in pts]),
-    )
+
+    def order1_nodes(ab):  # size of the lower set of a norm of order 1
+        g = MPoly(2, {(ab[0] * x, ab[1] * y): 1 for x, y in pts})
+        return len(_norm_nodes(g.split_monomial()[1], 2, 1)[1])
+
+    a, b = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=order1_nodes)
     P = IntMatrix([[a * s[0], a * s[1]], [b * r[0], b * r[1]]])
     (x00, x01), r_m = (P * M).entries
     x10, x11 = (x // d for x in r_m)

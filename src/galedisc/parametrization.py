@@ -76,9 +76,7 @@ def build(C: IntMatrix) -> ParamSpec:
 def primitive_direction(row):
     """Primitive vector with positive first nonzero entry spanning the same
     line as row, plus the (signed) multiplier t with row = t * direction."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
+    g = gcd(*row)
     if g == 0:
         raise ValueError("zero row")
     first = next(x for x in row if x)
@@ -93,22 +91,15 @@ def merge_proportional_rows(C: IntMatrix):
     psi_C = lam * psi_C' away from the arrangements; classes whose row
     multiplicities sum to zero disappear entirely. All exactly rational.
     """
-    classes = {}
-    order = []
+    classes = {}  # in order of first appearance
     for row in C.entries:
         w, t = primitive_direction(row)
-        if w not in classes:
-            classes[w] = []
-            order.append(w)
-        classes[w].append(t)
+        classes.setdefault(w, []).append(t)
     merged = []
     scale = [Fraction(1)] * C.cols
-    for w in order:
-        ts = classes[w]
+    for w, ts in classes.items():
         s = sum(ts)
-        tt = Fraction(1)
-        for t in ts:
-            tt *= Fraction(t) ** t
+        tt = prod(Fraction(t) ** t for t in ts)
         if s != 0:
             merged.append([s * x for x in w])
             ratio = tt / Fraction(s) ** s
@@ -174,12 +165,13 @@ def _log_jacobian_scaled(spec: ParamSpec, u):
     ]
 
 
-def sample_off_arrangement(spec: ParamSpec, rng: random.Random, bound: int = 10000):
-    """Random integer point with every form nonzero."""
+_SAMPLE_BOUND = 10000  # the largest |coordinate| of a sampled point
+
+
+def sample_off_arrangement(spec: ParamSpec, rng: random.Random):
+    """Random integer point with every form nonzero (so u != 0)."""
     for _ in range(1000):
-        u = tuple(rng.randint(-bound, bound) for _ in range(spec.m))
-        if not any(u):
-            continue
+        u = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND) for _ in range(spec.m))
         if all(l != 0 for l in _forms_at(spec.C, u)):
             return u
     raise RuntimeError("could not sample a point off the arrangement")

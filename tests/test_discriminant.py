@@ -9,6 +9,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import galedisc.discriminant
+import galedisc.parametrization
 from galedisc.discriminant import (
     _affine_pencils,
     _cleared_terms,
@@ -25,6 +26,7 @@ from galedisc.intmat import IntMatrix, l1_reduce, smith_normal_form
 from galedisc.mpoly import MPoly, content_primitive, substitute_monomial
 from galedisc.parametrization import (
     Verdict,
+    _forms_at,
     build,
     defect_test,
     evaluate_psi,
@@ -185,13 +187,20 @@ def test_implicitize_of_a_badly_written_basis_validates_on_the_reduced_one():
     assert pulled_back(delta, v) == DELTA_B
 
 
-def test_implicitize_names_the_seed_of_a_defective_verdict(monkeypatch):
-    """The verdict is randomized, so the refusal says which seed drew it."""
-    monkeypatch.setattr(galedisc.discriminant, "defect_test", lambda *a, **k: Verdict.PROBABLY_DEFECTIVE)
-    with pytest.raises(
-        ValueError, match=r"^defective configuration: the closure is not a hypersurface \(seed 5\)$"
-    ):
-        implicitize(build(B), seed=5)
+def test_implicitize_runs_no_defect_test(monkeypatch):
+    """Without proportional rows the image is always a curve
+    (`test_nonproportional_matrices_are_never_defective`), so implicitize
+    leaves the log-Jacobian alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("implicitize ran a defect test")
+
+    for name in ("defect_test", "_log_jacobian_scaled"):
+        monkeypatch.setattr(galedisc.parametrization, name, refuse)
+    monkeypatch.setattr(galedisc, "defect_test", refuse)
+    assert not hasattr(galedisc.discriminant, "defect_test")
+    for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
+        assert implicitize(build(mat), seed=5) == delta
 
 
 @pytest.mark.parametrize(
@@ -233,11 +242,12 @@ def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
         if not delta.is_laurent and top == spec.d:
             assert factor == f[0] ** spec.d
         y = evaluate_psi(spec, u)
-        values = _cleared_terms(spec, delta, u)
+        forms = _forms_at(spec.C, u)
+        values = _cleared_terms(spec, delta, forms)
         assert values == {e: factor * MPoly(spec.m, {e: c}).evaluate(y) for e, c in delta.terms.items()}
         for p in [delta] + changed:
             expected = factor * p.evaluate(y)
-            assert sum(_cleared_terms(spec, p, u).values()) == expected
+            assert sum(_cleared_terms(spec, p, forms).values()) == expected
             assert (expected == 0) == (p is delta)
 
 
@@ -268,11 +278,19 @@ def nonproportional_matrices(draw):
 
 @st.composite
 def curve_specs(draw):
-    """n x 2 inputs of implicitize, n = 3..5: nonproportional matrices
-    with a curve as image."""
-    spec = build(draw(nonproportional_matrices()))
-    assume(defect_test(spec) is Verdict.NON_DEFECTIVE)
-    return spec
+    """n x 2 inputs of implicitize, n = 3..5: nonproportional matrices,
+    whose image is always a curve."""
+    return build(draw(nonproportional_matrices()))
+
+
+@given(nonproportional_matrices(), st.integers(0, 2**32))
+@settings(max_examples=200)
+def test_nonproportional_matrices_are_never_defective(mat, seed):
+    """What lets implicitize skip the defect test: with no two rows
+    proportional, J_11 = sum_i c_i1^2 / l_i(u) has pairwise distinct poles,
+    so it never vanishes identically, and J u = 0 caps the rank at 1. One
+    sample settles it at any seed."""
+    assert defect_test(build(mat), trials=1, seed=seed) is Verdict.NON_DEFECTIVE
 
 
 @st.composite
@@ -720,6 +738,23 @@ def test_hull_edges_give_twice_the_span(points, r):
     dots = [r[0] * x + r[1] * y for x, y in points]
     assert sum(abs(r[0] * x + r[1] * y) for x, y in edges) == 2 * (max(dots) - min(dots))
     assert sum(x for x, _ in edges) == sum(y for _, y in edges) == 0
+
+
+@given(
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=8),
+    st.sampled_from([1, 2]),
+)
+def test_norm_nodes_of_order_one_are_the_lower_closure_of_the_support(points, k):
+    """At order 1 the nodes are the points of N^2 at or below some point of
+    the support, shifted to start at 0: the count `_norm_basis` compares
+    to orient the norm."""
+    g = MPoly(2, dict.fromkeys(points, 1)).split_monomial()[1]
+    assume(g.degree_in(k) > 0)
+    active, nodes = _norm_nodes(g, k, 1)
+    box = [(a, b) for a in range(g.degree_in(1) + 1) for b in range(g.degree_in(2) + 1)]
+    below = [p for p in box if any(p[0] <= x and p[1] <= y for x, y in g.terms)]
+    assert nodes == {tuple(p[v] for v in active) for p in below}
+    assert len(nodes) == len(below)
 
 
 # ---------------------------------------------------------------- transfer
