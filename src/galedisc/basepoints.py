@@ -109,20 +109,37 @@ def base_points(spec: ParamSpec):
         w, _ = primitive_direction(p)
         through.setdefault(w, set()).update((i, j))
 
-    points = []
-    for w, van0 in through.items():
-        if all(any(exps[i] > 0 for i in van0) for exps in spec.numer_exps):
-            points.append((w, next(x for x in w if x), sorted(van0)))
-    # A primitive w has a positive lead (first nonzero entry), so w scaled by
-    # L / lead, L the lcm of the leads, sorts as the coordinates w / lead.
-    L = lcm(*(lead for _, lead, _ in points))
-    points.sort(key=lambda p: tuple(x * (L // p[1]) for x in p[0]))
+    found = [
+        (w, tuple(i + 1 for i in sorted(van0)), None)
+        for w, van0 in through.items()
+        if all(any(exps[i] > 0 for i in van0) for exps in spec.numer_exps)
+    ]
+    return [bp for bp, _ in _sorted_base_points(found)]
+
+
+def _sorted_base_points(found):
+    """(BasePoint, tag) pairs for the found (p, vanishing, tag) triples,
+    sorted by coordinates.
+
+    p is any nonzero integer vector on the point, of any scale or sign; the
+    coordinates are p / lead, lead its first nonzero entry. p scaled by
+    L / lead, L the lcm of the leads, sorts as those coordinates.
+    """
+    leads = [next(x for x in p if x) for p, _, _ in found]
+    L = lcm(*leads)
+    order = sorted(
+        range(len(found)),
+        key=lambda t: tuple(x * (L // leads[t]) for x in found[t][0]),
+    )
     return [
-        BasePoint(
-            coords=tuple(Fraction(x, lead) for x in w),
-            vanishing=tuple(i + 1 for i in van0),
+        (
+            BasePoint(
+                coords=tuple(Fraction(x, leads[t]) for x in found[t][0]),
+                vanishing=found[t][1],
+            ),
+            found[t][2],
         )
-        for w, lead, van0 in points
+        for t in order
     ]
 
 
@@ -181,17 +198,25 @@ def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
     )
 
 
-def is_uniform(C: IntMatrix) -> bool:
-    """True when every 3 x 3 minor of the n x 3 matrix is nonzero."""
+def _crossings(C: IntMatrix):
+    """(i, j, C_i x C_j) for every row pair i < j of a uniform n x 3
+    matrix, or None when some 3 x 3 minor vanishes."""
     if C.cols != 3:
         raise ValueError("uniformity test needs three columns")
     if C.rows < 3:
         raise ValueError("need at least three rows")
     # det(C_i, C_j, C_k) is the dot product of C_k with C_i x C_j.
     rows = C.entries
+    out = []
     for i, j in combinations(range(len(rows)), 2):
-        p = _cross3(rows[i], rows[j])
-        for k in range(j + 1, len(rows)):
-            if p[0] * rows[k][0] + p[1] * rows[k][1] + p[2] * rows[k][2] == 0:
-                return False
-    return True
+        p0, p1, p2 = p = _cross3(rows[i], rows[j])
+        for r0, r1, r2 in rows[j + 1 :]:
+            if p0 * r0 + p1 * r1 + p2 * r2 == 0:
+                return None
+        out.append((i, j, p))
+    return out
+
+
+def is_uniform(C: IntMatrix) -> bool:
+    """True when every 3 x 3 minor of the n x 3 matrix is nonzero."""
+    return _crossings(C) is not None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix
 from .parametrization import Verdict, build, defect_test
-from .basepoints import base_points, is_uniform
+from .basepoints import _crossings, _sorted_base_points
 
 
 def _exponent_pair(p):
@@ -31,19 +31,24 @@ def _exponent_pair(p):
     return a, b
 
 
+def _minimal(pairs):
+    """Minimal generators of nonnegative int pairs, sorted: in (a, b) order a
+    pair is dominated exactly when its b is not below every earlier b, so
+    one sweep keeps the pairs whose b drops below the last kept b."""
+    gens = []
+    for p in sorted(pairs):
+        if not gens or p[1] < gens[-1][1]:
+            gens.append(p)
+    return gens
+
+
 def minimal_generators(points):
     """Minimal generating set of the monomial ideal spanned by the given
     (a, b) exponent pairs: duplicates and dominated pairs removed, sorted."""
-    pts = {_exponent_pair(p) for p in points}
+    pts = [_exponent_pair(p) for p in points]
     if not pts:
         raise ValueError("empty generator set")
-    return tuple(
-        sorted(
-            p
-            for p in pts
-            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-        )
-    )
+    return tuple(_minimal(pts))
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,19 @@ def _chain(points):
     return chain
 
 
+def _multiplicity(gens):
+    """Twice the area enclosed by the axes and the lower hull of the sorted
+    minimal generators of a zero-dimensional staircase."""
+    polygon = [(0, 0)] + _chain(gens)
+    pairs = zip(polygon, polygon[1:] + polygon[:1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs))
+
+
 def staircase_multiplicity(s: Staircase2) -> int:
     """Multiplicity e = 2 * area enclosed by the axes and the lower hull of
     the staircase generators."""
     _require_zero_dimensional(s.gens)
-    polygon = [(0, 0)] + _chain(s.gens)  # gens are sorted by first coordinate
-    pairs = zip(polygon, polygon[1:] + polygon[:1])
-    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs))
+    return _multiplicity(s.gens)
 
 
 def colength(s: Staircase2) -> int:
@@ -131,26 +142,33 @@ def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
     """
     if C.cols != 3:
         raise ValueError("degree formula needs a three-column matrix")
-    if not is_uniform(C):
+    pairs = _crossings(C)
+    if pairs is None:
         raise ValueError("non-uniform: degree formula unsupported")
     spec = build(C)
     if defect_test(spec, trials=5, seed=seed) is not Verdict.NON_DEFECTIVE:
         raise ValueError(
             "defective configuration: the image is not a surface (seed %d)" % seed
         )
-    pairs = []
+    # No two rows are proportional and no three meet, so each pair (i, j)
+    # crosses at its own point, where exactly l_i and l_j vanish: no
+    # direction classes, no merging of pairs. The f_k share no l_i (see
+    # ParamSpec), so some f_k misses l_i and some misses l_j: the base
+    # locus is finite, and a base point's staircase holds a pair (0, b) and
+    # a pair (a, 0), which makes it zero-dimensional.
+    exps = spec.numer_exps
+    found = []
     total = 0
-    for bp in base_points(spec):
-        i, j = (v - 1 for v in bp.vanishing)
-        e = staircase_multiplicity(
-            Staircase2.of([(exps[i], exps[j]) for exps in spec.numer_exps])
-        )
-        pairs.append((bp, e))
-        total += e
+    for i, j, p in pairs:
+        stairs = [(e[i], e[j]) for e in exps]
+        if all(a or b for a, b in stairs):
+            e = _multiplicity(_minimal(stairs))
+            found.append((p, (i + 1, j + 1), e))
+            total += e
     degree = spec.d * spec.d - total
     if degree < 1:
         raise ValueError("degree formula produced %d, input is degenerate" % degree)
-    return DegreeReport(d=spec.d, points=tuple(pairs), degree=degree)
+    return DegreeReport(d=spec.d, points=tuple(_sorted_base_points(found)), degree=degree)
 
 
 def sparse_origin_multiplicity(exponents) -> int:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,25 @@ def colength_by_counting(gens):
 def test_minimal_generators_dedupes_and_drops_dominated():
     gens = minimal_generators([(4, 0), (0, 3), (2, 1), (5, 5), (4, 0), (2, 1)])
     assert gens == ((0, 3), (2, 1), (4, 0))
+
+
+def minimal_by_dominance(points):
+    """The minimal generators by their definition: every pair that no other
+    pair is below in both coordinates, by a scan over all pairs."""
+    pts = set(points)
+    return tuple(
+        sorted(
+            p
+            for p in pts
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
+        )
+    )
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12))
+@settings(deadline=None, max_examples=200)
+def test_minimal_generators_match_the_dominance_scan(points):
+    assert minimal_generators(points) == minimal_by_dominance(points)
 
 
 def test_minimal_generators_rejections():
@@ -221,9 +241,23 @@ def test_degree_of_four_point_configuration():
     assert rep.d**2 == 1 * rep.degree + sum(e for _, e in rep.points)
 
 
-def test_degree_refuses_nonuniform_input():
-    with pytest.raises(ValueError, match="non-uniform: degree formula unsupported"):
-        degree_uniform(C43)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [0, 0], [3, 1], [2, 2]], "degree formula needs a three-column matrix"),
+        ([[1, 0, 0], [0, 0, 0]], "need at least three rows"),
+        # The uniformity test runs before build, which would say "zero row".
+        ([[1, 2, 3], [0, 0, 0], [-2, 1, -1], [1, -3, -2]], "non-uniform: degree formula unsupported"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], "not regular: column 1 sums to 2"),
+        (C43.entries, "non-uniform: degree formula unsupported"),
+    ],
+    ids=["four-by-two", "two-by-three", "zero-row", "not-regular", "C43"],
+)
+def test_degree_refusals_in_order(rows, message):
+    """The first three inputs also break a later check, so their messages
+    show which check runs first."""
+    with pytest.raises(ValueError, match="^%s$" % message):
+        degree_uniform(IntMatrix(rows))
 
 
 def test_a_defective_verdict_names_its_seed(monkeypatch):
@@ -233,34 +267,47 @@ def test_a_defective_verdict_names_its_seed(monkeypatch):
         degree_uniform(C42, seed=5)
 
 
-def test_degree_needs_three_columns():
-    with pytest.raises(ValueError, match="three-column matrix"):
-        degree_uniform(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
-
-
-def random_uniform_spec(rng):
-    """A uniform n x 3 matrix C, n = 4..12, with zero column sums, a finite
-    base locus, a surface as image and degree at least 1; with build(C),
-    its base points and the local ideals localize finds at them."""
+def random_uniform_matrix(rng):
+    """A uniform n x 3 matrix, n = 4..16, with zero column sums; entries up
+    to 3, 6 and 9 for n up to 8, 12 and 16, the sizes of the benchmark's
+    surfaces."""
     while True:
-        n = rng.randint(4, 12)
-        bound = 3 if n <= 8 else 6
+        n = rng.randint(4, 16)
+        bound = 3 if n <= 8 else 6 if n <= 12 else 9
         rows = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(n - 1)]
         rows.append([-sum(r[k] for r in rows) for k in range(3)])
         C = IntMatrix(rows)
-        if not is_uniform(C):
-            continue
+        if is_uniform(C):
+            return C
+
+
+def random_uniform_spec(rng):
+    """A uniform matrix as above with a surface as image and degree at
+    least 1; with build(C), its base points and the local ideals localize
+    finds at them."""
+    while True:
+        C = random_uniform_matrix(rng)
         spec = build(C)
-        try:
-            pts = base_points(spec)
-        except ValueError as exc:
-            assert "base locus not finite" in str(exc)
-            continue
+        pts = base_points(spec)
         if defect_test(spec, trials=5) is not Verdict.NON_DEFECTIVE:
             continue
         ideals = [localize(spec, p) for p in pts]
         if spec.d**2 > sum(staircase_multiplicity(Staircase2.of(li.gens)) for li in ideals):
             return C, spec, pts, ideals
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=50)
+def test_uniform_crossings_need_no_checks(seed):
+    """What lets degree_uniform skip checks: on a uniform matrix the base
+    locus is finite, and every row pair's staircase holds a pair (0, b) and
+    a pair (a, 0), so it is zero-dimensional."""
+    C = random_uniform_matrix(random.Random(seed))
+    spec = build(C)
+    base_points(spec)  # raises when the base locus is not finite
+    for i, j in combinations(range(spec.n), 2):
+        stairs = [(e[i], e[j]) for e in spec.numer_exps]
+        assert any(a == 0 for a, _ in stairs) and any(b == 0 for _, b in stairs)
 
 
 @given(st.integers(0, 10**6))
