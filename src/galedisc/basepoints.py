@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 
 from .intmat import IntMatrix
-from .parametrization import ParamSpec, primitive_direction
+from .parametrization import ParamSpec, _direction_classes, primitive_direction
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,9 @@ class BasePoint:
 
     coords: tuple
     vanishing: tuple
+
+    def to_json_dict(self) -> dict:
+        return {"point": [str(c) for c in self.coords], "vanishing": list(self.vanishing)}
 
 
 @dataclass(frozen=True)
@@ -90,15 +93,8 @@ def base_points(spec: ParamSpec):
     if spec.m != 3:
         raise ValueError("base point enumeration needs m = 3")
     C = spec.C
-    classes = {}
-    for i, row in enumerate(C.entries):
-        w, _ = primitive_direction(row)
-        classes.setdefault(w, []).append(i)
-    for w, members in classes.items():
-        if all(
-            any(spec.numer_exps[k][i] > 0 for i in members)
-            for k in range(spec.m + 1)
-        ):
+    for w, members in _direction_classes(C.entries).items():
+        if all(any(exps[i] > 0 for i, _ in members) for exps in spec.numer_exps):
             raise ValueError("base locus not finite (direction %s)" % (w,))
 
     through = {}
@@ -157,29 +153,16 @@ def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
         raise ValueError("localization needs m = 3")
     vanishing = _vanishing_at(spec.C, _integer_point(p.coords))
     van0 = [i - 1 for i in vanishing]
-    directions = []
-    cls_of = {}
-    cls = []  # the direction class of each vanishing form
-    for i in van0:
-        w, _ = primitive_direction(spec.C.entries[i])
-        if w not in cls_of:
-            cls_of[w] = len(directions)
-            directions.append(w)
-        cls.append(cls_of[w])
+    # positions in van0 of the vanishing forms, by direction class
+    classes = _direction_classes([spec.C.entries[i] for i in van0])
     per_form = []
-    for k in range(spec.m + 1):
-        exps = [0] * len(directions)
-        for i, c in zip(van0, cls):
-            exps[c] += spec.numer_exps[k][i]
-        unit = any(
-            spec.numer_exps[k][i] > 0
-            for i in range(spec.n)
-            if i not in van0
-        )
-        per_form.append((tuple(exps), unit))
+    for e in spec.numer_exps:
+        exps = tuple(sum(e[van0[q]] for q, _ in cls) for cls in classes.values())
+        unit = any(x > 0 for i, x in enumerate(e) if i not in van0)
+        per_form.append((exps, unit))
     if any(not any(exps) for exps, _ in per_form):
         raise ValueError("not a base point of the pencil")
-    monomial = len(directions) <= 2
+    monomial = len(classes) <= 2
     gens = set(exps for exps, _ in per_form)
     if monomial:
         gens = {
@@ -191,7 +174,7 @@ def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
         }
     return LocalIdeal(
         base=BasePoint(coords=p.coords, vanishing=vanishing),
-        directions=tuple(directions),
+        directions=tuple(classes),
         per_form=tuple(per_form),
         gens=tuple(sorted(gens)),
         monomial=monomial,

@@ -80,6 +80,11 @@ def _load_pairs(path, field):
     return [tuple(p) for p in pts]
 
 
+def _base_point_line(p):
+    """A base point's JSON dict as text."""
+    return "base point (%s): forms %s" % (", ".join(p["point"]), " ".join(map(str, p["vanishing"])))
+
+
 def cmd_analyze(args):
     C = load_matrix(args.matrix)
     spec = build(C)
@@ -102,10 +107,7 @@ def cmd_analyze(args):
     if spec.m == 3:
         report["uniform"] = is_uniform(C)
         try:
-            report["base_points"] = [
-                {"point": [str(c) for c in p.coords], "vanishing": list(p.vanishing)}
-                for p in base_points(spec)
-            ]
+            report["base_points"] = [p.to_json_dict() for p in base_points(spec)]
         except ValueError as e:
             if "base locus" not in str(e):
                 raise
@@ -123,24 +125,16 @@ def cmd_analyze(args):
         if report["base_points"] == "not finite":
             lines.append("base locus: not finite")
         else:
-            for p in report["base_points"]:
-                lines.append(
-                    "base point (%s): forms %s"
-                    % (", ".join(p["point"]), " ".join(map(str, p["vanishing"])))
-                )
+            lines.extend(map(_base_point_line, report["base_points"]))
     return report, "\n".join(lines) + "\n"
 
 
 def cmd_degree(args):
     C = load_matrix(args.matrix)
-    rep = degree_uniform(C, seed=args.seed)
+    rep = degree_uniform(C)
     obj = rep.to_json_dict()
     lines = ["d = %d" % rep.d, "degree = %d" % rep.degree]
-    for p in obj["base_points"]:
-        lines.append(
-            "base point (%s): forms %s, e = %d"
-            % (", ".join(p["point"]), " ".join(map(str, p["vanishing"])), p["e"])
-        )
+    lines.extend("%s, e = %d" % (_base_point_line(p), p["e"]) for p in obj["base_points"])
     return obj, "\n".join(lines) + "\n"
 
 
@@ -209,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("degree", parents=[common, seed], help="degree of the parametrized surface (uniform n x 3)")
+    p = sub.add_parser("degree", parents=[common], help="degree of the parametrized surface (uniform n x 3)")
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_degree)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmat import IntMatrix
-from .parametrization import Verdict, build, defect_test
+from .parametrization import build
 from .basepoints import _crossings, _sorted_base_points
 
 
@@ -122,18 +122,11 @@ class DegreeReport:
         return {
             "d": self.d,
             "degree": self.degree,
-            "base_points": [
-                {
-                    "point": [str(c) for c in bp.coords],
-                    "vanishing": list(bp.vanishing),
-                    "e": e,
-                }
-                for bp, e in self.points
-            ],
+            "base_points": [dict(bp.to_json_dict(), e=e) for bp, e in self.points],
         }
 
 
-def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
+def degree_uniform(C: IntMatrix) -> DegreeReport:
     """Degree of the parametrized surface for a uniform n x 3 matrix.
 
     Uniformity makes every base point the crossing of exactly two rows i
@@ -146,10 +139,15 @@ def degree_uniform(C: IntMatrix, seed: int = 0) -> DegreeReport:
     if pairs is None:
         raise ValueError("non-uniform: degree formula unsupported")
     spec = build(C)
-    if defect_test(spec, trials=5, seed=seed) is not Verdict.NON_DEFECTIVE:
-        raise ValueError(
-            "defective configuration: the image is not a surface (seed %d)" % seed
-        )
+    # No defect test is needed: on a uniform matrix the image is a surface.
+    # J(u) = sum_i c_i c_i^T / l_i(u) kills u, so its rank is at most 2.
+    # Near a generic point of the line l_1 = 0, J = c_1 c_1^T / l_1 + R
+    # with R regular, so rank J <= 1 everywhere would make R vanish on
+    # V = c_1^perp along that line. There R restricts to
+    # sum_(i >= 2) (c_i|V)(c_i|V)^T / l_i, whose poles on the line are
+    # pairwise distinct, as no three rows are dependent, each with a
+    # nonzero residue, as no row is proportional to c_1: R is not zero on
+    # V, and J has rank exactly 2.
     # No two rows are proportional and no three meet, so each pair (i, j)
     # crosses at its own point, where exactly l_i and l_j vanish: no
     # direction classes, no merging of pairs. The f_k share no l_i (see

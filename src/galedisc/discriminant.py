@@ -47,9 +47,9 @@ from .mpoly import (
 )
 from .parametrization import (
     ParamSpec,
+    _direction_classes,
     _forms_at,
     build,
-    primitive_direction,
     sample_off_arrangement,
 )
 
@@ -116,7 +116,7 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
-    if len({primitive_direction(row)[0] for row in spec.C.entries}) < spec.n:
+    if len(_direction_classes(spec.C.entries)) < spec.n:
         raise ValueError("proportional rows present: merge them first")
     # No defect test is needed: without proportional rows the image is a
     # curve. The log-Jacobian J kills u, so its rank is at most 1, and

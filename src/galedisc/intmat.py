@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class IntMatrix:
@@ -124,18 +123,16 @@ def _int_det(m) -> int:
 
 
 def gcd_maximal_minors(c: IntMatrix) -> int:
-    """gcd of all maximal (cols x cols) minors of a tall matrix, >= 0."""
+    """gcd of all maximal (cols x cols) minors of a tall matrix, >= 0.
+
+    It is the product of the Smith invariant factors: P c Q = D with P and
+    Q unimodular keeps the gcd of the maximal minors (Cauchy-Binet), and of
+    the maximal minors of D only the top square block can be nonzero."""
     if c.rows < c.cols:
         raise ValueError("expected at least as many rows as columns")
     if c.cols == 0:
         return 1
-    g = 0
-    for rows in combinations(range(c.rows), c.cols):
-        sub = [list(c.entries[i]) for i in rows]
-        g = math.gcd(g, _int_det(sub))
-        if g == 1:
-            break
-    return g
+    return math.prod(smith_normal_form(c).invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -149,21 +146,22 @@ class SNFDecomposition:
 
 
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
-    """Smith normal form of a square integer matrix.
+    """Smith normal form of an n x k integer matrix, k >= 1.
 
-    Returns P*M*Q = D with |det P| = |det Q| = 1 and nonnegative diagonal
-    d_1 | d_2 | ... | d_n: every row operation on M is applied to P and
-    every column operation to Q. Pivot selection is by minimal absolute
-    value, first in row-major order, so the decomposition is deterministic.
+    Returns P*M*Q = D with P n x n, Q k x k, |det P| = |det Q| = 1 and D
+    n x k, zero off its diagonal d_1 | d_2 | ... | d_min(n, k), which is
+    nonnegative: every row operation on M is applied to P and every column
+    operation to Q. Pivot selection is by minimal absolute value, first in
+    row-major order, so the decomposition is deterministic.
     """
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    n = m.rows
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    # a = [[M, I], [I, 0]]: row operations on the top n rows build P in the
-    # top right block, column operations on the left n columns build Q in
-    # the bottom left block, and M turns into D.
-    a = [list(r) + e for r, e in zip(m.entries, eye)] + [e + [0] * n for e in eye]
+    if not m.cols:
+        raise ValueError("at least one column required")
+    n, k = m.rows, m.cols
+    # a = [[M, I_n], [I_k, 0]]: row operations on the top n rows build P in
+    # the top right block, column operations on the left k columns build Q
+    # in the bottom left block, and M turns into D.
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.entries)]
+    a += [[int(i == j) for j in range(k)] + [0] * n for i in range(k)]
 
     def row_add(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -172,12 +170,12 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         for r in a:
             r[i] -= q * r[j]
 
-    for t in range(n):
+    for t in range(min(n, k)):
         while True:
             pivot = None
             best = None
             for i in range(t, n):
-                for j in range(t, n):
+                for j in range(t, k):
                     if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
                         best = abs(a[i][j])
                         pivot = (i, j)
@@ -192,7 +190,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
                 if a[i][t] != 0:
                     row_add(i, t, a[i][t] // a[t][t])
                     dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, n):
+            for j in range(t + 1, k):
                 if a[t][j] != 0:
                     col_add(j, t, a[t][j] // a[t][t])
                     dirty = dirty or a[t][j] != 0
@@ -201,7 +199,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
             # Pivot now isolated; enforce divisibility of the rest.
             offender = None
             for i in range(t + 1, n):
-                for j in range(t + 1, n):
+                for j in range(t + 1, k):
                     if a[i][j] % a[t][t] != 0:
                         offender = i
                         break
@@ -213,10 +211,10 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    d = IntMatrix([r[:n] for r in a[:n]])
-    pm = IntMatrix([r[n:] for r in a[:n]])
-    qm = IntMatrix([r[:n] for r in a[n:]])
-    factors = tuple(a[i][i] for i in range(n))
+    d = IntMatrix([r[:k] for r in a[:n]])
+    pm = IntMatrix([r[k:] for r in a[:n]])
+    qm = IntMatrix([r[:k] for r in a[n:]])
+    factors = tuple(a[i][i] for i in range(min(n, k)))
     if pm * m * qm != d or abs(pm.det()) != 1 or abs(qm.det()) != 1:
         raise ArithmeticError("Smith form does not reconstruct the input")
     for f, g in zip(factors, factors[1:]):

@@ -67,10 +67,9 @@ def build(C: IntMatrix) -> ParamSpec:
     exps = [tuple(e0)]
     for k in range(m):
         exps.append(tuple(C.entries[i][k] + e0[i] for i in range(n)))
-    degrees = {sum(e) for e in exps}
-    if len(degrees) != 1:
-        raise ValueError("pencil degrees disagree")
-    return ParamSpec(C=C, numer_exps=tuple(exps), d=degrees.pop())
+    # Row k + 1 sums to sum(e0) plus column k's sum, which the loop above
+    # has found to be 0: every f_k has degree sum(e0).
+    return ParamSpec(C=C, numer_exps=tuple(exps), d=sum(e0))
 
 
 def primitive_direction(row):
@@ -84,6 +83,16 @@ def primitive_direction(row):
     return tuple(x // t for x in row), t
 
 
+def _direction_classes(rows):
+    """Primitive direction -> [(i, t)] over the rows i = t * direction, in
+    order of first appearance."""
+    classes = {}
+    for i, row in enumerate(rows):
+        w, t = primitive_direction(row)
+        classes.setdefault(w, []).append((i, t))
+    return classes
+
+
 def merge_proportional_rows(C: IntMatrix):
     """Collapse each class of proportional rows to a single row.
 
@@ -91,13 +100,10 @@ def merge_proportional_rows(C: IntMatrix):
     psi_C = lam * psi_C' away from the arrangements; classes whose row
     multiplicities sum to zero disappear entirely. All exactly rational.
     """
-    classes = {}  # in order of first appearance
-    for row in C.entries:
-        w, t = primitive_direction(row)
-        classes.setdefault(w, []).append(t)
     merged = []
     scale = [Fraction(1)] * C.cols
-    for w, ts in classes.items():
+    for w, cls in _direction_classes(C.entries).items():
+        ts = [t for _, t in cls]
         s = sum(ts)
         tt = prod(Fraction(t) ** t for t in ts)
         if s != 0:

@@ -1,15 +1,18 @@
 """Test-only references for maps the library does not need: the monomial
 map alpha_M at a rational point, the commuting triangle relating the
 parametrizations of C1 = C2 * M, integer solving in a column lattice, a
-canonical basis of a column lattice, LLL reduction over `Fraction`, the
-4-variable `MPoly` pencils of a curve and the implicitization on the basis
-C is written in, the group product on the basis the Smith form comes
-with, and the scaled gradient over `Fraction` that the library's integer
-Gauss check is held against.
+canonical basis of a column lattice, the gcd of maximal minors by
+enumerating them, LLL reduction over `Fraction`, the 4-variable `MPoly`
+pencils of a curve and the implicitization on the basis C is written in,
+the group product on the basis the Smith form comes with, and the scaled
+gradient over `Fraction` that the library's integer Gauss check is held
+against.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
@@ -65,6 +68,16 @@ def solve_in_lattice(m: IntMatrix, v):
     if any(x % det for x in w):
         return None
     return tuple(x // det for x in w)
+
+
+def gcd_maximal_minors_by_enumeration(c: IntMatrix) -> int:
+    """gcd of all C(rows, cols) maximal minors of a tall c, each its own
+    determinant: the definition, against which the Smith form's product
+    of invariant factors is held."""
+    g = 0
+    for rows in combinations(range(c.rows), c.cols):
+        g = gcd(g, IntMatrix([c.entries[i] for i in rows]).det())
+    return g
 
 
 def hermite_column_basis(m: IntMatrix) -> IntMatrix:

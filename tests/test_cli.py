@@ -1,8 +1,10 @@
 """Command line front end: subcommands, schemas, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,21 @@ def test_analyze_antipodal_matrix_is_defective(files, capsys):
     assert rep["defect"] == "ProbablyDefective"
     assert rep["merged_rows"] == []
     assert rep["scaling"] == []
+
+
+def test_analyze_is_polynomial_in_the_matrix_size(files, capsys):
+    """Hostile input: g of a 20 x 10 matrix comes from its Smith form, not
+    from its 184756 maximal minors. Twice a matrix holding I_10 has g =
+    2^10."""
+    rng = random.Random(0)
+    half = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(9)]
+    half += [[int(i == j) for j in range(10)] for i in range(10)]
+    half.append([-sum(col) for col in zip(*half)])
+    path = files("even.json", {"rows": [[2 * x for x in row] for row in half]})
+    start = time.perf_counter()
+    rep = run_json(capsys, "analyze", path)
+    assert time.perf_counter() - start < 2
+    assert (rep["n"], rep["m"], rep["g"]) == (20, 10, 1024)
 
 
 def test_analyze_text_mode(files, capsys):
@@ -301,6 +318,7 @@ def test_malformed_matrix_rows_exit_two(files, capsys, rows):
     "command, option",
     [
         ("degree", "--trials"),
+        ("degree", "--seed"),
         ("implicitize", "--trials"),
         ("transfer", "--trials"),
         ("transfer", "--seed"),

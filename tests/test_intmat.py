@@ -15,7 +15,12 @@ from galedisc.intmat import (
     l1_reduce,
     smith_normal_form,
 )
-from oracles import hermite_column_basis, lll_reduce, solve_in_lattice
+from oracles import (
+    gcd_maximal_minors_by_enumeration,
+    hermite_column_basis,
+    lll_reduce,
+    solve_in_lattice,
+)
 
 
 def small_matrix(rows, cols, lo=-9, hi=9):
@@ -117,10 +122,26 @@ def test_det_matches_sympy(n, data):
         ([[1, 2], [0, -3], [-3, 0], [2, 1]], 3),
         ([[2, 0], [0, 2], [-2, 0], [0, -2]], 4),
         ([[1], [1], [2]], 1),
+        ([[], []], 1),
     ],
 )
 def test_gcd_maximal_minors_goldens(entries, g):
     assert gcd_maximal_minors(IntMatrix(entries)) == g
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 6), st.booleans(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_gcd_maximal_minors_matches_the_enumeration(m, extra, factor, deficient, data):
+    """n = m + extra <= 7 rows. The first column carries a drawn common
+    factor; a deficient matrix has as last column the sum of the others
+    (zero when m = 1), so that every maximal minor vanishes."""
+    rows = data.draw(small_matrix(m + extra, m, -5, 5)).to_lists()
+    for r in rows:
+        r[0] *= factor
+        if deficient:
+            r[-1] = sum(r[:-1])
+    c = IntMatrix(rows)
+    assert gcd_maximal_minors(c) == gcd_maximal_minors_by_enumeration(c)
 
 
 def test_gcd_maximal_minors_rejects_wide_matrix():
@@ -138,20 +159,28 @@ def test_snf_golden_invariant_factors():
     assert abs(dec.P.det()) == 1 and abs(dec.Q.det()) == 1
 
 
+def test_snf_rejects_zero_columns():
+    with pytest.raises(ValueError, match="at least one column"):
+        smith_normal_form(IntMatrix([[], []]))
+
+
 def test_snf_of_diagonal_with_swapped_divisibility():
     dec = smith_normal_form(IntMatrix([[4, 0], [0, 6]]))
     assert dec.invariant_factors == (2, 12)
 
 
-@given(st.integers(1, 4), st.data())
-@settings(deadline=None, max_examples=80)
-def test_snf_reconstruction_and_chain(n, data):
-    m = data.draw(small_matrix(n, n))
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=120)
+def test_snf_reconstruction_and_chain(n, k, data):
+    m = data.draw(small_matrix(n, k))
     dec = smith_normal_form(m)
+    assert (dec.P.rows, dec.P.cols, dec.Q.rows, dec.Q.cols) == (n, n, k, k)
     assert dec.P * m * dec.Q == dec.D
     assert abs(dec.P.det()) == 1
     assert abs(dec.Q.det()) == 1
     f = dec.invariant_factors
+    assert len(f) == min(n, k)
+    assert dec.D.to_lists() == [[f[i] if i == j else 0 for j in range(k)] for i in range(n)]
     assert all(x >= 0 for x in f)
     for a, b in zip(f, f[1:]):
         if a:
