@@ -19,9 +19,12 @@ to the first power, and the degree check rejects anything else. Two
 sampled checks certify a polynomial against the parametrization: its
 vanishing at parametrized points, which validates the implicitization,
 and the inversion of psi by the logarithmic Gauss map. Both evaluate in
-integers, on the terms at psi(u) times one common nonzero factor
-(`_cleared_terms`, from the forms' values at u); implicitize's vanishing
-check runs on the reduced basis, whose forms at U^-1 u are C's at u.
+integers, on the terms at psi(u) times one common nonzero factor F, from
+the forms' values at u. The Gauss check weights each term's value by its
+exponents (`_cleared_terms`). The vanishing check needs only their sum,
+one integer per point that a homogeneous Horner scheme gives
+(`_cleared_sum`); it runs on the reduced basis, whose forms at U^-1 u are
+C's at u.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -97,22 +100,24 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     """Defining polynomial of the closure of the image of psi, for m = 2.
 
     Requires a matrix without proportional rows (merge first); then the
-    image is always a curve, so no defect test runs. The resultant is taken on the 1-norm-reduced basis C * U of the column
-    lattice (`l1_reduce`): the pencils' u-degrees are half the 1-norms of
-    the columns, and the reduced columns reach both successive minima, so
-    the Sylvester matrix is as small as any basis allows and no cost
-    estimate is needed to choose the basis. The pencils come as integer
-    coefficient lists in u1 at u2 = 1 (`_affine_pencils`), and each is
-    evaluated once per line of interpolation nodes, as it uses only its
-    own y_k. Freed of its content and monomial factor and sign-normalized,
-    the resultant is the defining polynomial on C * U: psi is birational
-    onto its image, so it is the defining polynomial to the first power
-    and needs no square-free pass. Since psi_(C U)(u) = alpha_U(psi_C(U u)),
-    the polynomial comes back to C by the monomial substitution alpha_U.
+    image is always a curve, so no defect test runs. The resultant is
+    taken on the 1-norm-reduced basis C * U of the column lattice
+    (`l1_reduce`): the pencils' u-degrees are half the 1-norms of the
+    columns, and the reduced columns reach both successive minima, so the
+    Sylvester matrix is as small as any basis allows and no cost estimate
+    is needed to choose the basis. The pencils come as integer coefficient
+    lists in u1 at u2 = 1 (`_affine_pencils`), and each is evaluated once
+    per line of interpolation nodes, as it uses only its own y_k. Freed of
+    its content and monomial factor and sign-normalized, the resultant is
+    the defining polynomial on C * U: psi is birational onto its image, so
+    it is the defining polynomial to the first power and needs no
+    square-free pass. Since psi_(C U)(u) = alpha_U(psi_C(U u)), the
+    polynomial comes back to C by the monomial substitution alpha_U.
     The degree count, which rejects any power, runs on the result over C.
     The vanishing at sampled parametrized points psi_C(u) is checked on
     C * U at U^-1 u, from the forms of C at u, where the numbers stay as
-    small as the reduced degrees.
+    small as the reduced degrees. Each point takes one integer, the sum of
+    the cleared terms, by a homogeneous Horner scheme (`_cleared_sum`).
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
@@ -150,10 +155,11 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     # forms of C * U at U^-1 u are those of C at u, so U^-1 u is never
     # formed, and psi_(C U)(U^-1 u) = alpha_U(psi_C(u)), where `reduced`
     # vanishes exactly when delta vanishes at psi_C(u).
+    cleared_sum = _cleared_sum(spec_cu, reduced)
     rng = random.Random(seed)
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        if sum(_cleared_terms(spec_cu, reduced, _forms_at(spec.C, u)).values()):
+        if cleared_sum(_forms_at(spec.C, u)):
             raise ValueError(
                 "implicitization validation failed: nonzero at a parametrized "
                 "point u = %s (seed %d)" % (u, seed)
@@ -203,6 +209,45 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, forms) -> dict:
         e: c * p0[top - s] * prod(map(getitem, tables, e))
         for (e, c), s in zip(terms.items(), degs)
     }
+
+
+def _cleared_sum(spec: ParamSpec, delta: MPoly):
+    """forms -> sum(_cleared_terms(spec, delta, forms).values()), the same
+    integer, for m = 2 and a nonzero delta without negative exponents.
+
+    There F = f_0^D, so the sum is the form of degree D
+    S = sum_e c_e f_0^(D - |e|) f_1^e1 f_2^e2, taken by a homogeneous
+    two-level Horner scheme. The terms are grouped by e1 once, each group
+    a dense list of its coefficients in descending e2. At each point
+    Horner in f_2 runs inside each group, c_e entering times f_0^(D - |e|)
+    from one table of powers of f_0, and Horner in f_1 runs across the
+    groups, which needs no power of f_0, as group e1 has degree D - e1:
+    two products per coefficient, and no power table per variable."""
+    top = delta.total_degree()
+    groups = {}
+    for (a, b), c in delta.terms.items():
+        groups.setdefault(a, {})[b] = c
+    rows = []
+    for a in range(max(groups), -1, -1):
+        row = groups.get(a, {})
+        b_top = max(row, default=-1)  # an empty group gives an empty list
+        rows.append((top - a - b_top, [row.get(b, 0) for b in range(b_top, -1, -1)]))
+
+    def at(forms):
+        f0, f1, f2 = (prod(map(pow, forms, exps)) for exps in spec.numer_exps)
+        p0 = [1]
+        for _ in range(top):
+            p0.append(p0[-1] * f0)
+        s = 0
+        for k, row in rows:
+            h = 0
+            for c in row:
+                h = h * f2 + c * p0[k]
+                k += 1
+            s = s * f1 + h
+        return s
+
+    return at
 
 
 def gauss_inverse_check(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import add
 
 from .intmat import IntMatrix
 
@@ -64,6 +65,23 @@ class MPoly:
                         del clean[e]
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _valid(cls, n_vars: int, terms: dict) -> "MPoly":
+        """The polynomial with these terms, taken as they are: exponent
+        tuples of n_vars ints, each with a nonzero int coefficient.
+
+        The arithmetic builds its results through here, skipping the
+        per-term checks of the constructor, which guard outside input. Its
+        results are made from the terms of valid polynomials, and only two
+        facts keep them valid: sums and products of ints are ints, so the
+        exponents and coefficients stay ints, and no zero coefficient is
+        ever stored, so every path that can cancel a term or multiply by 0
+        drops it before it gets here."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n_vars", n_vars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -108,12 +126,12 @@ class MPoly:
                 t[e] = nc
             else:
                 t.pop(e, None)
-        return MPoly(self.n_vars, t)
+        return MPoly._valid(self.n_vars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._valid(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -125,18 +143,20 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MPoly(self.n_vars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MPoly._valid(self.n_vars, {})
+            return MPoly._valid(self.n_vars, {e: c * other for e, c in self.terms.items()})
         self._check_compat(other)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 nc = t.get(e, 0) + c1 * c2
                 if nc:
                     t[e] = nc
                 else:
                     del t[e]
-        return MPoly(self.n_vars, t)
+        return MPoly._valid(self.n_vars, t)
 
     __rmul__ = __mul__
 
@@ -228,9 +248,10 @@ class MPoly:
         """Multiply by the (Laurent) monomial with exponent vector delta."""
         if len(delta) != self.n_vars:
             raise ValueError("exponent length mismatch")
-        return MPoly(
-            self.n_vars,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
+        if any(type(x) is not int for x in delta):
+            raise TypeError("integer exponents only")
+        return MPoly._valid(
+            self.n_vars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
         )
 
     def coeffs_in(self, var_index: int):
@@ -244,7 +265,7 @@ class MPoly:
             k = e[i]
             e2 = e[:i] + (0,) + e[i + 1 :]
             buckets.setdefault(k, {})[e2] = c
-        return {k: MPoly(self.n_vars, t) for k, t in buckets.items()}
+        return {k: MPoly._valid(self.n_vars, t) for k, t in buckets.items()}
 
     def restrict(self, keep):
         """Project onto a subset of variables (1-based index tuple). Raises
@@ -341,7 +362,7 @@ def content_primitive(p: MPoly):
     if not p:
         raise ValueError("zero input")
     c = p.content()
-    prim = MPoly(p.n_vars, {e: v // c for e, v in p.terms.items()})
+    prim = MPoly._valid(p.n_vars, {e: v // c for e, v in p.terms.items()})
     return c, prim.sign_normalized()
 
 
@@ -599,4 +620,4 @@ def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
         raise ValueError("matrix shape mismatch")
     if m.det() == 0:
         raise ValueError("singular matrix")
-    return MPoly(p.n_vars, {tuple(m.mul_vec(e)): c for e, c in p.terms.items()})
+    return MPoly._valid(p.n_vars, {tuple(m.mul_vec(e)): c for e, c in p.terms.items()})

@@ -93,17 +93,36 @@ def _direction_classes(rows):
     return classes
 
 
+# The largest scaling merge_proportional_rows forms, in bits: about 3000
+# decimal digits, under the 4300 that Python converts to a string.
+_SCALING_BITS_LIMIT = 10**4
+
+
 def merge_proportional_rows(C: IntMatrix):
     """Collapse each class of proportional rows to a single row.
 
     Returns (C', lam) where lam is the coordinate scaling with
     psi_C = lam * psi_C' away from the arrangements; classes whose row
     multiplicities sum to zero disappear entirely. All exactly rational.
+    Raises ValueError when the scaling would take more than
+    _SCALING_BITS_LIMIT bits, before any of it is formed.
     """
+    classes = [(w, [t for _, t in cls]) for w, cls in _direction_classes(C.entries).items()]
+    # A class's ratio prod_t t^t / s^s has at most
+    # sum_t |t| bitlen(t) + |s| bitlen(s) bits above and below the line
+    # together, and enters coordinate k to the power w_k.
+    bits = sum(
+        sum(map(abs, w)) * sum(abs(t) * t.bit_length() for t in ts + [sum(ts)])
+        for w, ts in classes
+    )
+    if bits > _SCALING_BITS_LIMIT:
+        raise ValueError(
+            "proportional rows too large: the coordinate scaling needs about %d "
+            "bits, above the limit of %d" % (bits, _SCALING_BITS_LIMIT)
+        )
     merged = []
     scale = [Fraction(1)] * C.cols
-    for w, cls in _direction_classes(C.entries).items():
-        ts = [t for _, t in cls]
+    for w, ts in classes:
         s = sum(ts)
         tt = prod(Fraction(t) ** t for t in ts)
         if s != 0:

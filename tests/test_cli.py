@@ -265,6 +265,21 @@ def test_a_too_large_resultant_exits_one(files, capsys):
     assert err.startswith("error: resultant too large: a Sylvester matrix of size 56 on 841 nodes")
 
 
+@pytest.mark.parametrize("t", [10**4, 10**5, 10**6])
+def test_proportional_rows_with_huge_multipliers_exit_one(files, capsys, t):
+    """The coordinate scaling of these rows runs to millions of bits: at
+    10^4 printing it broke the interpreter's integer string limit, and at
+    10^6 forming it ran for minutes."""
+    rows = [[t, 0], [-t, 1], [2 * t, 0], [-2 * t, -1]]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", files("rows.json", {"rows": rows}))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: proportional rows too large: the coordinate scaling needs about ")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"rows": [[1, 2')

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import galedisc.discriminant
 import galedisc.parametrization
 from galedisc.discriminant import (
     _affine_pencils,
+    _cleared_sum,
     _cleared_terms,
     _hull_edges,
     _norm_basis,
@@ -249,6 +250,45 @@ def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
             expected = factor * p.evaluate(y)
             assert sum(_cleared_terms(spec, p, forms).values()) == expected
             assert (expected == 0) == (p is delta)
+
+
+# m = 2 polynomials without negative exponents, with gaps in e1 and e2 and
+# missing rows; a single term and a constant among them
+curve_polys = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.integers(-(10**6), 10**6).filter(bool),
+    min_size=1,
+    max_size=14,
+).map(lambda terms: MPoly(2, terms))
+
+
+@given(st.sampled_from([B, C, BPRIME]), curve_polys, st.integers(0, 2**32))
+@example(B, MPoly(2, {(0, 0): 7}), 0)
+@example(B, MPoly(2, {(3, 2): -5}), 1)
+@example(C, MPoly(2, {(6, 0): 2, (3, 4): -1, (0, 1): 3}), 2)
+@example(BPRIME, DELTA_BPRIME, 3)
+@settings(max_examples=150)
+def test_horner_sum_is_the_sum_of_the_cleared_terms(mat, delta, seed):
+    """The vanishing check's one Horner sum per point is the very integer
+    the per-term values sum to."""
+    spec = build(mat)
+    cleared_sum = _cleared_sum(spec, delta)
+    rng = random.Random(seed)
+    for _ in range(3):
+        forms = _forms_at(spec.C, sample_off_arrangement(spec, rng))
+        assert cleared_sum(forms) == sum(_cleared_terms(spec, delta, forms).values())
+
+
+def test_implicitize_checks_vanishing_without_per_term_values(monkeypatch):
+    """The vanishing check takes one Horner sum per point; only the Gauss
+    check needs the values of the terms one by one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("implicitize formed per-term values")
+
+    monkeypatch.setattr(galedisc.discriminant, "_cleared_terms", refuse)
+    for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
+        assert implicitize(build(mat)) == delta
 
 
 def test_implicitize_seed_insensitive():

@@ -138,6 +138,42 @@ def test_ring_axioms(data):
     assert (p * q) * r == p * (q * r)
 
 
+def assert_valid(r):
+    """What the public constructor would have made of r's terms: int
+    exponent tuples of the right length and nonzero int coefficients."""
+    assert r == MPoly(r.n_vars, dict(r.terms))
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == r.n_vars
+        assert all(type(x) is int for x in e)
+        assert type(c) is int and c
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=80)
+def test_arithmetic_results_are_valid_polynomials(data):
+    """The arithmetic builds its results without the constructor's per-term
+    checks; each result still passes them and stores no zero."""
+    p, q = poly2(data, laurent=True), poly2(data, laurent=True)
+    shift = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    k = data.draw(st.integers(0, 3))
+    c = data.draw(st.integers(-5, 5))
+    results = [p + q, p - q, p * q, p**k, -p, p * 0, 0 * p, p - p, p + (-p), p * c, c + p, c - p]
+    results += [p.shift(shift), *p.coeffs_in(1).values(), *p.coeffs_in(2).values()]
+    results.append(substitute_monomial(p, IntMatrix([[2, 1], [1, -1]])))
+    if p:
+        results.append(content_primitive(p)[1])
+    for r in results:
+        assert_valid(r)
+    for r in (p * 0, 0 * p, p - p, p + (-p)):
+        assert r.terms == {}
+
+
+@pytest.mark.parametrize("delta", [(0.5, 0), (Fraction(1), 0), (True, 0)], ids=["float", "fraction", "bool"])
+def test_shift_takes_integer_exponents_only(delta):
+    with pytest.raises(TypeError, match="integer exponents only"):
+        X.shift(delta)
+
+
 # ---------------------------------------------------------------- ordering / signs
 
 

@@ -1,11 +1,13 @@
 """Building the rational parametrization from an integer matrix and probing its rank."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import galedisc.parametrization
 from galedisc.intmat import IntMatrix, _int_rank
 from galedisc.parametrization import (
     Verdict,
@@ -328,6 +330,42 @@ def test_merge_scaling_invariant():
 def test_merge_can_consume_everything():
     with pytest.raises(ValueError, match="all rows merged away"):
         merge_proportional_rows(ANTIPODAL)
+
+
+@pytest.mark.parametrize("t", [10**4, 10**5, 10**6])
+def test_merge_refuses_a_huge_scaling_before_forming_it(t):
+    """prod t^t over a class is not formed when it would run to millions of
+    bits: the refusal is immediate, and carries the estimate."""
+    C = IntMatrix([[t, 0], [-t, 1], [2 * t, 0], [-2 * t, -1]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"proportional rows too large: the coordinate scaling needs about \d+ bits, above the limit of 10000"):
+        merge_proportional_rows(C)
+    assert time.perf_counter() - start < 0.1
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([(1, 0), (0, 1), (1, -1), (2, 1), (1, 3)]), st.integers(-20, 20).filter(bool)),
+        min_size=2,
+        max_size=7,
+    )
+)
+@settings(max_examples=150)
+def test_merge_scaling_bits_estimate_is_an_upper_bound(rows):
+    """With the limit one bit below the scaling's actual size, the merge
+    refuses: its estimate never falls short of what it forms."""
+    C = IntMatrix([[t * x for x in w] for w, t in rows])
+    assume(all(any(col) for col in zip(*C.entries)))
+    try:
+        _, lam = merge_proportional_rows(C)
+    except ValueError as e:
+        assume("merged away" not in str(e))
+        raise
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(galedisc.parametrization, "_SCALING_BITS_LIMIT", bits - 1)
+        with pytest.raises(ValueError, match="proportional rows too large"):
+            merge_proportional_rows(C)
 
 
 # ---------------------------------------------------------------- sampling
