@@ -222,7 +222,12 @@ def _cleared_sum(spec: ParamSpec, delta: MPoly):
     Horner in f_2 runs inside each group, c_e entering times f_0^(D - |e|)
     from one table of powers of f_0, and Horner in f_1 runs across the
     groups, which needs no power of f_0, as group e1 has degree D - e1:
-    two products per coefficient, and no power table per variable."""
+    two products per coefficient, and no power table per variable.
+
+    The lists are dense, gaps in e2 and empty groups included, so a point
+    costs about (max e1 + 1)(max e2 + 1) products: suited to a dense-ish
+    Newton polygon, as implicit equations have, not to a few terms of high
+    degree such as y_1^a y_2^(D - a), where the per-term sum is cheaper."""
     top = delta.total_degree()
     groups = {}
     for (a, b), c in delta.terms.items():

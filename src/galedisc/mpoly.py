@@ -248,7 +248,9 @@ class MPoly:
         """Multiply by the (Laurent) monomial with exponent vector delta."""
         if len(delta) != self.n_vars:
             raise ValueError("exponent length mismatch")
-        if any(type(x) is not int for x in delta):
+        # Each exponent of the result is e_i + x; that is an int, the
+        # constructor's test, exactly when x is an int instance.
+        if not all(isinstance(x, int) for x in delta):
             raise TypeError("integer exponents only")
         return MPoly._valid(
             self.n_vars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()}

@@ -98,6 +98,29 @@ def _direction_classes(rows):
 _SCALING_BITS_LIMIT = 10**4
 
 
+def _class_ratio(ts):
+    """A class's ratio prod_t t^t / s^s, s = sum(ts), or prod_t t^t when
+    s = 0, as (g, sign, powers): the ratio is (sign * prod b^E)^g over the
+    bases b >= 2 and exponents E != 0 of powers.
+
+    With g = gcd(ts), t = g t' and s = g s', and g^(g s') cancels above
+    and below the line, leaving (prod t'^t' / s'^s')^g. Each x^k, from
+    t'^t' and s'^-s', puts k on the base |x| and, for x < 0, (-1)^k on the
+    sign, so equal |t'| pool their exponents and a single row's t^t / t^t
+    leaves nothing."""
+    g = gcd(*ts)
+    s = sum(ts) // g
+    pairs = [(t // g, t // g) for t in ts] + ([(s, -s)] if s else [])
+    powers = {}
+    odd = 0
+    for x, k in pairs:
+        if x < 0:
+            odd ^= k & 1
+        powers[abs(x)] = powers.get(abs(x), 0) + k
+    powers = {b: e for b, e in powers.items() if b > 1 and e}
+    return g, -1 if odd else 1, powers
+
+
 def merge_proportional_rows(C: IntMatrix):
     """Collapse each class of proportional rows to a single row.
 
@@ -108,12 +131,13 @@ def merge_proportional_rows(C: IntMatrix):
     _SCALING_BITS_LIMIT bits, before any of it is formed.
     """
     classes = [(w, [t for _, t in cls]) for w, cls in _direction_classes(C.entries).items()]
-    # A class's ratio prod_t t^t / s^s has at most
-    # sum_t |t| bitlen(t) + |s| bitlen(s) bits above and below the line
-    # together, and enters coordinate k to the power w_k.
+    classes = [(w, ts, _class_ratio(ts)) for w, ts in classes]
+    # A ratio (sign * prod b^E)^g has at most g sum |E| log2(b) bits above
+    # and below the line together, and enters coordinate k to the power
+    # w_k.
     bits = sum(
-        sum(map(abs, w)) * sum(abs(t) * t.bit_length() for t in ts + [sum(ts)])
-        for w, ts in classes
+        sum(map(abs, w)) * g * sum(abs(e) * b.bit_length() for b, e in powers.items())
+        for w, _, (g, _, powers) in classes
     )
     if bits > _SCALING_BITS_LIMIT:
         raise ValueError(
@@ -122,14 +146,13 @@ def merge_proportional_rows(C: IntMatrix):
         )
     merged = []
     scale = [Fraction(1)] * C.cols
-    for w, ts in classes:
+    for w, ts, (g, sign, powers) in classes:
         s = sum(ts)
-        tt = prod(Fraction(t) ** t for t in ts)
         if s != 0:
             merged.append([s * x for x in w])
-            ratio = tt / Fraction(s) ** s
-        else:
-            ratio = tt
+        if sign == 1 and not powers:
+            continue
+        ratio = (Fraction(sign) * prod(Fraction(b) ** e for b, e in powers.items())) ** g
         for k in range(C.cols):
             scale[k] *= ratio ** w[k]
     if not merged:

@@ -47,7 +47,7 @@ def test_star_import_exports_exactly_the_public_names():
 )
 def test_demo_script_runs(script):
     out = run_from_checkout(str(ROOT / "scripts" / script))
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_bench_self_checks_pass():

@@ -82,14 +82,20 @@ def test_analyze_antipodal_matrix_is_defective(files, capsys):
     assert rep["scaling"] == []
 
 
+def holding_identity():
+    """A regular 20 x 10 matrix holding I_10, with no proportional rows."""
+    rng = random.Random(0)
+    rows = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(9)]
+    rows += [[int(i == j) for j in range(10)] for i in range(10)]
+    rows.append([-sum(col) for col in zip(*rows)])
+    return rows
+
+
 def test_analyze_is_polynomial_in_the_matrix_size(files, capsys):
     """Hostile input: g of a 20 x 10 matrix comes from its Smith form, not
     from its 184756 maximal minors. Twice a matrix holding I_10 has g =
     2^10."""
-    rng = random.Random(0)
-    half = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(9)]
-    half += [[int(i == j) for j in range(10)] for i in range(10)]
-    half.append([-sum(col) for col in zip(*half)])
+    half = holding_identity()
     path = files("even.json", {"rows": [[2 * x for x in row] for row in half]})
     start = time.perf_counter()
     rep = run_json(capsys, "analyze", path)
@@ -278,6 +284,19 @@ def test_proportional_rows_with_huge_multipliers_exit_one(files, capsys, t):
     assert out == ""
     assert err.startswith("error: proportional rows too large: the coordinate scaling needs about ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[300, 300], [-300, 0], [0, -300]], [[8 * x for x in row] for row in holding_identity()]],
+    ids=["three-rows", "eight-times-20x10"],
+)
+def test_rows_with_large_gcds_but_no_proportional_rows_analyze(files, capsys, rows):
+    """Each row is alone in its class, so the scaling is all 1, however
+    large the rows' gcds."""
+    rep = run_json(capsys, "analyze", files("rows.json", {"rows": rows}))
+    assert rep["merged_rows"] == rows
+    assert rep["scaling"] == ["1"] * len(rows[0])
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -168,10 +168,17 @@ def test_arithmetic_results_are_valid_polynomials(data):
         assert r.terms == {}
 
 
-@pytest.mark.parametrize("delta", [(0.5, 0), (Fraction(1), 0), (True, 0)], ids=["float", "fraction", "bool"])
+@pytest.mark.parametrize("delta", [(0.5, 0), (Fraction(1), 0)], ids=["float", "fraction"])
 def test_shift_takes_integer_exponents_only(delta):
     with pytest.raises(TypeError, match="integer exponents only"):
         X.shift(delta)
+
+
+def test_shift_by_a_bool_is_a_shift_by_an_int():
+    """e + True is the int e + 1, so a bool in delta gives int exponents."""
+    r = X.shift((True, False))
+    assert r == X.shift((1, 0))
+    assert_valid(r)
 
 
 # ---------------------------------------------------------------- ordering / signs

@@ -343,6 +343,25 @@ def test_merge_refuses_a_huge_scaling_before_forming_it(t):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "rows, lam",
+    [
+        ([[300, 300], [-300, 0], [0, -300]], (1, 1)),
+        ([[10**6, 0], [-(10**6), 0], [10**6, 0], [-(10**6), 1], [0, -1]], (1, 1)),
+        ([[300, 300], [600, 600], [-900, 0], [0, -900]], (Fraction(2**600, 3**900),) * 2),
+    ],
+    ids=["single-rows", "cancelling-class", "common-factor"],
+)
+def test_merge_sizes_the_scaling_after_cancellation(rows, lam):
+    """Large multipliers are no refusal when the scaling they give is
+    small: a row alone in its class scales by t^t / t^t = 1, a class
+    whose multipliers cancel by 1, and one with common factor g by the
+    g-th power of a small ratio, here (300^300 600^600 / 900^900)."""
+    start = time.perf_counter()
+    assert merge_proportional_rows(IntMatrix(rows))[1] == lam
+    assert time.perf_counter() - start < 0.1
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from([(1, 0), (0, 1), (1, -1), (2, 1), (1, 3)]), st.integers(-20, 20).filter(bool)),
@@ -353,7 +372,8 @@ def test_merge_refuses_a_huge_scaling_before_forming_it(t):
 @settings(max_examples=150)
 def test_merge_scaling_bits_estimate_is_an_upper_bound(rows):
     """With the limit one bit below the scaling's actual size, the merge
-    refuses: its estimate never falls short of what it forms."""
+    refuses: its estimate never falls short of what it forms. The size of
+    p/q is floor(log2 |p|) + floor(log2 q), which is 0 for 1."""
     C = IntMatrix([[t * x for x in w] for w, t in rows])
     assume(all(any(col) for col in zip(*C.entries)))
     try:
@@ -361,7 +381,7 @@ def test_merge_scaling_bits_estimate_is_an_upper_bound(rows):
     except ValueError as e:
         assume("merged away" not in str(e))
         raise
-    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in lam)
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() - 2 for x in lam)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(galedisc.parametrization, "_SCALING_BITS_LIMIT", bits - 1)
         with pytest.raises(ValueError, match="proportional rows too large"):
