@@ -113,6 +113,9 @@ def base_points(spec: ParamSpec):
     return [bp for bp, _ in _sorted_base_points(found)]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _sorted_base_points(found):
     """(BasePoint, tag) pairs for the found (p, vanishing, tag) triples,
     sorted by coordinates.
@@ -121,22 +124,17 @@ def _sorted_base_points(found):
     coordinates are p / lead, lead its first nonzero entry. p scaled by
     L / lead, L the lcm of the leads, sorts as those coordinates.
     """
-    leads = [next(x for x in p if x) for p, _, _ in found]
+    leads = [p[0] or p[1] or p[2] for p, _, _ in found]
     L = lcm(*leads)
-    order = sorted(
-        range(len(found)),
-        key=lambda t: tuple(x * (L // leads[t]) for x in found[t][0]),
-    )
-    return [
-        (
-            BasePoint(
-                coords=tuple(Fraction(x, leads[t]) for x in found[t][0]),
-                vanishing=found[t][1],
-            ),
-            found[t][2],
-        )
-        for t in order
-    ]
+    scales = map({lead: L // lead for lead in set(leads)}.get, leads)
+    keys = [(p0 * s, p1 * s, p2 * s) for ((p0, p1, p2), _, _), s in zip(found, scales)]
+    out = []
+    for t in sorted(range(len(found)), key=keys.__getitem__):
+        p, vanishing, tag = found[t]
+        lead = leads[t]
+        coords = tuple([_ZERO if not x else _ONE if x == lead else Fraction(x, lead) for x in p])
+        out.append((BasePoint(coords=coords, vanishing=vanishing), tag))
+    return out
 
 
 def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:

@@ -71,16 +71,16 @@ def _require_zero_dimensional(gens):
         raise ValueError("not zero-dimensional")
 
 
-def _cross(o, u, v):
-    return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-
 def _chain(points):
     """Convex chain of plane points in their order, dropping each point that
     makes no strict left turn: the lower hull of points sorted by x."""
     chain = []
     for p in points:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+        x, y = p
+        while len(chain) >= 2:
+            (x0, y0), (x1, y1) = chain[-2], chain[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0:
+                break
             chain.pop()
         chain.append(p)
     return chain
@@ -88,10 +88,15 @@ def _chain(points):
 
 def _multiplicity(gens):
     """Twice the area enclosed by the axes and the lower hull of the sorted
-    minimal generators of a zero-dimensional staircase."""
-    polygon = [(0, 0)] + _chain(gens)
-    pairs = zip(polygon, polygon[1:] + polygon[:1])
-    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs))
+    minimal generators of a zero-dimensional staircase: the shoelace sum
+    round the origin and the chain, where the origin's terms vanish."""
+    chain = _chain(gens)
+    total = 0
+    x0, y0 = chain[0]
+    for x1, y1 in chain[1:]:
+        total += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return abs(total)
 
 
 def staircase_multiplicity(s: Staircase2) -> int:
@@ -154,13 +159,15 @@ def degree_uniform(C: IntMatrix) -> DegreeReport:
     # ParamSpec), so some f_k misses l_i and some misses l_j: the base
     # locus is finite, and a base point's staircase holds a pair (0, b) and
     # a pair (a, 0), which makes it zero-dimensional.
-    exps = spec.numer_exps
+    # Bit k of missing[i] marks E_k[i] = 0. A crossing is a base point
+    # exactly when every f_k vanishes there, i.e. no f_k misses both lines.
+    cols = list(zip(*spec.numer_exps))
+    missing = [sum(1 << k for k, x in enumerate(col) if not x) for col in cols]
     found = []
     total = 0
     for i, j, p in pairs:
-        stairs = [(e[i], e[j]) for e in exps]
-        if all(a or b for a, b in stairs):
-            e = _multiplicity(_minimal(stairs))
+        if not missing[i] & missing[j]:
+            e = _multiplicity(_minimal(zip(cols[i], cols[j])))
             found.append((p, (i + 1, j + 1), e))
             total += e
     degree = spec.d * spec.d - total

@@ -143,6 +143,8 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if type(other) is not int:
+                raise TypeError("integer coefficients only")
             if not other:
                 return MPoly._valid(self.n_vars, {})
             return MPoly._valid(self.n_vars, {e: c * other for e, c in self.terms.items()})

@@ -4,9 +4,10 @@ parametrizations of C1 = C2 * M, integer solving in a column lattice, a
 canonical basis of a column lattice, the gcd of maximal minors by
 enumerating them, LLL reduction over `Fraction`, the 4-variable `MPoly`
 pencils of a curve and the implicitization on the basis C is written in,
-the group product on the basis the Smith form comes with, and the scaled
+the group product on the basis the Smith form comes with, the scaled
 gradient over `Fraction` that the library's integer Gauss check is held
-against.
+against, the base points of a surface pencil enumerated and sorted over
+`Fraction`, and the lower hull by brute force over segments.
 """
 
 import random
@@ -251,3 +252,64 @@ def group_product_on_smith_basis(f: MPoly, M: IntMatrix) -> MPoly:
         if dk > 1:
             h = _unit_root_product(h, k + 1, dk)
     return substitute_monomial(h, M * snf.Q)
+
+
+# The base point enumeration as it ran on Fraction coordinates: each
+# crossing is normalized to first nonzero coordinate 1, the vanishing set is
+# read off by rational dot products, and the points sort as Fractions.
+
+
+def oracle_normalize_point(p):
+    idx = next((i for i, x in enumerate(p) if x != 0), None)
+    if idx is None:
+        return None
+    lead = Fraction(p[idx])
+    return tuple(Fraction(x) / lead for x in p)
+
+
+def oracle_vanishing_at(C, coords):
+    return tuple(
+        i + 1
+        for i, row in enumerate(C.entries)
+        if sum(c * x for c, x in zip(row, coords)) == 0
+    )
+
+
+def oracle_base_points(spec):
+    """(coords, vanishing) of every base point, sorted by coords."""
+    C = spec.C
+    seen = {}
+    for i, j in combinations(range(spec.n), 2):
+        a, b = C.entries[i], C.entries[j]
+        p = (
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        )
+        coords = oracle_normalize_point(p)
+        if coords is not None and coords not in seen:
+            seen[coords] = oracle_vanishing_at(C, coords)
+    return sorted(
+        (coords, vanishing)
+        for coords, vanishing in seen.items()
+        if all(
+            any(spec.numer_exps[k][i - 1] > 0 for i in vanishing)
+            for k in range(spec.m + 1)
+        )
+    )
+
+
+def lower_hull_by_segments(points):
+    """The points that a strict lower hull keeps, by brute force over a list
+    of distinct points sorted by (x, y): the first and the last stay, and
+    any other point p stays unless some segment from a point before p to a
+    point after p meets the vertical through p on or below it."""
+
+    def on_or_below(a, b, p):  # a <= p <= b in (x, y) order
+        return (p[1] - a[1]) * (b[0] - a[0]) >= (b[1] - a[1]) * (p[0] - a[0])
+
+    return [
+        p
+        for k, p in enumerate(points)
+        if not any(on_or_below(a, b, p) for a in points[:k] for b in points[k + 1 :])
+    ]

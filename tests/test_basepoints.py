@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from galedisc.basepoints import BasePoint, base_points, is_uniform, localize
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import build, primitive_direction
+from oracles import oracle_base_points, oracle_vanishing_at
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -24,50 +25,9 @@ def F(x):
 
 # ---------------------------------------------------------------- Fraction oracle
 #
-# The enumeration as it ran on Fraction coordinates: each crossing is
-# normalized to first nonzero coordinate 1 and the vanishing set is read off
-# by rational dot products. base_points and localize work on integer points
-# and must agree with it exactly.
-
-
-def oracle_normalize_point(p):
-    idx = next((i for i, x in enumerate(p) if x != 0), None)
-    if idx is None:
-        return None
-    lead = Fraction(p[idx])
-    return tuple(Fraction(x) / lead for x in p)
-
-
-def oracle_vanishing_at(C, coords):
-    return tuple(
-        i + 1
-        for i, row in enumerate(C.entries)
-        if sum(c * x for c, x in zip(row, coords)) == 0
-    )
-
-
-def oracle_base_points(spec):
-    """(coords, vanishing) of every base point, sorted by coords."""
-    C = spec.C
-    seen = {}
-    for i, j in combinations(range(spec.n), 2):
-        a, b = C.entries[i], C.entries[j]
-        p = (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-        coords = oracle_normalize_point(p)
-        if coords is not None and coords not in seen:
-            seen[coords] = oracle_vanishing_at(C, coords)
-    return sorted(
-        (coords, vanishing)
-        for coords, vanishing in seen.items()
-        if all(
-            any(spec.numer_exps[k][i - 1] > 0 for i in vanishing)
-            for k in range(spec.m + 1)
-        )
-    )
+# oracle_base_points (tests/oracles.py) runs the enumeration on Fraction
+# coordinates; base_points and localize work on integer points and must
+# agree with it exactly.
 
 
 def oracle_localize(spec, coords):

@@ -5,12 +5,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import galedisc.parametrization
 from galedisc.basepoints import base_points, is_uniform, localize
 from galedisc.degree import (
     Staircase2,
+    _chain,
     colength,
     degree_uniform,
     minimal_generators,
@@ -19,9 +20,13 @@ from galedisc.degree import (
 )
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import Verdict, build, defect_test
+from oracles import lower_hull_by_segments, oracle_base_points
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
+# Uniform, with rows 1 and 2 proportional in their last two columns and rows
+# 3 and 4 zero in their last: crossings with leading coordinates 0.
+CZERO_LEADS = IntMatrix([[-1, -2, -1], [0, 2, 1], [-1, -2, 0], [2, 2, 0]])
 CDERIVED = IntMatrix([[1, 1, 2], [1, -1, 0], [-1, 1, -1], [-1, -1, -1]])
 
 
@@ -212,6 +217,35 @@ def test_colength_matches_counting_oracle(data):
     assert colength(Staircase2.of(gens)) == colength_by_counting(gens)
 
 
+# ---------------------------------------------------------------- lower hull
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=12, unique=True
+    )
+)
+@example([(0, 0), (1, 1), (2, 2), (3, 3)])
+@example([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)])
+@example([(0, 2), (1, 1), (1, 3), (2, 0), (2, 5), (4, 0)])
+@settings(deadline=None, max_examples=300)
+def test_chain_matches_the_segment_oracle(points):
+    """The strict-left-turn rule that the staircase multiplicity and the
+    hull edges rely on: collinear runs and points over a repeated x go,
+    except the last point's column, which the chain climbs to its end."""
+    pts = sorted(points)
+    assert _chain(pts) == lower_hull_by_segments(pts)
+
+
+def test_segment_oracle_goldens():
+    assert lower_hull_by_segments([(0, 0), (1, 1), (2, 2), (3, 3)]) == [(0, 0), (3, 3)]
+    assert lower_hull_by_segments([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]) == [
+        (0, 0),
+        (2, 0),
+        (2, 1),
+    ]
+
+
 # ---------------------------------------------------------------- degree formula
 
 
@@ -327,6 +361,30 @@ def test_degree_matches_the_localize_oracle(seed):
         (p.coords, p.vanishing, e) for p, e in zip(pts, local)
     ]
     assert rep.degree == spec.d**2 - sum(local)
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=50)
+def test_base_point_order_matches_the_fraction_oracle(seed):
+    """degree_uniform and base_points share one sort, so the order is held
+    against an oracle that sorts Fractions. Entries up to 10^6 make the
+    lcm of the leads hundreds of bits long."""
+    C = random_uniform_matrix(random.Random(seed), bound=10**6)
+    rep = degree_uniform(C)
+    assert [(p.coords, p.vanishing) for p, _ in rep.points] == oracle_base_points(build(C))
+
+
+def test_base_point_order_with_zero_leading_coordinates():
+    rep = degree_uniform(CZERO_LEADS)
+    pts = [(p.coords, p.vanishing) for p, _ in rep.points]
+    assert pts == oracle_base_points(build(CZERO_LEADS))
+    assert pts == [
+        ((Fraction(0), Fraction(0), Fraction(1)), (3, 4)),
+        ((Fraction(0), Fraction(1), Fraction(-2)), (1, 2)),
+        ((Fraction(1), Fraction(-1), Fraction(1)), (1, 4)),
+        ((Fraction(1), Fraction(-1, 2), Fraction(1)), (2, 3)),
+    ]
+    assert (rep.d, rep.degree, [e for _, e in rep.points]) == (4, 6, [4, 2, 2, 2])
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

@@ -83,6 +83,26 @@ def test_non_integers_are_rejected_not_truncated(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p, b: p + b,
+        lambda p, b: b + p,
+        lambda p, b: p - b,
+        lambda p, b: b - p,
+        lambda p, b: p * b,
+        lambda p, b: b * p,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+@pytest.mark.parametrize("b", [True, False])
+def test_bool_scalars_are_rejected_by_every_operator(op, b):
+    """A bool is an int to isinstance, but not a coefficient: the scalar
+    paths refuse it as the constructor does."""
+    with pytest.raises(TypeError, match="^integer coefficients only$"):
+        op(Y, b)
+
+
 def test_zero_coefficients_are_dropped():
     p = MPoly(2, {(1, 0): 1, (0, 1): 0})
     assert p == X
