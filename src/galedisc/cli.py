@@ -13,7 +13,7 @@ import json
 import sys
 
 from .intmat import IntMatrix, gcd_maximal_minors
-from .mpoly import MPoly
+from .mpoly import MPoly, _int_from_text
 from .parametrization import build, defect_test, merge_proportional_rows
 from .basepoints import base_points, is_uniform
 from .degree import (
@@ -33,11 +33,13 @@ class InputError(Exception):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_int_from_text)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise InputError("bad JSON in %s: %s" % (path, e))
+    except ValueError as e:  # a numeral too long, or text that is not UTF-8
+        raise InputError("%s: %s" % (path, e))
 
 
 def load_matrix(path) -> IntMatrix:

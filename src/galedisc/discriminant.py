@@ -11,7 +11,8 @@ each u-degree and the Sylvester size are as small as any basis allows and
 no cost estimate is needed; a monomial substitution brings the polynomial
 back to C's own basis. They are built at u2 = 1 from integer coefficient
 lists, one convolution per linear form, and each uses one y_k only, so the
-resultant engine evaluates each once per line of its nodes.
+resultant engine evaluates each once per line of its nodes; it packs one
+y_k as a power of two, so a line of nodes takes one integer resultant.
 No defect test is needed, as without proportional rows psi always
 parametrizes a curve, and no square-free pass, as the Horn-Kapranov
 parametrization is birational: the resultant is the defining polynomial
@@ -297,8 +298,12 @@ def gauss_inverse_check(
 # coefficients of up to about d bits: work d^2 * terms. Interpolation
 # (e >= 3) takes a node per monomial of the box (e + 1) * prod_v
 # (d * deg_v g0 + 1), and each node pseudo-divides t^d - Y by g in about
-# d^2 integer operations: work d^2 * box. On a 2-core Xeon the norms just
-# under a limit that were timed took 0.7 to 17 seconds.
+# d^2 integer operations: work d^2 * box. The engine packs a line of nodes
+# into one PRS only where that is cheaper, so this stays an upper bound. On
+# a 2-core Xeon under CPython 3.11, just under a limit: the interpolated
+# norm of 1 + y + y^3 of order 3535 (work 5.0e7, 4 nodes, too wide to
+# pack) took 0.8 s, and the closed form of Delta_B under diag(1, 1500)
+# (8.4e9) 17 s.
 _CLOSED_FORM_WORK_LIMIT = 10**10
 _INTERPOLATION_WORK_LIMIT = 5 * 10**7
 
@@ -374,7 +379,9 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
       recurrence;
     - e >= 3 gives the resultant against t^d - Y of g with y_k moved to t,
       interpolated on the lower closure of the d-fold sumset of supp(g)
-      (`_norm_nodes`), not on the box of its degree bounds.
+      (`_norm_nodes`), not on the box of its degree bounds. The engine
+      packs the variable whose nodes reach least, often Y, so each line of
+      nodes takes one integer resultant where that is cheaper.
     Each branch estimates its work first and raises ValueError above its
     limit (_CLOSED_FORM_WORK_LIMIT, _INTERPOLATION_WORK_LIMIT). Laurent
     input is handled by shifting all exponents up front; each scaling

@@ -12,9 +12,13 @@ resultant's support (Newton interpolation on lower sets, Dyn-Floater,
 J. Approx. Theory 177, 2014), so each caller sizes the work by what the
 resultant can hold: `sylvester_resultant` passes the box of its degree
 bounds, the group products in `discriminant` pass the lower closure of a
-sumset. Each of the two polynomials is evaluated once per distinct
-projection of a node onto the variables it uses, so a curve's pencils,
-each in one y_k, are evaluated once per line of nodes.
+sumset. One variable is packed (Kronecker substitution): a line of nodes
+along it takes a single integer resultant at a power of two, whose
+balanced digits are the coefficients in that variable, as long as the
+packed integers stay narrow enough to be cheaper than one resultant per
+node. Each of the two polynomials is evaluated once per distinct point
+projected onto the variables it uses, so a curve's pencils, each in one
+y_k, are evaluated once per line of nodes.
 
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
@@ -24,6 +28,7 @@ total degree first, then exponents read from the last variable backwards.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -34,6 +39,36 @@ from .intmat import IntMatrix
 
 def _gl_key(e):
     return (sum(e), tuple(reversed(e)))
+
+
+def _refuse_long_text(digits: int, what: str) -> None:
+    """Raise ValueError, naming the size, when an integer of this many
+    decimal digits is above the interpreter's limit on turning ints into
+    text and back (`sys.get_int_max_str_digits`, 4300 by default)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ValueError(
+            "%s has %d digits, above the limit of %d digits on integer text" % (what, digits, limit)
+        )
+
+
+def _digits(c: int) -> int:
+    """Decimal digits of a nonzero int, without forming its text: the least
+    k with 10^k > |c|, corrected from a float estimate."""
+    c = abs(c)
+    k = int(c.bit_length() * 0.30102999566398120) + 1
+    while 10**k <= c:
+        k += 1
+    while k > 1 and 10 ** (k - 1) > c:
+        k -= 1
+    return k
+
+
+def _int_from_text(text: str) -> int:
+    """int(text), refusing by `_refuse_long_text` a numeral with more digits
+    than the interpreter converts."""
+    _refuse_long_text(sum(ch.isdecimal() for ch in text), "an integer")
+    return int(text)
 
 
 class MPoly:
@@ -302,7 +337,14 @@ class MPoly:
 
     # -- printing and serialization ----------------------------------------
 
+    def _refuse_long_coefficients(self):
+        if self.terms:
+            _refuse_long_text(_digits(max(self.terms.values(), key=abs)), "a coefficient")
+
     def to_text(self, var_names=None) -> str:
+        """The polynomial as text, refusing by `_refuse_long_text` a
+        coefficient longer than the interpreter prints."""
+        self._refuse_long_coefficients()
         if var_names is None:
             var_names = ["y%d" % (i + 1) for i in range(self.n_vars)]
         if len(var_names) != self.n_vars:
@@ -328,6 +370,9 @@ class MPoly:
         return " ".join(pieces)
 
     def to_json_dict(self, var_names=None) -> dict:
+        """The poly JSON schema, coefficients as strings, refusing like
+        `to_text` a coefficient longer than the interpreter prints."""
+        self._refuse_long_coefficients()
         if var_names is None:
             var_names = ["y%d" % (i + 1) for i in range(self.n_vars)]
         if len(var_names) != self.n_vars:
@@ -353,7 +398,7 @@ class MPoly:
                 raise ValueError("coefficient %r is not an integer" % (c,))
             if not isinstance(e, list):
                 raise ValueError("exponent %r is not a list of integers" % (e,))
-            terms.append((e, int(c)))
+            terms.append((e, _int_from_text(c) if isinstance(c, str) else c))
         return cls(n, terms), list(names)
 
 
@@ -405,7 +450,7 @@ def _newton_to_monomial(dd):
     return coeffs
 
 
-def _interpolate(grid) -> None:
+def _interpolate(grid, skip=None) -> None:
     """Turn the values of an integer polynomial at the nodes of a lower set
     (a dict from exponent tuples to ints that holds every node below any of
     its nodes) into its coefficients, in place. The polynomial's support
@@ -419,11 +464,18 @@ def _interpolate(grid) -> None:
     interleave; on a lower set they may not, as a line shorter than its
     neighbours sees none of their higher Newton terms. Raises
     ArithmeticError on values no integer polynomial takes.
+
+    With `skip` set to an axis, the grid holds at each node (j, b), j on
+    that axis, the value at b of the coefficient of y^j, and only the other
+    axes are interpolated: the slice of a lower set at j is a lower set, so
+    each coefficient comes back from the slice that holds its support.
     """
     if not grid:
         return
     lines = []
     for i in range(len(next(iter(grid)))):
+        if i == skip:
+            continue
         for node in grid:
             if not node[i]:
                 head, tail = node[:i], node[i + 1 :]
@@ -511,6 +563,31 @@ def _int_resultant(a, b):
     return f * _exact_quo(b[0] ** da, h ** (da - 1))
 
 
+def _values_at(fs, point) -> list:
+    """Values at a point of polynomials, each given as a list of
+    (coefficient, exponents) pairs, the exponents over the point's
+    coordinates."""
+    vals = []
+    for f in fs:
+        s = 0
+        for c, e in f:
+            for x, k in zip(point, e):
+                c *= x**k
+            s += c
+        vals.append(s)
+    return vals
+
+
+# Widest packed resultant, in bits: the nodes' extent along the packed axis
+# times the digit width K. Each PRS step on such integers divides them,
+# which CPython does in time quadratic in their length, so past this width
+# the longer integers cost more than the PRS runs they save. On curve
+# pencils of Sylvester size 10 to 26 (the grid in CHANGES.md) a packed
+# resultant took 0.40 to 0.75 of the per-node time at widths up to 2496
+# bits, 0.93 to 1.03 from 2570 to 2900 bits and 1.03 to 3.8 from 3150 on.
+_PACK_WIDTH_LIMIT = 2500
+
+
 def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
     """Resultant of the polynomials with coefficient lists pcs and qcs
     (MPoly in one ring, leading first) in the eliminated variable, by
@@ -521,11 +598,31 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
     support: the caller sizes it by what the resultant can hold, a box for
     `sylvester_resultant` and the group's sumset for a norm
     (`discriminant._unit_root_product`). Each side, pcs or qcs, is
-    evaluated in integers once per distinct projection of a node onto the
-    active variables it uses: the cleared pencils of a curve each use one
-    y_k, so they are evaluated once per line of nodes, and a side with no
-    variable once. Each node takes one `_int_resultant`, and
-    `_interpolate` gives back the coefficients.
+    evaluated in integers once per distinct point at which the resultant
+    is taken, projected onto the active variables it uses: the cleared
+    pencils of a curve each use one y_k, and a side with no variable is
+    evaluated once.
+
+    One axis A is packed (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009): the one along which the nodes reach least, so the
+    packed integers are shortest. The nodes are grouped into lines by
+    their projection b onto the other axes, and each line takes one
+    `_int_resultant`, at y_A = X = 2^K and b. That value is
+    R(X, b) = sum_j R_j(b) X^j, whose balanced base-X digits are the
+    coefficients R_j(b) of y_A^j, provided every |R_j(b)| < X/2:
+    - each term of the Sylvester determinant takes one entry from each
+      row, and the 1-norm of a product is at most the product of the
+      1-norms, so the 1-norm of R(., b) in y_A, and with it each R_j(b), is
+      at most (sum_j |p_j(., b)|_1)^dq * (sum_j |q_j(., b)|_1)^dp, with
+      dq rows of p's coefficients and dp of q's;
+    - |p_j(., b)|_1 is at most the value at y_A = 1 and b of p_j with its
+      coefficients made positive, which grows with b as the nodes are
+      >= 0, so that bound taken once, at the componentwise largest node,
+      holds on every line;
+    - K = bound.bit_length() + 1 makes the bound < 2^(K - 1) = X/2.
+    `_interpolate` then runs along the other axes only. Packing runs only
+    where the nodes' extent along A times K is at most _PACK_WIDTH_LIMIT
+    bits; above it each node takes its own `_int_resultant`.
     """
     n_vars = pcs[0].n_vars
     sides = []
@@ -533,24 +630,49 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
         used = [i for i, v in enumerate(active) if any(e[v] for f in fs for e in f.terms)]
         terms = [[(c, [e[active[i]] for i in used]) for e, c in f.terms.items()] for f in fs]
         sides.append((used, terms, {}))
-    grid = {}
-    for node in nodes:
+
+    def resultant_at(point):
         vals = []
         for used, terms, seen in sides:
-            key = tuple([node[i] for i in used])
+            key = tuple([point[i] for i in used])
             side = seen.get(key)
             if side is None:
-                side = seen[key] = []
-                for f in terms:
-                    s = 0
-                    for c, e in f:
-                        for x, k in zip(key, e):
-                            c *= x**k
-                        s += c
-                    side.append(s)
+                side = seen[key] = _values_at(terms, key)
             vals.append(side)
-        grid[node] = _int_resultant(*vals)
-    _interpolate(grid)
+        return _int_resultant(*vals)
+
+    nodes = list(nodes)
+    axis = None
+    if active:
+        top = [max(x) for x in zip(*nodes)]
+        axis = top.index(min(top))
+        at = top[:axis] + [1] + top[axis + 1 :]
+        p_norm, q_norm = (
+            sum(_values_at([[(abs(c), e) for c, e in f] for f in terms], [at[i] for i in used]))
+            for used, terms, _ in sides
+        )
+        K = (p_norm ** (len(qcs) - 1) * q_norm ** (len(pcs) - 1)).bit_length() + 1
+        if (top[axis] + 1) * K > _PACK_WIDTH_LIMIT:
+            axis = None
+    if axis is None:
+        grid = {node: resultant_at(node) for node in nodes}
+    else:
+        lines = {}
+        for node in nodes:
+            b = node[:axis] + node[axis + 1 :]
+            if lines.get(b, 0) <= node[axis]:
+                lines[b] = node[axis] + 1
+        X = 1 << K
+        grid = {}
+        for b, length in lines.items():
+            r = resultant_at(b[:axis] + (X,) + b[axis:])
+            for j in range(length):
+                digit = r & (X - 1)
+                if digit >= X >> 1:
+                    digit -= X
+                grid[b[:axis] + (j,) + b[axis:]] = digit
+                r = (r - digit) >> K
+    _interpolate(grid, axis)
     t = {}
     for node, c in grid.items():
         e = [0] * n_vars
@@ -563,9 +685,13 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
 # Work bound checked before any node is evaluated. Each node runs a PRS of
 # about size^2 steps on integers that grow about size times longer than the
 # coefficients, and the interpolation grows alike, so the work is taken as
-# nodes * size^5. Timed on a 2-core Xeon it read 5e-11 to 1e-10 s per
-# unit: size 32 on 289 nodes took 0.5 s, size 40 on 441 nodes 3.9 s
-# (4.5e10) and size 56 on 841 nodes 46 s.
+# nodes * size^5. The engine packs a line of nodes into one PRS only where
+# that is cheaper (_PACK_WIDTH_LIMIT), so this stays an upper bound. Timed
+# on a 2-core Xeon under CPython 3.11 it read 4e-11 to 7e-11 s per unit:
+# `implicitize` took 0.4 s on [[16, 1], [1, 16], [-17, -17]] (size 32 on
+# 288 nodes), 2.1 s on [[20, 1], [1, 20], [-21, -21]] (size 40 on 440
+# nodes, 4.5e10) and 30 s on [[29, 1], [1, 27], [-30, -28]] (size 56 on
+# 841 nodes); none of the three packs.
 _RESULTANT_WORK_LIMIT = 5 * 10**10
 
 
@@ -575,11 +701,11 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
 
     The determinant is never formed over polynomials: on the integer nodes
     of the box of its degree bounds in the other variables, the
-    coefficients of p and of q are evaluated in integers, each side once
-    per distinct projection of a node onto the variables it uses, a
-    univariate subresultant PRS gives the resultant at each node, and
-    integer Newton interpolation recovers the polynomial
-    (`_det_by_interpolation`).
+    coefficients of p and of q are evaluated in integers, a univariate
+    subresultant PRS gives the resultant on each line of nodes along one
+    variable packed as a power of two, or at each node where packing would
+    make the integers too wide, and integer Newton interpolation recovers
+    the polynomial (`_det_by_interpolation`).
     Raises ValueError when the estimated work is above
     _RESULTANT_WORK_LIMIT.
     """

@@ -190,6 +190,41 @@ def test_transfer_with_a_huge_group_order_exits_one(files, capsys):
     assert err.startswith("error: group product too large") and "2500003000000000000" in err
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--text"])
+def test_an_output_coefficient_above_the_digit_limit_exits_one(files, capsys, int_text_limit, fmt):
+    """7...7 (3000 digits) * y1 + y2 + 1 under diag(1, 2) gives a
+    coefficient of 6000 digits, more than the interpreter prints: exit 1
+    with its size and the limit, and nothing on stdout."""
+    terms = [{"c": "7" * 3000, "e": [1, 0]}, {"c": "1", "e": [0, 1]}, {"c": "1", "e": [0, 0]}]
+    poly = files("p.json", {"vars": ["y1", "y2"], "terms": terms})
+    code, out, err = run(capsys, "transfer", poly, files("m.json", {"rows": [[1, 0], [0, 2]]}), fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: a coefficient has 6000 digits, above the limit of 4300 digits on integer text\n"
+
+
+@pytest.mark.parametrize("where", ["string", "numeral"])
+def test_an_input_integer_above_the_digit_limit_exits_two(tmp_path, capsys, int_text_limit, where):
+    """A 5000-digit coefficient, as a JSON string or as a JSON numeral, is
+    an input error: exit 2 with its size and the limit, nothing on stdout."""
+    c = '"%s"' % ("7" * 5000) if where == "string" else "7" * 5000
+    poly = tmp_path / "p.json"
+    poly.write_text('{"vars": ["y1", "y2"], "terms": [{"c": %s, "e": [1, 0]}]}' % c)
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"rows": [[1, 0], [0, 2]]}')
+    code, out, err = run(capsys, "transfer", str(poly), str(matrix))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % poly)
+    assert err.endswith("an integer has 5000 digits, above the limit of 4300 digits on integer text\n")
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"rows": [[1, 2]], "note": "\xe9"}')
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: 'utf-8' codec can't decode" % p)
+
+
 # ---------------------------------------------------------------- multiplicity commands
 
 

@@ -3,12 +3,14 @@
 from fractions import Fraction
 from itertools import product
 from math import prod
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from galedisc.discriminant import _norm_nodes, _unit_root_product
+from galedisc import mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
@@ -16,7 +18,15 @@ from galedisc.mpoly import (
     substitute_monomial,
     sylvester_resultant,
 )
-from galedisc.mpoly import _divided_differences, _gl_key, _int_resultant, _interpolate, _newton_to_monomial
+from galedisc.mpoly import (
+    _det_by_interpolation,
+    _digits,
+    _divided_differences,
+    _gl_key,
+    _int_resultant,
+    _interpolate,
+    _newton_to_monomial,
+)
 from oracles import partial_derivative, set_var_one
 
 X = MPoly.variable(2, 1)
@@ -363,6 +373,27 @@ def test_json_rejects_non_integer_fields(term, error, message):
         MPoly.from_json_dict({"vars": ["y1", "y2"], "terms": [term]})
 
 
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 99, 100, 4299, 4300, 4301])
+def test_digits_counts_without_forming_text(k):
+    for c in (10 ** (k - 1), 10**k - 1, -(10**k - 1), 2 * 10 ** (k - 1) + 7):
+        assert _digits(c) == k
+    assert _digits(2 ** (3 * k)) == len(str(2 ** (3 * k)))
+
+
+def test_coefficients_beyond_the_interpreters_text_limit_are_refused_by_size(int_text_limit):
+    """The interpreter turns ints of at most 4300 digits into text and
+    back; a longer coefficient is refused with its size, on the way in
+    and on the way out, and one at the limit goes through."""
+    at_limit = {"vars": ["y"], "terms": [{"c": "9" * 4300, "e": [1]}]}
+    p, names = MPoly.from_json_dict(at_limit)
+    assert p.to_json_dict(names) == at_limit
+    with pytest.raises(ValueError, match="^an integer has 4301 digits, above the limit of 4300 digits on integer text$"):
+        MPoly.from_json_dict({"vars": ["y"], "terms": [{"c": "-" + "1" * 4301, "e": [1]}]})
+    for out in (MPoly.to_text, MPoly.to_json_dict):
+        with pytest.raises(ValueError, match="^a coefficient has 8600 digits, above the limit of 4300 digits on integer text$"):
+            out(p * p)
+
+
 # ---------------------------------------------------------------- resultants
 
 
@@ -387,7 +418,12 @@ def assert_resultant_matches_sympy(p, q):
     """sylvester_resultant(p, q, 1) against sympy's resultant in the first
     variable."""
     syms = sympy.symbols("y1:%d" % (p.n_vars + 1))
-    ours = sylvester_resultant(p, q, 1)
+    assert to_sympy(sylvester_resultant(p, q, 1), syms) == sympy_resultant(p, q, syms)
+
+
+def sympy_resultant(p, q, syms):
+    """sympy's resultant of p and q in the first variable, as the Sylvester
+    determinant with the rows of p first."""
     dp, dq = p.degree_in(1), q.degree_in(1)
     # sympy's PRS resultant effectively reorders the arguments tall-first and
     # drops the (-1)^(dp*dq) swap sign, so hand it the taller one and restore
@@ -397,7 +433,7 @@ def assert_resultant_matches_sympy(p, q):
     else:
         swapped = sympy.resultant(to_sympy(q, syms), to_sympy(p, syms), syms[0])
         theirs = (-1) ** (dp * dq) * swapped
-    assert to_sympy(ours, syms) == sympy.expand(theirs)
+    return sympy.expand(theirs)
 
 
 @given(st.data())
@@ -579,6 +615,151 @@ def test_interpolation_engine_agrees_with_bareiss(data):
     assert sylvester_resultant(p, q, 1) == _det_bareiss_poly(sylvester_matrix(p, q, 1), 3)
 
 
+# ---------------------------------------------------------------- packed axis
+
+# Both sides of the engine's width limit: 0 takes every node on its own,
+# 10**9 packs one axis on every call with an active variable.
+WIDTH_LIMITS = pytest.mark.parametrize("limit", [0, 10**9], ids=["per-node", "packed"])
+
+
+def engine(pcs, qcs, active, nodes, limit):
+    """`_det_by_interpolation` with `_PACK_WIDTH_LIMIT` set to limit."""
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
+        return _det_by_interpolation(pcs, qcs, active, nodes)
+
+
+def sylvester_det(pcs, qcs, n_vars):
+    """Bareiss determinant of the Sylvester matrix of two coefficient lists,
+    leading first, at their formal degrees, with the rows of pcs first."""
+    dp, dq = len(pcs) - 1, len(qcs) - 1
+    zero = MPoly.zero(n_vars)
+    rows = [[zero] * i + list(pcs) + [zero] * (dq - 1 - i) for i in range(dq)]
+    rows += [[zero] * i + list(qcs) + [zero] * (dp - 1 - i) for i in range(dp)]
+    return _det_bareiss_poly(rows, n_vars)
+
+
+def lower_closure(points):
+    nodes, stack = set(points), list(points)
+    while stack:
+        p = stack.pop()
+        for i, x in enumerate(p):
+            q = p[:i] + (x - 1,) + p[i + 1 :]
+            if x and q not in nodes:
+                nodes.add(q)
+                stack.append(q)
+    return nodes
+
+
+@WIDTH_LIMITS
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_engine_agrees_with_bareiss_and_sympy(limit, data):
+    """In Z[x, y1..yk], k = 1 to 3, x eliminated: coefficients up to 10^12,
+    leading coefficients that vanish on nodes, now and then a common factor
+    x - y1 that makes the resultant vanish identically, on the box of the
+    degree bounds or on a lower set between the resultant's support and
+    that box. The engine, packed or node by node, gives the Bareiss
+    determinant of the Sylvester matrix, and that is sympy's resultant."""
+    k = data.draw(st.integers(1, 3))
+    n = k + 1
+    big = st.builds(int.__mul__, st.integers(1, 10**12), st.sampled_from([1, -1]))
+    leads = [MPoly.constant(n, data.draw(big)), MPoly.variable(n, 2) - MPoly.constant(n, 2)]
+    leads.append(MPoly.variable(n, 2) * MPoly.variable(n, n))
+
+    def draw(deg):
+        rest = data.draw(
+            st.dictionaries(st.tuples(st.integers(0, deg - 1), *[st.integers(0, 1)] * k), big, min_size=1, max_size=3)
+        )
+        lead = data.draw(st.sampled_from(leads))
+        return lead * MPoly.variable(n, 1) ** deg + MPoly(n, rest)
+
+    top = 3 if k < 3 else 2
+    p, q = draw(data.draw(st.integers(1, top))), draw(data.draw(st.integers(1, top)))
+    if data.draw(st.integers(0, 4)) == 0:
+        common = MPoly.variable(n, 1) - MPoly.variable(n, 2)
+        p, q = p * common, q * common
+    dp, dq = p.degree_in(1), q.degree_in(1)
+    zero = MPoly.zero(n)
+    pcs = [p.coeffs_in(1).get(dp - j, zero) for j in range(dp + 1)]
+    qcs = [q.coeffs_in(1).get(dq - j, zero) for j in range(dq + 1)]
+    expected = sylvester_det(pcs, qcs, n)
+    bounds = [dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1) for v in range(n)]
+    active = [v for v in range(1, n) if bounds[v]]
+    box = list(product(*(range(bounds[v] + 1) for v in active)))
+    if data.draw(st.booleans()):
+        nodes = box
+    else:
+        support = [tuple(e[v] for v in active) for e in expected.terms]
+        extra = data.draw(st.lists(st.sampled_from(box), max_size=3))
+        nodes = lower_closure(support + extra + [box[0]])
+    assert engine(pcs, qcs, active, nodes, limit) == expected
+    syms = sympy.symbols("y1:%d" % (n + 1))
+    assert to_sympy(expected, syms) == sympy_resultant(p, q, syms)
+
+
+@WIDTH_LIMITS
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("bits", [2, 3, 64, 300])
+def test_packed_digits_at_the_edge_of_their_range(limit, sign, bits):
+    """pcs = [0, b y^2 + 1], a vanishing leading coefficient, against
+    qcs = [-sign, 0] has the resultant sign * (b y^2 + 1), and the row-sum
+    bound b + 1 = 2^bits - 1 is met by it. So K = bits + 1, and the digit
+    of y^2 is +-(X/2 - 2), next to 0 for y and +-1 for the constant term.
+    With K one bit narrower, that digit would overflow into the next."""
+    y = MPoly.variable(1, 1)
+    b = 2**bits - 2
+    pcs = [MPoly.zero(1), b * y * y + MPoly.one(1)]
+    qcs = [MPoly.constant(1, -sign), MPoly.zero(1)]
+    expected = sign * (b * y * y + MPoly.one(1))
+    assert sylvester_det(pcs, qcs, 1) == expected
+    assert engine(pcs, qcs, [0], [(0,), (1,), (2,)], limit) == expected
+
+
+@WIDTH_LIMITS
+def test_a_resultant_that_vanishes_identically(limit):
+    """(x^2 - y1 y2)(x - y1 + 3) against 10^12 (x^2 - y1 y2) share a factor:
+    the resultant is zero on every node and on every packed line."""
+    n = 3
+    x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
+    f = x * x - y1 * y2
+    p, q = f * (x - y1 + MPoly.constant(n, 3)), f * MPoly.constant(n, 10**12)
+    pcs = [p.coeffs_in(1).get(3 - j, MPoly.zero(n)) for j in range(4)]
+    qcs = [q.coeffs_in(1).get(2 - j, MPoly.zero(n)) for j in range(3)]
+    nodes = list(product(range(7), range(5)))
+    assert engine(pcs, qcs, [1, 2], nodes, limit) == MPoly.zero(n)
+
+
+@pytest.mark.parametrize("limit, calls", [(0, 12), (10**9, 4)], ids=["per-node", "packed"])
+def test_packing_takes_one_resultant_per_line(limit, calls):
+    """On a box 4 nodes by 3 the packed engine takes one integer resultant
+    per line along the shorter axis, 4, and the per-node one 12."""
+    n = 3
+    x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
+    p, q = x - y1, x * x * y2 - MPoly.constant(n, 5)
+    # Res = y1^2 y2 - 5 on bounds 2 in y1 and 1 in y2, padded to 4 x 3
+    pcs = [MPoly.one(n), -y1]
+    qcs = [y2, MPoly.zero(n), MPoly.constant(n, -5)]
+    with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
+        out = engine(pcs, qcs, [1, 2], list(product(range(4), range(3))), limit)
+    assert out == sylvester_resultant(q, p, 1) == y1 * y1 * y2 - MPoly.constant(n, 5)
+    assert spy.call_count == calls
+
+
+def test_curve_pencils_pack_under_the_width_limit():
+    """The pencils of the cubic B pack at the module's own limit: one
+    resultant per line along the shorter axis of the box, and the same
+    polynomial as node by node."""
+    from galedisc.discriminant import _affine_pencils
+
+    p, q = _affine_pencils(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
+    with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
+        packed = sylvester_resultant(p, q, 1)
+    dp, dq = p.degree_in(1), q.degree_in(1)
+    assert spy.call_count == max(dp, dq) + 1 < (dp + 1) * (dq + 1)
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", 0):
+        assert sylvester_resultant(p, q, 1) == packed
+
+
 def unit_root_product_by_sylvester(g, var_index, d):
     """The group product by its definition: Laurent exponents shifted off,
     the Sylvester determinant of t^d - y_k^d and g with y_k moved to t, the
@@ -735,11 +916,22 @@ def lower_sets(draw):
 @settings(deadline=None, max_examples=100)
 def test_lower_set_interpolation_round_trip(nodes, data):
     """An integer polynomial whose support lies in a lower set comes back
-    exactly from its values on that set."""
+    exactly from its values on that set. With an axis skipped, the grid
+    holds at (j, b), j on that axis, the value at b of the coefficient of
+    y^j, and the same coefficients come back."""
     support = data.draw(st.lists(st.sampled_from(sorted(nodes)), unique=True, max_size=8))
     coeffs = {e: data.draw(st.integers(-(10**20), 10**20)) for e in support}
-    grid = {x: sum(c * prod(map(pow, x, e)) for e, c in coeffs.items()) for x in nodes}
-    _interpolate(grid)
+    skip = data.draw(st.sampled_from([None, *range(len(next(iter(nodes))))]))
+
+    def value(x):
+        return sum(
+            c * prod(pow(xi, ei) for i, (xi, ei) in enumerate(zip(x, e)) if i != skip)
+            for e, c in coeffs.items()
+            if skip is None or e[skip] == x[skip]
+        )
+
+    grid = {x: value(x) for x in nodes}
+    _interpolate(grid, skip)
     assert grid == {x: coeffs.get(x, 0) for x in nodes}
 
 
