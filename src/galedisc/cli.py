@@ -13,7 +13,7 @@ import json
 import sys
 
 from .intmat import IntMatrix, gcd_maximal_minors
-from .mpoly import MPoly, _int_from_text
+from .mpoly import MPoly, _digits, _int_from_text, _refuse_long_text
 from .parametrization import build, defect_test, merge_proportional_rows
 from .basepoints import base_points, is_uniform
 from .degree import (
@@ -82,6 +82,18 @@ def _load_pairs(path, field):
     return [tuple(p) for p in pts]
 
 
+def _printable(what, ints) -> None:
+    """Refuse by `_refuse_long_text` to print integers of which one is
+    longer than the interpreter turns into text; polynomials refuse their
+    own coefficients."""
+    _refuse_long_text(_digits(max(ints, key=abs, default=0)), what)
+
+
+def _coordinates(points):
+    """Numerators and denominators of the base points' coordinates."""
+    return [x for p in points for c in p.coords for x in (c.numerator, c.denominator)]
+
+
 def _base_point_line(p):
     """A base point's JSON dict as text."""
     return "base point (%s): forms %s" % (", ".join(p["point"]), " ".join(map(str, p["vanishing"])))
@@ -97,11 +109,15 @@ def cmd_analyze(args):
         if "merged away" not in str(e):
             raise
         merged_rows, lam = [], ()
+    g = gcd_maximal_minors(C)
+    _printable("d", [spec.d])
+    _printable("g", [g])
+    _printable("a merged row entry", [x for r in merged_rows for x in r])
     report = {
         "n": spec.n,
         "m": spec.m,
         "d": spec.d,
-        "g": gcd_maximal_minors(C),
+        "g": g,
         "defect": defect_test(spec, trials=args.trials, seed=args.seed).value,
         "merged_rows": merged_rows,
         "scaling": [str(x) for x in lam],
@@ -109,7 +125,9 @@ def cmd_analyze(args):
     if spec.m == 3:
         report["uniform"] = is_uniform(C)
         try:
-            report["base_points"] = [p.to_json_dict() for p in base_points(spec)]
+            points = base_points(spec)
+            _printable("a base point coordinate", _coordinates(points))
+            report["base_points"] = [p.to_json_dict() for p in points]
         except ValueError as e:
             if "base locus" not in str(e):
                 raise
@@ -134,6 +152,10 @@ def cmd_analyze(args):
 def cmd_degree(args):
     C = load_matrix(args.matrix)
     rep = degree_uniform(C)
+    _printable("d", [rep.d])
+    _printable("the degree", [rep.degree])
+    _printable("a base point coordinate", _coordinates(bp for bp, _ in rep.points))
+    _printable("e", [e for _, e in rep.points])
     obj = rep.to_json_dict()
     lines = ["d = %d" % rep.d, "degree = %d" % rep.degree]
     lines.extend("%s, e = %d" % (_base_point_line(p), p["e"]) for p in obj["base_points"])
@@ -150,6 +172,7 @@ def cmd_transfer(args):
     p, names = load_poly(args.poly)
     M = load_matrix(args.matrix)
     q, v = transfer(p, M)
+    _printable("v", v)
     obj = {"polynomial": q.to_json_dict(names), "v": list(v)}
     return obj, "%s\nv = (%s)\n" % (q.to_text(names), ", ".join(map(str, v)))
 
@@ -164,11 +187,14 @@ def cmd_group_product(args):
 def cmd_multiplicity(args):
     s = Staircase2.of(_load_pairs(args.staircase, "gens"))
     obj = {"e": staircase_multiplicity(s), "colength": colength(s)}
+    _printable("e", [obj["e"]])
+    _printable("the colength", [obj["colength"]])
     return obj, "e = %d\ncolength = %d\n" % (obj["e"], obj["colength"])
 
 
 def cmd_sparse_mult(args):
     obj = {"e": sparse_origin_multiplicity(_load_pairs(args.support, "exponents"))}
+    _printable("e", [obj["e"]])
     return obj, "e = %d\n" % obj["e"]
 
 

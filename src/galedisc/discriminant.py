@@ -45,6 +45,7 @@ from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_no
 from .mpoly import (
     MPoly,
     _det_by_interpolation,
+    _kronecker,
     content_primitive,
     substitute_monomial,
     sylvester_resultant,
@@ -303,7 +304,11 @@ def gauss_inverse_check(
 # a 2-core Xeon under CPython 3.11, just under a limit: the interpolated
 # norm of 1 + y + y^3 of order 3535 (work 5.0e7, 4 nodes, too wide to
 # pack) took 0.8 s, and the closed form of Delta_B under diag(1, 1500)
-# (8.4e9) 17 s.
+# (8.4e9) 17 s. The estimate still bounds both paths of the e = 2 closed
+# form: up to `mpoly._RECURRENCE_WIDTH_LIMIT` bits it runs on packed
+# integers, d steps of a few passes over at most that many bits, which is
+# far below what the limit admits, and every wider norm, as each near the
+# limit is, takes the `MPoly` steps the estimate counts.
 _CLOSED_FORM_WORK_LIMIT = 10**10
 _INTERPOLATION_WORK_LIMIT = 5 * 10**7
 
@@ -365,6 +370,42 @@ def _norm_nodes(g0: MPoly, var_index: int, d: int):
     return active, nodes
 
 
+def _packed_closed_form(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int, k0: int):
+    """The e = 2 closed form G2^d Y^2 - s_d Y + G0^d of `_unit_root_product`
+    (Y in slot k0, where the G_j have exponent 0), taken on integers by a
+    Kronecker substitution of the other variables (`_kronecker`), or None
+    where those integers would be too wide.
+
+    s_d is a sum of multiples of G1^a (G0 G2)^b with a + 2b = d, so the
+    degree of s_d, G0^d and G2^d in a variable v is at most
+    d * max_j deg_v(G_j), and none is negative. The 1-norm of a product is
+    at most the product of the 1-norms, so |G0^d|_1 <= |G0|_1^d,
+    |G2^d|_1 <= |G2|_1^d and |s_j|_1 <= b_j, with b_0 = 2, b_1 = |G1|_1 and
+    b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2): the largest of these
+    bounds every coefficient. A step multiplies s_(j-1) and s_(j-2) by the
+    few terms of -G1 and -G0 G2 one at a time, each a shift and a small
+    factor, not by their packed values, whose digits are mostly zero."""
+    n0, n1, n2 = (sum(map(abs, f.terms.values())) for f in (g_0, g_1, g_2))
+    b_prev, b = 2, n1
+    for _ in range(d - 1):
+        b_prev, b = b, n1 * b + n0 * n2 * b_prev
+    tops = [d * max(f.degree_in(v + 1) for f in (g_0, g_1, g_2)) for v in range(g_0.n_vars)]
+    packing = _kronecker(tops, max(b, n0**d, n2**d))
+    if packing is None:
+        return None
+    shift, read = packing
+    m1, m02 = ([(-c, shift(e)) for e, c in f.terms.items()] for f in (g_1, g02))
+    s_prev, s = 2, sum([c << x for c, x in m1])
+    for _ in range(d - 1):
+        s_prev, s = s, sum([c * (s << x) for c, x in m1]) + sum([c * (s_prev << x) for c, x in m02])
+    p0, p2 = (sum([c << shift(e) for e, c in f.terms.items()]) for f in (g_0, g_2))
+    terms = {}
+    for j, r in ((2, p2**d), (1, -s), (0, p0**d)):
+        for e, c in read(r):
+            terms[e[:k0] + (j,) + e[k0 + 1 :]] = c
+    return MPoly._valid(g_0.n_vars, terms)
+
+
 def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index,
     written in Y = y_k^d: Y holds the slot of y_k.
@@ -376,7 +417,10 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
       s_0 = 2, s_1 = -G1 and s_j = -G1 * s_(j-1) - G0 * G2 * s_(j-2).
       With G2 = 0 it is G0^d - (-G1)^d * Y, taken by repeated squaring,
       which on the `transfer` workload is faster than the d steps of the
-      recurrence;
+      recurrence. With G2 != 0 the recurrence runs on Kronecker-packed
+      integers (`_packed_closed_form`) while they are at most
+      `mpoly._RECURRENCE_WIDTH_LIMIT` bits wide, and on `MPoly` steps past
+      it;
     - e >= 3 gives the resultant against t^d - Y of g with y_k moved to t,
       interpolated on the lower closure of the d-fold sumset of supp(g)
       (`_norm_nodes`), not on the box of its degree bounds. The engine
@@ -403,10 +447,12 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
         if e <= 1:
             norm = g_0**d - (-g_1) ** d * y
         else:
-            s_prev, s = MPoly.constant(n, 2), -g_1
-            for _ in range(d - 1):
-                s_prev, s = s, -g_1 * s - g02 * s_prev
-            norm = g_2**d * y * y - s * y + g_0**d
+            norm = _packed_closed_form(g_0, g_1, g_2, g02, d, k0)
+            if norm is None:
+                s_prev, s = MPoly.constant(n, 2), -g_1
+                for _ in range(d - 1):
+                    s_prev, s = s, -g_1 * s - g02 * s_prev
+                norm = g_2**d * y * y - s * y + g_0**d
     else:
         box = (e + 1) * prod(d * g0.degree_in(v + 1) + 1 for v in range(n) if v != k0)
         _refuse_above(d * d * box, _INTERPOLATION_WORK_LIMIT, d)

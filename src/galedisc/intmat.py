@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 class IntMatrix:
@@ -35,6 +36,24 @@ class IntMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _valid(cls, rows: tuple) -> "IntMatrix":
+        """The matrix with these rows, taken as they are: a nonempty tuple
+        of tuples of ints, all of one length.
+
+        Products and the Smith form build their results through here,
+        skipping the per-entry test of the constructor, which guards
+        outside input. Their entries are sums and products of entries of
+        valid matrices, of identity entries int(i == j), and of quotients
+        x // y of such ints, and sums, products and floor quotients of ints
+        are ints; a product has as many rows as its left factor, each as
+        long as its right factor has columns."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]))
+        object.__setattr__(m, "entries", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -52,9 +71,9 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = list(zip(*other.entries)) if other.cols else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in ot] for r in self.entries]
+        ot = list(zip(*other.entries))
+        return IntMatrix._valid(
+            tuple(tuple([sum(map(mul, r, c)) for c in ot]) for r in self.entries)
         )
 
     def mul_vec(self, v):
@@ -211,9 +230,9 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    d = IntMatrix([r[:k] for r in a[:n]])
-    pm = IntMatrix([r[k:] for r in a[:n]])
-    qm = IntMatrix([r[:k] for r in a[n:]])
+    d = IntMatrix._valid(tuple(tuple(r[:k]) for r in a[:n]))
+    pm = IntMatrix._valid(tuple(tuple(r[k:]) for r in a[:n]))
+    qm = IntMatrix._valid(tuple(tuple(r[:k]) for r in a[n:]))
     factors = tuple(a[i][i] for i in range(min(n, k)))
     if pm * m * qm != d or abs(pm.det()) != 1 or abs(qm.det()) != 1:
         raise ArithmeticError("Smith form does not reconstruct the input")

@@ -202,6 +202,32 @@ def test_an_output_coefficient_above_the_digit_limit_exits_one(files, capsys, in
     assert err == "error: a coefficient has 6000 digits, above the limit of 4300 digits on integer text\n"
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--text"])
+@pytest.mark.parametrize(
+    "command, field, rows, what, digits",
+    [
+        ("multiplicity", "gens", lambda a: [[a, 0], [0, a]], "e", 6000),
+        ("sparse-mult", "exponents", lambda a: [[a, 0], [0, a]], "e", 6000),
+        ("analyze", "rows", lambda a: [[a, 0], [0, a], [-a, -a]], "g", 6000),
+        ("degree", "rows", lambda a: [[2, 1, 3 * a], [-2, -1, -2 * a], [1, 1, 0], [-1, -1, -a]], "e", 6001),
+    ],
+    ids=["multiplicity", "sparse-mult", "analyze", "degree"],
+)
+def test_an_output_integer_above_the_digit_limit_exits_one(
+    files, capsys, int_text_limit, fmt, command, field, rows, what, digits
+):
+    """a = 7...7 (3000 digits) in the input gives an output integer of
+    about a^2, more than the interpreter prints: the staircase (x^a, y^a)
+    has multiplicity and colength a^2, so has the support {(a, 0), (0, a)},
+    the gcd of the maximal minors of the analyzed matrix is a^2, and a base
+    point of the surface has a multiplicity of 6001 digits. Each exits 1
+    with the size and the limit."""
+    a = int("7" * 3000)
+    code, out, err = run(capsys, command, files("in.json", {field: rows(a)}), fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: %s has %d digits, above the limit of 4300 digits on integer text\n" % (what, digits)
+
+
 @pytest.mark.parametrize("where", ["string", "numeral"])
 def test_an_input_integer_above_the_digit_limit_exits_two(tmp_path, capsys, int_text_limit, where):
     """A 5000-digit coefficient, as a JSON string or as a JSON numeral, is

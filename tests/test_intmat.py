@@ -50,12 +50,37 @@ def test_equality_and_hash():
 
 @pytest.mark.parametrize(
     "entries",
-    [[[1.7, 2], [1, 3]], [[1, 2], [True, 3]], [[1, 2], [Fraction(3), 3]], [[1, "2"]]],
-    ids=["float", "bool", "fraction", "string"],
+    [[[1.7, 2], [1, 3]], [[1, 2], [True, 3]], [[True, 0], [0, 1]], [[1, 2], [Fraction(3), 3]], [[1, "2"]]],
+    ids=["float", "bool", "leading-bool", "fraction", "string"],
 )
 def test_non_integer_entries_are_rejected_not_truncated(entries):
     with pytest.raises(TypeError, match="integer entries only"):
         IntMatrix(entries)
+
+
+def assert_valid_matrix(m):
+    """What the public constructor would have made of m's rows: a tuple of
+    tuples of exact ints, all of one length, with the shape to match."""
+    assert m == IntMatrix(m.entries) and hash(m) == hash(IntMatrix(m.entries))
+    assert type(m.entries) is tuple and (m.rows, m.cols) == (len(m.entries), len(m.entries[0]))
+    for r in m.entries:
+        assert type(r) is tuple and len(r) == m.cols
+        assert all(type(x) is int for x in r)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+@settings(deadline=None, max_examples=60)
+def test_products_and_smith_forms_are_valid_matrices(n, k, l, data):
+    """Products and the P, D and Q of the Smith form are built without the
+    constructor's per-entry test; each still passes it, and a product is
+    the sum of products of entries."""
+    a, b = data.draw(small_matrix(n, k)), data.draw(small_matrix(k, l))
+    ab = a * b
+    assert_valid_matrix(ab)
+    assert ab.to_lists() == [[sum(a[i, t] * b[t, j] for t in range(k)) for j in range(l)] for i in range(n)]
+    dec = smith_normal_form(a)
+    for m in (dec.P, dec.D, dec.Q):
+        assert_valid_matrix(m)
 
 
 def test_zero_column_matrix_is_allowed():

@@ -182,14 +182,20 @@ def assert_valid(r):
 @settings(deadline=None, max_examples=80)
 def test_arithmetic_results_are_valid_polynomials(data):
     """The arithmetic builds its results without the constructor's per-term
-    checks; each result still passes them and stores no zero."""
+    checks; each result still passes them and stores no zero. The monomial
+    substitution by a drawn nonsingular m, which forms each exponent from
+    m's rows, moves each exponent to m times it."""
     p, q = poly2(data, laurent=True), poly2(data, laurent=True)
     shift = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
     k = data.draw(st.integers(0, 3))
     c = data.draw(st.integers(-5, 5))
     results = [p + q, p - q, p * q, p**k, -p, p * 0, 0 * p, p - p, p + (-p), p * c, c + p, c - p]
     results += [p.shift(shift), *p.coeffs_in(1).values(), *p.coeffs_in(2).values()]
-    results.append(substitute_monomial(p, IntMatrix([[2, 1], [1, -1]])))
+    entries = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2)
+    m = data.draw(entries.map(IntMatrix).filter(IntMatrix.det))
+    moved = substitute_monomial(p, m)
+    assert moved == MPoly(2, {m.mul_vec(e): c for e, c in p.terms.items()})
+    results.append(moved)
     if p:
         results.append(content_primitive(p)[1])
     for r in results:
@@ -818,6 +824,96 @@ def assert_unit_root_product_matches(g, k, d):
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
     norm = substitute_monomial(_unit_root_product(g, k, d), y_d)
     assert norm == unit_root_product_by_sylvester(g, k, d)
+
+
+# ---------------------------------------------------------------- packed closed form
+
+
+def unit_root_product_by_sympy(g, var_index, d):
+    """sympy's resultant(t^d - Y, g, t), g with y_k moved to t, read back
+    with Y in the slot of y_k; Laurent shifts go back as in
+    `unit_root_product_by_sylvester`."""
+    n, k0 = g.n_vars, var_index - 1
+    mins, g0 = g.split_monomial()
+    ys = list(sympy.symbols("y1:%d" % (n + 1)))
+    t, Y = sympy.symbols("t Y")
+    res = sympy.resultant(t**d - Y, to_sympy(g0, ys[:k0] + [t] + ys[k0 + 1 :]), t)
+    norm = sympy.Poly(res, *ys[:k0], Y, *ys[k0 + 1 :])
+    out = MPoly(n, {e: int(c) for e, c in norm.terms()})
+    out = out.shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
+    return -out if (d + 1) * mins[k0] % 2 else out
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=25)
+def test_packed_closed_form_matches_bareiss_and_sympy(data):
+    """The e = 2 closed form on Kronecker-packed integers and on the `MPoly`
+    recurrence, in 2 and 3 variables with Laurent shifts, coefficients up
+    to 10^6 and d from 2 to 40, against the polynomial Bareiss determinant
+    of the Sylvester matrix and sympy's resultant(t^d - Y, g, t). Each G_j
+    has one term, or two for d up to 12: the Bareiss oracle's cost grows
+    steeply with d and the terms of g."""
+    n = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, n))
+    d = data.draw(st.integers(2, 40))
+    others = st.tuples(*(st.integers(0, 2) if i != k - 1 else st.just(0) for i in range(n)))
+    big = st.builds(int.__mul__, st.integers(1, 10**6), st.sampled_from([1, -1]))
+    g = MPoly.zero(n)
+    for j, least in ((0, 1), (1, 0), (2, 1)):
+        coeff = data.draw(st.dictionaries(others, big, min_size=least, max_size=1 + (d <= 12)))
+        g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
+    g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
+    y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
+    # both sides of the width limit: 10**12 packs every norm, 0 none
+    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 10**12):
+        packed = _unit_root_product(g, k, d)
+    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 0):
+        plain = _unit_root_product(g, k, d)
+    assert packed == plain == unit_root_product_by_sympy(g, k, d)
+    assert substitute_monomial(packed, y_d) == unit_root_product_by_sylvester(g, k, d)
+
+
+def test_a_wide_norm_stays_on_the_polynomial_recurrence():
+    """Delta_B under diag(1, 1000) takes a closed-form norm of order 1000
+    whose packed integers would be far wider than the limit: `_kronecker`
+    declines it, and the `MPoly` recurrence takes it. The spy stops the
+    norm there, as the recurrence itself takes seconds."""
+    from galedisc import discriminant
+
+    class Declined(Exception):
+        pass
+
+    def spy(tops, bound):
+        width = prod(t + 1 for t in tops) * (bound.bit_length() + 1)
+        assert width > mpoly._RECURRENCE_WIDTH_LIMIT
+        assert mpoly._kronecker(tops, bound) is None
+        raise Declined
+
+    delta_b = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
+    with mock.patch.object(discriminant, "_kronecker", spy), pytest.raises(Declined):
+        discriminant.transfer(delta_b, IntMatrix([[1, 0], [0, 1000]]))
+
+
+def test_a_narrow_norm_packs():
+    """Delta_B under diag(1, 13) takes a closed-form norm of order 13 on
+    packed integers of 13 * 3 + 1 digit positions, and the same polynomial
+    as on the `MPoly` recurrence."""
+    from galedisc import discriminant
+
+    widths = []
+
+    def spy(tops, bound):
+        widths.append((prod(t + 1 for t in tops), bound.bit_length() + 1))
+        return mpoly._kronecker(tops, bound)
+
+    delta_b = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
+    M = IntMatrix([[1, 0], [0, 13]])
+    with mock.patch.object(discriminant, "_kronecker", spy):
+        out = discriminant.transfer(delta_b, M)
+    assert len(widths) == 1 and widths[0][0] == 40
+    assert widths[0][0] * widths[0][1] <= mpoly._RECURRENCE_WIDTH_LIMIT
+    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 0):
+        assert discriminant.transfer(delta_b, M) == out
 
 
 def norm_by_sylvester_box(g, var_index, d):
