@@ -304,11 +304,10 @@ def gauss_inverse_check(
 # a 2-core Xeon under CPython 3.11, just under a limit: the interpolated
 # norm of 1 + y + y^3 of order 3535 (work 5.0e7, 4 nodes, too wide to
 # pack) took 0.8 s, and the closed form of Delta_B under diag(1, 1500)
-# (8.4e9) 17 s. The estimate still bounds both paths of the e = 2 closed
-# form: up to `mpoly._RECURRENCE_WIDTH_LIMIT` bits it runs on packed
-# integers, d steps of a few passes over at most that many bits, which is
-# far below what the limit admits, and every wider norm, as each near the
-# limit is, takes the `MPoly` steps the estimate counts.
+# (8.4e9) 17 s. The estimate bounds both kinds of steps of the e = 2
+# closed form: the `MPoly` steps it counts, and the packed ones, which
+# start only once a part holds a term per _PACK_DENSITY digit positions,
+# so they span at most _PACK_DENSITY times the terms it counts.
 _CLOSED_FORM_WORK_LIMIT = 10**10
 _INTERPOLATION_WORK_LIMIT = 5 * 10**7
 
@@ -370,40 +369,124 @@ def _norm_nodes(g0: MPoly, var_index: int, d: int):
     return active, nodes
 
 
-def _packed_closed_form(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int, k0: int):
-    """The e = 2 closed form G2^d Y^2 - s_d Y + G0^d of `_unit_root_product`
-    (Y in slot k0, where the G_j have exponent 0), taken on integers by a
-    Kronecker substitution of the other variables (`_kronecker`), or None
-    where those integers would be too wide.
+# Digit positions per term at which the e = 2 closed form moves onto
+# Kronecker-packed integers (`_closed_form`). A packed integer spans every
+# digit position of its box, the `MPoly` steps only the terms they reach,
+# so packing wins where most positions hold a term and loses where few
+# do, in time and in memory alike: a g with G1 = (y1 y2 y3)^670 and
+# G0 = G2 = 1, a work of 9.6e9 at d = 2, would pack into 7.2e9 bits for a
+# norm of four terms. A part whose terms fill its box so leaves the
+# `MPoly` steps after d/16 of them if it spreads in one variable, d/4 in
+# two, and a sparse one never does. On a 2-core Xeon under CPython 3.11
+# (grid in CHANGES.md, d = 16 to 100), against `MPoly` steps alone, the
+# norm took 0.08 to 0.7 of the time on shapes of at most 8 digit positions
+# per term, within noise of it on shapes of 19 to 101 (forced to pack, 0.7
+# to 19 times it), and 1.1 to 1.3 times it at 15.6, just under the
+# density, where a part packs in its last steps and its read walks a box
+# of mostly empty digits.
+_PACK_DENSITY = 16
 
-    s_d is a sum of multiples of G1^a (G0 G2)^b with a + 2b = d, so the
-    degree of s_d, G0^d and G2^d in a variable v is at most
-    d * max_j deg_v(G_j), and none is negative. The 1-norm of a product is
-    at most the product of the 1-norms, so |G0^d|_1 <= |G0|_1^d,
-    |G2^d|_1 <= |G2|_1^d and |s_j|_1 <= b_j, with b_0 = 2, b_1 = |G1|_1 and
-    b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2): the largest of these
-    bounds every coefficient. A step multiplies s_(j-1) and s_(j-2) by the
+
+def _recurrence_tops(g_1: MPoly, g02: MPoly, d: int) -> list:
+    """Degree bounds of s_d in each variable: a term of s_d has a factors
+    from G1 and b from G0 G2, a + 2b = d, so its degree in v is at most
+    a deg_v G1 + b deg_v(G0 G2) <= d max(deg_v G1, deg_v(G0 G2) / 2)."""
+    n = g02.n_vars
+    return [d * max(2 * g_1.degree_in(v + 1), g02.degree_in(v + 1)) // 2 for v in range(n)]
+
+
+def _dense_at(tops) -> int:
+    """The terms at which a part with degree bounds tops moves onto packed
+    integers: one per _PACK_DENSITY digit positions of its box."""
+    return -(-prod(t + 1 for t in tops) // _PACK_DENSITY)
+
+
+def _shifted_sum(items, low: int) -> int:
+    """The sum of c << (x - low) over the pairs (x, c) of items, which are
+    sorted by x, each x >= low. It is taken in halves, so that each level of the halving adds
+    integers about as wide as the whole once, not once per pair."""
+    if len(items) <= 16:
+        return sum([c << (x - low) for x, c in items])
+    h = len(items) // 2
+    mid = items[h][0]
+    return _shifted_sum(items[:h], low) + (_shifted_sum(items[h:], mid) << (mid - low))
+
+
+def _packed(p: MPoly, shift) -> int:
+    """The packed value of p, the sum of c << shift(e) over its terms."""
+    items = [(shift(e), c) for e, c in p.terms.items()]
+    return _shifted_sum(sorted(items) if len(items) > 16 else items, 0)
+
+
+def _power(f: MPoly, d: int) -> MPoly:
+    """f^d by repeated squaring, moved onto Kronecker-packed integers
+    (`_kronecker`) once the square holds a term per _PACK_DENSITY digit
+    positions of the box of f^d. With f = y^m h, m its monomial content,
+    h^d has degree at most d deg_v h in each v, and 1-norm at most
+    |h|_1^d, as the 1-norm of a product is at most the product of the
+    1-norms."""
+    if len(f.terms) == 1:
+        ((e, c),) = f.terms.items()
+        return MPoly._valid(f.n_vars, {tuple([d * x for x in e]): c**d})
+    mins, h = f.split_monomial()
+    lift = [d * x for x in mins]
+    tops = [d * h.degree_in(v + 1) for v in range(f.n_vars)]
+    cap = _dense_at(tops)
+    result, base, k = MPoly.one(f.n_vars), h, d
+    while len(base.terms) < cap:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result.shift(tuple(lift))
+        base = base * base
+    shift, read = _kronecker(tops, sum(map(abs, h.terms.values())) ** d)
+    r = _packed(result, shift) * _packed(base, shift) ** k
+    return MPoly._valid(f.n_vars, {tuple(map(add, e, lift)): c for e, c in read(r)})
+
+
+def _closed_form(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int, k0: int) -> MPoly:
+    """The e = 2 closed form G2^d Y^2 - s_d Y + G0^d of `_unit_root_product`
+    (Y in slot k0, where the G_j have exponent 0), each part on `MPoly`
+    steps until it holds a term per _PACK_DENSITY digit positions of its
+    box, and on Kronecker-packed integers (`_kronecker`) from there: the
+    powers each on its own packing (`_power`), s_d on one with the degree
+    bounds of `_recurrence_tops`. A sparse part so stays on `MPoly` steps
+    throughout, and a dense one leaves them after a few.
+
+    The 1-norm of a product is at most the product of the 1-norms, so
+    |s_j|_1 <= b_j, with b_0 = 2, b_1 = |G1|_1 and
+    b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2), and b_d bounds every
+    coefficient of s_d. A packed step multiplies s_(j-1) and s_(j-2) by the
     few terms of -G1 and -G0 G2 one at a time, each a shift and a small
     factor, not by their packed values, whose digits are mostly zero."""
-    n0, n1, n2 = (sum(map(abs, f.terms.values())) for f in (g_0, g_1, g_2))
-    b_prev, b = 2, n1
-    for _ in range(d - 1):
-        b_prev, b = b, n1 * b + n0 * n2 * b_prev
-    tops = [d * max(f.degree_in(v + 1) for f in (g_0, g_1, g_2)) for v in range(g_0.n_vars)]
-    packing = _kronecker(tops, max(b, n0**d, n2**d))
-    if packing is None:
-        return None
-    shift, read = packing
-    m1, m02 = ([(-c, shift(e)) for e, c in f.terms.items()] for f in (g_1, g02))
-    s_prev, s = 2, sum([c << x for c, x in m1])
-    for _ in range(d - 1):
-        s_prev, s = s, sum([c * (s << x) for c, x in m1]) + sum([c * (s_prev << x) for c, x in m02])
-    p0, p2 = (sum([c << shift(e) for e, c in f.terms.items()]) for f in (g_0, g_2))
-    terms = {}
-    for j, r in ((2, p2**d), (1, -s), (0, p0**d)):
-        for e, c in read(r):
-            terms[e[:k0] + (j,) + e[k0 + 1 :]] = c
-    return MPoly._valid(g_0.n_vars, terms)
+    n = g_0.n_vars
+    tops = _recurrence_tops(g_1, g02, d)
+    cap = _dense_at(tops)
+    s_prev, s = MPoly.constant(n, 2), -g_1
+    j = 1
+    while j < d and len(s.terms) < cap:
+        s_prev, s = s, -g_1 * s - g02 * s_prev
+        j += 1
+    if j < d:
+        n0, n1, n2 = (sum(map(abs, f.terms.values())) for f in (g_0, g_1, g_2))
+        b_prev, b = 2, n1
+        for _ in range(d - 1):
+            b_prev, b = b, n1 * b + n0 * n2 * b_prev
+        shift, read = _kronecker(tops, b)
+        m1, m02 = ([(-c, shift(e)) for e, c in f.terms.items()] for f in (g_1, g02))
+        s_prev, s = _packed(s_prev, shift), _packed(s, shift)
+        for _ in range(d - j):
+            step = sum([c * (s << x) for c, x in m1])
+            s_prev, s = s, step + sum([c * (s_prev << x) for c, x in m02])
+        s_terms = read(s)
+    else:
+        s_terms = s.terms.items()
+    terms = {e[:k0] + (1,) + e[k0 + 1 :]: -c for e, c in s_terms}
+    for i, f in ((2, g_2), (0, g_0)):
+        for e, c in _power(f, d).terms.items():
+            terms[e[:k0] + (i,) + e[k0 + 1 :]] = c
+    return MPoly._valid(n, terms)
 
 
 def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
@@ -417,10 +500,8 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
       s_0 = 2, s_1 = -G1 and s_j = -G1 * s_(j-1) - G0 * G2 * s_(j-2).
       With G2 = 0 it is G0^d - (-G1)^d * Y, taken by repeated squaring,
       which on the `transfer` workload is faster than the d steps of the
-      recurrence. With G2 != 0 the recurrence runs on Kronecker-packed
-      integers (`_packed_closed_form`) while they are at most
-      `mpoly._RECURRENCE_WIDTH_LIMIT` bits wide, and on `MPoly` steps past
-      it;
+      recurrence. With G2 != 0 each part moves from `MPoly` steps onto
+      Kronecker-packed integers once it is dense (`_closed_form`);
     - e >= 3 gives the resultant against t^d - Y of g with y_k moved to t,
       interpolated on the lower closure of the d-fold sumset of supp(g)
       (`_norm_nodes`), not on the box of its degree bounds. The engine
@@ -447,12 +528,7 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
         if e <= 1:
             norm = g_0**d - (-g_1) ** d * y
         else:
-            norm = _packed_closed_form(g_0, g_1, g_2, g02, d, k0)
-            if norm is None:
-                s_prev, s = MPoly.constant(n, 2), -g_1
-                for _ in range(d - 1):
-                    s_prev, s = s, -g_1 * s - g02 * s_prev
-                norm = g_2**d * y * y - s * y + g_0**d
+            norm = _closed_form(g_0, g_1, g_2, g02, d, k0)
     else:
         box = (e + 1) * prod(d * g0.degree_in(v + 1) + 1 for v in range(n) if v != k0)
         _refuse_above(d * d * box, _INTERPOLATION_WORK_LIMIT, d)

@@ -590,22 +590,6 @@ def _values_at(fs, point) -> list:
 _PACK_WIDTH_LIMIT = 2500
 
 
-# Widest Kronecker-packed closed-form norm (`_kronecker`), in bits: the
-# digit width K times the digit positions. A packed step of the e = 2
-# recurrence of `discriminant._unit_root_product` makes a few passes over
-# integers as wide as its result, and the result is read a digit position
-# at a time, where the `MPoly` recurrence takes one product per pair of
-# terms. So packing wins where most digit positions hold a term and loses,
-# by a factor that grows with the width, where few do. On a 2-core Xeon
-# under CPython 3.11 (grid in CHANGES.md) the packed norm took 0.2 to 0.5
-# of the `MPoly` time on dense shapes from 10^4 to 2 * 10^6 bits, among
-# them Delta_B's norms of order 50 to 400, and 1.1 to 3 times it on sparse
-# shapes in 3 and 4 variables; under this limit that loss stays under
-# about 1 ms, and every norm of order 100 or more of Delta_B stays on the
-# `MPoly` recurrence.
-_RECURRENCE_WIDTH_LIMIT = 10**5
-
-
 def _balanced_digits(r: int, K: int, count: int) -> list:
     """The first count digits of r in base X = 2^K, each balanced into
     -X/2 <= digit < X/2: the coefficients c_j of r = sum_j c_j X^j, for
@@ -640,8 +624,8 @@ def _balanced_digits(r: int, K: int, count: int) -> list:
 
 def _kronecker(tops, bound: int):
     """(shift, read) for the Kronecker substitution y_v -> X^stride_v,
-    X = 2^K (Harvey, J. Symbolic Comput. 44, 2009), or None when the packed
-    integers would be wider than _RECURRENCE_WIDTH_LIMIT bits.
+    X = 2^K (Harvey, J. Symbolic Comput. 44, 2009). The packed integers are
+    K * prod_v (tops[v] + 1) bits wide, however few terms they hold.
 
     It serves polynomials with exponents 0 <= e_v <= tops[v] and every
     coefficient of absolute value at most bound. The strides are mixed
@@ -660,8 +644,6 @@ def _kronecker(tops, bound: int):
     for t in reversed(tops):
         shifts.append(K * size)
         size *= t + 1
-    if size * K > _RECURRENCE_WIDTH_LIMIT:
-        return None
     shifts.reverse()
 
     def shift(e) -> int:

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from galedisc.discriminant import _norm_nodes, _unit_root_product
-from galedisc import mpoly
+from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
@@ -847,10 +847,10 @@ def unit_root_product_by_sympy(g, var_index, d):
 @given(st.data())
 @settings(deadline=None, max_examples=25)
 def test_packed_closed_form_matches_bareiss_and_sympy(data):
-    """The e = 2 closed form on Kronecker-packed integers and on the `MPoly`
-    recurrence, in 2 and 3 variables with Laurent shifts, coefficients up
-    to 10^6 and d from 2 to 40, against the polynomial Bareiss determinant
-    of the Sylvester matrix and sympy's resultant(t^d - Y, g, t). Each G_j
+    """The e = 2 closed form on Kronecker-packed integers and on `MPoly`
+    steps, in 2 and 3 variables with Laurent shifts, coefficients up to
+    10^6 and d from 2 to 40, against the polynomial Bareiss determinant of
+    the Sylvester matrix and sympy's resultant(t^d - Y, g, t). Each G_j
     has one term, or two for d up to 12: the Bareiss oracle's cost grows
     steeply with d and the terms of g."""
     n = data.draw(st.integers(2, 3))
@@ -864,55 +864,50 @@ def test_packed_closed_form_matches_bareiss_and_sympy(data):
         g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
     g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
-    # both sides of the width limit: 10**12 packs every norm, 0 none
-    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 10**12):
-        packed = _unit_root_product(g, k, d)
-    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 0):
-        plain = _unit_root_product(g, k, d)
-    assert packed == plain == unit_root_product_by_sympy(g, k, d)
-    assert substitute_monomial(packed, y_d) == unit_root_product_by_sylvester(g, k, d)
+    norms = []
+    # a part packs at once, once it is dense, or never
+    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+            norms.append(_unit_root_product(g, k, d))
+    assert norms[0] == norms[1] == norms[2] == unit_root_product_by_sympy(g, k, d)
+    assert substitute_monomial(norms[0], y_d) == unit_root_product_by_sylvester(g, k, d)
 
 
-def test_a_wide_norm_stays_on_the_polynomial_recurrence():
-    """Delta_B under diag(1, 1000) takes a closed-form norm of order 1000
-    whose packed integers would be far wider than the limit: `_kronecker`
-    declines it, and the `MPoly` recurrence takes it. The spy stops the
-    norm there, as the recurrence itself takes seconds."""
-    from galedisc import discriminant
-
-    class Declined(Exception):
-        pass
+def test_a_sparse_norm_stays_on_polynomial_steps():
+    """g = Y^2 + m Y + 1 with m = (y1 y2 y3)^670, Y = y4, of order 2: the
+    work estimate admits it (9.6e9), and its packing would be 1341^3 digit
+    positions of 3 bits, 7.2e9 bits for a norm of four terms. No part
+    reaches a term per `_PACK_DENSITY` positions, so none packs."""
 
     def spy(tops, bound):
-        width = prod(t + 1 for t in tops) * (bound.bit_length() + 1)
-        assert width > mpoly._RECURRENCE_WIDTH_LIMIT
-        assert mpoly._kronecker(tops, bound) is None
-        raise Declined
+        raise AssertionError("packed a sparse norm")
 
-    delta_b = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
-    with mock.patch.object(discriminant, "_kronecker", spy), pytest.raises(Declined):
-        discriminant.transfer(delta_b, IntMatrix([[1, 0], [0, 1000]]))
+    m = MPoly(4, {(670, 670, 670, 0): 1})
+    Y = MPoly.variable(4, 4)
+    with mock.patch.object(discriminant, "_kronecker", spy):
+        norm = _unit_root_product(Y * Y + m * Y + 1, 4, 2)
+    assert norm == Y * Y - (m * m - 2) * Y + 1
 
 
-def test_a_narrow_norm_packs():
-    """Delta_B under diag(1, 13) takes a closed-form norm of order 13 on
-    packed integers of 13 * 3 + 1 digit positions, and the same polynomial
-    as on the `MPoly` recurrence."""
-    from galedisc import discriminant
-
-    widths = []
+def test_a_dense_norm_packs_after_a_few_steps():
+    """Delta_B under diag(1, 300) takes a closed-form norm of order 300:
+    s_d moves onto packed integers after a few `MPoly` steps, with
+    enough terms that packing sums them in halves, and G0^d after a few
+    squarings; G2 = 27 is a monomial and stays. The norm is the one the
+    `MPoly` steps give alone."""
+    packings = []
 
     def spy(tops, bound):
-        widths.append((prod(t + 1 for t in tops), bound.bit_length() + 1))
+        packings.append(list(tops))
         return mpoly._kronecker(tops, bound)
 
     delta_b = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
-    M = IntMatrix([[1, 0], [0, 13]])
+    M = IntMatrix([[1, 0], [0, 300]])
     with mock.patch.object(discriminant, "_kronecker", spy):
         out = discriminant.transfer(delta_b, M)
-    assert len(widths) == 1 and widths[0][0] == 40
-    assert widths[0][0] * widths[0][1] <= mpoly._RECURRENCE_WIDTH_LIMIT
-    with mock.patch.object(mpoly, "_RECURRENCE_WIDTH_LIMIT", 0):
+    # s_300 of degree 300 * max(1, 3 / 2) in y1; G0^300 = y1^600 (4 y1 - 1)^300
+    assert packings == [[450, 0], [300, 0]]
+    with mock.patch.object(discriminant, "_PACK_DENSITY", Fraction(1, 2)):
         assert discriminant.transfer(delta_b, M) == out
 
 
