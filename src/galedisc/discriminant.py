@@ -45,7 +45,10 @@ from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_no
 from .mpoly import (
     MPoly,
     _det_by_interpolation,
+    _int_text,
     _kronecker,
+    _refuse_resultant,
+    _substitute,
     content_primitive,
     substitute_monomial,
     sylvester_resultant,
@@ -137,7 +140,12 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     # Setting u2 = 1 keeps each pencil's u1-degree: with no two rows
     # proportional, at most one row has c_i1 = 0, and that row divides only
     # one of num_k and den_k, so the other keeps its top term in u1. C * U
-    # has proportional rows only where C does.
+    # has proportional rows only where C does. So the u1-degrees are half
+    # the columns' 1-norms, as the columns sum to 0, and the work estimate
+    # of `sylvester_resultant` is refused here, before the binomials of
+    # the pencils, which are as long as those degrees, are expanded.
+    a, b = (sum(map(abs, spec_cu.C.col(k))) // 2 for k in range(2))
+    _refuse_resultant(a + b, (a + 1) * (b + 1))
     p, q = _affine_pencils(spec_cu.C)
     resultant = sylvester_resultant(p, q, 1)
     if not resultant:
@@ -315,8 +323,8 @@ _INTERPOLATION_WORK_LIMIT = 5 * 10**7
 def _refuse_above(work: int, limit: int, d: int) -> None:
     if work > limit:
         raise ValueError(
-            "group product too large: a norm of order %d needs about %d "
-            "operations, above the limit of %d" % (d, work, limit)
+            "group product too large: a norm of order %s needs about %s "
+            "operations, above the limit of %d" % (_int_text(d), _int_text(work), limit)
         )
 
 
@@ -610,20 +618,33 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     x10, x11 = (x // d for x in r_m)
     det = x00 * x11 - x01 * x10
     Q = IntMatrix([[det * x11, -det * x01], [-det * x10, det * x00]])
+    # No determinant of P or Q is needed: with P M Q = D and |det D| =
+    # |det M| != 0, as Smith's own P and Q are checked, |det P det Q| = 1.
     if P * M * Q != snf.D:
         raise ArithmeticError("reduced Smith basis does not reconstruct D")
     return P, Q
 
 
-def _smith_norm(f: MPoly, M: IntMatrix):
+def _smith_form(f: MPoly, M: IntMatrix):
+    """The Smith form of M, the one check of a lattice change: M must be
+    square of f's size, and it is singular exactly when an invariant factor
+    is 0, as their product is |det M|."""
+    if not M.is_square or M.rows != f.n_vars:
+        raise ValueError("matrix shape mismatch")
+    snf = smith_normal_form(M)
+    if 0 in snf.invariant_factors:
+        raise ValueError("singular matrix")
+    return snf
+
+
+def _smith_norm(f: MPoly, M: IntMatrix, snf):
     """(h, Q): the product h of f over the scalings that alpha_M kills,
     written in Y_k = y_k^(d_k) on a basis P M Q = D of the Smith form
     (`_norm_basis`): f moved along P, then one norm per invariant factor
     d_k > 1. The group product of f is h composed with
     alpha_(P^-1 D) = alpha_(M Q)."""
-    snf = smith_normal_form(M)
     P, Q = _norm_basis(f, M, snf)
-    h = substitute_monomial(f, P)
+    h = _substitute(f, P)
     for k, dk in enumerate(snf.invariant_factors):
         if dk > 1:
             h = _unit_root_product(h, k + 1, dk)
@@ -640,15 +661,11 @@ def group_product(f: MPoly, M: IntMatrix) -> MPoly:
     M. Laurent input gives the Laurent product: each of the |det M|
     factors carries the monomial of f, up to a root of unity.
     """
-    if not M.is_square or M.rows != f.n_vars:
-        raise ValueError("matrix shape mismatch")
-    det = M.det()
-    if det == 0:
-        raise ValueError("singular matrix")
-    if abs(det) == 1 or not f:
+    snf = _smith_form(f, M)
+    if prod(snf.invariant_factors) == 1 or not f:
         return f
-    h, Q = _smith_norm(f, M)
-    return substitute_monomial(h, M * Q)
+    h, Q = _smith_norm(f, M, snf)
+    return _substitute(h, M * Q)
 
 
 def transfer(delta2: MPoly, M: IntMatrix):
@@ -664,16 +681,13 @@ def transfer(delta2: MPoly, M: IntMatrix):
     norm h composed with alpha_(M Q), so delta1 is h composed with
     alpha_Q, as M^-1 P^-1 D = Q, once minimal exponents e are cleared;
     v = M (-e) lies in the lattice by construction."""
-    if not M.is_square or M.rows != delta2.n_vars:
-        raise ValueError("matrix shape mismatch")
-    if M.det() == 0:
-        raise ValueError("singular matrix")
+    snf = _smith_form(delta2, M)
     if not delta2:
         raise ValueError("zero input")
     if delta2.content() != 1:
         raise ValueError("input polynomial is not primitive")
-    h, Q = _smith_norm(delta2, M)
-    mins, out = substitute_monomial(h, Q).split_monomial()
+    h, Q = _smith_norm(delta2, M, snf)
+    mins, out = _substitute(h, Q).split_monomial()
     v = M.mul_vec([-x for x in mins])
     c, prim = content_primitive(out)
     if c != 1:
@@ -693,6 +707,5 @@ def homogenize(delta: MPoly, B: IntMatrix) -> MPoly:
         raise ValueError("rank deficient")
     if not delta:
         raise ValueError("zero input")
-    terms = {tuple(B.mul_vec(e)): c for e, c in delta.terms.items()}
-    _, prim = content_primitive(MPoly(B.rows, terms).split_monomial()[1])
+    _, prim = content_primitive(_substitute(delta, B).split_monomial()[1])
     return prim

@@ -85,7 +85,8 @@ class IntMatrix:
     def det(self) -> int:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        return _int_det([list(r) for r in self.entries])
+        rank, last = _bareiss([list(r) for r in self.entries])
+        return last if rank == self.rows else 0
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -132,13 +133,6 @@ def _bareiss(m):
 def _int_rank(m) -> int:
     """Rank of a list-of-lists integer matrix; mutates its argument."""
     return _bareiss(m)[0]
-
-
-def _int_det(m) -> int:
-    """Determinant of a square list-of-lists integer matrix: the signed
-    last pivot, or 0 when the rank falls short. Mutates its argument."""
-    rank, last = _bareiss(m)
-    return last if rank == len(m) else 0
 
 
 def gcd_maximal_minors(c: IntMatrix) -> int:

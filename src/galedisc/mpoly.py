@@ -66,6 +66,14 @@ def _digits(c: int) -> int:
     return k
 
 
+def _int_text(c: int) -> str:
+    """c as text for an error message: its decimal digits, or, above the
+    interpreter's limit on integer text, their count, as "[k digits]"."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _digits(c)
+    return "[%d digits]" % digits if limit and digits > limit else str(c)
+
+
 def _int_from_text(text: str) -> int:
     """int(text), refusing by `_refuse_long_text` a numeral with more digits
     than the interpreter converts."""
@@ -759,6 +767,18 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
 _RESULTANT_WORK_LIMIT = 5 * 10**10
 
 
+def _refuse_resultant(size: int, nodes: int) -> None:
+    """Raise ValueError when a Sylvester matrix of this size on this many
+    nodes is above _RESULTANT_WORK_LIMIT."""
+    work = nodes * size**5
+    if work > _RESULTANT_WORK_LIMIT:
+        raise ValueError(
+            "resultant too large: a Sylvester matrix of size %s on %s nodes needs "
+            "about %s operations, above the limit of %d"
+            % (_int_text(size), _int_text(nodes), _int_text(work), _RESULTANT_WORK_LIMIT)
+        )
+
+
 def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     """Resultant of p and q with respect to one variable (1-based): the
     determinant of their Sylvester matrix, with the rows of p first.
@@ -782,11 +802,6 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     if dp < 1 or dq < 1:
         raise ValueError("nothing to eliminate")
     n_vars = p.n_vars
-    zero = MPoly.zero(n_vars)
-    pc = p.coeffs_in(var_index)
-    qc = q.coeffs_in(var_index)
-    pcs = [pc.get(dp - j, zero) for j in range(dp + 1)]
-    qcs = [qc.get(dq - j, zero) for j in range(dq + 1)]
     # Row by row, the Sylvester matrix has dq rows of p's coefficients and
     # dp rows of q's: a bound on the determinant's degree in each v.
     bounds = [0] * n_vars
@@ -795,13 +810,12 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
             bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
     active = [v for v in range(n_vars) if bounds[v] > 0]
     nodes = prod(bounds[v] + 1 for v in active)
-    work = nodes * (dp + dq) ** 5
-    if work > _RESULTANT_WORK_LIMIT:
-        raise ValueError(
-            "resultant too large: a Sylvester matrix of size %d on %d nodes needs "
-            "about %d operations, above the limit of %d"
-            % (dp + dq, nodes, work, _RESULTANT_WORK_LIMIT)
-        )
+    _refuse_resultant(dp + dq, nodes)
+    zero = MPoly.zero(n_vars)
+    pc = p.coeffs_in(var_index)
+    qc = q.coeffs_in(var_index)
+    pcs = [pc.get(dp - j, zero) for j in range(dp + 1)]
+    qcs = [qc.get(dq - j, zero) for j in range(dq + 1)]
     return _det_by_interpolation(pcs, qcs, active, product(*(range(bounds[v] + 1) for v in active)))
 
 
@@ -809,12 +823,20 @@ def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
     """Monomial change of coordinates: each variable y_j is replaced by the
     monomial with exponent vector given by column j of m, so a term exponent
     e maps to m*e. Requires det(m) != 0, which makes the map injective on
-    monomials; the result is Laurent whenever m*e goes negative."""
+    monomials; the result is Laurent whenever m*e goes negative. `transfer`
+    and `group_product` skip these checks (`_substitute`): their P, Q and
+    M Q come from one checked Smith form P M Q = D of a square M with no
+    invariant factor 0. So does `homogenize`, with its own rank check."""
     if not m.is_square or m.rows != p.n_vars:
         raise ValueError("matrix shape mismatch")
     if m.det() == 0:
         raise ValueError("singular matrix")
-    rows = m.entries
+    return _substitute(p, m)
+
+
+def _substitute(p: MPoly, m: IntMatrix) -> MPoly:
+    """`substitute_monomial` without its checks, for any m with a column
+    per variable of p whose map e -> m e is injective on supp(p)."""
     return MPoly._valid(
-        p.n_vars, {tuple([sum(map(mul, r, e)) for r in rows]): c for e, c in p.terms.items()}
+        m.rows, {tuple([sum(map(mul, r, e)) for r in m.entries]): c for e, c in p.terms.items()}
     )

@@ -22,6 +22,7 @@ from math import gcd, prod
 from operator import mul
 
 from .intmat import IntMatrix, _int_rank
+from .mpoly import _int_text
 
 
 class Verdict(Enum):
@@ -141,8 +142,8 @@ def merge_proportional_rows(C: IntMatrix):
     )
     if bits > _SCALING_BITS_LIMIT:
         raise ValueError(
-            "proportional rows too large: the coordinate scaling needs about %d "
-            "bits, above the limit of %d" % (bits, _SCALING_BITS_LIMIT)
+            "proportional rows too large: the coordinate scaling needs about %s "
+            "bits, above the limit of %d" % (_int_text(bits), _SCALING_BITS_LIMIT)
         )
     merged = []
     scale = [Fraction(1)] * C.cols

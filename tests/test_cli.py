@@ -11,6 +11,11 @@ import pytest
 
 from galedisc.cli import main
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 B_ROWS = [[1, 2], [-2, -3], [1, 0], [0, 1]]
 C_ROWS = [[1, 2], [0, -3], [-3, 0], [2, 1]]
 C42_ROWS = [[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]]
@@ -188,6 +193,72 @@ def test_transfer_with_a_huge_group_order_exits_one(files, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: group product too large") and "2500003000000000000" in err
+
+
+@pytest.mark.parametrize("command", ["transfer", "group-product"])
+def test_a_refused_group_product_of_huge_order_exits_one(files, capsys, int_text_limit, command):
+    """Delta_B under [[a, 1], [0, 2]], a = 7...7 (3000 digits), has a norm
+    of order 2a: the refusal prints d, under the interpreter's limit on
+    integer text, and the work estimate, above it, as its digit count."""
+    a = int("7" * 3000)
+    poly = files("db.json", {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS})
+    code, out, err = run(capsys, command, poly, files("m.json", {"rows": [[a, 1], [0, 2]]}))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: group product too large: a norm of order %d needs about [9003 digits] "
+        "operations, above the limit of 50000000\n" % (2 * a)
+    )
+
+
+@pytest.mark.parametrize("command", ["transfer", "group-product"])
+@pytest.mark.parametrize(
+    "terms, rows, message",
+    [
+        (DELTA_B_TERMS, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], "matrix shape mismatch"),
+        (DELTA_B_TERMS, [[1, 0, 0], [0, 2, 0]], "matrix shape mismatch"),
+        (DELTA_B_TERMS, [[1, 2], [2, 4]], "singular matrix"),
+        ([], [[1, 2], [2, 4]], "singular matrix"),
+    ],
+    ids=["non-square-size", "non-square", "singular", "singular-and-zero"],
+)
+def test_a_rejected_lattice_change_exits_one(files, capsys, command, terms, rows, message):
+    poly = files("p.json", {"vars": ["y1", "y2"], "terms": terms})
+    code, out, err = run(capsys, command, poly, files("m.json", {"rows": rows}))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [([], "zero input"), ([{"c": "2", "e": [1, 0]}, {"c": "4", "e": [0, 1]}], "input polynomial is not primitive")],
+    ids=["zero", "imprimitive"],
+)
+def test_transfer_of_a_rejected_polynomial_exits_one(files, capsys, terms, message):
+    poly = files("p.json", {"vars": ["y1", "y2"], "terms": terms})
+    code, out, err = run(capsys, "transfer", poly, files("m.json", {"rows": [[-3, 0], [2, 1]]}))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_a_resultant_of_degree_a_million_is_refused_within_seconds(tmp_path):
+    """The pencils of [[t, 1], [1, t], [-t-1, -t-1]] at t = 10^6 have
+    degree 10^6 in u1; they are never expanded. Run in a fresh process
+    under a timeout and, where the platform has one, a 1 GiB address space
+    limit, so a regression fails instead of hanging or filling memory."""
+    t = 10**6
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"rows": [[t, 1], [1, t], [-t - 1, -t - 1]]}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "galedisc", "implicitize", str(p)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit_memory if resource else None,
+    )
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error: resultant too large: a Sylvester matrix of size 2000000 on ")
 
 
 @pytest.mark.parametrize("fmt", ["--json", "--text"])

@@ -24,7 +24,7 @@ from galedisc.discriminant import (
     transfer,
 )
 from galedisc.intmat import IntMatrix, l1_reduce, smith_normal_form
-from galedisc.mpoly import MPoly, content_primitive, substitute_monomial
+from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import (
     Verdict,
     _forms_at,
@@ -124,18 +124,56 @@ def test_implicitize_rejects_proportional_rows():
 
 @pytest.mark.parametrize(
     "rows, size, nodes",
-    [([[29, 1], [1, 27], [-30, -28]], 56, 841), ([[97, 1], [1, 91], [-98, -92]], 188, 9021)],
-    ids=["size-56", "size-188"],
+    [
+        ([[29, 1], [1, 27], [-30, -28]], 56, 841),
+        ([[97, 1], [1, 91], [-98, -92]], 188, 9021),
+        ([[3000, 1], [1, 3000], [-3001, -3001]], 6000, 9006000),
+    ],
+    ids=["size-56", "size-188", "size-6000"],
 )
 def test_a_too_large_resultant_is_refused_before_any_node(rows, size, nodes):
-    """Already reduced, these take 46 s and more than a minute: the work
-    estimate refuses them at once, with the size and the node count."""
+    """The first two, already reduced, take 46 s and more than a minute;
+    the pencils of the third, of degree about 3000, took seconds just to
+    expand. The work estimate refuses each at once, from C * U, with the
+    size and the node count."""
     t0 = time.perf_counter()
     with pytest.raises(
         ValueError, match="resultant too large: a Sylvester matrix of size %d on %d nodes " % (size, nodes)
     ):
         implicitize(build(IntMatrix(rows)))
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("t", [28, 29, 40])
+def test_the_early_resultant_refusal_is_the_one_of_sylvester_resultant(t):
+    """The estimate implicitize makes from C * U is, to the byte, the one
+    sylvester_resultant makes of the pencils."""
+    C = IntMatrix([[t, 1], [1, t - 2], [-t - 1, -t + 1]])
+    with pytest.raises(ValueError, match="resultant too large") as early:
+        implicitize(build(C))
+    cu = build(C * l1_reduce(C)).C
+    with pytest.raises(ValueError) as late:
+        sylvester_resultant(*_affine_pencils(cu), 1)
+    assert str(early.value) == str(late.value)
+
+
+def test_refusals_give_integers_above_the_text_limit_as_digit_counts(int_text_limit):
+    """A size of 5001 digits in the refusal of a resultant, a group order
+    of 5001 digits in the refusal of a group product."""
+    t = 10**5000
+    p = MPoly(3, {(t // 2, 1, 0): 1, (0, 0, 0): 1})
+    q = MPoly(3, {(t // 2, 0, 1): 1, (0, 0, 0): 1})
+    with pytest.raises(ValueError) as err:
+        sylvester_resultant(p, q, 1)
+    assert str(err.value).startswith("resultant too large: a Sylvester matrix of size [5001 digits] on ")
+    assert str(err.value).endswith(" digits] operations, above the limit of 50000000000")
+    M = IntMatrix([[1, 0], [0, t]])
+    for call in (transfer, group_product):
+        with pytest.raises(ValueError) as err:
+            call(DELTA_B, M)
+        message = str(err.value)
+        assert message.startswith("group product too large: a norm of order [5001 digits] needs about [")
+        assert message.endswith(" digits] operations, above the limit of 10000000000")
 
 
 @pytest.mark.parametrize("mat", [B, C], ids=["cubic", "rescaled"])
@@ -826,6 +864,60 @@ def test_transfer_between_unimodular_bases_both_ways():
 def test_transfer_rejects_imprimitive_input():
     with pytest.raises(ValueError, match="not primitive"):
         transfer(MPoly.constant(2, 2) * DELTA_B, M35)
+
+
+SINGULAR = IntMatrix([[1, 2], [2, 4]])
+ZERO2 = MPoly.zero(2)
+
+
+@pytest.mark.parametrize(
+    "call, f, M, message",
+    [
+        (transfer, DELTA_B, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), "matrix shape mismatch"),
+        (group_product, DELTA_B, IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), "matrix shape mismatch"),
+        (transfer, DELTA_B, IntMatrix([[1, 0, 0], [0, 2, 0]]), "matrix shape mismatch"),
+        (group_product, DELTA_B, IntMatrix([[1, 0, 0], [0, 2, 0]]), "matrix shape mismatch"),
+        (transfer, ZERO2, IntMatrix([[1, 2, 0], [2, 4, 0]]), "matrix shape mismatch"),
+        (group_product, ZERO2, IntMatrix([[1, 2, 0], [2, 4, 0]]), "matrix shape mismatch"),
+        (transfer, DELTA_B, SINGULAR, "singular matrix"),
+        (group_product, DELTA_B, SINGULAR, "singular matrix"),
+        (transfer, ZERO2, SINGULAR, "singular matrix"),
+        (group_product, ZERO2, SINGULAR, "singular matrix"),
+        (transfer, DELTA_B * 2, SINGULAR, "singular matrix"),
+        (transfer, ZERO2, M35, "zero input"),
+    ],
+)
+def test_the_error_contract_of_transfer_and_group_product(call, f, M, message):
+    """Shape first, then singularity, then, for transfer, a zero and an
+    imprimitive polynomial: each check is made before the next."""
+    with pytest.raises(ValueError) as err:
+        call(f, M)
+    assert str(err.value) == message
+
+
+def test_group_product_of_zero_is_zero():
+    assert group_product(ZERO2, M35) == ZERO2
+
+
+@given(st.integers(2, 3), st.data())
+@settings(deadline=None, max_examples=60)
+def test_group_product_is_singular_or_unchanged_exactly_by_the_determinant(n, data):
+    """group_product reads singularity and the unimodular shortcut off the
+    Smith form: it refuses exactly when det M = 0 and returns f itself
+    exactly when |det M| = 1. A product of |det M| > 1 factors, each with
+    the Newton polytope of f, has |det M| times that polytope, so it is not
+    f while f has two terms or more."""
+    entry = st.integers(-3, 3) if n == 2 else st.integers(-2, 2)
+    M = IntMatrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    f = primitive_poly(data, n)
+    assume(len(f.terms) > 1)
+    det = M.det()
+    assume(abs(det) <= 8)
+    if det == 0:
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            group_product(f, M)
+    else:
+        assert (group_product(f, M) == f) == (abs(det) == 1)
 
 
 def test_transfer_composes_with_implicitization():

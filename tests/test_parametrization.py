@@ -343,6 +343,19 @@ def test_merge_refuses_a_huge_scaling_before_forming_it(t):
     assert time.perf_counter() - start < 0.1
 
 
+def test_a_scaling_estimate_above_the_text_limit_is_given_as_a_digit_count(int_text_limit):
+    """The class [[t, 0], [2t, 0]] has g = t and bases 2^2 3^-3, so the
+    estimate is 10 t bits: for t = 10^5000, an integer of 5002 digits."""
+    t = 10**5000
+    C = IntMatrix([[t, 0], [-t, 1], [2 * t, 0], [-2 * t, -1]])
+    with pytest.raises(ValueError) as err:
+        merge_proportional_rows(C)
+    assert str(err.value) == (
+        "proportional rows too large: the coordinate scaling needs about [5002 digits] "
+        "bits, above the limit of 10000"
+    )
+
+
 @pytest.mark.parametrize(
     "rows, lam",
     [
