@@ -31,20 +31,26 @@ Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
 change alpha_M and a product over the finite group of coordinate scalings
 killed by it, taken as one norm per invariant factor of the Smith form on
-a basis whose norm row spans least over the support (`_norm_basis`).
+a basis whose norm row spans least over the support (`_norm_basis`). A
+norm of g down to Y = y_k^d is G_e^d prod_i (r_i^d - Y) over the roots r_i
+of g in y_k, up to sign, so it is formed in closed form for every degree
+e: its ends are powers of g's end coefficients, and its middle
+coefficients come from the power sums of the roots by Newton's identities
+(`_unit_root_product`), on Kronecker-packed integers once they are dense.
+No resultant is taken.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from math import comb, gcd, prod
-from operator import add, getitem
+from operator import add, getitem, mul, sub
 
 from .degree import _chain
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
-    _det_by_interpolation,
     _int_text,
     _kronecker,
     _refuse_resultant,
@@ -301,23 +307,24 @@ def gauss_inverse_check(
 # -- products over scaling groups and lattice transfer ------------------------
 
 
-# Work bounds checked before a norm is formed, so that a huge invariant
-# factor d is refused at once. A closed form (e <= 2) takes about d steps
-# over the terms of G0^d, s_d and G2^d (`_closed_form_terms`), on
-# coefficients of up to about d bits: work d^2 * terms. Interpolation
-# (e >= 3) takes a node per monomial of the box (e + 1) * prod_v
-# (d * deg_v g0 + 1), and each node pseudo-divides t^d - Y by g in about
-# d^2 integer operations: work d^2 * box. The engine packs a line of nodes
-# into one PRS only where that is cheaper, so this stays an upper bound. On
-# a 2-core Xeon under CPython 3.11, just under a limit: the interpolated
-# norm of 1 + y + y^3 of order 3535 (work 5.0e7, 4 nodes, too wide to
-# pack) took 0.8 s, and the closed form of Delta_B under diag(1, 1500)
-# (8.4e9) 17 s. The estimate bounds both kinds of steps of the e = 2
-# closed form: the `MPoly` steps it counts, and the packed ones, which
-# start only once a part holds a term per _PACK_DENSITY digit positions,
-# so they span at most _PACK_DENSITY times the terms it counts.
+# Work bound checked before a norm is formed, so that a huge invariant
+# factor d is refused at once (`_norm_work`). The estimate is the steps of
+# the norm's recurrences times the size of what they step on: for e <= 2,
+# d steps over the terms that G0^d, s_d and G2^d can hold, on coefficients
+# of up to about d bits; for e >= 3, the (e - 1) d steps of the power sums,
+# each of e products on integers of K times box bits. For e = 2 it bounds
+# both kinds of steps: `MPoly` steps reach at most the terms it counts,
+# and packed ones, which start only once a part holds a term per
+# _PACK_DENSITY digit positions of its box, span its digit positions. On a
+# 2-core Xeon under CPython 3.11, just under the limit, the closed form of
+# Delta_B under diag(1, 1500) (e = 2, 8.4e9) took 11.5 s, and the power sums
+# of 1 + y + y^3 of order 27000 (8.9e9) 0.2 s, of 1 + y1 t + t^2200 of
+# order 2 (9.8e9) 0.5 s, and of the B_low13 shape of order 300 (9.7e9)
+# 0.8 s. Where the box is large against the steps, the products that turn
+# the power sums into coefficients dominate, and run up to ten times slower
+# per unit: (2 y1 - y2 + 3 y1 y2) t^5 + t^2 - 2 y1 t + 1 of order 60 (8.6e8)
+# took 0.6 s. Far under it, 1 + y + y^3 of order 3535 (1.7e8) takes 0.02 s.
 _CLOSED_FORM_WORK_LIMIT = 10**10
-_INTERPOLATION_WORK_LIMIT = 5 * 10**7
 
 
 def _refuse_above(work: int, limit: int, d: int) -> None:
@@ -341,30 +348,30 @@ def _closed_form_terms(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int) -
     return total
 
 
-def _norm_nodes(g0: MPoly, var_index: int, d: int):
-    """(active, nodes): the variables (0-based) that occur in g0, and a
-    lower set of exponent tuples over them, with Y = y_k^d in the place of
-    y_k, that holds the support of the norm of the polynomial g0 down to Y.
+def _norm_work(G, d: int) -> int:
+    """The work estimate of the norm of order d of sum_j G_j t^j. For
+    e <= 2, d^2 times the terms its parts can hold (`_closed_form_terms`):
+    d steps on coefficients of up to about d bits. For e >= 3, the
+    (e - 1) d steps of the power sums (`_middle`), each of e products on
+    integers of about K times box bits: box the digit positions of
+    `_middle_tops`, K the bits of |g|_1^d, taken as d times those of
+    |g|_1 so that no power is formed. Those steps also bound the count of
+    the e^2 / 2 products that turn the power sums into coefficients
+    (`_elementary`)."""
+    e = len(G) - 1
+    if e <= 2:
+        g_0, g_1, g_2 = G + [MPoly._valid(G[0].n_vars, {})] * (2 - e)
+        return d * d * _closed_form_terms(g_0, g_1, g_2, g_0 * g_2, d)
+    bits = d * sum(sum(map(abs, f.terms.values())) for f in G).bit_length()
+    box = prod(t + 1 for t in _middle_tops(_degrees(G), e, d))
+    # a product costs the interpreter about what 1000 bits of arithmetic do
+    return (e - 1) * d * e * (bits * box + 1000)
 
-    Every term of prod_w g0(w * y) is a product of d terms of g0, so the
-    norm's support lies in the d-fold sumset of supp(g0), a sum's y_k
-    exponent divided by d. Each partial sum keeps, per exponent in the
-    other variables, only its largest y_k exponent, since the sums below
-    it stay below it; the set returned is the lower closure of the last."""
-    k0 = var_index - 1
-    active = [v for v in range(g0.n_vars) if g0.degree_in(v + 1) > 0]
-    k = active.index(k0)
-    supp = [(tuple(0 if v == k0 else e[v] for v in active), e[k0]) for e in g0.terms]
-    tops = {(0,) * len(active): 0}
-    for _ in range(d):
-        sums = {}
-        for x, t in tops.items():
-            for e, s in supp:
-                key = tuple(map(add, x, e))
-                if sums.get(key, -1) < t + s:
-                    sums[key] = t + s
-        tops = sums
-    nodes = {x[:k] + (t // d,) + x[k + 1 :] for x, t in tops.items()}
+
+def _lower_closure(points) -> set:
+    """The points of N^n at or below some point of points, componentwise,
+    which `_norm_basis` counts to orient the norm."""
+    nodes = set(points)
     stack = list(nodes)
     while stack:
         p = stack.pop()
@@ -374,33 +381,49 @@ def _norm_nodes(g0: MPoly, var_index: int, d: int):
                 if q not in nodes:
                     nodes.add(q)
                     stack.append(q)
-    return active, nodes
+    return nodes
 
 
-# Digit positions per term at which the e = 2 closed form moves onto
-# Kronecker-packed integers (`_closed_form`). A packed integer spans every
-# digit position of its box, the `MPoly` steps only the terms they reach,
-# so packing wins where most positions hold a term and loses where few
-# do, in time and in memory alike: a g with G1 = (y1 y2 y3)^670 and
+# Digit positions per term at which a power or the power sums of a norm
+# move onto Kronecker-packed integers (`_power`, `_middle`), each part
+# compared with the box of the step it has reached. A packed integer spans
+# every digit position of its box, the `MPoly` steps only the terms they
+# reach, so packing wins where most positions hold a term and loses where
+# few do, in time and in memory alike: a g with G1 = (y1 y2 y3)^670 and
 # G0 = G2 = 1, a work of 9.6e9 at d = 2, would pack into 7.2e9 bits for a
-# norm of four terms. A part whose terms fill its box so leaves the
-# `MPoly` steps after d/16 of them if it spreads in one variable, d/4 in
-# two, and a sparse one never does. On a 2-core Xeon under CPython 3.11
-# (grid in CHANGES.md, d = 16 to 100), against `MPoly` steps alone, the
-# norm took 0.08 to 0.7 of the time on shapes of at most 8 digit positions
-# per term, within noise of it on shapes of 19 to 101 (forced to pack, 0.7
-# to 19 times it), and 1.1 to 1.3 times it at 15.6, just under the
-# density, where a part packs in its last steps and its read walks a box
-# of mostly empty digits.
+# norm of four terms. A part whose terms fill its box so packs within its
+# first steps, and a sparse one never does. On a 2-core Xeon under CPython
+# 3.11 (grid in CHANGES.md, d = 16 to 100), against `MPoly` steps alone,
+# the e = 2 norm took 0.08 to 0.7 of the time on shapes of at most 8 digit
+# positions per term and was within noise of it on shapes of 19 to 101
+# (forced to pack, 0.7 to 19 times it). G1 = y1^4 + y2, with a term per
+# 15.6 positions of its final box, took 0.28 to 0.93 of it at d = 4 to 100
+# compared step by step, and 1.06 to 1.42 of it compared with that box.
 _PACK_DENSITY = 16
 
 
-def _recurrence_tops(g_1: MPoly, g02: MPoly, d: int) -> list:
-    """Degree bounds of s_d in each variable: a term of s_d has a factors
-    from G1 and b from G0 G2, a + 2b = d, so its degree in v is at most
-    a deg_v G1 + b deg_v(G0 G2) <= d max(deg_v G1, deg_v(G0 G2) / 2)."""
-    n = g02.n_vars
-    return [d * max(2 * g_1.degree_in(v + 1), g02.degree_in(v + 1)) // 2 for v in range(n)]
+def _degrees(G) -> dict:
+    """The degree vector of each nonzero G_j, keyed by j."""
+    return {j: [max(c) for c in zip(*f.terms)] for j, f in enumerate(G) if f}
+
+
+def _middle_tops(degs: dict, e: int, d: int) -> list:
+    """Degree bounds in each variable of the middle coefficients c_1, ...,
+    c_(e-1) of the norm of order d of sum_j G_j t^j, with degs its
+    `_degrees`. The coefficient of Y^(e-k) takes from each of the d
+    factors g(w t) a term G_j t^j, the j summing to d (e - k), so its
+    degree in v is at most d H(e - k), H the upper hull of the points
+    (j, deg_v G_j). H is concave, so over 1 <= x <= e - 1 it is largest at
+    a point (j, deg_v G_j) there, or at x = 1 or x = e - 1, where it is the
+    largest value of a chord from j = 0 or j = e. For e = 2 this is
+    d max(deg_v G1, deg_v(G0 G2) / 2)."""
+    low, high = degs[0], degs[e]
+    tops = []
+    for v in range(len(low)):
+        values = [d * ((j - 1) * low[v] + x[v]) // j for j, x in degs.items() if j]
+        values += [d * ((e - j - 1) * high[v] + x[v]) // (e - j) for j, x in degs.items() if j < e]
+        tops.append(max(values + [d * x[v] for j, x in degs.items() if 0 < j < e]))
+    return tops
 
 
 def _dense_at(tops) -> int:
@@ -427,123 +450,256 @@ def _packed(p: MPoly, shift) -> int:
 
 
 def _power(f: MPoly, d: int) -> MPoly:
-    """f^d by repeated squaring, moved onto Kronecker-packed integers
-    (`_kronecker`) once the square holds a term per _PACK_DENSITY digit
-    positions of the box of f^d. With f = y^m h, m its monomial content,
-    h^d has degree at most d deg_v h in each v, and 1-norm at most
-    |h|_1^d, as the 1-norm of a product is at most the product of the
-    1-norms."""
+    """f^d. A monomial or a binomial is expanded at once, the binomial
+    a y^x + b y^z by the binomial theorem: its exponents j x + (d - j) z
+    are distinct, so no terms merge. Any other f by repeated squaring,
+    moved onto Kronecker-packed integers (`_kronecker`) once the square
+    holds a term per _PACK_DENSITY digit positions of its own box. With
+    f = y^m h, m its monomial content, h^d has degree at most d deg_v h in
+    each v, and 1-norm at most |h|_1^d, as the 1-norm of a product is at
+    most the product of the 1-norms."""
+    n = f.n_vars
     if len(f.terms) == 1:
         ((e, c),) = f.terms.items()
-        return MPoly._valid(f.n_vars, {tuple([d * x for x in e]): c**d})
+        return MPoly._valid(n, {tuple([d * x for x in e]): c**d})
+    if len(f.terms) == 2:
+        (x, a), (z, b) = f.terms.items()
+        return MPoly._valid(
+            n,
+            {
+                tuple([j * u + (d - j) * w for u, w in zip(x, z)]): comb(d, j) * a**j * b ** (d - j)
+                for j in range(d + 1)
+            },
+        )
     mins, h = f.split_monomial()
     lift = [d * x for x in mins]
-    tops = [d * h.degree_in(v + 1) for v in range(f.n_vars)]
-    cap = _dense_at(tops)
-    result, base, k = MPoly.one(f.n_vars), h, d
-    while len(base.terms) < cap:
+    degs = [h.degree_in(v + 1) for v in range(n)]
+    result, base, k, step = MPoly.one(n), h, d, 1
+    while len(base.terms) < _dense_at([step * x for x in degs]):
         if k & 1:
             result = result * base
         k >>= 1
         if not k:
             return result.shift(tuple(lift))
         base = base * base
-    shift, read = _kronecker(tops, sum(map(abs, h.terms.values())) ** d)
+        step *= 2
+    shift, read = _kronecker([d * x for x in degs], sum(map(abs, h.terms.values())) ** d)
     r = _packed(result, shift) * _packed(base, shift) ** k
-    return MPoly._valid(f.n_vars, {tuple(map(add, e, lift)): c for e, c in read(r)})
+    return MPoly._valid(n, {tuple(map(add, e, lift)): c for e, c in read(r)})
 
 
-def _closed_form(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int, k0: int) -> MPoly:
-    """The e = 2 closed form G2^d Y^2 - s_d Y + G0^d of `_unit_root_product`
-    (Y in slot k0, where the G_j have exponent 0), each part on `MPoly`
-    steps until it holds a term per _PACK_DENSITY digit positions of its
-    box, and on Kronecker-packed integers (`_kronecker`) from there: the
-    powers each on its own packing (`_power`), s_d on one with the degree
-    bounds of `_recurrence_tops`. A sparse part so stays on `MPoly` steps
-    throughout, and a dense one leaves them after a few.
+def _power_sum_step(m: int, window, times, zero):
+    """sigma_m = sum over i <= min(m, e) of F_i sigma_(m-i), with
+    F_i = -G_(e-i) G_e^(i-1), where the term i = m of an m <= e is Newton's
+    m F_m. window[i - 1] is sigma_(m-i), times lists the pairs (i, product
+    by F_i) of the F_i != 0, and zero is the zero of the ring."""
+    parts = [f(window[i - 1] if i < m else m) for i, f in times if i <= m]
+    return sum(parts[1:], parts[0]) if parts else zero
 
-    The 1-norm of a product is at most the product of the 1-norms, so
-    |s_j|_1 <= b_j, with b_0 = 2, b_1 = |G1|_1 and
-    b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2), and b_d bounds every
-    coefficient of s_d. A packed step multiplies s_(j-1) and s_(j-2) by the
-    few terms of -G1 and -G0 G2 one at a time, each a shift and a small
-    factor, not by their packed values, whose digits are mostly zero."""
-    n = g_0.n_vars
-    tops = _recurrence_tops(g_1, g02, d)
-    cap = _dense_at(tops)
-    s_prev, s = MPoly.constant(n, 2), -g_1
-    j = 1
-    while j < d and len(s.terms) < cap:
-        s_prev, s = s, -g_1 * s - g02 * s_prev
-        j += 1
-    if j < d:
-        n0, n1, n2 = (sum(map(abs, f.terms.values())) for f in (g_0, g_1, g_2))
-        b_prev, b = 2, n1
+
+def _multiplier(terms):
+    """The packed product by a polynomial with packed terms (c, x): a shift
+    and a small factor per term, the factor alone for a constant."""
+    if len(terms) == 1 and not terms[0][1]:
+        return partial(mul, terms[0][0])
+    return lambda s: sum([c * (s << x) for c, x in terms])
+
+
+def _exact_quotient(a: MPoly, b) -> MPoly:
+    """a / b for an int or `MPoly` b that divides a, by long division in
+    lex order; ArithmeticError where a term does not divide."""
+    if isinstance(b, int):
+        q = {}
+        for e, c in a.terms.items():
+            q[e], r = divmod(c, b)
+            if r:
+                raise ArithmeticError("inexact division in a norm")
+        return MPoly._valid(a.n_vars, q)
+    rest, q = dict(a.terms), {}
+    lead = max(b.terms)
+    while rest:
+        top = max(rest)
+        x = tuple(map(sub, top, lead))
+        c, r = divmod(rest[top], b.terms[lead])
+        if r or min(x) < 0:
+            raise ArithmeticError("inexact division in a norm")
+        q[x] = c
+        for y, bc in b.terms.items():
+            key = tuple(map(add, x, y))
+            left = rest.get(key, 0) - c * bc
+            if left:
+                rest[key] = left
+            else:
+                del rest[key]
+    return MPoly._valid(a.n_vars, q)
+
+
+def _int_quotient(a: int, b: int) -> int:
+    """a / b for packed integers, where b divides a; ArithmeticError
+    otherwise, and for b = 0, which a packed nonzero polynomial is only
+    when its lowest coefficient reaches 2^K. The power of 2 in b, the
+    shift of its lowest term, is taken off first, so that a monomial
+    divides in linear time."""
+    if not b:
+        raise ArithmeticError("packed divisor is 0")
+    low = (b & -b).bit_length() - 1
+    q, r = divmod(a >> low, b >> low)
+    if r or a & ((1 << low) - 1):
+        raise ArithmeticError("inexact division in a norm")
+    return q
+
+
+def _elementary(sums, ge_d, quotient) -> list:
+    """[c_1, ..., c_(e-1)] from sums = [sigma_d, ..., sigma_((e-1)d)]: with
+    eps_k = G_e^(kd) e_k(r_1^d, ..., r_e^d), Newton's identities for the
+    r_i^d give eps_0 = 1 and k eps_k = sum over i <= k of
+    (-1)^(i-1) eps_(k-i) sigma_(id), and c_k = eps_k / (G_e^d)^(k-1); both
+    quotients are exact, and quotient raises where one is not."""
+    eps, out, div = [1, sums[0]], [sums[0]], 1
+    for k in range(2, len(sums) + 1):
+        t = eps[k - 1] * sums[0]
+        for i in range(2, k + 1):
+            if i % 2:
+                t = t + eps[k - i] * sums[i - 1]
+            else:
+                t = t - eps[k - i] * sums[i - 1]
+        eps.append(quotient(t, k))
+        div = div * ge_d
+        out.append(quotient(eps[k], div))
+    return out
+
+
+def _middle(G, d: int, ge_d: MPoly) -> list:
+    """The terms of the middle coefficients c_1, ..., c_(e-1) of the norm
+    of order d of g = sum_j G_j t^j, c_k = G_e^d e_k(r_1^d, ..., r_e^d) over
+    the roots r_i of g, given ge_d = G_e^d (Bostan-Flajolet-Salvy-Schost,
+    J. Symbolic Comput. 41, 2006).
+
+    The scaled power sums sigma_m = G_e^m (r_1^m + ... + r_e^m) are
+    polynomials, and follow Newton's identities (`_power_sum_step`) up to
+    m = (e - 1) d; the c_k come from those at the multiples of d
+    (`_elementary`). sigma_m takes `MPoly` steps until it holds a term per
+    _PACK_DENSITY digit positions of its own box, its degree bounds
+    m max_i deg_v(G_(e-i) G_e^(i-1)) / i, and Kronecker-packed integers
+    (`_kronecker`) from there, on the box of the c_k (`_middle_tops`).
+    Packing is a ring homomorphism, so sums, products and exact quotients
+    of packed integers are the packed results, however far beyond the box
+    the sigma_m reach, and only the c_k, which lie in it, are read. Their
+    coefficients are the norm's, of 1-norm at most |g|_1^d, the product
+    over the d scalings of g; for e = 2, c_1 = sigma_d, and
+    |sigma_j|_1 <= b_j with b_0 = 2, b_1 = |G1|_1 and
+    b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2), a tighter bound. A packed
+    step multiplies by the few terms of each G_(e-i) G_e^(i-1) one at a
+    time, each a shift and a small factor (`_multiplier`), not by their
+    packed values, whose digits are mostly zero."""
+    e = len(G) - 1
+    if e < 2:
+        return []
+    n = G[0].n_vars
+    F, power = [None, -G[e - 1]], -G[e]
+    for i in range(2, e + 1):
+        F.append(G[e - i] * power)
+        if i < e:
+            power = power * G[e]
+    degs = _degrees(G)
+    tops = _middle_tops(degs, e, d)
+    # sigma_m reaches m max_i deg_v(F_i) / i in each v, where
+    # deg_v F_i = deg_v G_(e-i) + (i - 1) deg_v G_e
+    reach = [
+        [(x[v] + (e - j - 1) * y, e - j) for j, x in degs.items() if j < e]
+        for v, y in enumerate(degs[e])
+    ]
+    last, times = (e - 1) * d, [(i, f.__mul__) for i, f in enumerate(F) if f]
+    window, sums, m = [F[1]], [], 1
+    # with every G_j constant, so is every sigma_m: packed, a box of one digit
+    while (
+        m < last
+        and any(tops)
+        and len(window[0].terms) < _dense_at([max([m * a // i for a, i in r]) for r in reach])
+    ):
+        m += 1
+        s = _power_sum_step(m, window, times, MPoly._valid(n, {}))
+        window = [s] + window[: e - 1]
+        if m % d == 0:
+            sums.append(s)
+    if m == last:
+        return [c.terms.items() for c in _elementary(sums, ge_d, _exact_quotient)]
+    norms = [sum(map(abs, f.terms.values())) for f in G]
+    if e == 2:
+        bound, b = 2, norms[1]
         for _ in range(d - 1):
-            b_prev, b = b, n1 * b + n0 * n2 * b_prev
-        shift, read = _kronecker(tops, b)
-        m1, m02 = ([(-c, shift(e)) for e, c in f.terms.items()] for f in (g_1, g02))
-        s_prev, s = _packed(s_prev, shift), _packed(s, shift)
-        for _ in range(d - j):
-            step = sum([c * (s << x) for c, x in m1])
-            s_prev, s = s, step + sum([c * (s_prev << x) for c, x in m02])
-        s_terms = read(s)
+            bound, b = b, norms[1] * b + norms[0] * norms[2] * bound
     else:
-        s_terms = s.terms.items()
-    terms = {e[:k0] + (1,) + e[k0 + 1 :]: -c for e, c in s_terms}
-    for i, f in ((2, g_2), (0, g_0)):
-        for e, c in _power(f, d).terms.items():
-            terms[e[:k0] + (i,) + e[k0 + 1 :]] = c
-    return MPoly._valid(n, terms)
+        b = sum(norms) ** d
+    shift, read = _kronecker(tops, b)
+    times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
+    window = [_packed(s, shift) for s in window]
+    sums = [_packed(s, shift) for s in sums]
+    while m < last:
+        m += 1
+        s = _power_sum_step(m, window, times, 0)
+        window = [s] + window[: e - 1]
+        if m % d == 0:
+            sums.append(s)
+    # the divisor G_e^d comes in from c_2 on
+    return [read(c) for c in _elementary(sums, e > 2 and _packed(ge_d, shift), _int_quotient)]
+
+
+def _closed_form(G, d: int, k0: int) -> MPoly:
+    """The norm sum_k (-1)^(e(d+1)+k) c_k Y^(e-k) of `_unit_root_product`,
+    Y in slot k0, where the G_j have exponent 0: c_0 = G_e^d and
+    c_e = (-1)^(ed) G_0^d from `_power`, so that G_0^d comes in with sign
+    +1, and the middle c_k from the power sums (`_middle`), which divide
+    by powers of G_e^d and grow with G_e^m. So the end of fewer terms, and
+    of the two the one of lower degree, leads: the norm of the reversed
+    polynomial sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N the norm
+    of g."""
+    e = len(G) - 1
+    sign = -1 if e * (d + 1) % 2 else 1
+    flip = (len(G[e].terms), G[e].total_degree()) > (len(G[0].terms), G[0].total_degree())
+    if flip:
+        G = G[::-1]
+    ge_d = _power(G[e], d)
+    parts = [(e, sign, ge_d.terms.items())]
+    for k, items in enumerate(_middle(G, d, ge_d), 1):
+        parts.append((e - k, -sign if k % 2 else sign, items))
+    if e:
+        parts.append((0, 1, _power(G[0], d).terms.items()))
+    terms = {}
+    for j, s, items in parts:
+        if flip:
+            j, s = e - j, s * sign
+        terms.update({x[:k0] + (j,) + x[k0 + 1 :]: s * c for x, c in items})
+    return MPoly._valid(G[0].n_vars, terms)
 
 
 def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index,
     written in Y = y_k^d: Y holds the slot of y_k.
 
-    This is the norm of g down to y_k^d, sized by what it can hold. With
-    G_j the coefficients of g in y_k and e = deg_{y_k} g:
-    - e <= 2 gives the closed form G2^d * Y^2 - s_d * Y + G0^d, where
-      s_j = G2^j (r1^j + r2^j) over the roots r1, r2 of g in y_k:
-      s_0 = 2, s_1 = -G1 and s_j = -G1 * s_(j-1) - G0 * G2 * s_(j-2).
-      With G2 = 0 it is G0^d - (-G1)^d * Y, taken by repeated squaring,
-      which on the `transfer` workload is faster than the d steps of the
-      recurrence. With G2 != 0 each part moves from `MPoly` steps onto
-      Kronecker-packed integers once it is dense (`_closed_form`);
-    - e >= 3 gives the resultant against t^d - Y of g with y_k moved to t,
-      interpolated on the lower closure of the d-fold sumset of supp(g)
-      (`_norm_nodes`), not on the box of its degree bounds. The engine
-      packs the variable whose nodes reach least, often Y, so each line of
-      nodes takes one integer resultant where that is cheaper.
-    Each branch estimates its work first and raises ValueError above its
-    limit (_CLOSED_FORM_WORK_LIMIT, _INTERPOLATION_WORK_LIMIT). Laurent
-    input is handled by shifting all exponents up front; each scaling
-    multiplies the shifted monomial by a root of unity whose product over
-    the group is (-1)^(d+1), and the shift comes back as y^(d * mins) in
-    Y: mins[k] in slot k, d * mins[j] elsewhere."""
+    This is the norm of g down to y_k^d. With G_j the coefficients of g in
+    y_k, e = deg_{y_k} g and r_1, ..., r_e the roots of g in y_k, the
+    product over w of G_e prod_i (w y_k - r_i) is
+    (-1)^(e(d+1)) G_e^d prod_i (Y - r_i^d), a polynomial of degree e in Y:
+    its ends are G_e^d and G_0^d, taken as powers (`_power`), and its
+    middle coefficients come from the power sums of the roots by Newton's
+    identities, on `MPoly` steps while they are sparse and on
+    Kronecker-packed integers once they are dense (`_closed_form`). For
+    e = 2 that is G2^d * Y^2 - s_d * Y + G0^d with s_j = G2^j (r1^j + r2^j),
+    and for e <= 1 it is G0^d - (-G1)^d * Y. The work is estimated first,
+    and a norm above _CLOSED_FORM_WORK_LIMIT raises ValueError
+    (`_norm_work`). Laurent input is handled by shifting all exponents up
+    front; each scaling multiplies the shifted monomial by a root of unity
+    whose product over the group is (-1)^(d+1), and the shift comes back as
+    y^(d * mins) in Y: mins[k] in slot k, d * mins[j] elsewhere."""
     n = g.n_vars
     mins, g0 = g.split_monomial()
     k0 = var_index - 1
     coeffs = g0.coeffs_in(var_index)
-    e = max(coeffs)
     zero = MPoly.zero(n)
-    g_0, g_1, g_2 = (coeffs.get(j, zero) for j in range(3))
-    y = MPoly.variable(n, var_index)
-    if e <= 2:
-        g02 = g_0 * g_2
-        terms = _closed_form_terms(g_0, g_1, g_2, g02, d)
-        _refuse_above(d * d * terms, _CLOSED_FORM_WORK_LIMIT, d)
-        if e <= 1:
-            norm = g_0**d - (-g_1) ** d * y
-        else:
-            norm = _closed_form(g_0, g_1, g_2, g02, d, k0)
-    else:
-        box = (e + 1) * prod(d * g0.degree_in(v + 1) + 1 for v in range(n) if v != k0)
-        _refuse_above(d * d * box, _INTERPOLATION_WORK_LIMIT, d)
-        pcs = [MPoly.one(n)] + [zero] * (d - 1) + [-y]
-        qcs = [coeffs.get(e - j, zero) for j in range(e + 1)]
-        norm = _det_by_interpolation(pcs, qcs, *_norm_nodes(g0, var_index, d))
-    out = norm.shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
+    G = [coeffs.get(j, zero) for j in range(max(coeffs) + 1)]
+    _refuse_above(_norm_work(G, d), _CLOSED_FORM_WORK_LIMIT, d)
+    out = _closed_form(G, d, k0).shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
     if ((d + 1) * mins[k0]) % 2:
         out = -out
     return out
@@ -573,12 +729,11 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     that basis gives its successive minima (generalized Gauss reduction,
     Kaib-Schnorr, J. Algorithms 21, 1996); the shorter reduced vector
     that is primitive in Z^2 is the row, and s = s0 - q r is the
-    completion of least span, which sets the node box in the other
-    variable. Of the signs of s and r, which orient the norm's lower set
-    of nodes, the one whose lower set at order 1 is least is taken: the
-    `_norm_nodes` of the support moved by P and shifted to start at 0.
-    Smith's P stays unless the row is strictly shorter, and when its own
-    row has span <= 2, which takes the closed form."""
+    completion of least span, which sets the norm's degrees in the other
+    variable. Of the signs of s and r, which orient the support, the one
+    whose support, moved by P and shifted to start at 0, has the least
+    lower closure (`_lower_closure`) is taken. Smith's P stays unless the
+    row is strictly shorter, and when its own row has span <= 2."""
     P, Q = snf.P, snf.Q
     if M.rows != 2 or snf.invariant_factors[0] != 1:
         return P, Q
@@ -608,9 +763,10 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     s = (s[0] - q * r[0], s[1] - q * r[1])
     pts = [(s[0] * x + s[1] * y, r[0] * x + r[1] * y) for x, y in exps]
 
-    def order1_nodes(ab):  # size of the lower set of a norm of order 1
-        g = MPoly(2, {(ab[0] * x, ab[1] * y): 1 for x, y in pts})
-        return len(_norm_nodes(g.split_monomial()[1], 2, 1)[1])
+    def order1_nodes(ab):  # the lower closure of the support, oriented by ab
+        moved = [(ab[0] * x, ab[1] * y) for x, y in pts]
+        low = [min(c) for c in zip(*moved)]
+        return len(_lower_closure({(x - low[0], y - low[1]) for x, y in moved}))
 
     a, b = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=order1_nodes)
     P = IntMatrix([[a * s[0], a * s[1]], [b * r[0], b * r[1]]])

@@ -9,16 +9,14 @@ Resultants have a single engine, evaluation and interpolation in integers
 (Collins, J. ACM 1971): no determinant is ever taken over polynomials. The
 engine takes its node set from the caller, any lower set that holds the
 resultant's support (Newton interpolation on lower sets, Dyn-Floater,
-J. Approx. Theory 177, 2014), so each caller sizes the work by what the
-resultant can hold: `sylvester_resultant` passes the box of its degree
-bounds, the group products in `discriminant` pass the lower closure of a
-sumset. One variable is packed (Kronecker substitution): a line of nodes
-along it takes a single integer resultant at a power of two, whose
+J. Approx. Theory 177, 2014): `sylvester_resultant` passes the box of its
+degree bounds. One variable is packed (Kronecker substitution): a line of
+nodes along it takes a single integer resultant at a power of two, whose
 balanced digits are the coefficients in that variable, as long as the
 packed integers stay narrow enough to be cheaper than one resultant per
-node; the closed-form norms of degree 2 in `discriminant` pack every
-variable the same way (`_kronecker`), and one reader of balanced digits
-serves both. Each of the two polynomials is evaluated once per distinct
+node; the closed-form norms in `discriminant` pack every variable the same
+way (`_kronecker`), and one reader of balanced digits serves both. Each of
+the two polynomials is evaluated once per distinct
 point projected onto the variables it uses, so a curve's pencils, each in
 one y_k, are evaluated once per line of nodes.
 
@@ -671,9 +669,8 @@ def _det_by_interpolation(pcs, qcs, active, nodes) -> MPoly:
 
     `active` lists the variables (0-based) that occur in the resultant, and
     `nodes` is a lower set of exponent tuples over them that contains its
-    support: the caller sizes it by what the resultant can hold, a box for
-    `sylvester_resultant` and the group's sumset for a norm
-    (`discriminant._unit_root_product`). Each side, pcs or qcs, is
+    support: `sylvester_resultant` sizes it as the box of its degree
+    bounds. Each side, pcs or qcs, is
     evaluated in integers once per distinct point at which the resultant
     is taken, projected onto the active variables it uses: the cleared
     pencils of a curve each use one y_k, and a side with no variable is

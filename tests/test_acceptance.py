@@ -131,9 +131,9 @@ def test_transfer_theorem_with_exact_unit_group_factorization():
     assert lhs == rhs
 
 
-def test_transfer_on_large_interpolated_resultants_under_twenty_seconds():
-    # Each transfer takes a group product of Sylvester size 22 or 23 on the
-    # interpolation path; implicitizing B*M directly is the independent side.
+def test_transfer_through_norms_of_degree_seven_and_eleven_under_twenty_seconds():
+    # Each transfer takes a norm of degree e = 7 or 11 and order 8 or 12 by
+    # the power sums; implicitizing B*M directly is the independent side.
     t0 = time.perf_counter()
     delta_b = implicitize(build(B))
     for rows in ([[1, 0], [3, 12]], [[1, 0], [4, 8]], [[2, 1], [0, 4]]):

@@ -205,8 +205,8 @@ def test_a_refused_group_product_of_huge_order_exits_one(files, capsys, int_text
     code, out, err = run(capsys, command, poly, files("m.json", {"rows": [[a, 1], [0, 2]]}))
     assert (code, out) == (1, "")
     assert err == (
-        "error: group product too large: a norm of order %d needs about [9003 digits] "
-        "operations, above the limit of 50000000\n" % (2 * a)
+        "error: group product too large: a norm of order %d needs about [9004 digits] "
+        "operations, above the limit of 10000000000\n" % (2 * a)
     )
 
 

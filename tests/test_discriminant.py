@@ -15,8 +15,8 @@ from galedisc.discriminant import (
     _cleared_sum,
     _cleared_terms,
     _hull_edges,
+    _lower_closure,
     _norm_basis,
-    _norm_nodes,
     gauss_inverse_check,
     group_product,
     homogenize,
@@ -83,6 +83,20 @@ DELTA_BPRIME = MPoly(2, {(0, 16): -27, (5, 8): 18, (7, 5): -4, (8, 3): -4, (10, 
 # kept alongside as a negative control
 QUARTIC42 = MPoly(3, {(3, 0, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1, (0, 3, 1): 1})
 QUARTIC42_WRONG = MPoly(3, {(2, 0, 1): 1, (1, 1, 0): 1, (3, 0, 0): 1, (0, 2, 2): 1})
+
+# transfer(QUARTIC42, [[1, 0, 0], [0, 1, 0], [2, 0, 13]]), taken when its
+# norm of degree 7 was interpolated
+QUARTIC42_UNDER_K13 = {
+    (0, 39, 7): 1, (6, 33, 6): -13, (6, 34, 6): 13, (11, 29, 5): -13, (11, 30, 5): 78,
+    (11, 31, 5): -130, (11, 32, 5): 65, (12, 27, 5): 39, (12, 28, 5): -65, (12, 29, 5): 26,
+    (13, 26, 5): 1, (16, 28, 4): 39, (16, 29, 4): -91, (16, 30, 4): 52, (17, 22, 4): 39,
+    (17, 23, 4): -286, (17, 24, 4): 637, (17, 25, 4): -572, (17, 26, 4): 195, (17, 27, 4): -13,
+    (18, 21, 4): -13, (18, 22, 4): 13, (21, 27, 3): -13, (21, 28, 3): 13, (22, 19, 3): 39,
+    (22, 20, 3): -286, (22, 21, 3): 637, (22, 22, 3): -572, (22, 23, 3): 195, (22, 24, 3): -13,
+    (23, 16, 3): 39, (23, 17, 3): -91, (23, 18, 3): 52, (26, 26, 2): 1, (27, 18, 2): 39,
+    (27, 19, 2): -65, (27, 20, 2): 26, (28, 11, 2): -13, (28, 12, 2): 78, (28, 13, 2): -130,
+    (28, 14, 2): 65, (33, 9, 1): -13, (33, 10, 1): 13, (39, 0, 0): 1,
+}
 
 HOMOG_B = MPoly(
     4,
@@ -674,14 +688,14 @@ def _in_last_variable(terms, n):
         _in_last_variable({(0,): 1, (1,): 1, (3,): 1}, 1),
         _in_last_variable({(0,): 1, (1,): 1, (3,): 1}, 2),
     ],
-    ids=["DeltaB", "closed_form_1var", "closed_form_2var", "interpolation_1var", "interpolation_2var"],
+    ids=["DeltaB", "closed_form_1var", "closed_form_2var", "power_sums_1var", "power_sums_2var"],
 )
 def test_a_huge_group_order_is_refused_before_any_norm(f):
     """An invariant factor d = 10^6 in the last variable is refused at
     once, also where g has no other variable and every box factor
-    d * deg_v g + 1 is 1: the recurrence and the pseudo-division of
-    t^d - Y both take d steps on growing integers, so each estimate grows
-    with d^2."""
+    d * deg_v g + 1 is 1: the recurrences take d steps, or (e - 1) d for
+    the power sums of e >= 3, on integers that grow with d, so each
+    estimate grows with d^2."""
     n = f.n_vars
     M = IntMatrix([[10**6 if i == j == n - 1 else int(i == j) for j in range(n)] for i in range(n)])
     for call in (transfer, group_product):
@@ -787,15 +801,18 @@ def test_norm_basis_is_a_smith_basis_with_a_row_no_longer_than_smith(M, f):
 
 def test_b_low13_norm_degree_and_nodes_on_the_reduced_basis():
     """The benchmark's B_low13 shape: the norm of Delta_B goes from degree
-    11 on 241 nodes in Smith's basis to degree 6 on 109 in the reduced
-    one, with the same group product."""
+    11 in Smith's basis to degree 6 in the reduced one, with the same group
+    product. The orientation taken has the fewest nodes of order 1, 13
+    against Smith's 25, and a constant leading coefficient G_6 = 27, so
+    the power sums take no division by a polynomial."""
     M = IntMatrix([[1, 0], [3, 13]])
     snf = smith_normal_form(M)
     P, _ = _norm_basis(DELTA_B, M, snf)
-    for basis, degree, nodes in ((snf.P, 11, 241), (P, 6, 109)):
+    for basis, degree, nodes in ((snf.P, 11, 25), (P, 6, 13)):
         g0 = substitute_monomial(DELTA_B, basis).split_monomial()[1]
         assert g0.degree_in(2) == degree
-        assert len(_norm_nodes(g0, 2, 13)[1]) == nodes
+        assert len(_lower_closure(g0.terms)) == nodes
+    assert g0.coeffs_in(2)[6] == MPoly.constant(2, 27)
     assert group_product(DELTA_B, M) == group_product_on_smith_basis(DELTA_B, M)
 
 
@@ -828,14 +845,38 @@ def test_norm_nodes_of_order_one_are_the_lower_closure_of_the_support(points, k)
     to orient the norm."""
     g = MPoly(2, dict.fromkeys(points, 1)).split_monomial()[1]
     assume(g.degree_in(k) > 0)
-    active, nodes = _norm_nodes(g, k, 1)
     box = [(a, b) for a in range(g.degree_in(1) + 1) for b in range(g.degree_in(2) + 1)]
     below = [p for p in box if any(p[0] <= x and p[1] <= y for x, y in g.terms)]
-    assert nodes == {tuple(p[v] for v in active) for p in below}
-    assert len(nodes) == len(below)
+    assert _lower_closure(g.terms) == set(below)
 
 
 # ---------------------------------------------------------------- transfer
+
+
+def test_transfer_through_a_norm_of_degree_seven_golden():
+    """QUARTIC42 under [[1, 0, 0], [0, 1, 0], [2, 0, 13]]: one norm of order
+    13 and degree e = 7 in the scaled variable, by the power sums."""
+    delta1, v = transfer(QUARTIC42, IntMatrix([[1, 0, 0], [0, 1, 0], [2, 0, 13]]))
+    assert v == (0, 0, 78)
+    assert delta1 == MPoly(3, QUARTIC42_UNDER_K13)
+
+
+def test_transfer_through_a_norm_of_degree_sixty_three_golden():
+    """y1^4 y2^63 + y1 y2^16 + 1 under [[-21, 2], [-330, 30]], D = diag(1, 30):
+    neither reduced norm row is primitive, so the norm runs on Smith's row,
+    of span 63, and e = 63 is admitted by the work estimate."""
+    f = MPoly(2, {(4, 63): 1, (1, 16): 1, (0, 0): 1})
+    delta1, v = transfer(f, IntMatrix([[-21, 2], [-330, 30]]))
+    assert v == (-114, -1800)
+    assert delta1 == MPoly(
+        2,
+        {
+            (0, 3): 1, (1, 3): -100, (2, 2): -195, (2, 3): 2690, (2, 4): -3,
+            (3, 1): -30, (3, 2): -3756, (3, 3): -16700, (3, 4): -750, (4, 0): -1,
+            (4, 1): 75, (4, 2): -1575, (4, 3): 8440, (4, 4): -4815, (4, 5): 3,
+            (5, 3): -2, (5, 4): -150, (5, 5): -150, (6, 6): -1,
+        },
+    )
 
 
 def test_transfer_recovers_the_rescaled_discriminant():

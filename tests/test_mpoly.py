@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from galedisc.discriminant import _norm_nodes, _unit_root_product
+from galedisc.discriminant import _power, _unit_root_product
 from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
@@ -784,8 +784,8 @@ def unit_root_product_by_sylvester(g, var_index, d):
 @given(st.data())
 @settings(deadline=None, max_examples=12)
 def test_unit_root_product_matches_the_sylvester_definition(data):
-    """The closed forms (e <= 2) and the sumset-grid resultant (e >= 3),
-    written in Y = y_k^d and put back with Y = y_k^d, in 2 and 3 variables
+    """The closed form of every e from 0 to 4, written in Y = y_k^d and put
+    back with Y = y_k^d, in 2 and 3 variables
     with Laurent shifts, against the polynomial Bareiss determinant of the
     Sylvester matrix. Each coefficient G_j has at most 4 - n terms: the
     oracle's cost grows steeply with the terms of g."""
@@ -892,9 +892,9 @@ def test_a_sparse_norm_stays_on_polynomial_steps():
 def test_a_dense_norm_packs_after_a_few_steps():
     """Delta_B under diag(1, 300) takes a closed-form norm of order 300:
     s_d moves onto packed integers after a few `MPoly` steps, with
-    enough terms that packing sums them in halves, and G0^d after a few
-    squarings; G2 = 27 is a monomial and stays. The norm is the one the
-    `MPoly` steps give alone."""
+    enough terms that packing sums them in halves. G2 = 27 is a monomial
+    and G0 = y1^2 (4 y1 - 1) a binomial, so neither power packs. The norm
+    is the one the `MPoly` steps give alone."""
     packings = []
 
     def spy(tops, bound):
@@ -905,8 +905,8 @@ def test_a_dense_norm_packs_after_a_few_steps():
     M = IntMatrix([[1, 0], [0, 300]])
     with mock.patch.object(discriminant, "_kronecker", spy):
         out = discriminant.transfer(delta_b, M)
-    # s_300 of degree 300 * max(1, 3 / 2) in y1; G0^300 = y1^600 (4 y1 - 1)^300
-    assert packings == [[450, 0], [300, 0]]
+    # s_300 of degree 300 * max(1, 3 / 2) in y1
+    assert packings == [[450, 0]]
     with mock.patch.object(discriminant, "_PACK_DENSITY", Fraction(1, 2)):
         assert discriminant.transfer(delta_b, M) == out
 
@@ -924,47 +924,102 @@ def norm_by_sylvester_box(g, var_index, d):
 
 
 def test_unit_root_product_golden_b_low13():
-    """The e = 11, d = 13 norm of the benchmark's B_low13 shape, g =
-    27t^11 + 4t^10 - 18vt^7 - v^2t^3 + 4v^3, on the 241 nodes of the sumset
-    grid: equal to the resultant on the 12 x 40 box, with the leading and
-    constant terms 27^13 Y^11 and 4^13 v^39 of the product over w^13 = 1."""
+    """The e = 11, d = 13 norm of the benchmark's B_low13 shape in Smith's
+    basis, g = 27t^11 + 4t^10 - 18vt^7 - v^2t^3 + 4v^3: equal to the
+    resultant on the 12 x 40 box, with the leading and constant terms
+    27^13 Y^11 and 4^13 v^39 of the product over w^13 = 1."""
     g = MPoly(2, {(0, 11): 27, (0, 10): 4, (1, 7): -18, (2, 3): -1, (3, 0): 4})
     norm = _unit_root_product(g, 2, 13)
     assert norm == norm_by_sylvester_box(g, 2, 13)
     assert len(norm.terms) == 28
     assert norm.terms[(0, 11)] == 27**13 and norm.terms[(39, 0)] == 4**13
-    assert _norm_nodes(g, 2, 13)[0] == [0, 1] and len(_norm_nodes(g, 2, 13)[1]) == 241
 
 
 @given(st.data())
-@settings(deadline=None, max_examples=25)
-def test_norm_support_lies_in_the_sumset_grid(data):
-    """Every exponent of the norm, computed on the full box, is a node of
-    the lower set `_unit_root_product` interpolates on, which is a lower
-    set inside that box."""
-    n = data.draw(st.integers(2, 3))
+@settings(deadline=None, max_examples=40)
+def test_power_sum_norms_match_the_resultant_on_the_box(data):
+    """The norm of every e from 2 to 8 by the power sums, e = 2 pinning the
+    recurrence that e >= 3 shares, against the resultant of t^d - Y and g
+    on the full box of `sylvester_resultant`, for d from 2 to 13 in 1 to 3
+    variables, with a Laurent shift put back as in
+    `unit_root_product_by_sympy`. The leading coefficient G_e may be
+    negative or have two terms, and so may G_0, so that the quotients by
+    G_e^((k-1)d) are by polynomials where G_e leads; each density sends
+    the power sums onto packed integers at once, once they are dense, or
+    never, where the quotients are `MPoly` long divisions."""
+    n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(1, n))
-    d = data.draw(st.integers(2, 8))
-    terms = data.draw(
-        st.dictionaries(
-            st.tuples(*(st.integers(0, 5) if i == k - 1 else st.integers(0, 2) for i in range(n))),
-            st.integers(-5, 5).filter(bool),
-            min_size=1,
-            max_size=5,
-        )
+    e = data.draw(st.integers(2, 8))
+    d = data.draw(st.integers(2, 13 if n < 3 else 6))
+    others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
+    coeff = st.integers(-4, 4).filter(bool)
+    t = MPoly.variable(n, k)
+    g = MPoly(n, data.draw(st.dictionaries(others, coeff, min_size=1, max_size=2))) * t**e
+    for j in [0] + data.draw(st.lists(st.integers(1, e - 1), max_size=2, unique=True)):
+        g = g + MPoly(n, data.draw(st.dictionaries(others, coeff, min_size=1, max_size=1 + (j == 0)))) * t**j
+    g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
+    mins, g0 = g.split_monomial()
+    expected = norm_by_sylvester_box(g0, k, d).shift(
+        tuple(x if j == k - 1 else d * x for j, x in enumerate(mins))
     )
-    g = MPoly(n, terms)
-    assume(g.degree_in(k) >= 1)
-    active, nodes = _norm_nodes(g, k, d)
-    assert active == [v for v in range(n) if g.degree_in(v + 1) > 0]
-    support = norm_by_sylvester_box(g, k, d).terms
-    assert all(not e[v] for e in support for v in range(n) if v not in active)
-    assert {tuple(e[v] for v in active) for e in support} <= nodes
-    for node in nodes:
-        for v, x in zip(active, node):
-            assert x <= (g.degree_in(k) if v == k - 1 else d * g.degree_in(v + 1))
-        for i, x in enumerate(node):
-            assert not x or node[:i] + (x - 1,) + node[i + 1 :] in nodes
+    if (d + 1) * mins[k - 1] % 2:
+        expected = -expected
+    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+            assert _unit_root_product(g, k, d) == expected
+
+
+def test_a_packed_divisor_of_zero_raises():
+    """g = (4 - y2) t^3 + t^2 + t + 1 + y2 packed with X = 2^2: y2 packs to
+    4, so G_3 = 4 - y2 packs to 0, and with it the divisor G_3^d of c_2
+    (G_3 leads, as G_0 has no fewer terms). The norm raises
+    ArithmeticError, never a polynomial read from a wrong quotient."""
+
+    def narrow(tops, bound):
+        return mpoly._kronecker(tops, 1)
+
+    g = MPoly(2, {(3, 0): 4, (3, 1): -1, (2, 0): 1, (1, 0): 1, (0, 0): 1, (0, 1): 1})
+    assert _unit_root_product(g, 1, 5) == norm_by_sylvester_box(g, 1, 5)
+    with mock.patch.object(discriminant, "_kronecker", narrow):
+        with pytest.raises(ArithmeticError, match="packed divisor is 0"):
+            _unit_root_product(g, 1, 5)
+
+
+def test_a_sparse_norm_divides_by_a_leading_polynomial():
+    """G_3 = y1 + y2 leads against G_0 = 1 + y1 y2, which has as many terms
+    and a higher degree, so c_2 is a quotient by the polynomial
+    (y1 + y2)^d, packed and by `MPoly` long division."""
+    g = MPoly(3, {(1, 0, 3): 1, (0, 1, 3): 1, (1, 0, 1): -2, (0, 0, 0): 1, (1, 1, 0): 1})
+    for density in (10**12, Fraction(1, 2)):
+        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+            assert _unit_root_product(g, 3, 4) == norm_by_sylvester_box(g, 3, 4)
+
+
+@pytest.mark.parametrize("d", [4, 16, 48, 100])
+def test_a_norm_just_under_the_density_packs_by_the_box_of_its_step(d):
+    """G1 = y1^4 + y2 with G0 = G2 = 1 fills about one digit position in
+    16 of its final box, so it was packed in its last steps only; the
+    power sums now compare each step with its own box. The norm is the one
+    packing at once and never packing give."""
+    g = MPoly(3, {(0, 0, 2): 1, (4, 0, 1): 1, (0, 1, 1): 1, (0, 0, 0): 1})
+    norms = []
+    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+            norms.append(_unit_root_product(g, 3, d))
+    assert norms[0] == norms[1] == norms[2]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_binomial_powers_match_repeated_products(data):
+    """The binomial theorem of `_power` on two-term bases, Laurent ones
+    included, against `MPoly.__pow__`."""
+    n = data.draw(st.integers(1, 3))
+    exps = st.tuples(*(st.integers(-3, 4) for _ in range(n)))
+    terms = data.draw(st.dictionaries(exps, st.integers(-50, 50).filter(bool), min_size=2, max_size=2))
+    f = MPoly(n, terms)
+    d = data.draw(st.integers(0, 30))
+    assert _power(f, d) == f**d
 
 
 def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
