@@ -51,8 +51,10 @@ from .degree import _chain
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
+    _dense_at,
     _int_text,
     _kronecker,
+    _packed,
     _refuse_resultant,
     _substitute,
     content_primitive,
@@ -384,24 +386,6 @@ def _lower_closure(points) -> set:
     return nodes
 
 
-# Digit positions per term at which a power or the power sums of a norm
-# move onto Kronecker-packed integers (`_power`, `_middle`), each part
-# compared with the box of the step it has reached. A packed integer spans
-# every digit position of its box, the `MPoly` steps only the terms they
-# reach, so packing wins where most positions hold a term and loses where
-# few do, in time and in memory alike: a g with G1 = (y1 y2 y3)^670 and
-# G0 = G2 = 1, a work of 9.6e9 at d = 2, would pack into 7.2e9 bits for a
-# norm of four terms. A part whose terms fill its box so packs within its
-# first steps, and a sparse one never does. On a 2-core Xeon under CPython
-# 3.11 (grid in CHANGES.md, d = 16 to 100), against `MPoly` steps alone,
-# the e = 2 norm took 0.08 to 0.7 of the time on shapes of at most 8 digit
-# positions per term and was within noise of it on shapes of 19 to 101
-# (forced to pack, 0.7 to 19 times it). G1 = y1^4 + y2, with a term per
-# 15.6 positions of its final box, took 0.28 to 0.93 of it at d = 4 to 100
-# compared step by step, and 1.06 to 1.42 of it compared with that box.
-_PACK_DENSITY = 16
-
-
 def _degrees(G) -> dict:
     """The degree vector of each nonzero G_j, keyed by j."""
     return {j: [max(c) for c in zip(*f.terms)] for j, f in enumerate(G) if f}
@@ -424,68 +408,6 @@ def _middle_tops(degs: dict, e: int, d: int) -> list:
         values += [d * ((e - j - 1) * high[v] + x[v]) // (e - j) for j, x in degs.items() if j < e]
         tops.append(max(values + [d * x[v] for j, x in degs.items() if 0 < j < e]))
     return tops
-
-
-def _dense_at(tops) -> int:
-    """The terms at which a part with degree bounds tops moves onto packed
-    integers: one per _PACK_DENSITY digit positions of its box."""
-    return -(-prod(t + 1 for t in tops) // _PACK_DENSITY)
-
-
-def _shifted_sum(items, low: int) -> int:
-    """The sum of c << (x - low) over the pairs (x, c) of items, which are
-    sorted by x, each x >= low. It is taken in halves, so that each level of the halving adds
-    integers about as wide as the whole once, not once per pair."""
-    if len(items) <= 16:
-        return sum([c << (x - low) for x, c in items])
-    h = len(items) // 2
-    mid = items[h][0]
-    return _shifted_sum(items[:h], low) + (_shifted_sum(items[h:], mid) << (mid - low))
-
-
-def _packed(p: MPoly, shift) -> int:
-    """The packed value of p, the sum of c << shift(e) over its terms."""
-    items = [(shift(e), c) for e, c in p.terms.items()]
-    return _shifted_sum(sorted(items) if len(items) > 16 else items, 0)
-
-
-def _power(f: MPoly, d: int) -> MPoly:
-    """f^d. A monomial or a binomial is expanded at once, the binomial
-    a y^x + b y^z by the binomial theorem: its exponents j x + (d - j) z
-    are distinct, so no terms merge. Any other f by repeated squaring,
-    moved onto Kronecker-packed integers (`_kronecker`) once the square
-    holds a term per _PACK_DENSITY digit positions of its own box. With
-    f = y^m h, m its monomial content, h^d has degree at most d deg_v h in
-    each v, and 1-norm at most |h|_1^d, as the 1-norm of a product is at
-    most the product of the 1-norms."""
-    n = f.n_vars
-    if len(f.terms) == 1:
-        ((e, c),) = f.terms.items()
-        return MPoly._valid(n, {tuple([d * x for x in e]): c**d})
-    if len(f.terms) == 2:
-        (x, a), (z, b) = f.terms.items()
-        return MPoly._valid(
-            n,
-            {
-                tuple([j * u + (d - j) * w for u, w in zip(x, z)]): comb(d, j) * a**j * b ** (d - j)
-                for j in range(d + 1)
-            },
-        )
-    mins, h = f.split_monomial()
-    lift = [d * x for x in mins]
-    degs = [h.degree_in(v + 1) for v in range(n)]
-    result, base, k, step = MPoly.one(n), h, d, 1
-    while len(base.terms) < _dense_at([step * x for x in degs]):
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if not k:
-            return result.shift(tuple(lift))
-        base = base * base
-        step *= 2
-    shift, read = _kronecker([d * x for x in degs], sum(map(abs, h.terms.values())) ** d)
-    r = _packed(result, shift) * _packed(base, shift) ** k
-    return MPoly._valid(n, {tuple(map(add, e, lift)): c for e, c in read(r)})
 
 
 def _power_sum_step(m: int, window, times, zero):
@@ -581,7 +503,10 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
     (`_elementary`). sigma_m takes `MPoly` steps until it holds a term per
     _PACK_DENSITY digit positions of its own box, its degree bounds
     m max_i deg_v(G_(e-i) G_e^(i-1)) / i, and Kronecker-packed integers
-    (`_kronecker`) from there, on the box of the c_k (`_middle_tops`).
+    (`_kronecker`) from there, on the box of the c_k (`_middle_tops`): one
+    loop takes both kinds of step, and at the first dense step it packs
+    the window, the sums so far and the multipliers. A norm that never
+    turns dense divides by `MPoly` long division (`_exact_quotient`).
     Packing is a ring homomorphism, so sums, products and exact quotients
     of packed integers are the packed results, however far beyond the box
     the sigma_m reach, and only the c_k, which lie in it, are read. Their
@@ -610,37 +535,31 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
         for v, y in enumerate(degs[e])
     ]
     last, times = (e - 1) * d, [(i, f.__mul__) for i, f in enumerate(F) if f]
-    window, sums, m = [F[1]], [], 1
-    # with every G_j constant, so is every sigma_m: packed, a box of one digit
-    while (
-        m < last
-        and any(tops)
-        and len(window[0].terms) < _dense_at([max([m * a // i for a, i in r]) for r in reach])
-    ):
-        m += 1
-        s = _power_sum_step(m, window, times, MPoly._valid(n, {}))
-        window = [s] + window[: e - 1]
-        if m % d == 0:
-            sums.append(s)
-    if m == last:
-        return [c.terms.items() for c in _elementary(sums, ge_d, _exact_quotient)]
-    norms = [sum(map(abs, f.terms.values())) for f in G]
-    if e == 2:
-        bound, b = 2, norms[1]
-        for _ in range(d - 1):
-            bound, b = b, norms[1] * b + norms[0] * norms[2] * bound
-    else:
-        b = sum(norms) ** d
-    shift, read = _kronecker(tops, b)
-    times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
-    window = [_packed(s, shift) for s in window]
-    sums = [_packed(s, shift) for s in sums]
+    window, sums, m, zero, read = [F[1]], [], 1, MPoly._valid(n, {}), None
     while m < last:
+        # with every G_j constant, so is every sigma_m: packed, a box of one digit
+        if read is None and (
+            not any(tops)
+            or len(window[0].terms) >= _dense_at([max([m * a // i for a, i in r]) for r in reach])
+        ):
+            norms = [sum(map(abs, f.terms.values())) for f in G]
+            if e == 2:
+                bound, b = 2, norms[1]
+                for _ in range(d - 1):
+                    bound, b = b, norms[1] * b + norms[0] * norms[2] * bound
+            else:
+                b = sum(norms) ** d
+            shift, read = _kronecker(tops, b)
+            times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
+            window = [_packed(s, shift) for s in window]
+            sums, zero = [_packed(s, shift) for s in sums], 0
         m += 1
-        s = _power_sum_step(m, window, times, 0)
+        s = _power_sum_step(m, window, times, zero)
         window = [s] + window[: e - 1]
         if m % d == 0:
             sums.append(s)
+    if read is None:
+        return [c.terms.items() for c in _elementary(sums, ge_d, _exact_quotient)]
     # the divisor G_e^d comes in from c_2 on
     return [read(c) for c in _elementary(sums, e > 2 and _packed(ge_d, shift), _int_quotient)]
 
@@ -648,23 +567,23 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
 def _closed_form(G, d: int, k0: int) -> MPoly:
     """The norm sum_k (-1)^(e(d+1)+k) c_k Y^(e-k) of `_unit_root_product`,
     Y in slot k0, where the G_j have exponent 0: c_0 = G_e^d and
-    c_e = (-1)^(ed) G_0^d from `_power`, so that G_0^d comes in with sign
-    +1, and the middle c_k from the power sums (`_middle`), which divide
-    by powers of G_e^d and grow with G_e^m. So the end of fewer terms, and
-    of the two the one of lower degree, leads: the norm of the reversed
-    polynomial sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N the norm
-    of g."""
+    c_e = (-1)^(ed) G_0^d, taken as powers, so that G_0^d comes in with
+    sign +1, and the middle c_k from the power sums (`_middle`), which
+    divide by powers of G_e^d and grow with G_e^m. So the end of fewer
+    terms, and of the two the one of lower degree, leads: the norm of the
+    reversed polynomial sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N
+    the norm of g."""
     e = len(G) - 1
     sign = -1 if e * (d + 1) % 2 else 1
     flip = (len(G[e].terms), G[e].total_degree()) > (len(G[0].terms), G[0].total_degree())
     if flip:
         G = G[::-1]
-    ge_d = _power(G[e], d)
+    ge_d = G[e] ** d
     parts = [(e, sign, ge_d.terms.items())]
     for k, items in enumerate(_middle(G, d, ge_d), 1):
         parts.append((e - k, -sign if k % 2 else sign, items))
     if e:
-        parts.append((0, 1, _power(G[0], d).terms.items()))
+        parts.append((0, 1, (G[0] ** d).terms.items()))
     terms = {}
     for j, s, items in parts:
         if flip:
@@ -681,7 +600,7 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     y_k, e = deg_{y_k} g and r_1, ..., r_e the roots of g in y_k, the
     product over w of G_e prod_i (w y_k - r_i) is
     (-1)^(e(d+1)) G_e^d prod_i (Y - r_i^d), a polynomial of degree e in Y:
-    its ends are G_e^d and G_0^d, taken as powers (`_power`), and its
+    its ends are G_e^d and G_0^d, taken as powers (`MPoly.__pow__`), and its
     middle coefficients come from the power sums of the roots by Newton's
     identities, on `MPoly` steps while they are sparse and on
     Kronecker-packed integers once they are dense (`_closed_form`). For

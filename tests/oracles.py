@@ -313,3 +313,11 @@ def lower_hull_by_segments(points):
         for k, p in enumerate(points)
         if not any(on_or_below(a, b, p) for a in points[:k] for b in points[k + 1 :])
     ]
+
+
+def power_by_products(p: MPoly, d: int) -> MPoly:
+    """p^d as d - 1 products, the reference for `MPoly.__pow__`."""
+    out = MPoly.one(p.n_vars)
+    for _ in range(d):
+        out = out * p
+    return out

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from galedisc.discriminant import _power, _unit_root_product
+from galedisc.discriminant import _unit_root_product
 from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
@@ -27,7 +27,7 @@ from galedisc.mpoly import (
     _interpolate,
     _newton_to_monomial,
 )
-from oracles import partial_derivative, set_var_one
+from oracles import partial_derivative, power_by_products, set_var_one
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -128,13 +128,33 @@ def test_arithmetic_goldens():
 
 
 def test_power_is_the_repeated_product():
-    """Square-and-multiply stops squaring after the last bit of k."""
-    p = MPoly(2, {(-1, 2): 3, (2, -1): -2, (1, 1): 1, (0, 0): 5})
-    assert p ** 0 == MPoly.one(2)
-    product = MPoly.one(2)
-    for k in range(1, 18):
-        product = product * p
-        assert p**k == product
+    """Square-and-multiply stops squaring after the last bit of k. The
+    bases are a Laurent monomial, 1 + 2 y1 - y1^-1 y2, whose 3 terms fill
+    half the 6 digit positions of its box once y1^-1 is split off, and a
+    Laurent base of four terms: every power of the last two is taken on
+    packed integers, and never packing gives the same powers."""
+    bases = [
+        MPoly(2, {(-2, 3): -7}),
+        MPoly(2, {(0, 0): 1, (1, 0): 2, (-1, 1): -1}),
+        MPoly(2, {(-1, 2): 3, (2, -1): -2, (1, 1): 1, (0, 0): 5}),
+    ]
+    with mock.patch.object(mpoly, "_kronecker", wraps=mpoly._kronecker) as spy:
+        for p in bases:
+            for k in range(18):
+                assert p**k == power_by_products(p, k)
+    assert spy.call_count == 2 * 18
+    with mock.patch.object(mpoly, "_PACK_DENSITY", 10**12):
+        for p in bases:
+            for k in range(18):
+                assert p**k == power_by_products(p, k)
+
+
+def test_powers_of_zero_and_negative_powers():
+    zero = MPoly.zero(2)
+    assert zero**0 == MPoly.one(2)
+    assert zero**3 == zero
+    with pytest.raises(ValueError, match="negative power"):
+        X ** -1
 
 
 def test_mixed_arity_rejected():
@@ -628,10 +648,10 @@ def test_interpolation_engine_agrees_with_bareiss(data):
 WIDTH_LIMITS = pytest.mark.parametrize("limit", [0, 10**9], ids=["per-node", "packed"])
 
 
-def engine(pcs, qcs, active, nodes, limit):
+def engine(pcs, qcs, tops, limit):
     """`_det_by_interpolation` with `_PACK_WIDTH_LIMIT` set to limit."""
     with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
-        return _det_by_interpolation(pcs, qcs, active, nodes)
+        return _det_by_interpolation(pcs, qcs, tops)
 
 
 def sylvester_det(pcs, qcs, n_vars):
@@ -644,18 +664,6 @@ def sylvester_det(pcs, qcs, n_vars):
     return _det_bareiss_poly(rows, n_vars)
 
 
-def lower_closure(points):
-    nodes, stack = set(points), list(points)
-    while stack:
-        p = stack.pop()
-        for i, x in enumerate(p):
-            q = p[:i] + (x - 1,) + p[i + 1 :]
-            if x and q not in nodes:
-                nodes.add(q)
-                stack.append(q)
-    return nodes
-
-
 @WIDTH_LIMITS
 @given(st.data())
 @settings(deadline=None, max_examples=40)
@@ -663,8 +671,8 @@ def test_engine_agrees_with_bareiss_and_sympy(limit, data):
     """In Z[x, y1..yk], k = 1 to 3, x eliminated: coefficients up to 10^12,
     leading coefficients that vanish on nodes, now and then a common factor
     x - y1 that makes the resultant vanish identically, on the box of the
-    degree bounds or on a lower set between the resultant's support and
-    that box. The engine, packed or node by node, gives the Bareiss
+    degree bounds or on one a node longer along some axes, absent ones
+    included. The engine, packed or node by node, gives the Bareiss
     determinant of the Sylvester matrix, and that is sympy's resultant."""
     k = data.draw(st.integers(1, 3))
     n = k + 1
@@ -689,16 +697,10 @@ def test_engine_agrees_with_bareiss_and_sympy(limit, data):
     pcs = [p.coeffs_in(1).get(dp - j, zero) for j in range(dp + 1)]
     qcs = [q.coeffs_in(1).get(dq - j, zero) for j in range(dq + 1)]
     expected = sylvester_det(pcs, qcs, n)
-    bounds = [dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1) for v in range(n)]
-    active = [v for v in range(1, n) if bounds[v]]
-    box = list(product(*(range(bounds[v] + 1) for v in active)))
+    tops = [0] + [dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1) for v in range(1, n)]
     if data.draw(st.booleans()):
-        nodes = box
-    else:
-        support = [tuple(e[v] for v in active) for e in expected.terms]
-        extra = data.draw(st.lists(st.sampled_from(box), max_size=3))
-        nodes = lower_closure(support + extra + [box[0]])
-    assert engine(pcs, qcs, active, nodes, limit) == expected
+        tops = [0] + [t + data.draw(st.integers(0, 1)) for t in tops[1:]]
+    assert engine(pcs, qcs, tops, limit) == expected
     syms = sympy.symbols("y1:%d" % (n + 1))
     assert to_sympy(expected, syms) == sympy_resultant(p, q, syms)
 
@@ -718,7 +720,7 @@ def test_packed_digits_at_the_edge_of_their_range(limit, sign, bits):
     qcs = [MPoly.constant(1, -sign), MPoly.zero(1)]
     expected = sign * (b * y * y + MPoly.one(1))
     assert sylvester_det(pcs, qcs, 1) == expected
-    assert engine(pcs, qcs, [0], [(0,), (1,), (2,)], limit) == expected
+    assert engine(pcs, qcs, [2], limit) == expected
 
 
 @WIDTH_LIMITS
@@ -731,8 +733,7 @@ def test_a_resultant_that_vanishes_identically(limit):
     p, q = f * (x - y1 + MPoly.constant(n, 3)), f * MPoly.constant(n, 10**12)
     pcs = [p.coeffs_in(1).get(3 - j, MPoly.zero(n)) for j in range(4)]
     qcs = [q.coeffs_in(1).get(2 - j, MPoly.zero(n)) for j in range(3)]
-    nodes = list(product(range(7), range(5)))
-    assert engine(pcs, qcs, [1, 2], nodes, limit) == MPoly.zero(n)
+    assert engine(pcs, qcs, [0, 6, 4], limit) == MPoly.zero(n)
 
 
 @pytest.mark.parametrize("limit, calls", [(0, 12), (10**9, 4)], ids=["per-node", "packed"])
@@ -746,7 +747,7 @@ def test_packing_takes_one_resultant_per_line(limit, calls):
     pcs = [MPoly.one(n), -y1]
     qcs = [y2, MPoly.zero(n), MPoly.constant(n, -5)]
     with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
-        out = engine(pcs, qcs, [1, 2], list(product(range(4), range(3))), limit)
+        out = engine(pcs, qcs, [0, 3, 2], limit)
     assert out == sylvester_resultant(q, p, 1) == y1 * y1 * y2 - MPoly.constant(n, 5)
     assert spy.call_count == calls
 
@@ -866,8 +867,8 @@ def test_packed_closed_form_matches_bareiss_and_sympy(data):
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
     norms = []
     # a part packs at once, once it is dense, or never
-    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
-        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+    for density in (10**12, mpoly._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(mpoly, "_PACK_DENSITY", density):
             norms.append(_unit_root_product(g, k, d))
     assert norms[0] == norms[1] == norms[2] == unit_root_product_by_sympy(g, k, d)
     assert substitute_monomial(norms[0], y_d) == unit_root_product_by_sylvester(g, k, d)
@@ -907,7 +908,7 @@ def test_a_dense_norm_packs_after_a_few_steps():
         out = discriminant.transfer(delta_b, M)
     # s_300 of degree 300 * max(1, 3 / 2) in y1
     assert packings == [[450, 0]]
-    with mock.patch.object(discriminant, "_PACK_DENSITY", Fraction(1, 2)):
+    with mock.patch.object(mpoly, "_PACK_DENSITY", Fraction(1, 2)):
         assert discriminant.transfer(delta_b, M) == out
 
 
@@ -964,8 +965,8 @@ def test_power_sum_norms_match_the_resultant_on_the_box(data):
     )
     if (d + 1) * mins[k - 1] % 2:
         expected = -expected
-    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
-        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+    for density in (10**12, mpoly._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(mpoly, "_PACK_DENSITY", density):
             assert _unit_root_product(g, k, d) == expected
 
 
@@ -991,7 +992,7 @@ def test_a_sparse_norm_divides_by_a_leading_polynomial():
     (y1 + y2)^d, packed and by `MPoly` long division."""
     g = MPoly(3, {(1, 0, 3): 1, (0, 1, 3): 1, (1, 0, 1): -2, (0, 0, 0): 1, (1, 1, 0): 1})
     for density in (10**12, Fraction(1, 2)):
-        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+        with mock.patch.object(mpoly, "_PACK_DENSITY", density):
             assert _unit_root_product(g, 3, 4) == norm_by_sylvester_box(g, 3, 4)
 
 
@@ -1003,8 +1004,8 @@ def test_a_norm_just_under_the_density_packs_by_the_box_of_its_step(d):
     packing at once and never packing give."""
     g = MPoly(3, {(0, 0, 2): 1, (4, 0, 1): 1, (0, 1, 1): 1, (0, 0, 0): 1})
     norms = []
-    for density in (10**12, discriminant._PACK_DENSITY, Fraction(1, 2)):
-        with mock.patch.object(discriminant, "_PACK_DENSITY", density):
+    for density in (10**12, mpoly._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(mpoly, "_PACK_DENSITY", density):
             norms.append(_unit_root_product(g, 3, d))
     assert norms[0] == norms[1] == norms[2]
 
@@ -1012,14 +1013,14 @@ def test_a_norm_just_under_the_density_packs_by_the_box_of_its_step(d):
 @given(st.data())
 @settings(deadline=None, max_examples=60)
 def test_binomial_powers_match_repeated_products(data):
-    """The binomial theorem of `_power` on two-term bases, Laurent ones
-    included, against `MPoly.__pow__`."""
+    """The binomial theorem of `MPoly.__pow__` on two-term bases, Laurent
+    ones included, against repeated multiplication."""
     n = data.draw(st.integers(1, 3))
     exps = st.tuples(*(st.integers(-3, 4) for _ in range(n)))
     terms = data.draw(st.dictionaries(exps, st.integers(-50, 50).filter(bool), min_size=2, max_size=2))
     f = MPoly(n, terms)
     d = data.draw(st.integers(0, 30))
-    assert _power(f, d) == f**d
+    assert f**d == power_by_products(f, d)
 
 
 def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
@@ -1048,26 +1049,19 @@ def test_newton_interpolation_rejects_non_integer_polynomial():
         _divided_differences([0, 0, 1])
 
 
-@st.composite
-def lower_sets(draw):
-    """A lower set in 1 to 3 variables: a box, or the union of the boxes
-    below up to four drawn corners."""
-    n = draw(st.integers(1, 3))
-    corner = st.tuples(*(st.integers(0, 5) for _ in range(n)))
-    corners = draw(st.lists(corner, min_size=1, max_size=1 if draw(st.booleans()) else 4))
-    return {node for top in corners for node in product(*(range(x + 1) for x in top))}
-
-
-@given(lower_sets(), st.data())
+@given(st.data())
 @settings(deadline=None, max_examples=100)
-def test_lower_set_interpolation_round_trip(nodes, data):
-    """An integer polynomial whose support lies in a lower set comes back
-    exactly from its values on that set. With an axis skipped, the grid
-    holds at (j, b), j on that axis, the value at b of the coefficient of
-    y^j, and the same coefficients come back."""
-    support = data.draw(st.lists(st.sampled_from(sorted(nodes)), unique=True, max_size=8))
+def test_box_interpolation_round_trip(data):
+    """An integer polynomial of degree at most tops[v] in each y_v, in 1 to
+    3 variables, comes back exactly from its values on the box of tops.
+    With an axis skipped, the grid holds at (j, b), j on that axis, the
+    value at b of the coefficient of y^j, and the same coefficients come
+    back."""
+    tops = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    box = list(product(*[range(t + 1) for t in tops]))
+    support = data.draw(st.lists(st.sampled_from(box), unique=True, max_size=8))
     coeffs = {e: data.draw(st.integers(-(10**20), 10**20)) for e in support}
-    skip = data.draw(st.sampled_from([None, *range(len(next(iter(nodes))))]))
+    skip = data.draw(st.sampled_from([None, *range(len(tops))]))
 
     def value(x):
         return sum(
@@ -1076,35 +1070,18 @@ def test_lower_set_interpolation_round_trip(nodes, data):
             if skip is None or e[skip] == x[skip]
         )
 
-    grid = {x: value(x) for x in nodes}
-    _interpolate(grid, skip)
-    assert grid == {x: coeffs.get(x, 0) for x in nodes}
+    grid = {x: value(x) for x in box}
+    _interpolate(grid, tops, skip)
+    assert grid == {x: coeffs.get(x, 0) for x in box}
 
 
-def test_lower_set_interpolation_runs_all_divided_differences_first():
-    """On {1, t1, t1^2, t2, t1 t2} the values of t1^2 must give back t1^2.
-    Converting the first axis to monomials before the second axis's
-    divided differences would read t1^2 + t1 t2: the short line t2 = 1
-    never sees the t1(t1 - 1) Newton term."""
-    nodes = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-    grid = {x: x[0] ** 2 for x in nodes}
-    _interpolate(grid)
-    assert grid == {x: int(x == (2, 0)) for x in nodes}
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        # t1(t1 - 1)/2 along the first axis
-        {(0, 0): 0, (1, 0): 0, (2, 0): 1, (0, 1): 0, (1, 1): 0},
-        # t2(t2 - 1)/2 along the second axis, on an L-shaped set
-        {(0, 0): 0, (1, 0): 0, (0, 1): 0, (0, 2): 1},
-    ],
-    ids=["first-axis", "second-axis"],
-)
-def test_lower_set_interpolation_rejects_non_integer_polynomial(values):
+@pytest.mark.parametrize("axis", [0, 1], ids=["first-axis", "second-axis"])
+def test_box_interpolation_rejects_non_integer_polynomial(axis):
+    """t(t - 1)/2 in one coordinate of the 3 x 3 box, integer-valued but
+    not in Z[t1, t2], raises."""
+    grid = {x: x[axis] * (x[axis] - 1) // 2 for x in product(range(3), range(3))}
     with pytest.raises(ArithmeticError):
-        _interpolate(dict(values))
+        _interpolate(grid, [2, 2])
 
 
 @given(
