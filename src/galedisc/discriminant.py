@@ -47,7 +47,7 @@ from functools import partial
 from math import comb, gcd, prod
 from operator import add, getitem, mul, sub
 
-from .degree import _chain
+from .degree import _chain, _minimal
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,
@@ -329,11 +329,11 @@ def gauss_inverse_check(
 _CLOSED_FORM_WORK_LIMIT = 10**10
 
 
-def _refuse_above(work: int, limit: int, d: int) -> None:
-    if work > limit:
+def _refuse_above(work: int, d: int) -> None:
+    if work > _CLOSED_FORM_WORK_LIMIT:
         raise ValueError(
             "group product too large: a norm of order %s needs about %s "
-            "operations, above the limit of %d" % (_int_text(d), _int_text(work), limit)
+            "operations, above the limit of %d" % (_int_text(d), _int_text(work), _CLOSED_FORM_WORK_LIMIT)
         )
 
 
@@ -350,45 +350,40 @@ def _closed_form_terms(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int) -
     return total
 
 
-def _norm_work(G, d: int) -> int:
-    """The work estimate of the norm of order d of sum_j G_j t^j. For
-    e <= 2, d^2 times the terms its parts can hold (`_closed_form_terms`):
-    d steps on coefficients of up to about d bits. For e >= 3, the
-    (e - 1) d steps of the power sums (`_middle`), each of e products on
-    integers of about K times box bits: box the digit positions of
-    `_middle_tops`, K the bits of |g|_1^d, taken as d times those of
-    |g|_1 so that no power is formed. Those steps also bound the count of
-    the e^2 / 2 products that turn the power sums into coefficients
-    (`_elementary`)."""
-    e = len(G) - 1
+def _norm_work(coeffs: dict, d: int) -> int:
+    """The work estimate of the norm of order d of sum_j G_j t^j, from the
+    nonzero G_j in coeffs = {j: G_j}, so that nothing of size e is formed
+    before it. For e <= 2, d^2 times the terms its parts can hold
+    (`_closed_form_terms`): d steps on coefficients of up to about d bits.
+    For e >= 3, the (e - 1) d steps of the power sums (`_middle`), each of
+    e products on integers of about K times box bits: box the digit
+    positions of `_middle_tops`, K the bits of |g|_1^d, taken as d times
+    those of |g|_1 so that no power is formed. Those steps also bound the
+    count of the e^2 / 2 products that turn the power sums into
+    coefficients (`_elementary`)."""
+    e = max(coeffs)
     if e <= 2:
-        g_0, g_1, g_2 = G + [MPoly._valid(G[0].n_vars, {})] * (2 - e)
+        g_0, g_1, g_2 = (coeffs.get(j, MPoly._valid(coeffs[0].n_vars, {})) for j in range(3))
         return d * d * _closed_form_terms(g_0, g_1, g_2, g_0 * g_2, d)
-    bits = d * sum(sum(map(abs, f.terms.values())) for f in G).bit_length()
-    box = prod(t + 1 for t in _middle_tops(_degrees(G), e, d))
+    bits = d * sum(sum(map(abs, f.terms.values())) for f in coeffs.values()).bit_length()
+    box = prod(t + 1 for t in _middle_tops(_degrees(coeffs.items()), e, d))
     # a product costs the interpreter about what 1000 bits of arithmetic do
     return (e - 1) * d * e * (bits * box + 1000)
 
 
-def _lower_closure(points) -> set:
-    """The points of N^n at or below some point of points, componentwise,
-    which `_norm_basis` counts to orient the norm."""
-    nodes = set(points)
-    stack = list(nodes)
-    while stack:
-        p = stack.pop()
-        for i, x in enumerate(p):
-            if x:
-                q = p[:i] + (x - 1,) + p[i + 1 :]
-                if q not in nodes:
-                    nodes.add(q)
-                    stack.append(q)
-    return nodes
+def _count_below(points) -> int:
+    """The count of the points of Z^2 at or below some point of points, and
+    not below their least coordinates: over the maximal points (a_i, b_i)
+    by decreasing a, the columns a_(i+1) < x <= a_i reach from the least b
+    up to b_i, with a_(r+1) one below the least a."""
+    low_a, low_b = map(min, zip(*points))
+    tops = [(-a, -b) for a, b in _minimal((-a, -b) for a, b in points)]
+    return sum((a - c) * (b - low_b + 1) for (a, b), (c, _) in zip(tops, tops[1:] + [(low_a - 1, 0)]))
 
 
-def _degrees(G) -> dict:
-    """The degree vector of each nonzero G_j, keyed by j."""
-    return {j: [max(c) for c in zip(*f.terms)] for j, f in enumerate(G) if f}
+def _degrees(items) -> dict:
+    """The degree vector of each nonzero G_j in pairs (j, G_j), keyed by j."""
+    return {j: [max(c) for c in zip(*f.terms)] for j, f in items if f}
 
 
 def _middle_tops(degs: dict, e: int, d: int) -> list:
@@ -520,13 +515,12 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
     e = len(G) - 1
     if e < 2:
         return []
-    n = G[0].n_vars
     F, power = [None, -G[e - 1]], -G[e]
     for i in range(2, e + 1):
         F.append(G[e - i] * power)
         if i < e:
             power = power * G[e]
-    degs = _degrees(G)
+    degs = _degrees(enumerate(G))
     tops = _middle_tops(degs, e, d)
     # sigma_m reaches m max_i deg_v(F_i) / i in each v, where
     # deg_v F_i = deg_v G_(e-i) + (i - 1) deg_v G_e
@@ -535,12 +529,15 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
         for v, y in enumerate(degs[e])
     ]
     last, times = (e - 1) * d, [(i, f.__mul__) for i, f in enumerate(F) if f]
-    window, sums, m, zero, read = [F[1]], [], 1, MPoly._valid(n, {}), None
-    while m < last:
+    window, sums, zero, read = [], [], MPoly._valid(G[0].n_vars, {}), None
+    for m in range(1, last + 1):
+        s = _power_sum_step(m, window, times, zero)
+        window = [s] + window[: e - 1]
+        if m % d == 0:
+            sums.append(s)
         # with every G_j constant, so is every sigma_m: packed, a box of one digit
-        if read is None and (
-            not any(tops)
-            or len(window[0].terms) >= _dense_at([max([m * a // i for a, i in r]) for r in reach])
+        if read is None and m < last and (
+            not any(tops) or len(s.terms) >= _dense_at([max([m * a // i for a, i in r]) for r in reach])
         ):
             norms = [sum(map(abs, f.terms.values())) for f in G]
             if e == 2:
@@ -553,11 +550,6 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
             times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
             window = [_packed(s, shift) for s in window]
             sums, zero = [_packed(s, shift) for s in sums], 0
-        m += 1
-        s = _power_sum_step(m, window, times, zero)
-        window = [s] + window[: e - 1]
-        if m % d == 0:
-            sums.append(s)
     if read is None:
         return [c.terms.items() for c in _elementary(sums, ge_d, _exact_quotient)]
     # the divisor G_e^d comes in from c_2 on
@@ -611,13 +603,12 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     front; each scaling multiplies the shifted monomial by a root of unity
     whose product over the group is (-1)^(d+1), and the shift comes back as
     y^(d * mins) in Y: mins[k] in slot k, d * mins[j] elsewhere."""
-    n = g.n_vars
     mins, g0 = g.split_monomial()
     k0 = var_index - 1
     coeffs = g0.coeffs_in(var_index)
-    zero = MPoly.zero(n)
+    _refuse_above(_norm_work(coeffs, d), d)
+    zero = MPoly.zero(g.n_vars)
     G = [coeffs.get(j, zero) for j in range(max(coeffs) + 1)]
-    _refuse_above(_norm_work(G, d), _CLOSED_FORM_WORK_LIMIT, d)
     out = _closed_form(G, d, k0).shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
     if ((d + 1) * mins[k0]) % 2:
         out = -out
@@ -650,8 +641,8 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     that is primitive in Z^2 is the row, and s = s0 - q r is the
     completion of least span, which sets the norm's degrees in the other
     variable. Of the signs of s and r, which orient the support, the one
-    whose support, moved by P and shifted to start at 0, has the least
-    lower closure (`_lower_closure`) is taken. Smith's P stays unless the
+    with the fewest points below the support moved by P, counted from its
+    least corner (`_count_below`), is taken. Smith's P stays unless the
     row is strictly shorter, and when its own row has span <= 2."""
     P, Q = snf.P, snf.Q
     if M.rows != 2 or snf.invariant_factors[0] != 1:
@@ -682,12 +673,10 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     s = (s[0] - q * r[0], s[1] - q * r[1])
     pts = [(s[0] * x + s[1] * y, r[0] * x + r[1] * y) for x, y in exps]
 
-    def order1_nodes(ab):  # the lower closure of the support, oriented by ab
-        moved = [(ab[0] * x, ab[1] * y) for x, y in pts]
-        low = [min(c) for c in zip(*moved)]
-        return len(_lower_closure({(x - low[0], y - low[1]) for x, y in moved}))
-
-    a, b = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=order1_nodes)
+    a, b = min(
+        ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+        key=lambda ab: _count_below([(ab[0] * x, ab[1] * y) for x, y in pts]),
+    )
     P = IntMatrix([[a * s[0], a * s[1]], [b * r[0], b * r[1]]])
     (x00, x01), r_m = (P * M).entries
     x10, x11 = (x // d for x in r_m)

@@ -344,16 +344,22 @@ class MPoly:
         return {k: MPoly._valid(self.n_vars, t) for k, t in buckets.items()}
 
     def restrict(self, keep):
-        """Project onto a subset of variables (1-based index tuple). Raises
-        when a dropped variable actually occurs."""
+        """Project onto a subset of variables, given by distinct 1-based
+        indices. Raises when a dropped variable actually occurs."""
         keep0 = [v - 1 for v in keep]
+        if not all(0 <= i < self.n_vars for i in keep0):
+            raise ValueError("variable index out of range")
+        if len(set(keep0)) < len(keep0):
+            raise ValueError("repeated variable index")
         drop = [i for i in range(self.n_vars) if i not in keep0]
         t = {}
         for e, c in self.terms.items():
             if any(e[i] for i in drop):
                 raise ValueError("restriction drops a live variable")
             t[tuple(e[i] for i in keep0)] = c
-        return MPoly(len(keep0), t)
+        if not keep0:
+            raise ValueError("need at least one variable")
+        return MPoly._valid(len(keep0), t)
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a rational point. Raises 'pole' when a zero

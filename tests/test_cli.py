@@ -53,6 +53,23 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_capped(*argv):
+    """galedisc argv in a fresh process under a timeout and, where the
+    platform has one, a 1 GiB address space limit, so that a regression
+    fails instead of hanging or filling memory."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "galedisc", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit_memory if resource else None,
+    )
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -211,6 +228,20 @@ def test_a_refused_group_product_of_huge_order_exits_one(files, capsys, int_text
 
 
 @pytest.mark.parametrize("command", ["transfer", "group-product"])
+@pytest.mark.parametrize("a", [10**6, 10**10], ids=["index-1e12", "index-1e20"])
+def test_a_norm_row_of_huge_span_is_refused_at_once(files, command, a):
+    """Delta_B under [[1, 0], [a + 1, a^2]] reduces to a norm row of span
+    2a: it is refused before anything of that size is formed, neither the
+    points below the support nor a dense list of its coefficients."""
+    poly = files("db.json", {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS})
+    start = time.perf_counter()
+    r = run_capped(command, poly, files("m.json", {"rows": [[1, 0], [a + 1, a * a]]}))
+    assert time.perf_counter() - start < 2
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error: group product too large: a norm of order %d " % (a * a))
+
+
+@pytest.mark.parametrize("command", ["transfer", "group-product"])
 @pytest.mark.parametrize(
     "terms, rows, message",
     [
@@ -238,25 +269,11 @@ def test_transfer_of_a_rejected_polynomial_exits_one(files, capsys, terms, messa
     assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
-def test_a_resultant_of_degree_a_million_is_refused_within_seconds(tmp_path):
+def test_a_resultant_of_degree_a_million_is_refused_within_seconds(files):
     """The pencils of [[t, 1], [1, t], [-t-1, -t-1]] at t = 10^6 have
-    degree 10^6 in u1; they are never expanded. Run in a fresh process
-    under a timeout and, where the platform has one, a 1 GiB address space
-    limit, so a regression fails instead of hanging or filling memory."""
+    degree 10^6 in u1; they are never expanded."""
     t = 10**6
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"rows": [[t, 1], [1, t], [-t - 1, -t - 1]]}))
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    r = subprocess.run(
-        [sys.executable, "-m", "galedisc", "implicitize", str(p)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        preexec_fn=limit_memory if resource else None,
-    )
+    r = run_capped("implicitize", files("c.json", {"rows": [[t, 1], [1, t], [-t - 1, -t - 1]]}))
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr.startswith("error: resultant too large: a Sylvester matrix of size 2000000 on ")
 

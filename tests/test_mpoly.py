@@ -353,6 +353,19 @@ def test_restrict_and_set_var_one():
         p.restrict((1, 2))
 
 
+def test_restrict_rejects_bad_indices():
+    """Indices out of range or repeated raise: unchecked, index 0 would read
+    the last variable, turning 2 y1 + 5 into 2 y2 + 5 under (0, 1), and
+    (1, 1) would copy y1 into 2 y1 y2 + 5."""
+    p = MPoly(2, {(1, 0): 2, (0, 0): 5})
+    for keep, message in (((0, 1), "out of range"), ((3,), "out of range"), ((1, 1), "repeated")):
+        with pytest.raises(ValueError, match=message):
+            p.restrict(keep)
+    # the result is built unchecked, so a projection onto no variable is refused
+    with pytest.raises(ValueError, match="need at least one variable"):
+        MPoly.constant(2, 5).restrict(())
+
+
 def test_coeffs_in_collects_by_degree():
     p = X * X * Y + 2 * X + MPoly.constant(2, 3)
     by_deg = p.coeffs_in(1)
@@ -806,10 +819,10 @@ def test_unit_root_product_of_degree_two_matches_the_sylvester_definition(data):
 
 def draw_norm_input(data, e):
     """(g, k, d): g of degree e in y_k before a drawn Laurent shift, d in
-    2..16."""
+    1..16."""
     n = data.draw(st.integers(2, 3))
     k = data.draw(st.integers(1, n))
-    d = data.draw(st.integers(2, 16))
+    d = data.draw(st.integers(1, 16))
     others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
     g = MPoly.zero(n)
     for j in range(e + 1):
@@ -922,6 +935,25 @@ def norm_by_sylvester_box(g, var_index, d):
     y[k0] = 1
     a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(y): -1})
     return sylvester_resultant(a, b, n + 1).restrict(tuple(range(1, n + 1)))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 1): 2, (0, 0): -1},
+        {(1, 0): 1, (0, 1): 3},
+        {(2, 0): 1, (1, 1): -2, (0, 0): 5},
+        {(3, 0): 1, (2, 0): 1, (1, 1): 2, (0, 0): 3},
+        {(4, 1): 2, (1, 0): 1, (0, 2): -1},
+    ],
+    ids=["e0", "e1", "e2", "e3", "e4"],
+)
+def test_a_norm_of_order_one_is_its_input(terms):
+    """The product over the trivial group is g itself, for every e: the
+    power sums of order 1 keep sigma_1 to sigma_(e-1), which the middle
+    coefficients of y1^3 + y1^2 + 2 y1 y2 + 3 need."""
+    g = MPoly(2, terms)
+    assert _unit_root_product(g, 1, 1) == g
 
 
 def test_unit_root_product_golden_b_low13():
