@@ -32,9 +32,11 @@ def _exponent_pair(p):
 
 
 def _minimal(pairs):
-    """Minimal generators of nonnegative int pairs, sorted: in (a, b) order a
-    pair is dominated exactly when its b is not below every earlier b, so
-    one sweep keeps the pairs whose b drops below the last kept b."""
+    """The minimal ones of int pairs in the componentwise order, sorted: of
+    nonnegative pairs, the minimal generators of their monomial ideal. In
+    (a, b) order a pair is dominated exactly when its b is not below every
+    earlier b, so one sweep keeps the pairs whose b drops below the last
+    kept b. Signs play no part: `_count_below` passes negated points."""
     gens = []
     for p in sorted(pairs):
         if not gens or p[1] < gens[-1][1]:

@@ -310,65 +310,52 @@ def gauss_inverse_check(
 
 
 # Work bound checked before a norm is formed, so that a huge invariant
-# factor d is refused at once (`_norm_work`). The estimate is the steps of
-# the norm's recurrences times the size of what they step on: for e <= 2,
-# d steps over the terms that G0^d, s_d and G2^d can hold, on coefficients
-# of up to about d bits; for e >= 3, the (e - 1) d steps of the power sums,
-# each of e products on integers of K times box bits. For e = 2 it bounds
-# both kinds of steps: `MPoly` steps reach at most the terms it counts,
-# and packed ones, which start only once a part holds a term per
-# _PACK_DENSITY digit positions of its box, span its digit positions. On a
-# 2-core Xeon under CPython 3.11, just under the limit, the closed form of
-# Delta_B under diag(1, 1500) (e = 2, 8.4e9) took 11.5 s, and the power sums
-# of 1 + y + y^3 of order 27000 (8.9e9) 0.2 s, of 1 + y1 t + t^2200 of
-# order 2 (9.8e9) 0.5 s, and of the B_low13 shape of order 300 (9.7e9)
-# 0.8 s. Where the box is large against the steps, the products that turn
-# the power sums into coefficients dominate, and run up to ten times slower
-# per unit: (2 y1 - y2 + 3 y1 y2) t^5 + t^2 - 2 y1 t + 1 of order 60 (8.6e8)
-# took 0.6 s. Far under it, 1 + y + y^3 of order 3535 (1.7e8) takes 0.02 s.
+# factor d is refused at once (`_refuse_norm`). On a 2-core Xeon under
+# CPython 3.11, just under the limit, the closed form of Delta_B under
+# diag(1, 1500) (e = 2, 8.4e9) took 11.5 s, and the power sums of
+# 1 + y + y^3 of order 27000 (8.9e9) 0.2 s, of 1 + y1 t + t^2200 of order 2
+# (9.8e9) 0.5 s, and of the B_low13 shape of order 300 (9.7e9) 0.8 s. Where
+# the box is large against the steps, the products that turn the power sums
+# into coefficients dominate, and run up to ten times slower per unit:
+# (2 y1 - y2 + 3 y1 y2) t^5 + t^2 - 2 y1 t + 1 of order 60 (8.6e8) took
+# 0.6 s. Far under it, 1 + y + y^3 of order 3535 (1.7e8) takes 0.02 s.
 _CLOSED_FORM_WORK_LIMIT = 10**10
 
 
-def _refuse_above(work: int, d: int) -> None:
+def _refuse_norm(box: dict, tops, d: int) -> None:
+    """Raise ValueError when the norm of order d of sum_j G_j t^j is
+    estimated above _CLOSED_FORM_WORK_LIMIT, from the table box of
+    `_unit_root_product` and tops = `_middle_tops`, before any product.
+
+    For e <= 2, d steps on coefficients of up to about d bits over the
+    terms that G0^d, s_d and G2^d can hold: the monomials in the bounding
+    box of each, a product of d steps, a step of s_d being a factor G1 or
+    half of a factor G0 G2, whose box is the sum of theirs, as over Z the
+    extreme terms of a product multiply to a nonzero term. That bounds the
+    packed steps too, which start only once a part holds a term per
+    _PACK_DENSITY digit positions of its box. For e >= 3, the (e - 1) d
+    steps of the power sums (`_middle`), each of e products on integers of
+    about K times box bits: box the digit positions of tops, K the bits of
+    |g|_1^d, taken as d times those of |g|_1. Those steps also bound the
+    e^2 / 2 products that turn the power sums into coefficients
+    (`_elementary`)."""
+    e = max(box)
+    if e <= 2:
+        # the corners of each part's step, in half steps: 2 G0, 2 G2, and for s_d 2 G1 and G0 G2
+        half = {j: [[2 * x for x in c] for c in b[:2]] for j, b in box.items()}
+        parts = [half[0], half.get(2, []), half.get(1, [])]
+        if 2 in box:
+            parts[2] = parts[2] + [list(map(add, *c)) for c in zip(box[0][:2], box[2][:2])]
+        work = d * d * sum(prod(d * (max(c) - min(c)) // 2 + 1 for c in zip(*p)) for p in parts if p)
+    else:
+        bits = d * sum(l1 for _, _, l1 in box.values()).bit_length()
+        # a product costs the interpreter about what 1000 bits of arithmetic do
+        work = (e - 1) * d * e * (bits * prod(t + 1 for t in tops) + 1000)
     if work > _CLOSED_FORM_WORK_LIMIT:
         raise ValueError(
             "group product too large: a norm of order %s needs about %s "
             "operations, above the limit of %d" % (_int_text(d), _int_text(work), _CLOSED_FORM_WORK_LIMIT)
         )
-
-
-def _closed_form_terms(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int) -> int:
-    """Bound on the terms of G0^d, s_d and G2^d together: the monomials in
-    the bounding box of each. Each is a product of d steps, a step of s_d
-    being a factor G1 or half of a factor G0 * G2, so in each variable its
-    exponents span d times the span of one step (counted in half steps)."""
-    total = 0
-    for factors in (((g_0, 2),), ((g_2, 2),), ((g_1, 2), (g02, 1))):
-        exps = [tuple(w * x for x in e) for f, w in factors for e in f.terms]
-        if exps:
-            total += prod(d * (max(c) - min(c)) // 2 + 1 for c in zip(*exps))
-    return total
-
-
-def _norm_work(coeffs: dict, d: int) -> int:
-    """The work estimate of the norm of order d of sum_j G_j t^j, from the
-    nonzero G_j in coeffs = {j: G_j}, so that nothing of size e is formed
-    before it. For e <= 2, d^2 times the terms its parts can hold
-    (`_closed_form_terms`): d steps on coefficients of up to about d bits.
-    For e >= 3, the (e - 1) d steps of the power sums (`_middle`), each of
-    e products on integers of about K times box bits: box the digit
-    positions of `_middle_tops`, K the bits of |g|_1^d, taken as d times
-    those of |g|_1 so that no power is formed. Those steps also bound the
-    count of the e^2 / 2 products that turn the power sums into
-    coefficients (`_elementary`)."""
-    e = max(coeffs)
-    if e <= 2:
-        g_0, g_1, g_2 = (coeffs.get(j, MPoly._valid(coeffs[0].n_vars, {})) for j in range(3))
-        return d * d * _closed_form_terms(g_0, g_1, g_2, g_0 * g_2, d)
-    bits = d * sum(sum(map(abs, f.terms.values())) for f in coeffs.values()).bit_length()
-    box = prod(t + 1 for t in _middle_tops(_degrees(coeffs.items()), e, d))
-    # a product costs the interpreter about what 1000 bits of arithmetic do
-    return (e - 1) * d * e * (bits * box + 1000)
 
 
 def _count_below(points) -> int:
@@ -381,27 +368,22 @@ def _count_below(points) -> int:
     return sum((a - c) * (b - low_b + 1) for (a, b), (c, _) in zip(tops, tops[1:] + [(low_a - 1, 0)]))
 
 
-def _degrees(items) -> dict:
-    """The degree vector of each nonzero G_j in pairs (j, G_j), keyed by j."""
-    return {j: [max(c) for c in zip(*f.terms)] for j, f in items if f}
-
-
-def _middle_tops(degs: dict, e: int, d: int) -> list:
+def _middle_tops(box: dict, e: int, d: int) -> list:
     """Degree bounds in each variable of the middle coefficients c_1, ...,
-    c_(e-1) of the norm of order d of sum_j G_j t^j, with degs its
-    `_degrees`. The coefficient of Y^(e-k) takes from each of the d
-    factors g(w t) a term G_j t^j, the j summing to d (e - k), so its
-    degree in v is at most d H(e - k), H the upper hull of the points
-    (j, deg_v G_j). H is concave, so over 1 <= x <= e - 1 it is largest at
-    a point (j, deg_v G_j) there, or at x = 1 or x = e - 1, where it is the
-    largest value of a chord from j = 0 or j = e. For e = 2 this is
-    d max(deg_v G1, deg_v(G0 G2) / 2)."""
-    low, high = degs[0], degs[e]
+    c_(e-1) of the norm of order d of sum_j G_j t^j, from the degrees
+    deg_v G_j in the table box of `_unit_root_product`. The coefficient of
+    Y^(e-k) takes from each of the d factors g(w t) a term G_j t^j, the j
+    summing to d (e - k), so its degree in v is at most d H(e - k), H the
+    upper hull of the points (j, deg_v G_j). H is concave, so over
+    1 <= x <= e - 1 it is largest at a point (j, deg_v G_j) there, or at
+    x = 1 or x = e - 1, where it is the largest value of a chord from j = 0
+    or j = e. For e = 2 this is d max(deg_v G1, deg_v(G0 G2) / 2)."""
+    first, last = box[0][1], box[e][1]
     tops = []
-    for v in range(len(low)):
-        values = [d * ((j - 1) * low[v] + x[v]) // j for j, x in degs.items() if j]
-        values += [d * ((e - j - 1) * high[v] + x[v]) // (e - j) for j, x in degs.items() if j < e]
-        tops.append(max(values + [d * x[v] for j, x in degs.items() if 0 < j < e]))
+    for v in range(len(first)):
+        values = [d * ((j - 1) * first[v] + x[v]) // j for j, (_, x, _) in box.items() if j]
+        values += [d * ((e - j - 1) * last[v] + x[v]) // (e - j) for j, (_, x, _) in box.items() if j < e]
+        tops.append(max(values + [d * x[v] for j, (_, x, _) in box.items() if 0 < j < e]))
     return tops
 
 
@@ -486,10 +468,11 @@ def _elementary(sums, ge_d, quotient) -> list:
     return out
 
 
-def _middle(G, d: int, ge_d: MPoly) -> list:
+def _middle(G, box: dict, tops, d: int, ge_d: MPoly) -> list:
     """The terms of the middle coefficients c_1, ..., c_(e-1) of the norm
     of order d of g = sum_j G_j t^j, c_k = G_e^d e_k(r_1^d, ..., r_e^d) over
-    the roots r_i of g, given ge_d = G_e^d (Bostan-Flajolet-Salvy-Schost,
+    the roots r_i of g, given the table box of `_unit_root_product`, tops
+    = `_middle_tops` and ge_d = G_e^d (Bostan-Flajolet-Salvy-Schost,
     J. Symbolic Comput. 41, 2006).
 
     The scaled power sums sigma_m = G_e^m (r_1^m + ... + r_e^m) are
@@ -498,7 +481,7 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
     (`_elementary`). sigma_m takes `MPoly` steps until it holds a term per
     _PACK_DENSITY digit positions of its own box, its degree bounds
     m max_i deg_v(G_(e-i) G_e^(i-1)) / i, and Kronecker-packed integers
-    (`_kronecker`) from there, on the box of the c_k (`_middle_tops`): one
+    (`_kronecker`) from there, on the box of the c_k, tops: one
     loop takes both kinds of step, and at the first dense step it packs
     the window, the sums so far and the multipliers. A norm that never
     turns dense divides by `MPoly` long division (`_exact_quotient`).
@@ -520,13 +503,11 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
         F.append(G[e - i] * power)
         if i < e:
             power = power * G[e]
-    degs = _degrees(enumerate(G))
-    tops = _middle_tops(degs, e, d)
     # sigma_m reaches m max_i deg_v(F_i) / i in each v, where
     # deg_v F_i = deg_v G_(e-i) + (i - 1) deg_v G_e
     reach = [
-        [(x[v] + (e - j - 1) * y, e - j) for j, x in degs.items() if j < e]
-        for v, y in enumerate(degs[e])
+        [(x[v] + (e - j - 1) * y, e - j) for j, (_, x, _) in box.items() if j < e]
+        for v, y in enumerate(box[e][1])
     ]
     last, times = (e - 1) * d, [(i, f.__mul__) for i, f in enumerate(F) if f]
     window, sums, zero, read = [], [], MPoly._valid(G[0].n_vars, {}), None
@@ -539,13 +520,13 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
         if read is None and m < last and (
             not any(tops) or len(s.terms) >= _dense_at([max([m * a // i for a, i in r]) for r in reach])
         ):
-            norms = [sum(map(abs, f.terms.values())) for f in G]
             if e == 2:
-                bound, b = 2, norms[1]
+                g1, g02 = box[1][2] if 1 in box else 0, box[0][2] * box[2][2]
+                bound, b = 2, g1
                 for _ in range(d - 1):
-                    bound, b = b, norms[1] * b + norms[0] * norms[2] * bound
+                    bound, b = b, g1 * b + g02 * bound
             else:
-                b = sum(norms) ** d
+                b = sum(l1 for _, _, l1 in box.values()) ** d
             shift, read = _kronecker(tops, b)
             times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
             window = [_packed(s, shift) for s in window]
@@ -556,23 +537,51 @@ def _middle(G, d: int, ge_d: MPoly) -> list:
     return [read(c) for c in _elementary(sums, e > 2 and _packed(ge_d, shift), _int_quotient)]
 
 
-def _closed_form(G, d: int, k0: int) -> MPoly:
-    """The norm sum_k (-1)^(e(d+1)+k) c_k Y^(e-k) of `_unit_root_product`,
-    Y in slot k0, where the G_j have exponent 0: c_0 = G_e^d and
-    c_e = (-1)^(ed) G_0^d, taken as powers, so that G_0^d comes in with
-    sign +1, and the middle c_k from the power sums (`_middle`), which
-    divide by powers of G_e^d and grow with G_e^m. So the end of fewer
-    terms, and of the two the one of lower degree, leads: the norm of the
-    reversed polynomial sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N
-    the norm of g."""
-    e = len(G) - 1
+def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
+    """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index,
+    written in Y = y_k^d: Y holds the slot of y_k.
+
+    This is the norm of g down to y_k^d. With G_j the coefficients of g in
+    y_k, e = deg_{y_k} g and r_1, ..., r_e the roots of g in y_k, the
+    product over w of G_e prod_i (w y_k - r_i) is
+    (-1)^(e(d+1)) G_e^d prod_i (Y - r_i^d), or
+    sum_k (-1)^(e(d+1)+k) c_k Y^(e-k): its ends c_0 = G_e^d and
+    c_e = (-1)^(ed) G_0^d are taken as powers (`MPoly.__pow__`), G_0^d with
+    sign +1, and its middle c_k come from the power sums of the roots by
+    Newton's identities (`_middle`). For e = 2 that is
+    G2^d * Y^2 - s_d * Y + G0^d with s_j = G2^j (r1^j + r2^j), and for
+    e <= 1 it is G0^d - (-G1)^d * Y. Each nonzero G_j is read once into
+    box = {j: (low, high, l1)}, its least and greatest exponent in each
+    variable and its 1-norm, from which the work is estimated: a norm above
+    _CLOSED_FORM_WORK_LIMIT raises ValueError (`_refuse_norm`) before the
+    list of the G_j is formed. Laurent input is handled by shifting all
+    exponents up front; each scaling multiplies the shifted monomial by a
+    root of unity whose product over the group is (-1)^(d+1), and the
+    shift comes back as y^(d * mins) in Y: mins[k] in slot k, d * mins[j]
+    elsewhere."""
+    mins, g0 = g.split_monomial()
+    k0 = var_index - 1
+    coeffs = g0.coeffs_in(var_index)
+    box = {}
+    for j, f in coeffs.items():
+        cols = list(zip(*f.terms))
+        box[j] = [min(c) for c in cols], [max(c) for c in cols], sum(map(abs, f.terms.values()))
+    e = max(box)
+    tops = _middle_tops(box, e, d) if e > 1 else []
+    _refuse_norm(box, tops, d)
+    zero = MPoly.zero(g.n_vars)
+    G = [coeffs.get(j, zero) for j in range(e + 1)]
+    # The middle c_k divide by powers of G_e^d and grow with G_e^m, so the
+    # end of fewer terms, and of the two the one of lower degree, leads: the
+    # norm of sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N the norm of g,
+    # and has the same tops.
     sign = -1 if e * (d + 1) % 2 else 1
     flip = (len(G[e].terms), G[e].total_degree()) > (len(G[0].terms), G[0].total_degree())
     if flip:
-        G = G[::-1]
+        G, box = G[::-1], {e - j: b for j, b in box.items()}
     ge_d = G[e] ** d
     parts = [(e, sign, ge_d.terms.items())]
-    for k, items in enumerate(_middle(G, d, ge_d), 1):
+    for k, items in enumerate(_middle(G, box, tops, d, ge_d), 1):
         parts.append((e - k, -sign if k % 2 else sign, items))
     if e:
         parts.append((0, 1, (G[0] ** d).terms.items()))
@@ -581,35 +590,7 @@ def _closed_form(G, d: int, k0: int) -> MPoly:
         if flip:
             j, s = e - j, s * sign
         terms.update({x[:k0] + (j,) + x[k0 + 1 :]: s * c for x, c in items})
-    return MPoly._valid(G[0].n_vars, terms)
-
-
-def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
-    """Product of g over the scalings y_k -> w * y_k, w^d = 1, k = var_index,
-    written in Y = y_k^d: Y holds the slot of y_k.
-
-    This is the norm of g down to y_k^d. With G_j the coefficients of g in
-    y_k, e = deg_{y_k} g and r_1, ..., r_e the roots of g in y_k, the
-    product over w of G_e prod_i (w y_k - r_i) is
-    (-1)^(e(d+1)) G_e^d prod_i (Y - r_i^d), a polynomial of degree e in Y:
-    its ends are G_e^d and G_0^d, taken as powers (`MPoly.__pow__`), and its
-    middle coefficients come from the power sums of the roots by Newton's
-    identities, on `MPoly` steps while they are sparse and on
-    Kronecker-packed integers once they are dense (`_closed_form`). For
-    e = 2 that is G2^d * Y^2 - s_d * Y + G0^d with s_j = G2^j (r1^j + r2^j),
-    and for e <= 1 it is G0^d - (-G1)^d * Y. The work is estimated first,
-    and a norm above _CLOSED_FORM_WORK_LIMIT raises ValueError
-    (`_norm_work`). Laurent input is handled by shifting all exponents up
-    front; each scaling multiplies the shifted monomial by a root of unity
-    whose product over the group is (-1)^(d+1), and the shift comes back as
-    y^(d * mins) in Y: mins[k] in slot k, d * mins[j] elsewhere."""
-    mins, g0 = g.split_monomial()
-    k0 = var_index - 1
-    coeffs = g0.coeffs_in(var_index)
-    _refuse_above(_norm_work(coeffs, d), d)
-    zero = MPoly.zero(g.n_vars)
-    G = [coeffs.get(j, zero) for j in range(max(coeffs) + 1)]
-    out = _closed_form(G, d, k0).shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
+    out = MPoly._valid(g.n_vars, terms).shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
     if ((d + 1) * mins[k0]) % 2:
         out = -out
     return out

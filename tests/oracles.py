@@ -7,13 +7,14 @@ pencils of a curve and the implicitization on the basis C is written in,
 the group product on the basis the Smith form comes with, the scaled
 gradient over `Fraction` that the library's integer Gauss check is held
 against, the base points of a surface pencil enumerated and sorted over
-`Fraction`, and the lower hull by brute force over segments.
+`Fraction`, the lower hull by brute force over segments, and the work
+estimate of a norm of degree e <= 2 with the product G0 G2 formed.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
@@ -321,3 +322,29 @@ def power_by_products(p: MPoly, d: int) -> MPoly:
     for _ in range(d):
         out = out * p
     return out
+
+
+def closed_form_terms(g_0: MPoly, g_1: MPoly, g_2: MPoly, g02: MPoly, d: int) -> int:
+    """Bound on the terms of G0^d, s_d and G2^d together: the monomials in
+    the bounding box of each. Each is a product of d steps, a step of s_d
+    being a factor G1 or half of a factor G0 * G2, so in each variable its
+    exponents span d times the span of one step (counted in half steps)."""
+    total = 0
+    for factors in (((g_0, 2),), ((g_2, 2),), ((g_1, 2), (g02, 1))):
+        exps = [tuple(w * x for x in e) for f, w in factors for e in f.terms]
+        if exps:
+            total += prod(d * (max(c) - min(c)) // 2 + 1 for c in zip(*exps))
+    return total
+
+
+def norm_work_by_products(g: MPoly, var_index: int, d: int) -> int:
+    """The work estimate of the norm of order d of g in y_k, k = var_index,
+    of degree e <= 2 once its monomial factor is split off, from the terms
+    of G0, G1, G2 and the product G0 * G2: d^2 times `closed_form_terms`.
+    It is the reference for the library's estimate, which reads the boxes
+    of G0, G1 and G2 alone."""
+    coeffs = g.split_monomial()[1].coeffs_in(var_index)
+    if max(coeffs) > 2:
+        raise ValueError("degree above 2")
+    g_0, g_1, g_2 = (coeffs.get(j, MPoly.zero(g.n_vars)) for j in range(3))
+    return d * d * closed_form_terms(g_0, g_1, g_2, g_0 * g_2, d)

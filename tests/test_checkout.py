@@ -1,5 +1,6 @@
 """The package and its demo scripts run from a plain source checkout."""
 
+import ast
 import json
 import os
 import subprocess
@@ -40,6 +41,49 @@ def test_star_import_exports_exactly_the_public_names():
     out = run_from_checkout("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def private_names(tree):
+    """The private module-level functions, classes and constants of a
+    parsed module, with the statement that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def loaded_names(stmt):
+    """The names a statement loads, as a name, an attribute or an import."""
+    for sub in ast.walk(stmt):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_private_helper_has_a_reader():
+    """Each private module-level function, class and constant of the
+    library is read somewhere in it, outside its own definition: code that
+    only the tests call belongs in the tests."""
+    paths = sorted((ROOT / "src" / "galedisc").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    loads = [(stmt, set(loaded_names(stmt))) for tree in trees.values() for stmt in tree.body]
+    unread = [
+        "%s:%s" % (module, name)
+        for module, tree in trees.items()
+        for name, node in private_names(tree)
+        if not any(name in names for stmt, names in loads if stmt is not node)
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize(

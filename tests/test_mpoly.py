@@ -27,7 +27,7 @@ from galedisc.mpoly import (
     _interpolate,
     _newton_to_monomial,
 )
-from oracles import partial_derivative, power_by_products, set_var_one
+from oracles import norm_work_by_products, partial_derivative, power_by_products, set_var_one
 
 X = MPoly.variable(2, 1)
 Y = MPoly.variable(2, 2)
@@ -815,6 +815,24 @@ def test_unit_root_product_of_degree_two_matches_the_sylvester_definition(data):
     g, k, d = draw_norm_input(data, 2)
     assume(g.split_monomial()[1].degree_in(k) == 2)
     assert_unit_root_product_matches(g, k, d)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_the_norm_work_estimate_matches_the_product_oracle(data):
+    """For e = 0, 1 and 2 the estimate read off the boxes of G0, G1 and G2,
+    with the box of G0 G2 taken as the sum of theirs, is the one the
+    product G0 G2 gives (`norm_work_by_products`), Laurent shifts and an
+    absent G1 included: a limit at the estimate admits the norm, and one
+    below it refuses it with the estimate in the message."""
+    g, k, d = draw_norm_input(data, data.draw(st.integers(0, 2)))
+    work = norm_work_by_products(g, k, d)
+    with mock.patch.object(discriminant, "_CLOSED_FORM_WORK_LIMIT", work):
+        _unit_root_product(g, k, d)
+    message = "a norm of order %d needs about %d operations, above the limit of %d$" % (d, work, work - 1)
+    with mock.patch.object(discriminant, "_CLOSED_FORM_WORK_LIMIT", work - 1):
+        with pytest.raises(ValueError, match=message):
+            _unit_root_product(g, k, d)
 
 
 def draw_norm_input(data, e):
