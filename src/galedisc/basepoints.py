@@ -137,6 +137,23 @@ def _sorted_base_points(found):
     return out
 
 
+def _minimal(points):
+    """The minimal ones of int pairs, or of int 1-tuples, in the
+    componentwise order, sorted: of nonnegative pairs, the minimal
+    generators of their monomial ideal. In sorted order a point is
+    dominated exactly when its last coordinate is not below that of every
+    earlier point, so one sweep keeps the points whose last coordinate
+    drops below that of the last one kept, held as low; of 1-tuples that
+    is the least. Signs play no part: `_count_below` in `discriminant`
+    passes negated points."""
+    gens = []
+    for p in sorted(points):
+        if not gens or p[-1] < low:
+            gens.append(p)
+            low = p[-1]
+    return gens
+
+
 def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
     """Local exponent data of the pencil at a base point.
 
@@ -162,19 +179,11 @@ def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
         raise ValueError("not a base point of the pencil")
     monomial = len(classes) <= 2
     gens = set(exps for exps, _ in per_form)
-    if monomial:
-        gens = {
-            g
-            for g in gens
-            if not any(
-                h != g and all(a <= b for a, b in zip(h, g)) for h in gens
-            )
-        }
     return LocalIdeal(
         base=BasePoint(coords=p.coords, vanishing=vanishing),
         directions=tuple(classes),
         per_form=tuple(per_form),
-        gens=tuple(sorted(gens)),
+        gens=tuple(_minimal(gens) if monomial else sorted(gens)),
         monomial=monomial,
     )
 

@@ -36,7 +36,7 @@ def _load_json(path):
             return json.load(fh, parse_int=_int_from_text)
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # or nested too deep to parse
         raise InputError("bad JSON in %s: %s" % (path, e))
     except ValueError as e:  # a numeral too long, or text that is not UTF-8
         raise InputError("%s: %s" % (path, e))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .intmat import IntMatrix
 from .parametrization import build
-from .basepoints import _crossings, _sorted_base_points
+from .basepoints import _crossings, _minimal, _sorted_base_points
 
 
 def _exponent_pair(p):
@@ -29,19 +29,6 @@ def _exponent_pair(p):
     if a < 0 or b < 0:
         raise ValueError("exponents must be nonnegative")
     return a, b
-
-
-def _minimal(pairs):
-    """The minimal ones of int pairs in the componentwise order, sorted: of
-    nonnegative pairs, the minimal generators of their monomial ideal. In
-    (a, b) order a pair is dominated exactly when its b is not below every
-    earlier b, so one sweep keeps the pairs whose b drops below the last
-    kept b. Signs play no part: `_count_below` passes negated points."""
-    gens = []
-    for p in sorted(pairs):
-        if not gens or p[1] < gens[-1][1]:
-            gens.append(p)
-    return gens
 
 
 def minimal_generators(points):

@@ -47,7 +47,8 @@ from functools import partial
 from math import comb, gcd, prod
 from operator import add, getitem, mul, sub
 
-from .degree import _chain, _minimal
+from .basepoints import _minimal
+from .degree import _chain
 from .intmat import IntMatrix, _l1_step, gcd_maximal_minors, l1_reduce, smith_normal_form
 from .mpoly import (
     MPoly,

@@ -8,7 +8,7 @@ monomial substitutions). Rational numbers appear only in `evaluate`.
 Resultants have a single engine, evaluation and interpolation in integers
 (Collins, J. ACM 1971): no determinant is ever taken over polynomials. Its
 nodes are the integer points of the box of the resultant's degree bounds,
-which `sylvester_resultant` passes, and Newton interpolation along each
+which it reads off the two operands, and Newton interpolation along each
 axis of the box in turn gives the coefficients. One variable is packed
 (Kronecker substitution): a line of nodes along it takes a single integer
 resultant at a power of two, whose balanced digits are the coefficients
@@ -592,21 +592,6 @@ def _int_resultant(a, b):
     return f * _exact_quo(b[0] ** da, h ** (da - 1))
 
 
-def _values_at(fs, point) -> list:
-    """Values at a point of polynomials, each given as a list of
-    (coefficient, exponents) pairs, the exponents over the point's
-    coordinates."""
-    vals = []
-    for f in fs:
-        s = 0
-        for c, e in f:
-            for x, k in zip(point, e):
-                c *= x**k
-            s += c
-        vals.append(s)
-    return vals
-
-
 # Widest packed resultant, in bits: the nodes' extent along the packed axis
 # times the digit width K. Each PRS step on such integers divides them,
 # which CPython does in time quadratic in their length, so past this width
@@ -726,18 +711,22 @@ def _packed(p: MPoly, shift) -> int:
     return _shifted_sum(sorted(items) if len(items) > 16 else items, 0)
 
 
-def _det_by_interpolation(pcs, qcs, tops) -> MPoly:
-    """Resultant of the polynomials with coefficient lists pcs and qcs
-    (MPoly in one ring, leading first) in the eliminated variable, by
-    evaluation and interpolation (Collins, J. ACM 1971).
+def _det_by_interpolation(p: MPoly, q: MPoly, k: int) -> MPoly:
+    """Resultant of p and q in y_k (k 1-based), both of degree at least 1
+    in it, by evaluation and interpolation (Collins, J. ACM 1971).
 
-    The nodes are the box 0 <= y_v <= tops[v] over all the ring's
-    variables, which must bound the resultant's degree in each: top 0 for
-    the eliminated variable and for those that do not occur, the degree
-    bounds of `sylvester_resultant` for the others. Each side, pcs or qcs,
-    is evaluated in integers once per distinct point at which the
-    resultant is taken, projected onto the variables it uses: the cleared
-    pencils of a curve each use one y_k, and a side with no variable is
+    Each operand is read once, by its exponent columns: they give its
+    degree in every variable, the variables other than y_k that it uses,
+    and its terms as (slot, c, exponents over those variables), where the
+    slot is the place of the term's coefficient of y_k in its Sylvester
+    row, leading first. Row by row, the Sylvester matrix has dq rows of
+    p's coefficients and dp of q's, so its determinant has degree at most
+    tops[v] = dq deg_v p + dp deg_v q in each v other than y_k, and the
+    nodes are the box 0 <= y_v <= tops[v], with tops 0 along y_k. The work
+    is refused by `_refuse_resultant` before any node is evaluated. Each
+    operand's coefficient list is evaluated in integers once per distinct
+    node projected onto the variables it uses: the cleared pencils of a
+    curve each use one y_k, and an operand with no such variable is
     evaluated once.
 
     One axis A is packed (Kronecker substitution; Harvey, J. Symbolic
@@ -750,31 +739,46 @@ def _det_by_interpolation(pcs, qcs, tops) -> MPoly:
     - each term of the Sylvester determinant takes one entry from each
       row, and the 1-norm of a product is at most the product of the
       1-norms, so the 1-norm of R(., b) in y_A, and with it each R_j(b), is
-      at most (sum_j |p_j(., b)|_1)^dq * (sum_j |q_j(., b)|_1)^dp, with
-      dq rows of p's coefficients and dp of q's;
+      at most (sum_j |p_j(., b)|_1)^dq * (sum_j |q_j(., b)|_1)^dp, for the
+      coefficients p_j of p and q_j of q in y_k;
     - |p_j(., b)|_1 is at most the value at y_A = 1 and b of p_j with its
       coefficients made positive, which grows with b as the nodes are
-      >= 0, so that bound taken once, at the box's top corner, holds on
-      every line;
+      >= 0, so that bound, taken once by the same evaluation on |c| at the
+      box's top corner, holds on every line;
     - K = bound.bit_length() + 1 makes the bound < 2^(K - 1) = X/2.
     `_interpolate` then runs along the other axes only. Packing runs only
     where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits; above it each
     node takes its own `_int_resultant`.
     """
-    n_vars = pcs[0].n_vars
+    k -= 1
     sides = []
-    for fs in (pcs, qcs):
-        used = [v for v in range(n_vars) if any(e[v] for f in fs for e in f.terms)]
-        terms = [[(c, [e[v] for v in used]) for e, c in f.terms.items()] for f in fs]
-        sides.append((used, terms, {}))
+    for f in (p, q):
+        cols = list(zip(*f.terms))
+        degs = [max(col) for col in cols]
+        used = [v for v, t in enumerate(degs) if t and v != k]
+        slots = [degs[k] - x for x in cols[k]]
+        exps = zip(*[cols[v] for v in used]) if used else [()] * len(slots)
+        sides.append((degs, used, list(zip(slots, f.terms.values(), exps)), {}))
+    (ps, *_), (qs, *_) = sides
+    dp, dq = ps[k], qs[k]
+    tops = [dq * a + dp * b if v != k else 0 for v, (a, b) in enumerate(zip(ps, qs))]
+    _refuse_resultant(dp + dq, prod(t + 1 for t in tops))
+
+    def values(degs, terms, key) -> list:
+        vals = [0] * (degs[k] + 1)
+        for slot, c, e in terms:
+            for x, j in zip(key, e):
+                c *= x**j
+            vals[slot] += c
+        return vals
 
     def resultant_at(point):
         vals = []
-        for used, terms, seen in sides:
+        for degs, used, terms, seen in sides:
             key = tuple([point[v] for v in used])
             side = seen.get(key)
             if side is None:
-                side = seen[key] = _values_at(terms, key)
+                side = seen[key] = values(degs, terms, key)
             vals.append(side)
         return _int_resultant(*vals)
 
@@ -783,10 +787,10 @@ def _det_by_interpolation(pcs, qcs, tops) -> MPoly:
     if axis is not None:
         at = [1 if v == axis else t for v, t in enumerate(tops)]
         p_norm, q_norm = (
-            sum(_values_at([[(abs(c), e) for c, e in f] for f in terms], [at[v] for v in used]))
-            for used, terms, _ in sides
+            sum(values(degs, [(s, abs(c), e) for s, c, e in terms], [at[v] for v in used]))
+            for degs, used, terms, _ in sides
         )
-        K = (p_norm ** (len(qcs) - 1) * q_norm ** (len(pcs) - 1)).bit_length() + 1
+        K = (p_norm**dq * q_norm**dp).bit_length() + 1
         if (tops[axis] + 1) * K > _PACK_WIDTH_LIMIT:
             axis = None
     if axis is None:
@@ -797,7 +801,7 @@ def _det_by_interpolation(pcs, qcs, tops) -> MPoly:
             digits = _balanced_digits(resultant_at(b), K, tops[axis] + 1)
             grid.update({b[:axis] + (j,) + b[axis + 1 :]: c for j, c in enumerate(digits)})
     _interpolate(grid, tops, axis)
-    return MPoly._valid(n_vars, {e: c for e, c in grid.items() if c})
+    return MPoly._valid(p.n_vars, {e: c for e, c in grid.items() if c})
 
 
 # Work bound checked before any node is evaluated. Each node runs a PRS of
@@ -835,32 +839,17 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     subresultant PRS gives the resultant on each line of nodes along one
     variable packed as a power of two, or at each node where packing would
     make the integers too wide, and integer Newton interpolation recovers
-    the polynomial (`_det_by_interpolation`).
-    Raises ValueError when the estimated work is above
-    _RESULTANT_WORK_LIMIT.
+    the polynomial. This checks the operands and hands them to that engine,
+    `_det_by_interpolation`, which raises ValueError when the estimated
+    work is above _RESULTANT_WORK_LIMIT.
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
     if p.is_laurent or q.is_laurent:
         raise ValueError("negative exponents unsupported")
-    dp = p.degree_in(var_index)
-    dq = q.degree_in(var_index)
-    if dp < 1 or dq < 1:
+    if p.degree_in(var_index) < 1 or q.degree_in(var_index) < 1:
         raise ValueError("nothing to eliminate")
-    n_vars = p.n_vars
-    # Row by row, the Sylvester matrix has dq rows of p's coefficients and
-    # dp rows of q's: a bound on the determinant's degree in each v.
-    bounds = [0] * n_vars
-    for v in range(n_vars):
-        if v != var_index - 1:
-            bounds[v] = dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1)
-    _refuse_resultant(dp + dq, prod(t + 1 for t in bounds))
-    zero = MPoly.zero(n_vars)
-    pc = p.coeffs_in(var_index)
-    qc = q.coeffs_in(var_index)
-    pcs = [pc.get(dp - j, zero) for j in range(dp + 1)]
-    qcs = [qc.get(dq - j, zero) for j in range(dq + 1)]
-    return _det_by_interpolation(pcs, qcs, bounds)
+    return _det_by_interpolation(p, q, var_index)
 
 
 def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:

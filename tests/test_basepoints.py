@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galedisc.basepoints import BasePoint, base_points, is_uniform, localize
+from galedisc.basepoints import BasePoint, _minimal, base_points, is_uniform, localize
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import build, primitive_direction
 from oracles import oracle_base_points, oracle_vanishing_at
@@ -219,6 +219,13 @@ def test_localize_five_row_matrix_regression():
     li = localize(spec, p)
     assert li.monomial
     assert li.gens == ((0, 5), (1, 4), (7, 1), (8, 0))
+
+
+@given(st.lists(st.tuples(st.integers(0, 6)), min_size=1, max_size=8))
+def test_minimal_keeps_the_least_exponent_of_one_direction_class(points):
+    """At a point where one direction class vanishes, the exponents are
+    1-tuples, and the sweep of `localize` keeps the least of them."""
+    assert _minimal(points) == [min(points)]
 
 
 def test_localize_rejects_non_basic_points():

@@ -104,6 +104,32 @@ def test_analyze_antipodal_matrix_is_defective(files, capsys):
     assert rep["scaling"] == []
 
 
+# Two pairs of opposite rows: the base locus of this n x 3 matrix is a
+# curve, not a finite set of points.
+NON_FINITE_ROWS = [[1, -1, 0], [-1, 1, 0], [1, 1, -2], [-1, -1, 2]]
+
+
+def test_analyze_reports_a_base_locus_that_is_not_finite(files, capsys):
+    path = files("nf.json", {"rows": NON_FINITE_ROWS})
+    assert run_json(capsys, "analyze", path) == {
+        "n": 4,
+        "m": 3,
+        "d": 5,
+        "g": 0,
+        "defect": "ProbablyDefective",
+        "merged_rows": [],
+        "scaling": [],
+        "uniform": False,
+        "base_points": "not finite",
+    }
+    code, out, err = run(capsys, "analyze", path, "--text")
+    assert (code, err) == (0, "")
+    assert out == (
+        "n = 4, m = 3\nd = 5\ng = 0\ndefect test: ProbablyDefective\n"
+        "merged rows: []\nscaling: \nuniform: False\nbase locus: not finite\n"
+    )
+
+
 def holding_identity():
     """A regular 20 x 10 matrix holding I_10, with no proportional rows."""
     rng = random.Random(0)
@@ -454,6 +480,25 @@ def test_parse_error_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 2
     assert "bad JSON" in err
+
+
+@pytest.mark.parametrize("kind", ["matrix", "polynomial"])
+def test_json_nested_too_deep_exits_two(tmp_path, kind):
+    """JSON nested deeper than the parser recurses is a malformed file:
+    exit 2 with "bad JSON", not a traceback."""
+    nested = "[" * 100000 + "]" * 100000
+    p = tmp_path / "deep.json"
+    if kind == "matrix":
+        p.write_text('{"rows": %s}' % nested)
+        r = run_capped("analyze", str(p))
+    else:
+        p.write_text('{"vars": ["y1", "y2"], "terms": %s}' % nested)
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"rows": [[1, 0], [0, 3]]}))
+        r = run_capped("group-product", str(p), str(m))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: bad JSON in %s: " % p)
+    assert "Traceback" not in r.stderr
 
 
 def test_missing_file_exits_two(capsys):

@@ -25,7 +25,9 @@ from galedisc.mpoly import (
     _gl_key,
     _int_resultant,
     _interpolate,
+    _kronecker,
     _newton_to_monomial,
+    _packed,
 )
 from oracles import norm_work_by_products, partial_derivative, power_by_products, set_var_one
 
@@ -118,6 +120,13 @@ def test_zero_coefficients_are_dropped():
     assert p == X
 
 
+def test_repeated_exponents_that_cancel_are_dropped():
+    """Terms given as pairs may repeat an exponent; they are summed, and a
+    sum of 0 leaves no term behind."""
+    p = MPoly(2, [((1, 0), 3), ((1, 0), -3), ((0, 1), 1)])
+    assert p == Y and p.terms == {(0, 1): 1}
+
+
 def test_arithmetic_goldens():
     p = (X + Y) * (X - Y)
     assert p == X * X - Y * Y
@@ -147,6 +156,66 @@ def test_power_is_the_repeated_product():
         for p in bases:
             for k in range(18):
                 assert p**k == power_by_products(p, k)
+
+
+# Bases whose terms fill few digit positions of their boxes, each with the
+# squarings after which its powers move onto packed integers. y1^20 + y2^20
+# + 1 has 3 terms against _dense_at([20, 20]) = 28, and its squares never
+# catch up with their boxes; the univariate ones pack after one, two and
+# three squarings.
+SPARSE_BASES = {
+    "y1^20+y2^20+1": ({(20, 0): 1, (0, 20): 1, (0, 0): 1}, None),
+    "1+y1+y1^2+y1^64": ({(0, 0): 1, (1, 0): 1, (2, 0): 1, (64, 0): 1}, 1),
+    "1-2y1+3y1^48": ({(0, 0): 1, (1, 0): -2, (48, 0): 3}, 2),
+    "1+y1+y1^60": ({(0, 0): 1, (1, 0): 1, (60, 0): 1}, 3),
+}
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (-3, 2)], ids=["polynomial", "laurent"])
+@pytest.mark.parametrize("base", sorted(SPARSE_BASES))
+def test_sparse_powers_square_until_they_fill_their_box(base, shift):
+    """`MPoly.__pow__` squares a sparse base as `MPoly`s while its square
+    holds fewer terms than one per _PACK_DENSITY digit positions of its
+    box, and packs from the squaring that reaches it on. A Laurent shift,
+    split off first, changes neither."""
+    terms, squarings = SPARSE_BASES[base]
+    p = MPoly(2, terms).shift(shift)
+    for d in range(2, 10):
+        with mock.patch.object(mpoly, "_kronecker", wraps=mpoly._kronecker) as spy:
+            assert p**d == power_by_products(p, d)
+        assert spy.call_count == (squarings is not None and d >= 2**squarings)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_powers_of_sparse_bases_match_repeated_products(data):
+    """Bases of 3 to 5 terms spread over exponents up to 30, Laurent ones
+    included, mostly too sparse to pack at once, against repeated
+    multiplication."""
+    n = data.draw(st.integers(1, 3))
+    exps = st.tuples(*(st.integers(-3, 30) for _ in range(n)))
+    terms = data.draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=3, max_size=5))
+    f = MPoly(n, terms)
+    d = data.draw(st.integers(0, 9))
+    assert f**d == power_by_products(f, d)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=30)
+def test_packing_many_terms_matches_the_plain_sum(data):
+    """`_packed` sums more than 16 terms in halves; the sum is that of
+    c << shift(e) over the terms, and `_kronecker`'s read gives the terms
+    back."""
+    tops = data.draw(st.lists(st.integers(4, 20), min_size=2, max_size=3))
+    box = list(product(*[range(t + 1) for t in tops]))
+    support = data.draw(st.lists(st.sampled_from(box), min_size=17, max_size=min(300, len(box)), unique=True))
+    nonzero = st.integers(-(10**30), 10**30).filter(bool)
+    coeffs = data.draw(st.lists(nonzero, min_size=len(support), max_size=len(support)))
+    p = MPoly(len(tops), dict(zip(support, coeffs)))
+    shift, read = _kronecker(tops, max(map(abs, coeffs)))
+    packed = _packed(p, shift)
+    assert packed == sum(c << shift(e) for e, c in p.terms.items())
+    assert MPoly(len(tops), read(packed)) == p
 
 
 def test_powers_of_zero_and_negative_powers():
@@ -384,6 +453,12 @@ def test_json_round_trip_with_names():
     assert d["terms"][0] == {"c": "4", "e": [3, 0]}  # descending canonical order
     q, names = MPoly.from_json_dict(d)
     assert q == p and tuple(names) == ("y1", "y2")
+
+
+def test_json_repeated_exponents_that_cancel():
+    terms = [{"c": "3", "e": [1, 0]}, {"c": -3, "e": [1, 0]}, {"c": "1", "e": [0, 1]}]
+    d = {"vars": ["y1", "y2"], "terms": terms}
+    assert MPoly.from_json_dict(d) == (Y, ["y1", "y2"])
 
 
 def test_json_coefficients_are_strings():
@@ -661,20 +736,11 @@ def test_interpolation_engine_agrees_with_bareiss(data):
 WIDTH_LIMITS = pytest.mark.parametrize("limit", [0, 10**9], ids=["per-node", "packed"])
 
 
-def engine(pcs, qcs, tops, limit):
-    """`_det_by_interpolation` with `_PACK_WIDTH_LIMIT` set to limit."""
+def engine(p, q, limit):
+    """`_det_by_interpolation` eliminating the first variable, with
+    `_PACK_WIDTH_LIMIT` set to limit."""
     with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
-        return _det_by_interpolation(pcs, qcs, tops)
-
-
-def sylvester_det(pcs, qcs, n_vars):
-    """Bareiss determinant of the Sylvester matrix of two coefficient lists,
-    leading first, at their formal degrees, with the rows of pcs first."""
-    dp, dq = len(pcs) - 1, len(qcs) - 1
-    zero = MPoly.zero(n_vars)
-    rows = [[zero] * i + list(pcs) + [zero] * (dq - 1 - i) for i in range(dq)]
-    rows += [[zero] * i + list(qcs) + [zero] * (dp - 1 - i) for i in range(dp)]
-    return _det_bareiss_poly(rows, n_vars)
+        return _det_by_interpolation(p, q, 1)
 
 
 @WIDTH_LIMITS
@@ -683,10 +749,9 @@ def sylvester_det(pcs, qcs, n_vars):
 def test_engine_agrees_with_bareiss_and_sympy(limit, data):
     """In Z[x, y1..yk], k = 1 to 3, x eliminated: coefficients up to 10^12,
     leading coefficients that vanish on nodes, now and then a common factor
-    x - y1 that makes the resultant vanish identically, on the box of the
-    degree bounds or on one a node longer along some axes, absent ones
-    included. The engine, packed or node by node, gives the Bareiss
-    determinant of the Sylvester matrix, and that is sympy's resultant."""
+    x - y1 that makes the resultant vanish identically. The engine, packed
+    or node by node, gives the Bareiss determinant of the Sylvester matrix,
+    and that is sympy's resultant."""
     k = data.draw(st.integers(1, 3))
     n = k + 1
     big = st.builds(int.__mul__, st.integers(1, 10**12), st.sampled_from([1, -1]))
@@ -705,15 +770,8 @@ def test_engine_agrees_with_bareiss_and_sympy(limit, data):
     if data.draw(st.integers(0, 4)) == 0:
         common = MPoly.variable(n, 1) - MPoly.variable(n, 2)
         p, q = p * common, q * common
-    dp, dq = p.degree_in(1), q.degree_in(1)
-    zero = MPoly.zero(n)
-    pcs = [p.coeffs_in(1).get(dp - j, zero) for j in range(dp + 1)]
-    qcs = [q.coeffs_in(1).get(dq - j, zero) for j in range(dq + 1)]
-    expected = sylvester_det(pcs, qcs, n)
-    tops = [0] + [dq * p.degree_in(v + 1) + dp * q.degree_in(v + 1) for v in range(1, n)]
-    if data.draw(st.booleans()):
-        tops = [0] + [t + data.draw(st.integers(0, 1)) for t in tops[1:]]
-    assert engine(pcs, qcs, tops, limit) == expected
+    expected = _det_bareiss_poly(sylvester_matrix(p, q, 1), n)
+    assert engine(p, q, limit) == expected
     syms = sympy.symbols("y1:%d" % (n + 1))
     assert to_sympy(expected, syms) == sympy_resultant(p, q, syms)
 
@@ -722,18 +780,17 @@ def test_engine_agrees_with_bareiss_and_sympy(limit, data):
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
 @pytest.mark.parametrize("bits", [2, 3, 64, 300])
 def test_packed_digits_at_the_edge_of_their_range(limit, sign, bits):
-    """pcs = [0, b y^2 + 1], a vanishing leading coefficient, against
-    qcs = [-sign, 0] has the resultant sign * (b y^2 + 1), and the row-sum
-    bound b + 1 = 2^bits - 1 is met by it. So K = bits + 1, and the digit
-    of y^2 is +-(X/2 - 2), next to 0 for y and +-1 for the constant term.
-    With K one bit narrower, that digit would overflow into the next."""
-    y = MPoly.variable(1, 1)
+    """p = x against q = x + sign * b y^2 has the resultant sign * b y^2.
+    The row-sum bound |p|_1 |q|_1 = b + 1 = 2^bits - 1 misses it only by
+    the 1 of q's leading coefficient, so K = bits + 1, and the digit of
+    y^2 is +-(X/2 - 2), above 0 for y and for the constant term. With K one
+    bit narrower, that digit would overflow its range."""
+    x, y = MPoly.variable(2, 1), MPoly.variable(2, 2)
     b = 2**bits - 2
-    pcs = [MPoly.zero(1), b * y * y + MPoly.one(1)]
-    qcs = [MPoly.constant(1, -sign), MPoly.zero(1)]
-    expected = sign * (b * y * y + MPoly.one(1))
-    assert sylvester_det(pcs, qcs, 1) == expected
-    assert engine(pcs, qcs, [2], limit) == expected
+    p, q = x, x + sign * b * y * y
+    expected = sign * b * y * y
+    assert _det_bareiss_poly(sylvester_matrix(p, q, 1), 2) == expected
+    assert engine(p, q, limit) == expected
 
 
 @WIDTH_LIMITS
@@ -744,23 +801,20 @@ def test_a_resultant_that_vanishes_identically(limit):
     x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
     f = x * x - y1 * y2
     p, q = f * (x - y1 + MPoly.constant(n, 3)), f * MPoly.constant(n, 10**12)
-    pcs = [p.coeffs_in(1).get(3 - j, MPoly.zero(n)) for j in range(4)]
-    qcs = [q.coeffs_in(1).get(2 - j, MPoly.zero(n)) for j in range(3)]
-    assert engine(pcs, qcs, [0, 6, 4], limit) == MPoly.zero(n)
+    assert engine(p, q, limit) == MPoly.zero(n)
 
 
-@pytest.mark.parametrize("limit, calls", [(0, 12), (10**9, 4)], ids=["per-node", "packed"])
+@pytest.mark.parametrize("limit, calls", [(0, 6), (10**9, 3)], ids=["per-node", "packed"])
 def test_packing_takes_one_resultant_per_line(limit, calls):
-    """On a box 4 nodes by 3 the packed engine takes one integer resultant
-    per line along the shorter axis, 4, and the per-node one 12."""
+    """x - y1 against x^2 y2 - 5 has the resultant y1^2 y2 - 5, taken on the
+    box of its degree bounds, 3 nodes along y1 by 2 along y2. The packed
+    engine takes one integer resultant per line along the shorter axis, 3,
+    and the per-node one 6."""
     n = 3
     x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
     p, q = x - y1, x * x * y2 - MPoly.constant(n, 5)
-    # Res = y1^2 y2 - 5 on bounds 2 in y1 and 1 in y2, padded to 4 x 3
-    pcs = [MPoly.one(n), -y1]
-    qcs = [y2, MPoly.zero(n), MPoly.constant(n, -5)]
     with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
-        out = engine(pcs, qcs, [0, 3, 2], limit)
+        out = engine(p, q, limit)
     assert out == sylvester_resultant(q, p, 1) == y1 * y1 * y2 - MPoly.constant(n, 5)
     assert spy.call_count == calls
 
