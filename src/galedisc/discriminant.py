@@ -12,7 +12,13 @@ no cost estimate is needed; a monomial substitution brings the polynomial
 back to C's own basis. They are built at u2 = 1 from integer coefficient
 lists, one convolution per linear form, and each uses one y_k only, so the
 resultant engine evaluates each once per line of its nodes; it packs one
-y_k as a power of two, so a line of nodes takes one integer resultant.
+y_k as a power of two, so a line of nodes takes one integer resultant. The
+forms are written on a reduced basis of the lattice the rows span, which
+divides the resultant by that lattice's index to the power ab, for pencil
+degrees a and b (`_row_lattice_forms`). The pencils are products of linear
+forms, so the resultant's two end lines along the interpolated y come in
+closed form, as products of powers of resultants against single forms
+(`_end_lines`), and the engine takes no integer resultant for them.
 No defect test is needed, as without proportional rows psi always
 parametrizes a curve, and no square-free pass, as the Horn-Kapranov
 parametrization is birational: the resultant is the defining polynomial
@@ -55,50 +61,53 @@ from .mpoly import (
     _dense_at,
     _int_text,
     _kronecker,
+    _normal_form,
     _packed,
     _refuse_resultant,
     _substitute,
-    content_primitive,
-    substitute_monomial,
     sylvester_resultant,
 )
-from .parametrization import (
-    ParamSpec,
-    _direction_classes,
-    _forms_at,
-    build,
-    sample_off_arrangement,
-)
+from .parametrization import ParamSpec, _direction_classes, _sample_forms, build
+
+# The map (u1, y1, y2) -> (y1, y2) of exponents, which drops u1.
+_DROP_U1 = IntMatrix([[0, 1, 0], [0, 0, 1]])
 
 
 # -- implicitization (m = 2) --------------------------------------------------
 
 
-def _affine_pencils(C: IntMatrix):
+def _affine_pencils(C: IntMatrix, W: IntMatrix = None):
     """The cleared equations den_k(u1) * y_k - num_k(u1) of the n x 2
-    matrix C at u2 = 1, in Z[u1, y1, y2].
+    matrix C at u2 = 1, in Z[u1, y1, y2], on the forms of the rows of W,
+    C's own by default.
 
-    num_k and den_k are the products of the forms c_i1 u1 + c_i2 to the
-    powers |c_ik| over the rows with c_ik > 0 and c_ik < 0, built as
-    integer coefficient lists, ascending in u1: each power by the binomial
-    theorem, then one convolution per form."""
+    num_k and den_k are the products of the forms w_i1 u1 + w_i2 to the
+    powers |c_ik| over the rows with c_ik > 0 and c_ik < 0 (`_num_den`)."""
     pencils = []
     for k in range(2):
-        num, den = [1], [1]
-        for r0, r1 in C.entries:
-            c = (r0, r1)[k]
-            if c:
-                a = abs(c)
-                power = [comb(a, j) * r0**j * r1 ** (a - j) for j in range(a + 1)]
-                if c > 0:
-                    num = _convolve(num, power)
-                else:
-                    den = _convolve(den, power)
+        num, den = _num_den(C.col(k), (C if W is None else W).entries)
         y = (0, 1, 0) if k == 0 else (0, 0, 1)
         terms = [((j, y[1], y[2]), c) for j, c in enumerate(den)]
         terms += [((j, 0, 0), -c) for j, c in enumerate(num)]
         pencils.append(MPoly(3, terms))
     return pencils
+
+
+def _num_den(col, forms):
+    """(num, den): the products of the forms r0 t + r1 of forms to the
+    powers |c| over the entries c > 0 and c < 0 of col, as integer
+    coefficient lists ascending in t: each power by the binomial theorem,
+    then one convolution per form."""
+    num, den = [1], [1]
+    for c, (r0, r1) in zip(col, forms):
+        if c:
+            a = abs(c)
+            power = [comb(a, j) * r0**j * r1 ** (a - j) for j in range(a + 1)]
+            if c > 0:
+                num = _convolve(num, power)
+            else:
+                den = _convolve(den, power)
+    return num, den
 
 
 def _convolve(a, b):
@@ -108,6 +117,69 @@ def _convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _row_lattice_forms(E: IntMatrix) -> IntMatrix:
+    """W with E = W T for an integer T with |det T| = g, the index of the
+    lattice that E's rows span in Z^2, and W's columns l1-reduced: the
+    linear forms of E's rows written on that lattice's basis.
+
+    Euclid's steps on the first coordinates of each row and a running
+    basis vector, which are unimodular, leave the Hermite basis
+    (a, t), (0, h) of the lattice, h the gcd of the vectors with first
+    coordinate 0 they shed; then w_i1 = e_i1 / a and
+    w_i2 = (e_i2 - w_i1 t) / h. For g = 1, E is its own W."""
+    a = b = h = 0
+    for x, y in E.entries:
+        while x:
+            q = a // x
+            a, b, x, y = x, y, a - q * x, b - q * y
+        h = gcd(h, y)
+    if abs(a) * h == 1:
+        return E
+    if a < 0:
+        a, b = -a, -b
+    t = b % h
+    W = IntMatrix([(x // a, (y - x // a * t) // h) for x, y in E.entries])
+    return W * l1_reduce(W)
+
+
+def _end_lines(pencils, E: IntMatrix, W: IntMatrix, w: int):
+    """(R at y_w = 0, R's coefficient of y_w^top) for the resultant R in u1
+    of pencils = `_affine_pencils(E, W)`, w the 1-based index of y1 or y2
+    in Z[u1, y1, y2] and top the pencil degree of the other y.
+
+    Name f = den_f y - num_f the pencil of the other y, of degree d_f in
+    u1, h the one of y_w, and l_i = w_i1 u1 + w_i2. A resultant is
+    multiplicative in each argument, and for G of formal degree g with
+    coefficients G_j, Res(G, l_i) = (-1)^g sum_j G_j (-w_i2)^j w_i1^(g - j),
+    linear in G: one homogeneous Horner pass. So with
+    L_i = Res(f, l_i) = Res(den_f, l_i) y - Res(num_f, l_i), Res(f, h) at
+    y_w = 0 is (-1)^d_f prod over e_ih > 0 of L_i^e_ih, its top
+    coefficient in y_w is prod over e_ih < 0 of L_i^(-e_ih), and
+    R = Res(p, q) is (-1)^(dp dq) Res(q, p) when f is q."""
+    kh = w - 2
+    f = pencils[1 - kh]
+    df = f.degree_in(1)
+    y = (1, 0) if kh else (0, 1)
+    # (den_j, -num_j) from the top down, for both Horner passes at once
+    pairs = [(f.terms.get((j,) + y, 0), f.terms.get((j, 0, 0), 0)) for j in range(df, -1, -1)]
+    sign = -1 if kh == 0 and df * pencils[0].degree_in(1) % 2 else 1
+    forms = []
+    for (x, z), c in zip(W.entries, E.col(kh)):
+        a = b = 0
+        if c:
+            power = 1
+            for d, n in pairs:
+                a, b, power = a * -z + d * power, b * -z + n * power, power * x
+        forms.append((-a, -b) if df % 2 else (a, b))
+
+    def line(coeffs, s):
+        terms = {tuple([j * (v == 2 - kh) for v in range(3)]): s * c for j, c in enumerate(coeffs) if c}
+        return MPoly._valid(3, terms)
+
+    num, den = _num_den(E.col(kh), forms)
+    return line(num, -sign if df % 2 else sign), line(den, sign)
 
 
 def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
@@ -120,8 +192,14 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     columns, and the reduced columns reach both successive minima, so the
     Sylvester matrix is as small as any basis allows and no cost estimate
     is needed to choose the basis. The pencils come as integer coefficient
-    lists in u1 at u2 = 1 (`_affine_pencils`), and each is evaluated once
-    per line of interpolation nodes, as it uses only its own y_k. Freed of
+    lists in u1 at u2 = 1 (`_affine_pencils`), on the forms of the rows'
+    lattice (`_row_lattice_forms`): with C * U = W T, the forms of C * U
+    are those of W composed with T, so the resultant on W's forms is the
+    one on C * U's divided by det(T)^(ab), a constant that the content
+    removal below drops anyway. Each pencil is evaluated once per line of
+    interpolation nodes, as it uses only its own y_k, and the engine takes
+    the two end lines along its interpolated y in closed form
+    (`_end_lines`). Freed of
     its content and monomial factor and sign-normalized, the resultant is
     the defining polynomial on C * U: psi is birational onto its image, so
     it is the defining polynomial to the first power and needs no
@@ -153,17 +231,22 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     # the columns' 1-norms, as the columns sum to 0, and the work estimate
     # of `sylvester_resultant` is refused here, before the binomials of
     # the pencils, which are as long as those degrees, are expanded.
-    a, b = (sum(map(abs, spec_cu.C.col(k))) // 2 for k in range(2))
+    E = spec_cu.C
+    a, b = (sum(map(abs, E.col(k))) // 2 for k in range(2))
     _refuse_resultant(a + b, (a + 1) * (b + 1))
-    p, q = _affine_pencils(spec_cu.C)
-    resultant = sylvester_resultant(p, q, 1)
+    # W's rows are E's times T^-1, so no two are proportional either, and
+    # the pencils on W's forms keep the same u1-degrees
+    W = _row_lattice_forms(E)
+    pencils = _affine_pencils(E, W)
+    resultant = sylvester_resultant(*pencils, 1, ends=partial(_end_lines, pencils, E, W))
     if not resultant:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
-    _, reduced = content_primitive(resultant.restrict((2, 3)).split_monomial()[1])
+    # the resultant is free of u1, so dropping it keeps the terms apart
+    reduced = _normal_form(resultant, _DROP_U1)[2]
     # a unimodular substitution keeps the coefficients, so the content is 1
-    delta = substitute_monomial(reduced, U).split_monomial()[1].sign_normalized()
+    delta = _normal_form(reduced, U)[2]
 
     if delta.total_degree() != spec.d:
         raise ValueError(
@@ -177,8 +260,8 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     cleared_sum = _cleared_sum(spec_cu, reduced)
     rng = random.Random(seed)
     for _ in range(10):
-        u = sample_off_arrangement(spec, rng)
-        if cleared_sum(_forms_at(spec.C, u)):
+        u, forms = _sample_forms(spec, rng)
+        if cleared_sum(forms):
             raise ValueError(
                 "implicitization validation failed: nonzero at a parametrized "
                 "point u = %s (seed %d)" % (u, seed)
@@ -293,8 +376,8 @@ def gauss_inverse_check(
     rng = random.Random(seed)
     for _ in range(trials):
         for _attempt in range(50):
-            u = sample_off_arrangement(spec, rng)
-            values = _cleared_terms(spec, delta, _forms_at(spec.C, u)).items()
+            u, forms = _sample_forms(spec, rng)
+            values = _cleared_terms(spec, delta, forms).items()
             g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
             if any(g):
                 break
@@ -733,9 +816,8 @@ def transfer(delta2: MPoly, M: IntMatrix):
     if delta2.content() != 1:
         raise ValueError("input polynomial is not primitive")
     h, Q = _smith_norm(delta2, M, snf)
-    mins, out = _substitute(h, Q).split_monomial()
+    mins, c, prim = _normal_form(h, Q)
     v = M.mul_vec([-x for x in mins])
-    c, prim = content_primitive(out)
     if c != 1:
         raise ValueError("transfer consistency failure: content %d" % c)
     return prim, v
@@ -753,5 +835,4 @@ def homogenize(delta: MPoly, B: IntMatrix) -> MPoly:
         raise ValueError("rank deficient")
     if not delta:
         raise ValueError("zero input")
-    _, prim = content_primitive(_substitute(delta, B).split_monomial()[1])
-    return prim
+    return _normal_form(delta, B)[2]

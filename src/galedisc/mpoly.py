@@ -18,11 +18,15 @@ cheaper than one resultant per node. Powers and the closed-form norms in
 reader of balanced digits serves all three. Each of the two polynomials
 is evaluated once per distinct point projected onto the variables it
 uses, so a curve's pencils, each in one y_k, are evaluated once per line
-of nodes.
+of nodes. A caller that knows the resultant's two end lines along the
+interpolated axis, its value at 0 and its top coefficient there, may hand
+them in: the packed lines at those ends then take no integer resultant.
 
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
-graded-lex *minimal* term has positive coefficient. Graded lex here compares
+graded-lex *minimal* term has positive coefficient. One helper,
+`_normal_form`, takes it, with the monomial factor split off and, when
+asked, a monomial map applied first. Graded lex here compares
 total degree first, then exponents read from the last variable backwards.
 """
 
@@ -448,14 +452,30 @@ class MPoly:
 # -- normal forms ------------------------------------------------------------
 
 
+def _normal_form(p: MPoly, m: IntMatrix = None):
+    """(mins, content, prim) with p = content * y^mins * prim, or with
+    alpha_m(p) = content * y^mins * prim when m is given: each exponent e
+    first mapped to m e, as `_substitute` maps it, which m must keep
+    injective on supp(p). content > 0, mins is the componentwise least
+    exponent and prim is sign-normalized, its graded-lex minimal term
+    positive. One pass over the terms for each part, by exponent columns,
+    and the content by one `gcd`."""
+    if not p.terms:
+        raise ValueError("zero input")
+    values = list(p.terms.values())
+    cols = list(zip(*p.terms)) if m is None else [[sum(map(mul, r, e)) for e in p.terms] for r in m.entries]
+    mins = tuple(map(min, cols))
+    exps = list(zip(*[[x - low for x in col] for col, low in zip(cols, mins)]))
+    c = gcd(*values)
+    signed = c if min(zip(map(_gl_key, exps), values))[1] > 0 else -c
+    return mins, c, MPoly._valid(len(mins), {e: v // signed for e, v in zip(exps, values)})
+
+
 def content_primitive(p: MPoly):
     """Split p into (content, primitive part), content > 0 and the primitive
-    part sign-normalized."""
-    if not p:
-        raise ValueError("zero input")
-    c = p.content()
-    prim = MPoly._valid(p.n_vars, {e: v // c for e, v in p.terms.items()})
-    return c, prim.sign_normalized()
+    part sign-normalized (`_normal_form`, its monomial put back)."""
+    mins, c, prim = _normal_form(p)
+    return c, prim.shift(mins)
 
 
 # -- resultants --------------------------------------------------------------
@@ -493,7 +513,7 @@ def _newton_to_monomial(dd):
     return coeffs
 
 
-def _interpolate(grid, tops, skip=None) -> None:
+def _interpolate(grid, tops, skip=None, ends=None) -> None:
     """Turn the values of an integer polynomial at the nodes of the box
     0 <= y_v <= tops[v] (a dict from exponent tuples to ints) into its
     coefficients, in place. The polynomial's degree in each y_v must be at
@@ -509,15 +529,26 @@ def _interpolate(grid, tops, skip=None) -> None:
 
     With `skip` set to an axis, the grid holds at each node (j, b), j on
     that axis, the value at b of the coefficient of y^j, and only the other
-    axes are interpolated.
+    axes are interpolated. With `ends` set to an axis of top t, the grid
+    holds at each node (t, b) on it the value at b of the coefficient of
+    y^t, not the polynomial's value: on each line along that axis, of
+    values r(0), r(1), ..., r(t - 1) and top coefficient c, the polynomial
+    r - r(0) - c y^t has degree below t and vanishes at 0, so its values at
+    0, ..., t - 1 give its coefficients, to which r(0) and c y^t are added
+    back.
     """
     for i, top in enumerate(tops):
         if i == skip or not top:
             continue
         for b in product(*[range(t + 1) if v != i else (0,) for v, t in enumerate(tops)]):
             line = [b[:i] + (j,) + b[i + 1 :] for j in range(top + 1)]
-            dd = _divided_differences([grid[x] for x in line])
-            grid.update(zip(line, _newton_to_monomial(dd)))
+            ys = [grid[x] for x in line]
+            if i != ends:
+                grid.update(zip(line, _newton_to_monomial(_divided_differences(ys))))
+                continue
+            low, lead = ys[0], ys[top]
+            ys = [0] + [y - low - lead * j**top for j, y in enumerate(ys[1:top], 1)]
+            grid.update(zip(line, [low] + _newton_to_monomial(_divided_differences(ys))[1:] + [lead]))
 
 
 def _exact_quo(n, d):
@@ -711,9 +742,10 @@ def _packed(p: MPoly, shift) -> int:
     return _shifted_sum(sorted(items) if len(items) > 16 else items, 0)
 
 
-def _det_by_interpolation(p: MPoly, q: MPoly, k: int) -> MPoly:
-    """Resultant of p and q in y_k (k 1-based), both of degree at least 1
-    in it, by evaluation and interpolation (Collins, J. ACM 1971).
+def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
+    """Resultant of p and q in y_k (k 1-based) by evaluation and
+    interpolation (Collins, J. ACM 1971); ValueError "nothing to eliminate"
+    unless both have degree at least 1 in it.
 
     Each operand is read once, by its exponent columns: they give its
     degree in every variable, the variables other than y_k that it uses,
@@ -749,12 +781,22 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int) -> MPoly:
     `_interpolate` then runs along the other axes only. Packing runs only
     where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits; above it each
     node takes its own `_int_resultant`.
+
+    ends, when given and the box has a positive axis w other than A, the
+    first such, is called once with w's 1-based index and returns two
+    polynomials free of y_k and y_w: R at y_w = 0, and R's coefficient of
+    y_w^tops[w]. The packed lines at those two ends then take no
+    `_int_resultant`: each is that polynomial at the line's point, whose
+    balanced digits the same K reads, as their coefficients are R's, and
+    `_interpolate` takes the axis w with its ends known.
     """
     k -= 1
     sides = []
     for f in (p, q):
         cols = list(zip(*f.terms))
         degs = [max(col) for col in cols]
+        if not degs or degs[k] < 1:
+            raise ValueError("nothing to eliminate")
         used = [v for v, t in enumerate(degs) if t and v != k]
         slots = [degs[k] - x for x in cols[k]]
         exps = zip(*[cols[v] for v in used]) if used else [()] * len(slots)
@@ -784,6 +826,7 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int) -> MPoly:
 
     positive = [t for t in tops if t]
     axis = tops.index(min(positive)) if positive else None
+    w = None
     if axis is not None:
         at = [1 if v == axis else t for v, t in enumerate(tops)]
         p_norm, q_norm = (
@@ -796,11 +839,17 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int) -> MPoly:
     if axis is None:
         grid = {node: resultant_at(node) for node in product(*[range(t + 1) for t in tops])}
     else:
-        X, grid = 1 << K, {}
+        X, grid, known = 1 << K, {}, {}
+        if ends is not None:
+            w = next((v for v, t in enumerate(tops) if t and v != axis), None)
+        if w is not None:
+            known = dict(zip((0, tops[w]), ends(w + 1)))
         for b in product(*[range(t + 1) if v != axis else (X,) for v, t in enumerate(tops)]):
-            digits = _balanced_digits(resultant_at(b), K, tops[axis] + 1)
+            end = known.get(b[w]) if known else None
+            r = resultant_at(b) if end is None else sum([c * prod(map(pow, b, e)) for e, c in end.terms.items()])
+            digits = _balanced_digits(r, K, tops[axis] + 1)
             grid.update({b[:axis] + (j,) + b[axis + 1 :]: c for j, c in enumerate(digits)})
-    _interpolate(grid, tops, axis)
+    _interpolate(grid, tops, axis, w)
     return MPoly._valid(p.n_vars, {e: c for e, c in grid.items() if c})
 
 
@@ -829,7 +878,7 @@ def _refuse_resultant(size: int, nodes: int) -> None:
         )
 
 
-def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
+def sylvester_resultant(p: MPoly, q: MPoly, var_index: int, *, ends=None) -> MPoly:
     """Resultant of p and q with respect to one variable (1-based): the
     determinant of their Sylvester matrix, with the rows of p first.
 
@@ -839,17 +888,20 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int) -> MPoly:
     subresultant PRS gives the resultant on each line of nodes along one
     variable packed as a power of two, or at each node where packing would
     make the integers too wide, and integer Newton interpolation recovers
-    the polynomial. This checks the operands and hands them to that engine,
-    `_det_by_interpolation`, which raises ValueError when the estimated
-    work is above _RESULTANT_WORK_LIMIT.
+    the polynomial. This checks the operands and hands them, with ends, to
+    that engine, `_det_by_interpolation`, which raises ValueError when
+    either operand has degree 0 in y_k, and when the estimated work is
+    above _RESULTANT_WORK_LIMIT. ends, a function of the 1-based index of
+    an interpolated variable, gives the resultant's two end lines along
+    it, which a packed engine then takes without a resultant.
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")
     if p.is_laurent or q.is_laurent:
         raise ValueError("negative exponents unsupported")
-    if p.degree_in(var_index) < 1 or q.degree_in(var_index) < 1:
-        raise ValueError("nothing to eliminate")
-    return _det_by_interpolation(p, q, var_index)
+    if not 1 <= var_index <= p.n_vars:
+        raise ValueError("variable index out of range")
+    return _det_by_interpolation(p, q, var_index, ends)
 
 
 def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:

@@ -219,10 +219,18 @@ _SAMPLE_BOUND = 10000  # the largest |coordinate| of a sampled point
 
 def sample_off_arrangement(spec: ParamSpec, rng: random.Random):
     """Random integer point with every form nonzero (so u != 0)."""
+    return _sample_forms(spec, rng)[0]
+
+
+def _sample_forms(spec: ParamSpec, rng: random.Random):
+    """(u, the forms' values at u) for the point `sample_off_arrangement`
+    draws: each coordinate by rng.randrange(-B, B + 1), the call that
+    rng.randint(-B, B) makes, so a seed gives the same points."""
     for _ in range(1000):
-        u = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND) for _ in range(spec.m))
-        if all(l != 0 for l in _forms_at(spec.C, u)):
-            return u
+        u = tuple([rng.randrange(-_SAMPLE_BOUND, _SAMPLE_BOUND + 1) for _ in range(spec.m)])
+        forms = _forms_at(spec.C, u)
+        if all(forms):
+            return u, forms
     raise RuntimeError("could not sample a point off the arrangement")
 
 

@@ -173,3 +173,17 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, command, rows, go
     assert plain.stdout
     if golden_base_points is not None:
         assert json.loads(plain.stdout)["base_points"] == golden_base_points
+
+
+def test_the_traced_bench_smoke_run_passes():
+    """The traced benchmark run that CI makes, one second of `curves` at
+    seed 1: every output checks, and the tracer, which unpacks the
+    positional arguments (p, q, var) of each `sylvester_resultant` call,
+    counts the 40 resultants of a round."""
+    out = run_from_checkout(
+        "bench/run.py", "--workload", "curves", "--seed", "1", "--seconds", "1", "--trace", "1"
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    assert report["metrics"]["mpoly.sylvester_resultant.calls"]["value"] == 40

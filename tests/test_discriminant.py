@@ -3,6 +3,8 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 import sympy
@@ -10,20 +12,23 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import galedisc.discriminant
 import galedisc.parametrization
+from galedisc import mpoly
 from galedisc.discriminant import (
     _affine_pencils,
     _cleared_sum,
     _cleared_terms,
     _count_below,
+    _end_lines,
     _hull_edges,
     _norm_basis,
+    _row_lattice_forms,
     gauss_inverse_check,
     group_product,
     homogenize,
     implicitize,
     transfer,
 )
-from galedisc.intmat import IntMatrix, l1_reduce, smith_normal_form
+from galedisc.intmat import IntMatrix, gcd_maximal_minors, l1_reduce, smith_normal_form
 from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import (
     Verdict,
@@ -207,16 +212,20 @@ def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
     Delta over B keeps its terms and total degree, so only that check
     rejects it."""
     assert pulled_back(DELTA_B_REDUCED, l1_reduce(B)) == DELTA_B
-    real = galedisc.discriminant.content_primitive
+    real = galedisc.discriminant._normal_form
+    calls = []
 
-    def perturbed(p):
-        c, prim = real(p)
+    def perturbed(p, m=None):
+        mins, c, prim = real(p, m)
+        calls.append(prim)
+        if len(calls) > 1:  # the move back to B's own basis
+            return mins, c, prim
         assert prim == DELTA_B_REDUCED
         terms = dict(prim.terms)
         terms[exponent] *= 2
-        return c, MPoly(prim.n_vars, terms)
+        return mins, c, MPoly(prim.n_vars, terms)
 
-    monkeypatch.setattr(galedisc.discriminant, "content_primitive", perturbed)
+    monkeypatch.setattr(galedisc.discriminant, "_normal_form", perturbed)
     with pytest.raises(ValueError, match="nonzero at a parametrized point") as info:
         implicitize(build(B))
     # the failure names its witness, the first draw at the seed, and the seed
@@ -416,6 +425,113 @@ def test_implicitize_matches_the_unreduced_resultant_on_random_matrices(spec):
 @settings(deadline=None, max_examples=30)
 def test_implicitize_obeys_the_transfer_law_for_unimodular_changes(spec, v):
     assert pulled_back(implicitize(build(spec.C * v)), v) == implicitize(spec)
+
+
+def check_end_lines(E, W):
+    """For the pencils of E on the forms of W, each of `_end_lines`' two
+    pairs is R at y_w = 0 and R's top coefficient in y_w, and the engine
+    with the end lines gives R, which is sympy's resultant. Returns the
+    variable index the engine asked the end lines for."""
+    pencils = _affine_pencils(E, W)
+    dp, dq = (f.degree_in(1) for f in pencils)
+    R = sylvester_resultant(*pencils, 1)
+    for w, top in ((2, dq), (3, dp)):
+        low, lead = _end_lines(pencils, E, W, w)
+        other = 5 - w
+        assert low == MPoly(3, {e: c for e, c in R.terms.items() if e[w - 1] == 0})
+        assert lead == MPoly(3, {e[:w - 1] + (0,) + e[w:]: c for e, c in R.terms.items() if e[w - 1] == top})
+        assert all(e[0] == 0 and e[other - 1] >= 0 for e in low.terms)
+    asked = []
+
+    def ends(w):
+        asked.append(w)
+        return _end_lines(pencils, E, W, w)
+
+    assert sylvester_resultant(*pencils, 1, ends=ends) == R
+    u, y1, y2 = sympy.symbols("u y1 y2")
+    P, Q = [sum(c * u**a * y1**b * y2**d for (a, b, d), c in f.terms.items()) for f in pencils]
+    # sympy's resultant puts the taller operand first, without the sign of the swap
+    theirs = sympy.resultant(P, Q, u) if dp >= dq else (-1) ** (dp * dq) * sympy.resultant(Q, P, u)
+    theirs = sympy.Poly(theirs, y1, y2)
+    assert R == MPoly(3, {(0,) + e: int(c) for e, c in theirs.terms()})
+    return asked
+
+
+@pytest.mark.parametrize(
+    "E, W",
+    [
+        # dp = dq = 1
+        ([[1, 1], [-1, 0], [0, -1]], [[2, 3], [-1, 4], [5, -7]]),
+        # dq = 1 < dp, a form with w_i1 = 0 in num_1 and zero exponents
+        ([[2, 1], [-1, 0], [-1, -1]], [[0, 3], [1, -2], [4, 1]]),
+        # dp = 1 < dq, the w_i1 = 0 form in den_2
+        ([[1, 2], [-1, -3], [0, 1]], [[3, -1], [0, 5], [2, 2]]),
+        # dp = 2 < dq = 3: B's own pencils
+        (B.to_lists(), B.to_lists()),
+        # dp = 3 > dq = 2
+        ([[2, 1], [-3, -2], [0, 1], [1, 0]], [[1, 1], [-2, 1], [0, -3], [4, 0]]),
+    ],
+)
+def test_end_lines_are_the_resultants_ends(E, W):
+    check_end_lines(IntMatrix(E), IntMatrix(W))
+
+
+def test_end_lines_serve_both_packing_orders():
+    """The engine packs y1 and asks for y2's ends when dq <= dp, and the
+    other way round when dq > dp."""
+    asked = check_end_lines(IntMatrix([[2, 1], [-3, -2], [0, 1], [1, 0]]), IntMatrix([[1, 1], [-2, 1], [0, -3], [4, 0]]))
+    assert asked == [3]
+    asked = check_end_lines(B, B)
+    assert asked == [2]
+
+
+@given(nonproportional_matrices(), st.data())
+@settings(deadline=None, max_examples=40)
+def test_end_lines_on_random_pencils(mat, data):
+    """Random forms W, entries from -4 to 4 with zeros, no two rows
+    proportional, on the exponents of a random nonproportional matrix."""
+    rows = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=mat.rows, max_size=mat.rows))
+    assume(all(any(r) for r in rows))
+    assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
+    check_end_lines(mat, IntMatrix(rows))
+
+
+def test_b_takes_one_integer_resultant_with_the_end_lines():
+    """On B's reduced basis the interpolated axis has top 2: its two ends
+    come in closed form, and only the line at 1 takes a resultant, against
+    3 lines without them."""
+    E = B * l1_reduce(B)
+    W = _row_lattice_forms(E)
+    pencils = _affine_pencils(E, W)
+    with mock.patch.object(mpoly, "_int_resultant", wraps=mpoly._int_resultant) as spy:
+        plain = sylvester_resultant(*pencils, 1)
+    assert spy.call_count == 3
+    with mock.patch.object(mpoly, "_int_resultant", wraps=mpoly._int_resultant) as spy:
+        assert sylvester_resultant(*pencils, 1, ends=partial(_end_lines, pencils, E, W)) == plain
+    assert spy.call_count == 1
+
+
+@given(nonproportional_matrices())
+@settings(deadline=None, max_examples=60)
+def test_the_rows_lattice_sheds_its_index_to_the_power_ab(mat):
+    """E = C * U is W T with T integer of |det T| = g, the gcd of E's 2 x 2
+    minors, and W's minors coprime: so the resultant of E's pencils is
+    +-g^(ab) times that of the pencils on W's forms, a and b their
+    degrees."""
+    E = mat * l1_reduce(mat)
+    W = _row_lattice_forms(E)
+    g = gcd_maximal_minors(E)
+    assert gcd_maximal_minors(W) == 1
+    # T from two rows of W of nonzero minor; then E = W T on every row
+    i, j = next((i, j) for i in range(W.rows) for j in range(i) if IntMatrix([W.entries[i], W.entries[j]]).det())
+    T = sympy.Matrix([W.entries[i], W.entries[j]]).inv() * sympy.Matrix([E.entries[i], E.entries[j]])
+    assert all(x.is_integer for x in T)
+    T = IntMatrix([[int(x) for x in T.row(r)] for r in range(2)])
+    assert W * T == E and abs(T.det()) == g
+    p, q = _affine_pencils(E)
+    a, b = p.degree_in(1), q.degree_in(1)
+    R, R_W = sylvester_resultant(p, q, 1), sylvester_resultant(*_affine_pencils(E, W), 1)
+    assert R in (R_W * g ** (a * b), R_W * -(g ** (a * b)))
 
 
 @given(nonproportional_matrices())

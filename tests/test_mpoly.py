@@ -27,6 +27,7 @@ from galedisc.mpoly import (
     _interpolate,
     _kronecker,
     _newton_to_monomial,
+    _normal_form,
     _packed,
 )
 from oracles import norm_work_by_products, partial_derivative, power_by_products, set_var_one
@@ -355,6 +356,25 @@ def test_content_primitive_reconstructs(data):
     assert prim.content() == 1
     assert prim.sign_normalized() == prim
     assert p == c * prim or p == -c * prim
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_normal_form_is_the_chain_it_replaces(data):
+    """_normal_form(p, m) is alpha_m(p) split into its monomial, its
+    content and its sign-normalized primitive part, as
+    `substitute_monomial`, `split_monomial`, `content` and
+    `sign_normalized` give them one after another; without m, the same of
+    p itself."""
+    p = poly2(data, laurent=True)
+    assume(p)
+    m = IntMatrix([[data.draw(st.integers(-3, 3)) for _ in range(2)] for _ in range(2)])
+    assume(m.det())
+    for image, args in ((p, (p,)), (substitute_monomial(p, m), (p, m))):
+        mins, rest = image.split_monomial()
+        c = rest.content()
+        expected = MPoly(2, {e: v // c for e, v in rest.terms.items()}).sign_normalized()
+        assert _normal_form(*args) == (mins, c, expected)
 
 
 # ---------------------------------------------------------------- calculus / evaluation

@@ -11,8 +11,10 @@ import galedisc.parametrization
 from galedisc.intmat import IntMatrix, _int_rank
 from galedisc.parametrization import (
     Verdict,
+    _forms_at,
     _forms_off_arrangement,
     _log_jacobian_scaled,
+    _sample_forms,
     build,
     defect_test,
     evaluate_psi,
@@ -410,3 +412,20 @@ def test_sample_off_arrangement_deterministic_and_valid():
     u2 = sample_off_arrangement(spec, random.Random(9))
     assert u1 == u2
     evaluate_psi(spec, u1)  # must not raise
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_forms_are_those_of_the_points_randint_draws(seed):
+    """_sample_forms draws by randrange(-B, B + 1), the call randint(-B, B)
+    makes, so its points are those of a randint loop at the same seed, and
+    the forms it returns are theirs."""
+    spec = build(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
+    bound = galedisc.parametrization._SAMPLE_BOUND
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        u, forms = _sample_forms(spec, ours)
+        while True:
+            v = tuple(theirs.randint(-bound, bound) for _ in range(spec.m))
+            if all(_forms_at(spec.C, v)):
+                break
+        assert u == v and forms == _forms_at(spec.C, u)
