@@ -12,7 +12,6 @@ from .intmat import (
 )
 from .mpoly import (
     MPoly,
-    content_primitive,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "gcd_maximal_minors",
     "smith_normal_form",
     "MPoly",
-    "content_primitive",
     "substitute_monomial",
     "sylvester_resultant",
     "ParamSpec",

@@ -76,16 +76,15 @@ _DROP_U1 = IntMatrix([[0, 1, 0], [0, 0, 1]])
 # -- implicitization (m = 2) --------------------------------------------------
 
 
-def _affine_pencils(C: IntMatrix, W: IntMatrix = None):
+def _affine_pencils(C: IntMatrix, W: IntMatrix):
     """The cleared equations den_k(u1) * y_k - num_k(u1) of the n x 2
-    matrix C at u2 = 1, in Z[u1, y1, y2], on the forms of the rows of W,
-    C's own by default.
+    matrix C at u2 = 1, in Z[u1, y1, y2], on the forms of the rows of W.
 
     num_k and den_k are the products of the forms w_i1 u1 + w_i2 to the
     powers |c_ik| over the rows with c_ik > 0 and c_ik < 0 (`_num_den`)."""
     pencils = []
     for k in range(2):
-        num, den = _num_den(C.col(k), (C if W is None else W).entries)
+        num, den = _num_den(C.col(k), W.entries)
         y = (0, 1, 0) if k == 0 else (0, 0, 1)
         terms = [((j, y[1], y[2]), c) for j, c in enumerate(den)]
         terms += [((j, 0, 0), -c) for j, c in enumerate(num)]

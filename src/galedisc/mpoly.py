@@ -25,9 +25,9 @@ them in: the packed lines at those ends then take no integer resultant.
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
 graded-lex *minimal* term has positive coefficient. One helper,
-`_normal_form`, takes it, with the monomial factor split off and, when
-asked, a monomial map applied first. Graded lex here compares
-total degree first, then exponents read from the last variable backwards.
+`_normal_form`, takes it, with a monomial map applied first and the
+monomial factor split off. Graded lex here compares total degree first,
+then exponents read from the last variable backwards.
 """
 
 from __future__ import annotations
@@ -146,15 +146,6 @@ class MPoly:
     @classmethod
     def constant(cls, n_vars: int, c: int) -> "MPoly":
         return cls(n_vars, {(0,) * n_vars: c})
-
-    @classmethod
-    def variable(cls, n_vars: int, var_index: int) -> "MPoly":
-        """The monomial y_i, with var_index 1-based."""
-        if not 1 <= var_index <= n_vars:
-            raise ValueError("variable index out of range")
-        e = [0] * n_vars
-        e[var_index - 1] = 1
-        return cls(n_vars, {tuple(e): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -288,27 +279,10 @@ class MPoly:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: _gl_key(t[0]), reverse=True)
 
-    def trailing_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("zero input")
-        return self.terms[min(self.terms, key=_gl_key)]
-
-    def sign_normalized(self) -> "MPoly":
-        """Flip the global sign if needed so the graded-lex minimal term is
-        positive."""
-        if not self.terms:
-            return self
-        return self if self.trailing_coefficient() > 0 else -self
-
     def content(self) -> int:
         if not self.terms:
             raise ValueError("zero input")
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return gcd(*self.terms.values())
 
     def min_exponents(self):
         """Componentwise minimum of the exponent vectors."""
@@ -346,24 +320,6 @@ class MPoly:
             e2 = e[:i] + (0,) + e[i + 1 :]
             buckets.setdefault(k, {})[e2] = c
         return {k: MPoly._valid(self.n_vars, t) for k, t in buckets.items()}
-
-    def restrict(self, keep):
-        """Project onto a subset of variables, given by distinct 1-based
-        indices. Raises when a dropped variable actually occurs."""
-        keep0 = [v - 1 for v in keep]
-        if not all(0 <= i < self.n_vars for i in keep0):
-            raise ValueError("variable index out of range")
-        if len(set(keep0)) < len(keep0):
-            raise ValueError("repeated variable index")
-        drop = [i for i in range(self.n_vars) if i not in keep0]
-        t = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                raise ValueError("restriction drops a live variable")
-            t[tuple(e[i] for i in keep0)] = c
-        if not keep0:
-            raise ValueError("need at least one variable")
-        return MPoly._valid(len(keep0), t)
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a rational point. Raises 'pole' when a zero
@@ -452,30 +408,22 @@ class MPoly:
 # -- normal forms ------------------------------------------------------------
 
 
-def _normal_form(p: MPoly, m: IntMatrix = None):
-    """(mins, content, prim) with p = content * y^mins * prim, or with
-    alpha_m(p) = content * y^mins * prim when m is given: each exponent e
-    first mapped to m e, as `_substitute` maps it, which m must keep
-    injective on supp(p). content > 0, mins is the componentwise least
-    exponent and prim is sign-normalized, its graded-lex minimal term
-    positive. One pass over the terms for each part, by exponent columns,
-    and the content by one `gcd`."""
+def _normal_form(p: MPoly, m: IntMatrix):
+    """(mins, content, prim) with alpha_m(p) = content * y^mins * prim:
+    each exponent e of p first mapped to m e, as `_substitute` maps it,
+    which m must keep injective on supp(p). content > 0, mins is the
+    componentwise least exponent and prim is sign-normalized, its
+    graded-lex minimal term positive. One pass over the terms for each
+    part, by exponent columns, and the content by one `gcd`."""
     if not p.terms:
         raise ValueError("zero input")
     values = list(p.terms.values())
-    cols = list(zip(*p.terms)) if m is None else [[sum(map(mul, r, e)) for e in p.terms] for r in m.entries]
+    cols = [[sum(map(mul, r, e)) for e in p.terms] for r in m.entries]
     mins = tuple(map(min, cols))
     exps = list(zip(*[[x - low for x in col] for col, low in zip(cols, mins)]))
     c = gcd(*values)
     signed = c if min(zip(map(_gl_key, exps), values))[1] > 0 else -c
     return mins, c, MPoly._valid(len(mins), {e: v // signed for e, v in zip(exps, values)})
-
-
-def content_primitive(p: MPoly):
-    """Split p into (content, primitive part), content > 0 and the primitive
-    part sign-normalized (`_normal_form`, its monomial put back)."""
-    mins, c, prim = _normal_form(p)
-    return c, prim.shift(mins)
 
 
 # -- resultants --------------------------------------------------------------
@@ -630,6 +578,10 @@ def _int_resultant(a, b):
 # pencils of Sylvester size 10 to 26 (the grid in CHANGES.md) a packed
 # resultant took 0.40 to 0.75 of the per-node time at widths up to 2496
 # bits, 0.93 to 1.03 from 2570 to 2900 bits and 1.03 to 3.8 from 3150 on.
+# Re-checked on the engine that reads each operand once, on a 2-core Xeon
+# under CPython 3.11, `implicitize` with packing forced took 0.32 s against
+# 0.10 s node by node on [[20, 1], [1, 20], [-21, -21]] (9880 bits), and
+# 0.15 s against 0.036 s on [[9, 4], [-7, 3], [5, -11], [-7, 4]] (14628).
 _PACK_WIDTH_LIMIT = 2500
 
 
@@ -858,11 +810,16 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
 # coefficients, and the interpolation grows alike, so the work is taken as
 # nodes * size^5. The engine packs a line of nodes into one PRS only where
 # that is cheaper (_PACK_WIDTH_LIMIT), so this stays an upper bound. Timed
-# on a 2-core Xeon under CPython 3.11 it read 4e-11 to 7e-11 s per unit:
-# `implicitize` took 0.4 s on [[16, 1], [1, 16], [-17, -17]] (size 32 on
-# 288 nodes), 2.1 s on [[20, 1], [1, 20], [-21, -21]] (size 40 on 440
-# nodes, 4.5e10) and 30 s on [[29, 1], [1, 27], [-30, -28]] (size 56 on
-# 841 nodes); none of the three packs.
+# on a 2-core Xeon under CPython 3.11, `implicitize` took 0.039 s on
+# [[16, 1], [1, 16], [-17, -17]] (size 32 on 288 nodes, 9.7e9) and 0.099 s
+# on [[20, 1], [1, 20], [-21, -21]] (size 40 on 440 nodes, 4.5e10); with
+# the limit lifted, 0.25 s on [[24, 1], [1, 24], [-25, -25]] (size 48 on
+# 624 nodes, 1.6e11) and 0.63 s on [[29, 1], [1, 27], [-30, -28]] (size 56
+# on 841 nodes, 4.6e11), which it refuses. None of the four packs. That is
+# 1.4e-12 to 4e-12 s per unit, where the limit was set at 4e-11 to 7e-11
+# (0.4, 2.1 and 30 s for the first, second and fourth): the estimate now
+# counts 20 to 50 times the work done. The limit is kept, and with it
+# every refusal, until one unit of work serves all limits (ROADMAP.md).
 _RESULTANT_WORK_LIMIT = 5 * 10**10
 
 

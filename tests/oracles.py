@@ -8,7 +8,9 @@ the group product on the basis the Smith form comes with, the scaled
 gradient over `Fraction` that the library's integer Gauss check is held
 against, the base points of a surface pencil enumerated and sorted over
 `Fraction`, the lower hull by brute force over segments, and the work
-estimate of a norm of degree e <= 2 with the product G0 G2 formed.
+estimate of a norm of degree e <= 2 with the product G0 G2 formed, and
+for polynomials: the monomial y_i, the projection onto some of the
+variables, and the normal form taken term by term.
 """
 
 import random
@@ -21,8 +23,37 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from galedisc.discriminant import _unit_root_product
 from galedisc.intmat import IntMatrix, smith_normal_form
-from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
+from galedisc.mpoly import MPoly, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
+
+
+def variable(n_vars: int, var_index: int) -> MPoly:
+    """The monomial y_i in n_vars variables, var_index 1-based."""
+    e = [0] * n_vars
+    e[var_index - 1] = 1
+    return MPoly(n_vars, {tuple(e): 1})
+
+
+def project(p: MPoly, keep) -> MPoly:
+    """p on the variables keep, 1-based and in that order; ValueError when
+    a variable left out occurs in p."""
+    if any(x for e in p.terms for i, x in enumerate(e, 1) if i not in keep):
+        raise ValueError("projection drops a live variable")
+    return MPoly(len(keep), {tuple(e[i - 1] for i in keep): c for e, c in p.terms.items()})
+
+
+def plain_normal_form(p: MPoly):
+    """(mins, content, prim) with p = content * y^mins * prim, content > 0
+    and the graded-lex minimal term of prim positive, each part taken from
+    its definition: the reference `mpoly._normal_form` is held to. Graded
+    lex compares total degree, then the exponents from the last variable
+    back; a monomial shift keeps that order, so the sign is read on p."""
+    mins = tuple(min(e[i] for e in p.terms) for i in range(p.n_vars))
+    content = gcd(*p.terms.values())
+    lowest = min(p.terms, key=lambda e: (sum(e), e[::-1]))
+    unit = content if p.terms[lowest] > 0 else -content
+    prim = MPoly(p.n_vars, {tuple(x - m for x, m in zip(e, mins)): c // unit for e, c in p.terms.items()})
+    return mins, content, prim
 
 
 def monomial_map(M: IntMatrix, y):
@@ -154,7 +185,7 @@ def pencils(C: IntMatrix):
                 num = num * form ** c
             else:
                 den = den * form ** (-c)
-        y = MPoly.variable(n_vars, 3 + k)
+        y = variable(n_vars, 3 + k)
         out.append(den * y - num)
     return out
 
@@ -180,8 +211,7 @@ def implicitize_unreduced(spec) -> MPoly:
     library's checks: the pencils of C at u2 = 1, their Sylvester resultant
     in u1, freed of its monomial factor and content and sign-normalized."""
     p, q = (set_var_one(g, 2) for g in pencils(spec.C))
-    resultant = sylvester_resultant(p, q, 1).restrict((3, 4))
-    return content_primitive(resultant.split_monomial()[1])[1]
+    return plain_normal_form(project(sylvester_resultant(p, q, 1), (3, 4)))[2]
 
 
 def partial_derivative(p: MPoly, var_index: int) -> MPoly:

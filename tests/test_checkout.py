@@ -3,8 +3,10 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,53 @@ def test_every_private_helper_has_a_reader():
         for module, tree in trees.items()
         for name, node in private_names(tree)
         if not any(name in names for stmt, names in loads if stmt is not node)
+    ]
+    assert unread == []
+
+
+def public_definitions(tree):
+    """The public module-level functions and classes of a parsed module,
+    and the public methods and properties of its classes, each with the
+    statement that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield "%s.%s" % (node.name, sub.name), sub
+
+
+def is_export(stmt):
+    """A re-export of the package's `__init__.py`: an import, or `__all__`."""
+    return isinstance(stmt, ast.ImportFrom) or (
+        isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+    )
+
+
+def test_every_public_name_has_a_reader():
+    """Each public function and class of the library, and each public
+    method and property of its classes, is read outside its own
+    definition: in the library, not counting the package's re-exports, in
+    the demo scripts, in the benchmark, or in the code of README.md. A
+    public name that only the tests read belongs in the tests."""
+    library = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "galedisc").glob("*.py"))}
+    statements = [
+        stmt
+        for path, tree in library.items()
+        for stmt in tree.body
+        if path.name != "__init__.py" or not is_export(stmt)
+    ]
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        statements += ast.parse(path.read_text()).body
+    reads = Counter(name for stmt in statements for name in loaded_names(stmt))
+    readme = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
+    reads.update(re.findall(r"\w+", " ".join(readme)))
+    unread = [
+        "%s:%s" % (path.name, qualified)
+        for path, tree in library.items()
+        for qualified, node in public_definitions(tree)
+        if reads[node.name] == Counter(loaded_names(node))[node.name]
     ]
     assert unread == []
 

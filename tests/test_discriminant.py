@@ -29,7 +29,7 @@ from galedisc.discriminant import (
     transfer,
 )
 from galedisc.intmat import IntMatrix, gcd_maximal_minors, l1_reduce, smith_normal_form
-from galedisc.mpoly import MPoly, content_primitive, substitute_monomial, sylvester_resultant
+from galedisc.mpoly import MPoly, _normal_form, substitute_monomial, sylvester_resultant
 from galedisc.parametrization import (
     Verdict,
     _forms_at,
@@ -48,6 +48,8 @@ from oracles import (
     monomial_map,
     partial_derivative,
     pencils,
+    plain_normal_form,
+    project,
     set_var_one,
     solve_in_lattice,
 )
@@ -131,8 +133,7 @@ def test_implicitize_index_three_rescaling():
 
 def test_implicitize_output_is_normalized():
     delta = implicitize(build(B))
-    assert delta.sign_normalized() == delta
-    assert delta.content() == 1
+    assert plain_normal_form(delta) == ((0, 0), 1, delta)
 
 
 def test_implicitize_rejects_proportional_rows():
@@ -172,7 +173,7 @@ def test_the_early_resultant_refusal_is_the_one_of_sylvester_resultant(t):
         implicitize(build(C))
     cu = build(C * l1_reduce(C)).C
     with pytest.raises(ValueError) as late:
-        sylvester_resultant(*_affine_pencils(cu), 1)
+        sylvester_resultant(*_affine_pencils(cu, cu), 1)
     assert str(early.value) == str(late.value)
 
 
@@ -361,7 +362,7 @@ def sympy_squarefree_part(p):
     syms = sympy.symbols("y1:%d" % (p.n_vars + 1))
     sf = sympy.Poly.from_dict(dict(p.terms), *syms, domain=sympy.ZZ).sqf_part()
     terms = {tuple(int(x) for x in e): int(c) for e, c in sf.terms()}
-    return content_primitive(MPoly(p.n_vars, terms))[1]
+    return _normal_form(MPoly(p.n_vars, terms), IntMatrix([[1, 0], [0, 1]]))[2]
 
 
 @st.composite
@@ -406,7 +407,7 @@ def unimodular_2x2(draw):
 def pulled_back(delta, v):
     """The defining polynomial of C from that of C * V: psi_(C V)(u) =
     alpha_V(psi_C(V u)), so it is delta composed with alpha_V."""
-    return content_primitive(substitute_monomial(delta, v).split_monomial()[1])[1]
+    return _normal_form(delta, v)[2]
 
 
 @pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])
@@ -511,6 +512,24 @@ def test_b_takes_one_integer_resultant_with_the_end_lines():
     assert spy.call_count == 1
 
 
+def test_end_lines_are_not_asked_for_off_the_packed_route():
+    """With packing off, each node takes its own resultant: the engine never
+    asks for the end lines and gives the resultant it gives without them,
+    and `implicitize` keeps its outputs without calling `_end_lines`."""
+    E = B * l1_reduce(B)
+    W = _row_lattice_forms(E)
+    pencils = _affine_pencils(E, W)
+    plain = sylvester_resultant(*pencils, 1)
+    ends = mock.Mock(wraps=partial(_end_lines, pencils, E, W))
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", 0):
+        assert sylvester_resultant(*pencils, 1, ends=ends) == plain
+        ends.assert_not_called()
+        with mock.patch.object(galedisc.discriminant, "_end_lines", wraps=_end_lines) as spy:
+            for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
+                assert implicitize(build(mat)) == delta
+        spy.assert_not_called()
+
+
 @given(nonproportional_matrices())
 @settings(deadline=None, max_examples=60)
 def test_the_rows_lattice_sheds_its_index_to_the_power_ab(mat):
@@ -528,7 +547,7 @@ def test_the_rows_lattice_sheds_its_index_to_the_power_ab(mat):
     assert all(x.is_integer for x in T)
     T = IntMatrix([[int(x) for x in T.row(r)] for r in range(2)])
     assert W * T == E and abs(T.det()) == g
-    p, q = _affine_pencils(E)
+    p, q = _affine_pencils(E, E)
     a, b = p.degree_in(1), q.degree_in(1)
     R, R_W = sylvester_resultant(p, q, 1), sylvester_resultant(*_affine_pencils(E, W), 1)
     assert R in (R_W * g ** (a * b), R_W * -(g ** (a * b)))
@@ -542,10 +561,10 @@ def test_u2_one_keeps_each_pencil_degree(mat):
     rows are proportional, so at most one has c_i1 = 0. The pencils built
     from integer coefficient lists are the `MPoly` products at u2 = 1."""
     for m in (mat, mat * l1_reduce(mat)):
-        for k, (g, h) in enumerate(zip(pencils(m), _affine_pencils(m))):
+        for k, (g, h) in enumerate(zip(pencils(m), _affine_pencils(m, m))):
             g = set_var_one(g, 2)
             assert g.degree_in(1) == sum(max(x, 0) for x in m.col(k))
-            assert h == g.restrict((1, 3, 4))
+            assert h == project(g, (1, 3, 4))
 
 
 @pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])
@@ -1132,8 +1151,7 @@ def transfer_by_adjugate(f, M):
     q = substitute_monomial(group_product(f, M), IntMatrix([[int(x) for x in r] for r in adj.tolist()]))
     assert all(x % det == 0 for e in q.terms for x in e)
     q = MPoly(f.n_vars, {tuple(x // det for x in e): c for e, c in q.terms.items()})
-    mins, out = q.split_monomial()
-    c, prim = content_primitive(out)
+    mins, c, prim = plain_normal_form(q)
     assert c == 1
     return prim, M.mul_vec([-x for x in mins])
 
@@ -1191,6 +1209,4 @@ def test_homogenize_rejects_rank_deficient_matrix():
 
 def test_homogenize_output_is_primitive_and_normalized():
     out = homogenize(DELTA_B, B)
-    assert out.content() == 1
-    assert out.sign_normalized() == out
-    assert out.min_exponents() == (0, 0, 0, 0)
+    assert plain_normal_form(out) == ((0, 0, 0, 0), 1, out)

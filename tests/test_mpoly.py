@@ -14,7 +14,6 @@ from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import (
     MPoly,
-    content_primitive,
     substitute_monomial,
     sylvester_resultant,
 )
@@ -30,10 +29,18 @@ from galedisc.mpoly import (
     _normal_form,
     _packed,
 )
-from oracles import norm_work_by_products, partial_derivative, power_by_products, set_var_one
+from oracles import (
+    norm_work_by_products,
+    partial_derivative,
+    plain_normal_form,
+    power_by_products,
+    project,
+    set_var_one,
+    variable,
+)
 
-X = MPoly.variable(2, 1)
-Y = MPoly.variable(2, 2)
+X = variable(2, 1)
+Y = variable(2, 2)
 
 
 def poly2(data, max_terms=5, cmax=9, emax=4, laurent=False):
@@ -64,7 +71,6 @@ def to_sympy(p, syms):
 def test_constructors_and_predicates():
     assert MPoly.zero(3).terms == {}
     assert MPoly.one(2) == MPoly.constant(2, 1)
-    assert MPoly.variable(2, 2).terms == {(0, 1): 1}
     assert MPoly.constant(2, 0) == MPoly.zero(2)
     assert MPoly.constant(2, 7).total_degree() == 0
     assert (X + Y).total_degree() != 0
@@ -229,7 +235,7 @@ def test_powers_of_zero_and_negative_powers():
 
 def test_mixed_arity_rejected():
     with pytest.raises(ValueError):
-        X + MPoly.variable(3, 1)
+        X + variable(3, 1)
 
 
 def test_degree_accounting():
@@ -287,7 +293,7 @@ def test_arithmetic_results_are_valid_polynomials(data):
     assert moved == MPoly(2, {m.mul_vec(e): c for e, c in p.terms.items()})
     results.append(moved)
     if p:
-        results.append(content_primitive(p)[1])
+        results.append(_normal_form(p, m)[2])
     for r in results:
         assert_valid(r)
     for r in (p * 0, 0 * p, p - p, p + (-p)):
@@ -320,61 +326,27 @@ def test_sorted_terms_graded_then_lex_tiebreak():
     assert [e for e, _ in p.sorted_terms()] == [(0, 2), (1, 1), (2, 0), (0, 1)]
 
 
-@pytest.mark.parametrize(
-    "terms, trailing",
-    [
-        ({(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4}, 4),
-        ({(3, 3): -19683, (1, 1): 1}, 1),
-        ({(0, 16): -27, (10, 0): 1}, 1),
-    ],
-)
-def test_sign_normalized_fixed_points(terms, trailing):
-    """Normal form requires a positive coefficient on the graded-minimal term."""
-    p = MPoly(2, terms)
-    assert p.sign_normalized() == p
-    assert (-p).sign_normalized() == p
-    assert p.trailing_coefficient() == trailing
-
-
-def test_content_primitive_goldens():
-    c, prim = content_primitive(MPoly(2, {(1, 0): 6, (0, 1): 4}))
-    assert c == 2 and prim == MPoly(2, {(1, 0): 3, (0, 1): 2})
-    c2, prim2 = content_primitive(MPoly(2, {(1, 0): -6, (0, 1): -4}))
-    assert c2 == 2 and prim2 == prim  # the global sign flip lands in the normal form
-    with pytest.raises(ValueError, match="zero input"):
-        content_primitive(MPoly.zero(2))
-
-
-@given(st.data())
-@settings(deadline=None, max_examples=60)
-def test_content_primitive_reconstructs(data):
-    p = poly2(data)
-    if p == MPoly.zero(2):
-        return
-    c, prim = content_primitive(p)
-    assert c > 0
-    assert prim.content() == 1
-    assert prim.sign_normalized() == prim
-    assert p == c * prim or p == -c * prim
-
-
 @given(st.data())
 @settings(deadline=None, max_examples=60)
 def test_normal_form_is_the_chain_it_replaces(data):
     """_normal_form(p, m) is alpha_m(p) split into its monomial, its
     content and its sign-normalized primitive part, as
-    `substitute_monomial`, `split_monomial`, `content` and
-    `sign_normalized` give them one after another; without m, the same of
-    p itself."""
+    `substitute_monomial` and then `plain_normal_form`, term by term, give
+    them; under the identity, the same of p itself."""
     p = poly2(data, laurent=True)
     assume(p)
     m = IntMatrix([[data.draw(st.integers(-3, 3)) for _ in range(2)] for _ in range(2)])
     assume(m.det())
-    for image, args in ((p, (p,)), (substitute_monomial(p, m), (p, m))):
-        mins, rest = image.split_monomial()
-        c = rest.content()
-        expected = MPoly(2, {e: v // c for e, v in rest.terms.items()}).sign_normalized()
-        assert _normal_form(*args) == (mins, c, expected)
+    for image, a in ((p, IntMatrix([[1, 0], [0, 1]])), (substitute_monomial(p, m), m)):
+        assert _normal_form(p, a) == plain_normal_form(image)
+    assert p.content() == plain_normal_form(p)[1]
+
+
+def test_zero_input_has_no_normal_form():
+    zero = MPoly.zero(2)
+    for read in (MPoly.content, MPoly.min_exponents, lambda p: _normal_form(p, IntMatrix([[1, 0], [0, 1]]))):
+        with pytest.raises(ValueError, match="zero input"):
+            read(zero)
 
 
 # ---------------------------------------------------------------- calculus / evaluation
@@ -429,30 +401,17 @@ def test_split_monomial_inverts_shift(data):
     assert mins == p.min_exponents()
     assert q.shift(mins) == p
     assert q.min_exponents() == (0, 0)
-    # shifting keeps graded-lex order, so a sign-normalized p stays normalized
-    assert q.trailing_coefficient() == p.trailing_coefficient()
+    # shifting keeps graded-lex order, so a sign-normalized p stays
+    # normalized: the graded-lex minimal terms of p and q share a coefficient
+    def lowest(f):
+        return f.terms[min(f.terms, key=lambda e: (sum(e), e[::-1]))]
+
+    assert lowest(q) == lowest(p)
 
 
-def test_restrict_and_set_var_one():
+def test_set_var_one():
     p = MPoly(3, {(2, 0, 1): 5, (0, 0, 3): 1})
     assert set_var_one(p, 3) == MPoly(3, {(2, 0, 0): 5, (0, 0, 0): 1})
-    q = MPoly(3, {(2, 0, 1): 5}).restrict((1, 3))
-    assert q == MPoly(2, {(2, 1): 5})
-    with pytest.raises(ValueError, match="drops a live variable"):
-        p.restrict((1, 2))
-
-
-def test_restrict_rejects_bad_indices():
-    """Indices out of range or repeated raise: unchecked, index 0 would read
-    the last variable, turning 2 y1 + 5 into 2 y2 + 5 under (0, 1), and
-    (1, 1) would copy y1 into 2 y1 y2 + 5."""
-    p = MPoly(2, {(1, 0): 2, (0, 0): 5})
-    for keep, message in (((0, 1), "out of range"), ((3,), "out of range"), ((1, 1), "repeated")):
-        with pytest.raises(ValueError, match=message):
-            p.restrict(keep)
-    # the result is built unchecked, so a projection onto no variable is refused
-    with pytest.raises(ValueError, match="need at least one variable"):
-        MPoly.constant(2, 5).restrict(())
 
 
 def test_coeffs_in_collects_by_degree():
@@ -775,20 +734,20 @@ def test_engine_agrees_with_bareiss_and_sympy(limit, data):
     k = data.draw(st.integers(1, 3))
     n = k + 1
     big = st.builds(int.__mul__, st.integers(1, 10**12), st.sampled_from([1, -1]))
-    leads = [MPoly.constant(n, data.draw(big)), MPoly.variable(n, 2) - MPoly.constant(n, 2)]
-    leads.append(MPoly.variable(n, 2) * MPoly.variable(n, n))
+    leads = [MPoly.constant(n, data.draw(big)), variable(n, 2) - MPoly.constant(n, 2)]
+    leads.append(variable(n, 2) * variable(n, n))
 
     def draw(deg):
         rest = data.draw(
             st.dictionaries(st.tuples(st.integers(0, deg - 1), *[st.integers(0, 1)] * k), big, min_size=1, max_size=3)
         )
         lead = data.draw(st.sampled_from(leads))
-        return lead * MPoly.variable(n, 1) ** deg + MPoly(n, rest)
+        return lead * variable(n, 1) ** deg + MPoly(n, rest)
 
     top = 3 if k < 3 else 2
     p, q = draw(data.draw(st.integers(1, top))), draw(data.draw(st.integers(1, top)))
     if data.draw(st.integers(0, 4)) == 0:
-        common = MPoly.variable(n, 1) - MPoly.variable(n, 2)
+        common = variable(n, 1) - variable(n, 2)
         p, q = p * common, q * common
     expected = _det_bareiss_poly(sylvester_matrix(p, q, 1), n)
     assert engine(p, q, limit) == expected
@@ -805,7 +764,7 @@ def test_packed_digits_at_the_edge_of_their_range(limit, sign, bits):
     the 1 of q's leading coefficient, so K = bits + 1, and the digit of
     y^2 is +-(X/2 - 2), above 0 for y and for the constant term. With K one
     bit narrower, that digit would overflow its range."""
-    x, y = MPoly.variable(2, 1), MPoly.variable(2, 2)
+    x, y = variable(2, 1), variable(2, 2)
     b = 2**bits - 2
     p, q = x, x + sign * b * y * y
     expected = sign * b * y * y
@@ -818,7 +777,7 @@ def test_a_resultant_that_vanishes_identically(limit):
     """(x^2 - y1 y2)(x - y1 + 3) against 10^12 (x^2 - y1 y2) share a factor:
     the resultant is zero on every node and on every packed line."""
     n = 3
-    x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
+    x, y1, y2 = (variable(n, i) for i in (1, 2, 3))
     f = x * x - y1 * y2
     p, q = f * (x - y1 + MPoly.constant(n, 3)), f * MPoly.constant(n, 10**12)
     assert engine(p, q, limit) == MPoly.zero(n)
@@ -831,7 +790,7 @@ def test_packing_takes_one_resultant_per_line(limit, calls):
     engine takes one integer resultant per line along the shorter axis, 3,
     and the per-node one 6."""
     n = 3
-    x, y1, y2 = (MPoly.variable(n, i) for i in (1, 2, 3))
+    x, y1, y2 = (variable(n, i) for i in (1, 2, 3))
     p, q = x - y1, x * x * y2 - MPoly.constant(n, 5)
     with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
         out = engine(p, q, limit)
@@ -845,7 +804,8 @@ def test_curve_pencils_pack_under_the_width_limit():
     polynomial as node by node."""
     from galedisc.discriminant import _affine_pencils
 
-    p, q = _affine_pencils(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
+    B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
+    p, q = _affine_pencils(B, B)
     with mock.patch.object(mpoly, "_int_resultant", wraps=_int_resultant) as spy:
         packed = sylvester_resultant(p, q, 1)
     dp, dq = p.degree_in(1), q.degree_in(1)
@@ -865,7 +825,7 @@ def unit_root_product_by_sylvester(g, var_index, d):
     y_d[k0] = d
     a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(y_d): -1})
     det = _det_bareiss_poly(sylvester_matrix(a, b, n + 1), n + 1)
-    out = det.restrict(tuple(range(1, n + 1))).shift(tuple(d * x for x in mins))
+    out = project(det, range(1, n + 1)).shift(tuple(d * x for x in mins))
     return -out if (d + 1) * mins[k0] % 2 else out
 
 
@@ -921,7 +881,7 @@ def draw_norm_input(data, e):
         coeff = data.draw(
             st.dictionaries(others, st.integers(-3, 3).filter(bool), min_size=int(j == e), max_size=4 - n)
         )
-        g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
+        g = g + MPoly(n, coeff) * variable(n, k) ** j
     return g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n))))), k, d
 
 
@@ -967,7 +927,7 @@ def test_packed_closed_form_matches_bareiss_and_sympy(data):
     g = MPoly.zero(n)
     for j, least in ((0, 1), (1, 0), (2, 1)):
         coeff = data.draw(st.dictionaries(others, big, min_size=least, max_size=1 + (d <= 12)))
-        g = g + MPoly(n, coeff) * MPoly.variable(n, k) ** j
+        g = g + MPoly(n, coeff) * variable(n, k) ** j
     g = g.shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
     norms = []
@@ -989,7 +949,7 @@ def test_a_sparse_norm_stays_on_polynomial_steps():
         raise AssertionError("packed a sparse norm")
 
     m = MPoly(4, {(670, 670, 670, 0): 1})
-    Y = MPoly.variable(4, 4)
+    Y = variable(4, 4)
     with mock.patch.object(discriminant, "_kronecker", spy):
         norm = _unit_root_product(Y * Y + m * Y + 1, 4, 2)
     assert norm == Y * Y - (m * m - 2) * Y + 1
@@ -1026,7 +986,7 @@ def norm_by_sylvester_box(g, var_index, d):
     y = [0] * (n + 1)
     y[k0] = 1
     a = MPoly(n + 1, {(0,) * n + (d,): 1, tuple(y): -1})
-    return sylvester_resultant(a, b, n + 1).restrict(tuple(range(1, n + 1)))
+    return project(sylvester_resultant(a, b, n + 1), range(1, n + 1))
 
 
 @pytest.mark.parametrize(
@@ -1078,7 +1038,7 @@ def test_power_sum_norms_match_the_resultant_on_the_box(data):
     d = data.draw(st.integers(2, 13 if n < 3 else 6))
     others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
     coeff = st.integers(-4, 4).filter(bool)
-    t = MPoly.variable(n, k)
+    t = variable(n, k)
     g = MPoly(n, data.draw(st.dictionaries(others, coeff, min_size=1, max_size=2))) * t**e
     for j in [0] + data.draw(st.lists(st.integers(1, e - 1), max_size=2, unique=True)):
         g = g + MPoly(n, data.draw(st.dictionaries(others, coeff, min_size=1, max_size=1 + (j == 0)))) * t**j
