@@ -8,19 +8,19 @@ monomial substitutions). Rational numbers appear only in `evaluate`.
 Resultants have a single engine, evaluation and interpolation in integers
 (Collins, J. ACM 1971): no determinant is ever taken over polynomials. Its
 nodes are the integer points of the box of the resultant's degree bounds,
-which it reads off the two operands, and Newton interpolation along each
-axis of the box in turn gives the coefficients. One variable is packed
-(Kronecker substitution): a line of nodes along it takes a single integer
-resultant at a power of two, whose balanced digits are the coefficients
-in that variable, as long as the packed integers stay narrow enough to be
-cheaper than one resultant per node. Powers and the closed-form norms in
-`discriminant` pack every variable the same way (`_kronecker`), and one
-reader of balanced digits serves all three. Each of the two polynomials
-is evaluated once per distinct point projected onto the variables it
-uses, so a curve's pencils, each in one y_k, are evaluated once per line
-of nodes. A caller that knows the resultant's two end lines along the
-interpolated axis, its value at 0 and its top coefficient there, may hand
-them in: the packed lines at those ends then take no integer resultant.
+which it reads off the two operands. Each line of nodes along one variable
+gives the coefficients in that variable, by a single integer resultant at
+a power of two whose balanced digits they are (Kronecker substitution)
+while the packed integers stay narrow enough to be cheaper than one
+resultant per node, and otherwise node by node, and Newton interpolation
+along each other axis of the box in turn gives the polynomial. Powers and
+the closed-form norms in `discriminant` pack every variable the same way
+(`_kronecker`), and one reader of balanced digits serves all three. Each
+of the two polynomials is evaluated once per distinct point projected onto
+the variables it uses, so a curve's pencils, each in one y_k, are
+evaluated once per line of nodes. A caller that knows the resultant's two
+end lines along an interpolated axis, its value at 0 and its top
+coefficient there, may hand them in: those lines then take no resultant.
 
 The canonical form used everywhere for "the" defining polynomial of a
 hypersurface: integer content removed, and the sign chosen so that the
@@ -461,7 +461,7 @@ def _newton_to_monomial(dd):
     return coeffs
 
 
-def _interpolate(grid, tops, skip=None, ends=None) -> None:
+def _interpolate(grid, tops, skip, ends) -> None:
     """Turn the values of an integer polynomial at the nodes of the box
     0 <= y_v <= tops[v] (a dict from exponent tuples to ints) into its
     coefficients, in place. The polynomial's degree in each y_v must be at
@@ -475,15 +475,15 @@ def _interpolate(grid, tops, skip=None, ends=None) -> None:
     the next starts. Raises ArithmeticError on values no integer
     polynomial takes.
 
-    With `skip` set to an axis, the grid holds at each node (j, b), j on
-    that axis, the value at b of the coefficient of y^j, and only the other
-    axes are interpolated. With `ends` set to an axis of top t, the grid
-    holds at each node (t, b) on it the value at b of the coefficient of
-    y^t, not the polynomial's value: on each line along that axis, of
-    values r(0), r(1), ..., r(t - 1) and top coefficient c, the polynomial
-    r - r(0) - c y^t has degree below t and vanishes at 0, so its values at
-    0, ..., t - 1 give its coefficients, to which r(0) and c y^t are added
-    back.
+    skip, an axis or None: the grid holds at each node (j, b), j on that
+    axis, the value at b of the coefficient of y^j, and only the other
+    axes are interpolated; the resultant engine passes the axis it walked.
+    ends, an axis of top t or None: the grid holds at each node (t, b) on
+    it the value at b of the coefficient of y^t, not the polynomial's
+    value: on each line along that axis, of values r(0), ..., r(t - 1) and
+    top coefficient c, the polynomial r - r(0) - c y^t has degree below t
+    and vanishes at 0, so its values at 0, ..., t - 1 give its
+    coefficients, to which r(0) and c y^t are added back.
     """
     for i, top in enumerate(tops):
         if i == skip or not top:
@@ -578,10 +578,10 @@ def _int_resultant(a, b):
 # pencils of Sylvester size 10 to 26 (the grid in CHANGES.md) a packed
 # resultant took 0.40 to 0.75 of the per-node time at widths up to 2496
 # bits, 0.93 to 1.03 from 2570 to 2900 bits and 1.03 to 3.8 from 3150 on.
-# Re-checked on the engine that reads each operand once, on a 2-core Xeon
-# under CPython 3.11, `implicitize` with packing forced took 0.32 s against
-# 0.10 s node by node on [[20, 1], [1, 20], [-21, -21]] (9880 bits), and
-# 0.15 s against 0.036 s on [[9, 4], [-7, 3], [5, -11], [-7, 4]] (14628).
+# Re-timed on a 2-core Xeon under CPython 3.11, `implicitize` with packing
+# forced took 0.37 s against 0.10 s node by node on [[20, 1], [1, 20],
+# [-21, -21]] (9880 bits), and 0.17 s against 0.036 s on [[9, 4], [-7, 3],
+# [5, -11], [-7, 4]] (14628).
 _PACK_WIDTH_LIMIT = 2500
 
 
@@ -694,7 +694,7 @@ def _packed(p: MPoly, shift) -> int:
     return _shifted_sum(sorted(items) if len(items) > 16 else items, 0)
 
 
-def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
+def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends) -> MPoly:
     """Resultant of p and q in y_k (k 1-based) by evaluation and
     interpolation (Collins, J. ACM 1971); ValueError "nothing to eliminate"
     unless both have degree at least 1 in it.
@@ -713,34 +713,35 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
     curve each use one y_k, and an operand with no such variable is
     evaluated once.
 
-    One axis A is packed (Kronecker substitution; Harvey, J. Symbolic
-    Comput. 44, 2009): the one of least positive top, the first one by
-    index among equals, so the packed integers are shortest. Each line of
-    the box along A, at the point b of the other axes, takes one
-    `_int_resultant`, at y_A = X = 2^K and b. That value is
-    R(X, b) = sum_j R_j(b) X^j, whose balanced base-X digits are the
-    coefficients R_j(b) of y_A^j, provided every |R_j(b)| < X/2:
+    The lines of the box along one axis A, of least positive top (the first
+    by index among equals) or y_k when no top is positive, are walked once.
+    At the point b of the other axes, a line gives the coefficients R_j(b)
+    of y_A^j: packed (Kronecker substitution; Harvey, J. Symbolic Comput.
+    44, 2009) where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits, as
+    the balanced base-X digits of one `_int_resultant` at y_A = X = 2^K and
+    b, R(X, b) = sum_j R_j(b) X^j; otherwise by one `_int_resultant` per
+    node and Newton interpolation along the line. `_interpolate` then runs
+    along the other axes only. The digits are exact as K bounds by X/2 the
+    1-norm of R at a point in the variables left free there, y_A alone or
+    with one more y_w:
     - each term of the Sylvester determinant takes one entry from each
       row, and the 1-norm of a product is at most the product of the
-      1-norms, so the 1-norm of R(., b) in y_A, and with it each R_j(b), is
-      at most (sum_j |p_j(., b)|_1)^dq * (sum_j |q_j(., b)|_1)^dp, for the
+      1-norms, so that 1-norm is at most
+      (sum_j |p_j|_1)^dq * (sum_j |q_j|_1)^dp at that point, for the
       coefficients p_j of p and q_j of q in y_k;
-    - |p_j(., b)|_1 is at most the value at y_A = 1 and b of p_j with its
-      coefficients made positive, which grows with b as the nodes are
-      >= 0, so that bound, taken once by the same evaluation on |c| at the
-      box's top corner, holds on every line;
+    - |p_j|_1 is at most p_j with its coefficients made positive at 1 in
+      each free variable, which grows with every coordinate as the nodes
+      are >= 0, so that bound, taken once at y_A = 1 and the box's top
+      corner, holds at every point;
     - K = bound.bit_length() + 1 makes the bound < 2^(K - 1) = X/2.
-    `_interpolate` then runs along the other axes only. Packing runs only
-    where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits; above it each
-    node takes its own `_int_resultant`.
 
     ends, when given and the box has a positive axis w other than A, the
     first such, is called once with w's 1-based index and returns two
     polynomials free of y_k and y_w: R at y_w = 0, and R's coefficient of
-    y_w^tops[w]. The packed lines at those two ends then take no
-    `_int_resultant`: each is that polynomial at the line's point, whose
-    balanced digits the same K reads, as their coefficients are R's, and
-    `_interpolate` takes the axis w with its ends known.
+    y_w^tops[w]. The lines at those two ends, on either route, then take
+    no `_int_resultant`: the same K reads the balanced digits of that
+    polynomial at y_A = X and the line's point, as its coefficients in y_A
+    are R's in y_A and y_w. `_interpolate` takes w with its ends known.
     """
     k -= 1
     sides = []
@@ -777,31 +778,29 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
         return _int_resultant(*vals)
 
     positive = [t for t in tops if t]
-    axis = tops.index(min(positive)) if positive else None
-    w = None
-    if axis is not None:
-        at = [1 if v == axis else t for v, t in enumerate(tops)]
-        p_norm, q_norm = (
-            sum(values(degs, [(s, abs(c), e) for s, c, e in terms], [at[v] for v in used]))
-            for degs, used, terms, _ in sides
-        )
-        K = (p_norm**dq * q_norm**dp).bit_length() + 1
-        if (tops[axis] + 1) * K > _PACK_WIDTH_LIMIT:
-            axis = None
-    if axis is None:
-        grid = {node: resultant_at(node) for node in product(*[range(t + 1) for t in tops])}
-    else:
-        X, grid, known = 1 << K, {}, {}
-        if ends is not None:
-            w = next((v for v, t in enumerate(tops) if t and v != axis), None)
-        if w is not None:
-            known = dict(zip((0, tops[w]), ends(w + 1)))
-        for b in product(*[range(t + 1) if v != axis else (X,) for v, t in enumerate(tops)]):
-            end = known.get(b[w]) if known else None
-            r = resultant_at(b) if end is None else sum([c * prod(map(pow, b, e)) for e, c in end.terms.items()])
-            digits = _balanced_digits(r, K, tops[axis] + 1)
-            grid.update({b[:axis] + (j,) + b[axis + 1 :]: c for j, c in enumerate(digits)})
-    _interpolate(grid, tops, axis, w)
+    A = tops.index(min(positive)) if positive else k
+    at = [1 if v == A else t for v, t in enumerate(tops)]
+    p_norm, q_norm = (
+        sum(values(degs, [(s, abs(c), e) for s, c, e in terms], [at[v] for v in used]))
+        for degs, used, terms, _ in sides
+    )
+    K = (p_norm**dq * q_norm**dp).bit_length() + 1
+    top, grid, known = tops[A], {}, {}
+    packed = (top + 1) * K <= _PACK_WIDTH_LIMIT
+    w = next((v for v, t in enumerate(tops) if t and v != A), None) if ends is not None else None
+    if w is not None:
+        known = dict(zip((0, tops[w]), ends(w + 1)))
+    for b in product(*[range(t + 1) if v != A else (1 << K,) for v, t in enumerate(tops)]):
+        line = [b[:A] + (j,) + b[A + 1 :] for j in range(top + 1)]
+        end = known.get(b[w]) if known else None
+        if end is not None:
+            coeffs = _balanced_digits(sum([c * prod(map(pow, b, e)) for e, c in end.terms.items()]), K, top + 1)
+        elif packed:
+            coeffs = _balanced_digits(resultant_at(b), K, top + 1)
+        else:
+            coeffs = _newton_to_monomial(_divided_differences([resultant_at(x) for x in line]))
+        grid.update(zip(line, coeffs))
+    _interpolate(grid, tops, A, w)
     return MPoly._valid(p.n_vars, {e: c for e, c in grid.items() if c})
 
 
@@ -811,15 +810,16 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends=None) -> MPoly:
 # nodes * size^5. The engine packs a line of nodes into one PRS only where
 # that is cheaper (_PACK_WIDTH_LIMIT), so this stays an upper bound. Timed
 # on a 2-core Xeon under CPython 3.11, `implicitize` took 0.039 s on
-# [[16, 1], [1, 16], [-17, -17]] (size 32 on 288 nodes, 9.7e9) and 0.099 s
+# [[16, 1], [1, 16], [-17, -17]] (size 32 on 288 nodes, 9.7e9) and 0.10 s
 # on [[20, 1], [1, 20], [-21, -21]] (size 40 on 440 nodes, 4.5e10); with
 # the limit lifted, 0.25 s on [[24, 1], [1, 24], [-25, -25]] (size 48 on
 # 624 nodes, 1.6e11) and 0.63 s on [[29, 1], [1, 27], [-30, -28]] (size 56
-# on 841 nodes, 4.6e11), which it refuses. None of the four packs. That is
-# 1.4e-12 to 4e-12 s per unit, where the limit was set at 4e-11 to 7e-11
-# (0.4, 2.1 and 30 s for the first, second and fourth): the estimate now
-# counts 20 to 50 times the work done. The limit is kept, and with it
-# every refusal, until one unit of work serves all limits (ROADMAP.md).
+# on 841 nodes, 4.6e11), which it refuses. None of the four packs, and the
+# end lines spare one node in 9 to 15. That is 1.4e-12 to 4e-12 s per
+# unit, where the limit was set at 4e-11 to 7e-11 (0.4, 2.1 and 30 s for
+# the first, second and fourth): the estimate now counts 20 to 50 times
+# the work done. The limit is kept, and with it every refusal, until one
+# unit of work serves all limits (ROADMAP.md).
 _RESULTANT_WORK_LIMIT = 5 * 10**10
 
 
@@ -850,7 +850,7 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int, *, ends=None) -> MPo
     either operand has degree 0 in y_k, and when the estimated work is
     above _RESULTANT_WORK_LIMIT. ends, a function of the 1-based index of
     an interpolated variable, gives the resultant's two end lines along
-    it, which a packed engine then takes without a resultant.
+    it, which the engine then takes without a resultant.
     """
     if p.n_vars != q.n_vars:
         raise ValueError("operands live in different rings")

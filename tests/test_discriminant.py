@@ -428,11 +428,17 @@ def test_implicitize_obeys_the_transfer_law_for_unimodular_changes(spec, v):
     assert pulled_back(implicitize(build(spec.C * v)), v) == implicitize(spec)
 
 
-def check_end_lines(E, W):
+# The engine's two routes: 0 takes every line node by node, and the
+# module's own limit packs the lines of these small pencils.
+WIDTH_LIMITS = (0, mpoly._PACK_WIDTH_LIMIT)
+
+
+def check_end_lines(E, W, limit):
     """For the pencils of E on the forms of W, each of `_end_lines`' two
     pairs is R at y_w = 0 and R's top coefficient in y_w, and the engine
-    with the end lines gives R, which is sympy's resultant. Returns the
-    variable index the engine asked the end lines for."""
+    with `_PACK_WIDTH_LIMIT` set to limit asks for the end lines once and
+    gives R with them, which is sympy's resultant. Returns the variable
+    index the engine asked the end lines for."""
     pencils = _affine_pencils(E, W)
     dp, dq = (f.degree_in(1) for f in pencils)
     R = sylvester_resultant(*pencils, 1)
@@ -448,7 +454,9 @@ def check_end_lines(E, W):
         asked.append(w)
         return _end_lines(pencils, E, W, w)
 
-    assert sylvester_resultant(*pencils, 1, ends=ends) == R
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
+        assert sylvester_resultant(*pencils, 1, ends=ends) == R
+    assert len(asked) == 1
     u, y1, y2 = sympy.symbols("u y1 y2")
     P, Q = [sum(c * u**a * y1**b * y2**d for (a, b, d), c in f.terms.items()) for f in pencils]
     # sympy's resultant puts the taller operand first, without the sign of the swap
@@ -474,27 +482,30 @@ def check_end_lines(E, W):
     ],
 )
 def test_end_lines_are_the_resultants_ends(E, W):
-    check_end_lines(IntMatrix(E), IntMatrix(W))
+    for limit in WIDTH_LIMITS:
+        check_end_lines(IntMatrix(E), IntMatrix(W), limit)
 
 
 def test_end_lines_serve_both_packing_orders():
-    """The engine packs y1 and asks for y2's ends when dq <= dp, and the
-    other way round when dq > dp."""
-    asked = check_end_lines(IntMatrix([[2, 1], [-3, -2], [0, 1], [1, 0]]), IntMatrix([[1, 1], [-2, 1], [0, -3], [4, 0]]))
-    assert asked == [3]
-    asked = check_end_lines(B, B)
-    assert asked == [2]
+    """The engine walks y1 and asks for y2's ends when dq <= dp, and the
+    other way round when dq > dp, packed or node by node."""
+    E, W = IntMatrix([[2, 1], [-3, -2], [0, 1], [1, 0]]), IntMatrix([[1, 1], [-2, 1], [0, -3], [4, 0]])
+    for limit in WIDTH_LIMITS:
+        assert check_end_lines(E, W, limit) == [3]
+        assert check_end_lines(B, B, limit) == [2]
 
 
 @given(nonproportional_matrices(), st.data())
 @settings(deadline=None, max_examples=40)
 def test_end_lines_on_random_pencils(mat, data):
     """Random forms W, entries from -4 to 4 with zeros, no two rows
-    proportional, on the exponents of a random nonproportional matrix."""
+    proportional, on the exponents of a random nonproportional matrix,
+    packed and node by node."""
     rows = data.draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=mat.rows, max_size=mat.rows))
     assume(all(any(r) for r in rows))
     assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
-    check_end_lines(mat, IntMatrix(rows))
+    for limit in WIDTH_LIMITS:
+        check_end_lines(mat, IntMatrix(rows), limit)
 
 
 def test_b_takes_one_integer_resultant_with_the_end_lines():
@@ -512,22 +523,43 @@ def test_b_takes_one_integer_resultant_with_the_end_lines():
     assert spy.call_count == 1
 
 
-def test_end_lines_are_not_asked_for_off_the_packed_route():
-    """With packing off, each node takes its own resultant: the engine never
-    asks for the end lines and gives the resultant it gives without them,
-    and `implicitize` keeps its outputs without calling `_end_lines`."""
+def test_end_lines_are_asked_for_on_the_per_node_route():
+    """With packing off, each line takes a resultant per node, 3 on B's
+    reduced basis: the engine asks for the end lines once, takes its
+    resultants only on the line at 1, 3 against 9 without the end lines,
+    and gives the resultant it gives without them; `implicitize` keeps its
+    outputs with one call of `_end_lines` each."""
     E = B * l1_reduce(B)
     W = _row_lattice_forms(E)
     pencils = _affine_pencils(E, W)
     plain = sylvester_resultant(*pencils, 1)
     ends = mock.Mock(wraps=partial(_end_lines, pencils, E, W))
     with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", 0):
-        assert sylvester_resultant(*pencils, 1, ends=ends) == plain
-        ends.assert_not_called()
+        with mock.patch.object(mpoly, "_int_resultant", wraps=mpoly._int_resultant) as spy:
+            assert sylvester_resultant(*pencils, 1) == plain
+        assert spy.call_count == 9
+        with mock.patch.object(mpoly, "_int_resultant", wraps=mpoly._int_resultant) as spy:
+            assert sylvester_resultant(*pencils, 1, ends=ends) == plain
+        assert spy.call_count == 3
+        ends.assert_called_once()
         with mock.patch.object(galedisc.discriminant, "_end_lines", wraps=_end_lines) as spy:
             for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
                 assert implicitize(build(mat)) == delta
-        spy.assert_not_called()
+        assert spy.call_count == 3
+
+
+def test_a_curve_too_wide_to_pack_takes_its_end_lines_node_by_node():
+    """[[9, 4], [-7, 3], [5, -11], [-7, 4]] would pack into 14628 bits,
+    above the module's own limit, so its lines go node by node: the end
+    lines are asked for once, and 144 integer resultants are taken, against
+    168 without them, for the unreduced implicitization."""
+    spec = build(IntMatrix([[9, 4], [-7, 3], [5, -11], [-7, 4]]))
+    with mock.patch.object(galedisc.discriminant, "_end_lines", wraps=_end_lines) as ends:
+        with mock.patch.object(mpoly, "_int_resultant", wraps=mpoly._int_resultant) as spy:
+            out = implicitize(spec)
+    assert ends.call_count == 1
+    assert spy.call_count == 144
+    assert out == implicitize_unreduced(spec)
 
 
 @given(nonproportional_matrices())

@@ -719,7 +719,7 @@ def engine(p, q, limit):
     """`_det_by_interpolation` eliminating the first variable, with
     `_PACK_WIDTH_LIMIT` set to limit."""
     with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
-        return _det_by_interpolation(p, q, 1)
+        return _det_by_interpolation(p, q, 1, None)
 
 
 @WIDTH_LIMITS
@@ -1155,7 +1155,7 @@ def test_box_interpolation_round_trip(data):
         )
 
     grid = {x: value(x) for x in box}
-    _interpolate(grid, tops, skip)
+    _interpolate(grid, tops, skip, None)
     assert grid == {x: coeffs.get(x, 0) for x in box}
 
 
@@ -1165,7 +1165,7 @@ def test_box_interpolation_rejects_non_integer_polynomial(axis):
     not in Z[t1, t2], raises."""
     grid = {x: x[axis] * (x[axis] - 1) // 2 for x in product(range(3), range(3))}
     with pytest.raises(ArithmeticError):
-        _interpolate(grid, [2, 2])
+        _interpolate(grid, [2, 2], None, None)
 
 
 @given(
