@@ -37,13 +37,16 @@ Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
 change alpha_M and a product over the finite group of coordinate scalings
 killed by it, taken as one norm per invariant factor of the Smith form on
-a basis whose norm row spans least over the support (`_norm_basis`). A
-norm of g down to Y = y_k^d is G_e^d prod_i (r_i^d - Y) over the roots r_i
-of g in y_k, up to sign, so it is formed in closed form for every degree
-e: its ends are powers of g's end coefficients, and its middle
-coefficients come from the power sums of the roots by Newton's identities
-(`_unit_root_product`), on Kronecker-packed integers once they are dense.
-No resultant is taken.
+a basis whose norm row spans least over the support among the primitive
+rows (`_norm_basis`, `_least_primitive`). A norm of g down to Y = y_k^d
+is G_e^d prod_i (r_i^d - Y) over the roots r_i of g in y_k, up to sign,
+so it is formed in closed form for every degree e: its ends are powers
+of g's end coefficients, and its middle coefficients come from the power
+sums of the roots by Newton's identities (`_unit_root_product`), on
+Kronecker-packed integers once they are dense, and from the first step
+where the first power sum is. g's terms are read once, into its
+coefficients G_j as plain dicts, and the norm's terms are written once,
+with the Laurent shift and its sign. No resultant is taken.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .mpoly import (
     _packed,
     _refuse_resultant,
     _substitute,
+    _term_product,
     sylvester_resultant,
 )
 from .parametrization import ParamSpec, _direction_classes, _sample_forms, build
@@ -554,9 +558,10 @@ def _elementary(sums, ge_d, quotient) -> list:
 def _middle(G, box: dict, tops, d: int, ge_d: MPoly) -> list:
     """The terms of the middle coefficients c_1, ..., c_(e-1) of the norm
     of order d of g = sum_j G_j t^j, c_k = G_e^d e_k(r_1^d, ..., r_e^d) over
-    the roots r_i of g, given the table box of `_unit_root_product`, tops
-    = `_middle_tops` and ge_d = G_e^d (Bostan-Flajolet-Salvy-Schost,
-    J. Symbolic Comput. 41, 2006).
+    the roots r_i of g, given G = [G_0, ..., G_e] as dicts of their terms,
+    the table box and tops = `_middle_tops` of `_unit_root_product`, and
+    ge_d = G_e^d, e >= 2 (Bostan-Flajolet-Salvy-Schost, J. Symbolic
+    Comput. 41, 2006).
 
     The scaled power sums sigma_m = G_e^m (r_1^m + ... + r_e^m) are
     polynomials, and follow Newton's identities (`_power_sum_step`) up to
@@ -564,38 +569,42 @@ def _middle(G, box: dict, tops, d: int, ge_d: MPoly) -> list:
     (`_elementary`). sigma_m takes `MPoly` steps until it holds a term per
     _PACK_DENSITY digit positions of its own box, its degree bounds
     m max_i deg_v(G_(e-i) G_e^(i-1)) / i, and Kronecker-packed integers
-    (`_kronecker`) from there, on the box of the c_k, tops: one
-    loop takes both kinds of step, and at the first dense step it packs
-    the window, the sums so far and the multipliers. A norm that never
-    turns dense divides by `MPoly` long division (`_exact_quotient`).
+    (`_kronecker`) from there, on the box of the c_k, tops: one loop takes
+    both kinds of step, and at the first dense step it packs the window,
+    the sums so far and the multipliers. The F_i = -G_(e-i) G_e^(i-1) are
+    formed once, on the G_j's terms (`_term_product`), and sigma_1 = F_1
+    without a product, so a norm whose sigma_1 is dense already takes
+    every step packed and no `MPoly` product. A norm that never turns
+    dense divides by `MPoly` long division (`_exact_quotient`).
     Packing is a ring homomorphism, so sums, products and exact quotients
     of packed integers are the packed results, however far beyond the box
-    the sigma_m reach, and only the c_k, which lie in it, are read. Their
-    coefficients are the norm's, of 1-norm at most |g|_1^d, the product
-    over the d scalings of g; for e = 2, c_1 = sigma_d, and
+    the sigma_m or the F_i reach, and only the c_k, which lie in it, are
+    read. Their coefficients are the norm's, of 1-norm at most |g|_1^d,
+    the product over the d scalings of g; for e = 2, c_1 = sigma_d, and
     |sigma_j|_1 <= b_j with b_0 = 2, b_1 = |G1|_1 and
     b_j = |G1|_1 b_(j-1) + |G0|_1 |G2|_1 b_(j-2), a tighter bound. A packed
-    step multiplies by the few terms of each G_(e-i) G_e^(i-1) one at a
-    time, each a shift and a small factor (`_multiplier`), not by their
-    packed values, whose digits are mostly zero."""
-    e = len(G) - 1
-    if e < 2:
-        return []
-    F, power = [None, -G[e - 1]], -G[e]
+    step multiplies by the few terms of each F_i one at a time, each a
+    shift and a small factor (`_multiplier`), not by their packed values,
+    whose digits are mostly zero."""
+    e, n = len(G) - 1, ge_d.n_vars
+    F, power = [None, {x: -c for x, c in G[e - 1].items()}], {x: -c for x, c in G[e].items()}
     for i in range(2, e + 1):
-        F.append(G[e - i] * power)
+        F.append(_term_product(G[e - i], power))
         if i < e:
-            power = power * G[e]
+            power = _term_product(power, G[e])
     # sigma_m reaches m max_i deg_v(F_i) / i in each v, where
     # deg_v F_i = deg_v G_(e-i) + (i - 1) deg_v G_e
     reach = [
         [(x[v] + (e - j - 1) * y, e - j) for j, (_, x, _) in box.items() if j < e]
         for v, y in enumerate(box[e][1])
     ]
-    last, times = (e - 1) * d, [(i, f.__mul__) for i, f in enumerate(F) if f]
-    window, sums, zero, read = [], [], MPoly._valid(G[0].n_vars, {}), None
+    last, times = (e - 1) * d, [(i, MPoly._valid(n, f).__mul__) for i, f in enumerate(F) if f]
+    zero, read = MPoly._valid(n, {}), None
+    # sigma_1 is Newton's F_1 = -G_(e-1), taken without a product
+    s, window, sums = MPoly._valid(n, F[1]), [], []
     for m in range(1, last + 1):
-        s = _power_sum_step(m, window, times, zero)
+        if m > 1:
+            s = _power_sum_step(m, window, times, zero)
         window = [s] + window[: e - 1]
         if m % d == 0:
             sums.append(s)
@@ -611,7 +620,7 @@ def _middle(G, box: dict, tops, d: int, ge_d: MPoly) -> list:
             else:
                 b = sum(l1 for _, _, l1 in box.values()) ** d
             shift, read = _kronecker(tops, b)
-            times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].terms.items()])) for i, _ in times]
+            times = [(i, _multiplier([(c, shift(x)) for x, c in F[i].items()])) for i, _ in times]
             window = [_packed(s, shift) for s in window]
             sums, zero = [_packed(s, shift) for s in sums], 0
     if read is None:
@@ -633,50 +642,57 @@ def _unit_root_product(g: MPoly, var_index: int, d: int) -> MPoly:
     sign +1, and its middle c_k come from the power sums of the roots by
     Newton's identities (`_middle`). For e = 2 that is
     G2^d * Y^2 - s_d * Y + G0^d with s_j = G2^j (r1^j + r2^j), and for
-    e <= 1 it is G0^d - (-G1)^d * Y. Each nonzero G_j is read once into
-    box = {j: (low, high, l1)}, its least and greatest exponent in each
-    variable and its 1-norm, from which the work is estimated: a norm above
-    _CLOSED_FORM_WORK_LIMIT raises ValueError (`_refuse_norm`) before the
-    list of the G_j is formed. Laurent input is handled by shifting all
-    exponents up front; each scaling multiplies the shifted monomial by a
-    root of unity whose product over the group is (-1)^(d+1), and the
-    shift comes back as y^(d * mins) in Y: mins[k] in slot k, d * mins[j]
-    elsewhere."""
-    mins, g0 = g.split_monomial()
-    k0 = var_index - 1
-    coeffs = g0.coeffs_in(var_index)
+    e <= 1 it is G0^d - (-G1)^d * Y, which takes no power sums.
+
+    g's terms are read once. Laurent input is handled by shifting all
+    exponents by the least ones, mins, up front, and each shifted term goes
+    into its G_j as a dict of exponents, with y_k's cleared; from these
+    comes box = {j: (low, high, l1)}, each G_j's least and greatest
+    exponent in each variable and its 1-norm, from which the work is
+    estimated: a norm above _CLOSED_FORM_WORK_LIMIT raises ValueError
+    (`_refuse_norm`) before any product. Each part c_k is written once,
+    into the norm's terms: each scaling multiplies the shifted monomial by
+    a root of unity whose product over the group is (-1)^(d+1), so the
+    shift comes back as y^(d * mins) in Y, mins[k] in slot k and d * mins[j]
+    elsewhere, with the sign (-1)^((d+1) mins[k])."""
+    n, k0 = g.n_vars, var_index - 1
+    mins = [min(c) for c in zip(*g.terms)]
+    coeffs = {}
+    for x, c in g.terms.items():
+        x = list(map(sub, x, mins))
+        j, x[k0] = x[k0], 0
+        coeffs.setdefault(j, {})[tuple(x)] = c
     box = {}
-    for j, f in coeffs.items():
-        cols = list(zip(*f.terms))
-        box[j] = [min(c) for c in cols], [max(c) for c in cols], sum(map(abs, f.terms.values()))
+    for j, t in coeffs.items():
+        cols = list(zip(*t))
+        box[j] = [min(c) for c in cols], [max(c) for c in cols], sum(map(abs, t.values()))
     e = max(box)
     tops = _middle_tops(box, e, d) if e > 1 else []
     _refuse_norm(box, tops, d)
-    zero = MPoly.zero(g.n_vars)
-    G = [coeffs.get(j, zero) for j in range(e + 1)]
+    G = [coeffs.get(j, {}) for j in range(e + 1)]
+    sign = -1 if e * (d + 1) % 2 else 1
     # The middle c_k divide by powers of G_e^d and grow with G_e^m, so the
     # end of fewer terms, and of the two the one of lower degree, leads: the
     # norm of sum_j G_(e-j) t^j is (-1)^(e(d+1)) Y^e N(1/Y), N the norm of g,
     # and has the same tops.
-    sign = -1 if e * (d + 1) % 2 else 1
-    flip = (len(G[e].terms), G[e].total_degree()) > (len(G[0].terms), G[0].total_degree())
+    flip = e > 1 and (len(G[e]), max(map(sum, G[e]))) > (len(G[0]), max(map(sum, G[0])))
     if flip:
         G, box = G[::-1], {e - j: b for j, b in box.items()}
-    ge_d = G[e] ** d
+    ge_d = MPoly._valid(n, G[e]) ** d
     parts = [(e, sign, ge_d.terms.items())]
-    for k, items in enumerate(_middle(G, box, tops, d, ge_d), 1):
-        parts.append((e - k, -sign if k % 2 else sign, items))
+    if e > 1:
+        for k, items in enumerate(_middle(G, box, tops, d, ge_d), 1):
+            parts.append((e - k, -sign if k % 2 else sign, items))
     if e:
-        parts.append((0, 1, (G[0] ** d).terms.items()))
-    terms = {}
+        parts.append((0, 1, (MPoly._valid(n, G[0]) ** d).terms.items()))
+    lift, terms = [d * x for x in mins], {}
+    laurent = -1 if (d + 1) * mins[k0] % 2 else 1
     for j, s, items in parts:
         if flip:
             j, s = e - j, s * sign
-        terms.update({x[:k0] + (j,) + x[k0 + 1 :]: s * c for x, c in items})
-    out = MPoly._valid(g.n_vars, terms).shift(tuple(x if j == k0 else d * x for j, x in enumerate(mins)))
-    if ((d + 1) * mins[k0]) % 2:
-        out = -out
-    return out
+        lift[k0], s = j + mins[k0], s * laurent
+        terms.update({tuple(map(add, x, lift)): s * c for x, c in items})
+    return MPoly._valid(n, terms)
 
 
 def _hull_edges(points):
@@ -687,6 +703,38 @@ def _hull_edges(points):
     the points, a norm in r when the hull has area."""
     ring = _chain(points)[:-1] + _chain(points[::-1])[:-1]
     return [(q[0] - p[0], q[1] - p[1]) for p, q in zip(ring, ring[1:] + ring[:1])]
+
+
+def _least_primitive(u, v, r, G: IntMatrix):
+    """The primitive vector of least norm |G x|_1 in the lattice with the
+    reduced basis u, v, |u| <= |v|, neither of them primitive, given r, a
+    primitive vector of it: r itself unless some a u + b v is shorter.
+
+    As |v| <= |v + t u| for every integer t, and some such t is within
+    1/2 of any real one, the distance from v to the line R u is at least
+    |v| - |u| / 2 >= |v| / 2, so |a u + b v| >= |b| |v| / 2, and only
+    0 < b < 2 |r| / |v| can beat r, up to sign (b = 0 gives multiples of
+    u). For each b, a -> |a u + b v| is convex: a is walked out both ways
+    from its least point (`_l1_step`), each way up to a primitive vector
+    or one no shorter than the best so far. A b is skipped where a prime
+    of gcd(u) divides b gcd(v), as it then divides every a u + b v. On any
+    other b each prime forbids at most one residue of a, and only the
+    primes of the lattice's index and of b divide any a u + b v, so each
+    walk ends within a few steps."""
+    Gu, Gv, gu, gv = G.mul_vec(u), G.mul_vec(v), gcd(*u), gcd(*v)
+    best, nv, b = sum(map(abs, G.mul_vec(r))), sum(map(abs, Gv)), 1
+    while b * nv < 2 * best:
+        bGv = [b * x for x in Gv]
+        a0 = -_l1_step(bGv, Gu)[1]
+        for a, step in ((a0, 1), (a0 - 1, -1)) if gcd(gu, b * gv) == 1 else ():
+            while (norm := sum(abs(a * x + y) for x, y in zip(Gu, bGv))) < best:
+                w = (a * u[0] + b * v[0], a * u[1] + b * v[1])
+                if gcd(*w) == 1:
+                    best, r = norm, w
+                    break
+                a += step
+        b += 1
+    return r
 
 
 def _norm_basis(f: MPoly, M: IntMatrix, snf):
@@ -701,8 +749,10 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     and P_2. Twice the span is the 1-norm of r -> (r . g) over the hull
     edges g of supp(f) (`_hull_edges`), so `l1_reduce` of the edges times
     that basis gives its successive minima (generalized Gauss reduction,
-    Kaib-Schnorr, J. Algorithms 21, 1996); the shorter reduced vector
-    that is primitive in Z^2 is the row, and s = s0 - q r is the
+    Kaib-Schnorr, J. Algorithms 21, 1996). The shorter reduced vector
+    that is primitive in Z^2 is the row, as every vector outside R u is
+    at least as long as v; where neither is, the primitive row of least
+    span comes from `_least_primitive`. s = s0 - q r is the
     completion of least span, which sets the norm's degrees in the other
     variable. Of the signs of s and r, which orient the support, the one
     with the fewest points below the support moved by P, counted from its
@@ -727,7 +777,8 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
 
     L = IntMatrix([[d * first[0], row[0]], [d * first[1], row[1]]])
     LU = L * l1_reduce(G * L)
-    r = min((v for v in (LU.col(0), LU.col(1)) if gcd(*v) == 1), key=span2, default=row)
+    u, v = sorted((LU.col(0), LU.col(1)), key=span2)
+    r = min((w for w in (u, v) if gcd(*w) == 1), key=span2, default=None) or _least_primitive(u, v, row, G)
     if span2(r) >= span2(row):
         return P, Q
     # complete r to det (s; r) = s_1 r_2 - s_2 r_1 = 1, by s_1 = r_2^-1 mod r_1

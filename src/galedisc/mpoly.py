@@ -83,6 +83,18 @@ def _int_from_text(text: str) -> int:
     return int(text)
 
 
+def _term_product(a: dict, b: dict) -> dict:
+    """The terms of the product of the polynomials with the terms a and b,
+    dicts from exponent tuples to coefficients; terms that cancel are
+    dropped."""
+    t = {}
+    for x, c in a.items():
+        for y, f in b.items():
+            z = tuple(map(add, x, y))
+            t[z] = t.get(z, 0) + c * f
+    return {z: c for z, c in t.items() if c}
+
+
 class MPoly:
     """Immutable sparse polynomial in n_vars variables over Z.
 
@@ -187,16 +199,7 @@ class MPoly:
                 return MPoly._valid(self.n_vars, {})
             return MPoly._valid(self.n_vars, {e: c * other for e, c in self.terms.items()})
         self._check_compat(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                nc = t.get(e, 0) + c1 * c2
-                if nc:
-                    t[e] = nc
-                else:
-                    del t[e]
-        return MPoly._valid(self.n_vars, t)
+        return MPoly._valid(self.n_vars, _term_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -307,19 +310,6 @@ class MPoly:
         return MPoly._valid(
             self.n_vars, {tuple(map(add, e, delta)): c for e, c in self.terms.items()}
         )
-
-    def coeffs_in(self, var_index: int):
-        """Coefficients with respect to one variable: a dict mapping the
-        var exponent k to an MPoly (same ring, that variable cleared)."""
-        if not 1 <= var_index <= self.n_vars:
-            raise ValueError("variable index out of range")
-        i = var_index - 1
-        buckets = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            e2 = e[:i] + (0,) + e[i + 1 :]
-            buckets.setdefault(k, {})[e2] = c
-        return {k: MPoly._valid(self.n_vars, t) for k, t in buckets.items()}
 
     def evaluate(self, point) -> Fraction:
         """Exact evaluation at a rational point. Raises 'pole' when a zero
@@ -654,13 +644,14 @@ def _kronecker(tops, bound: int):
 # Digit positions per term at which a power or the power sums of a norm
 # move onto Kronecker-packed integers (`MPoly.__pow__` and `_middle` in
 # `discriminant`), each part compared with the box of the step it has
-# reached. A packed integer spans every digit position of its box, the
-# `MPoly` steps only the terms they reach, so packing wins where most
-# positions hold a term and loses where few do, in time and in memory
-# alike: a g with G1 = (y1 y2 y3)^670 and G0 = G2 = 1, a work of 9.6e9 at
-# d = 2, would pack into 7.2e9 bits for a norm of four terms. A part whose
-# terms fill its box so packs within its first steps, and a sparse one
-# never does. On a 2-core Xeon under CPython
+# reached; power sums whose first one, -G_(e-1), is that dense start
+# packed, and take no `MPoly` step. A packed integer spans every digit
+# position of its box, the `MPoly` steps only the terms they reach, so
+# packing wins where most positions hold a term and loses where few do,
+# in time and in memory alike: a g with G1 = (y1 y2 y3)^670 and
+# G0 = G2 = 1, a work of 9.6e9 at d = 2, would pack into 7.2e9 bits for a
+# norm of four terms. A part whose terms fill its box so packs within its
+# first steps, and a sparse one never does. On a 2-core Xeon under CPython
 # 3.11 (grid in CHANGES.md, d = 16 to 100), against `MPoly` steps alone,
 # the e = 2 norm took 0.08 to 0.7 of the time on shapes of at most 8 digit
 # positions per term and was within noise of it on shapes of 19 to 101

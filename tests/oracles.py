@@ -9,8 +9,9 @@ gradient over `Fraction` that the library's integer Gauss check is held
 against, the base points of a surface pencil enumerated and sorted over
 `Fraction`, the lower hull by brute force over segments, and the work
 estimate of a norm of degree e <= 2 with the product G0 G2 formed, and
-for polynomials: the monomial y_i, the projection onto some of the
-variables, and the normal form taken term by term.
+for polynomials: the monomial y_i, the coefficients in one variable, the
+projection onto some of the variables, and the normal form taken term by
+term.
 """
 
 import random
@@ -32,6 +33,15 @@ def variable(n_vars: int, var_index: int) -> MPoly:
     e = [0] * n_vars
     e[var_index - 1] = 1
     return MPoly(n_vars, {tuple(e): 1})
+
+
+def coeffs_in(p: MPoly, var_index: int) -> dict:
+    """The coefficients of p in y_i, var_index 1-based: a dict from the
+    exponent k of y_i to the coefficient of y_i^k, with y_i cleared."""
+    i, out = var_index - 1, {}
+    for e, c in p.terms.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+    return {k: MPoly(p.n_vars, t) for k, t in out.items()}
 
 
 def project(p: MPoly, keep) -> MPoly:
@@ -373,7 +383,7 @@ def norm_work_by_products(g: MPoly, var_index: int, d: int) -> int:
     of G0, G1, G2 and the product G0 * G2: d^2 times `closed_form_terms`.
     It is the reference for the library's estimate, which reads the boxes
     of G0, G1 and G2 alone."""
-    coeffs = g.split_monomial()[1].coeffs_in(var_index)
+    coeffs = coeffs_in(g.split_monomial()[1], var_index)
     if max(coeffs) > 2:
         raise ValueError("degree above 2")
     g_0, g_1, g_2 = (coeffs.get(j, MPoly.zero(g.n_vars)) for j in range(3))

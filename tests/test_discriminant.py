@@ -4,6 +4,8 @@ import random
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import product
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -40,6 +42,7 @@ from galedisc.parametrization import (
     sample_off_arrangement,
 )
 from oracles import (
+    coeffs_in,
     diagram_check,
     gauss_inverse_check_fraction,
     gauss_map,
@@ -966,6 +969,54 @@ def test_norm_basis_is_a_smith_basis_with_a_row_no_longer_than_smith(M, f):
         assert all(span(s, f) <= span((s[0] + t * r[0], s[1] + t * r[1]), f) for t in range(-6, 7))
 
 
+@st.composite
+def norm_rows_to_search(draw):
+    """(M, f): M with D = diag(1, d), entries up to 20, and f with the unit
+    triangle 1, y1, y2 in its support, so that span(r) >= max(|r_1|, |r_2|)
+    and the rows of span at most S lie in the box |r_i| <= S."""
+    M = IntMatrix(draw(st.lists(st.lists(st.integers(-20, 20), min_size=2, max_size=2), min_size=2, max_size=2)))
+    assume(abs(M.det()) > 1)
+    snf = smith_normal_form(M)
+    assume(snf.invariant_factors[0] == 1)
+    points = draw(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=3))
+    return M, snf, MPoly(2, dict.fromkeys(points | {(0, 0), (1, 0), (0, 1)}, 1))
+
+
+LONG_SMITH_ROW = IntMatrix([[-21, 2], [-330, 30]])
+
+
+def search_case(rows, points):
+    M = IntMatrix(rows)
+    return M, smith_normal_form(M), MPoly(2, dict.fromkeys(points, 1))
+
+
+@given(norm_rows_to_search())
+@example(search_case([[9, -5], [-17, -10]], [(0, 0), (1, 0), (0, 1)]))
+@example(search_case([[-1, 3], [15, -3]], [(0, 0), (1, 0), (0, 1), (-2, -1), (-2, 6), (5, 5)]))
+@settings(deadline=None, max_examples=100)
+def test_the_norm_row_is_the_primitive_row_of_least_span(case):
+    """Where Smith's row spans more than 2, the norm row spans least among
+    the primitive rows r with r M = 0 mod d, against a search of the box
+    that holds every row no longer than it. Some M have no primitive
+    reduced row; in the two examples the combination v - u of
+    the reduced basis, (17, 9) and (9, -5), is shorter than Smith's row
+    (-37, 1) or (15, 1), of d = 175 and 42."""
+    M, snf, f = case
+    P, _ = _norm_basis(f, M, snf)
+    if span(snf.P.entries[1], f) <= 2:
+        assert P == snf.P
+        return
+    d, S = snf.invariant_factors[1], span(P.entries[1], f)
+    (a, b), (c, e) = M.entries
+    rows = product(range(-S, S + 1), repeat=2)
+    least = min(
+        span(r, f)
+        for r in rows
+        if gcd(*r) == 1 and (r[0] * a + r[1] * c) % d == 0 and (r[0] * b + r[1] * e) % d == 0
+    )
+    assert S == least
+
+
 def test_b_low13_norm_degree_and_nodes_on_the_reduced_basis():
     """The benchmark's B_low13 shape: the norm of Delta_B goes from degree
     11 in Smith's basis to degree 6 in the reduced one, with the same group
@@ -979,7 +1030,7 @@ def test_b_low13_norm_degree_and_nodes_on_the_reduced_basis():
         g0 = substitute_monomial(DELTA_B, basis).split_monomial()[1]
         assert g0.degree_in(2) == degree
         assert _count_below(g0.terms) == nodes
-    assert g0.coeffs_in(2)[6] == MPoly.constant(2, 27)
+    assert coeffs_in(g0, 2)[6] == MPoly.constant(2, 27)
     assert group_product(DELTA_B, M) == group_product_on_smith_basis(DELTA_B, M)
 
 
@@ -1024,12 +1075,18 @@ def test_transfer_through_a_norm_of_degree_seven_golden():
     assert delta1 == MPoly(3, QUARTIC42_UNDER_K13)
 
 
-def test_transfer_through_a_norm_of_degree_sixty_three_golden():
-    """y1^4 y2^63 + y1 y2^16 + 1 under [[-21, 2], [-330, 30]], D = diag(1, 30):
-    neither reduced norm row is primitive, so the norm runs on Smith's row,
-    of span 63, and e = 63 is admitted by the work estimate."""
-    f = MPoly(2, {(4, 63): 1, (1, 16): 1, (0, 0): 1})
-    delta1, v = transfer(f, IntMatrix([[-21, 2], [-330, 30]]))
+def test_transfer_through_the_least_primitive_norm_row_golden():
+    """y1^4 y2^63 + y1 y2^16 + 1 under M = [[-21, 2], [-330, 30]], D =
+    diag(1, 30): neither reduced norm row is primitive, and the search of
+    their combinations finds (-300, 19), of span 7, where Smith's row (0, 1)
+    spans 63. The output is the one Smith's basis gives, through a norm of
+    e = 63 that the work estimate admits."""
+    f, M = MPoly(2, {(4, 63): 1, (1, 16): 1, (0, 0): 1}), LONG_SMITH_ROW
+    snf = smith_normal_form(M)
+    assert span(snf.P.entries[1], f) == 63
+    assert span(_norm_basis(f, M, snf)[0].entries[1], f) == 7
+    assert group_product(f, M) == group_product_on_smith_basis(f, M)
+    delta1, v = transfer(f, M)
     assert v == (-114, -1800)
     assert delta1 == MPoly(
         2,

@@ -30,6 +30,7 @@ from galedisc.mpoly import (
     _packed,
 )
 from oracles import (
+    coeffs_in,
     norm_work_by_products,
     partial_derivative,
     plain_normal_form,
@@ -286,7 +287,7 @@ def test_arithmetic_results_are_valid_polynomials(data):
     k = data.draw(st.integers(0, 3))
     c = data.draw(st.integers(-5, 5))
     results = [p + q, p - q, p * q, p**k, -p, p * 0, 0 * p, p - p, p + (-p), p * c, c + p, c - p]
-    results += [p.shift(shift), *p.coeffs_in(1).values(), *p.coeffs_in(2).values()]
+    results.append(p.shift(shift))
     entries = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2)
     m = data.draw(entries.map(IntMatrix).filter(IntMatrix.det))
     moved = substitute_monomial(p, m)
@@ -416,7 +417,7 @@ def test_set_var_one():
 
 def test_coeffs_in_collects_by_degree():
     p = X * X * Y + 2 * X + MPoly.constant(2, 3)
-    by_deg = p.coeffs_in(1)
+    by_deg = coeffs_in(p, 1)
     assert by_deg[2] == MPoly(2, {(0, 1): 1})
     assert by_deg[1] == MPoly.constant(2, 2)
     assert by_deg[0] == MPoly.constant(2, 3)
@@ -661,7 +662,7 @@ def _det_bareiss_poly(mat, n_vars):
 def sylvester_matrix(p, q, var_index):
     """The Sylvester matrix of p and q in one variable, rows of p first."""
     dp, dq = p.degree_in(var_index), q.degree_in(var_index)
-    pc, qc = p.coeffs_in(var_index), q.coeffs_in(var_index)
+    pc, qc = coeffs_in(p, var_index), coeffs_in(q, var_index)
     zero = MPoly.zero(p.n_vars)
     size = dp + dq
     rows = [[zero] * size for _ in range(size)]
@@ -835,8 +836,10 @@ def test_unit_root_product_matches_the_sylvester_definition(data):
     """The closed form of every e from 0 to 4, written in Y = y_k^d and put
     back with Y = y_k^d, in 2 and 3 variables
     with Laurent shifts, against the polynomial Bareiss determinant of the
-    Sylvester matrix. Each coefficient G_j has at most 4 - n terms: the
-    oracle's cost grows steeply with the terms of g."""
+    Sylvester matrix, with the power sums packed at once, once dense, or
+    never: the shift d * mins and the sign (-1)^((d+1) min_k) are written
+    into the norm's terms on either route. Each coefficient G_j has at most
+    4 - n terms: the oracle's cost grows steeply with the terms of g."""
     g, k, d = draw_norm_input(data, data.draw(st.integers(0, 4)))
     assert_unit_root_product_matches(g, k, d)
 
@@ -886,10 +889,32 @@ def draw_norm_input(data, e):
 
 
 def assert_unit_root_product_matches(g, k, d):
+    """The norm, at each density that packs its power sums at once, once
+    dense, or never, put back with Y = y_k^d, is the Sylvester oracle's."""
     n = g.n_vars
     y_d = IntMatrix([[d if i == j == k - 1 else int(i == j) for j in range(n)] for i in range(n)])
-    norm = substitute_monomial(_unit_root_product(g, k, d), y_d)
-    assert norm == unit_root_product_by_sylvester(g, k, d)
+    expected = unit_root_product_by_sylvester(g, k, d)
+    for density in (10**12, mpoly._PACK_DENSITY, Fraction(1, 2)):
+        with mock.patch.object(mpoly, "_PACK_DENSITY", density):
+            assert substitute_monomial(_unit_root_product(g, k, d), y_d) == expected
+
+
+def test_small_norms_read_g_once_and_take_no_polynomial_product():
+    """Delta_B under diag(1, d), d = 2 to 10, is one norm of e = 2 in y2,
+    with sigma_1 = -G1 = 18 y1 - 4 dense from the start, as in nearly every
+    e >= 2 norm of the benchmark's `transfer`: it packs once, at its first
+    step, and takes no `MPoly` product, as G2 = 27 is a monomial and
+    G0 = y1^2 (4 y1 - 1) a binomial. The e = 1 norm of QUARTIC42 in y3,
+    G1 = y1 y2^2 + y2^3 and G0 = y1^3 + y1^2 y2^2, takes neither. Each norm
+    is the one of the Sylvester definition."""
+    delta_b = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
+    quartic = MPoly(3, {(3, 0, 0): 1, (2, 2, 0): 1, (1, 2, 1): 1, (0, 3, 1): 1})
+    for g, k, d, packings in [(delta_b, 2, d, 1) for d in range(2, 11)] + [(quartic, 3, 5, 0)]:
+        with mock.patch.object(MPoly, "__mul__", autospec=True, side_effect=MPoly.__mul__) as products:
+            with mock.patch.object(discriminant, "_kronecker", wraps=_kronecker) as kronecker:
+                _unit_root_product(g, k, d)
+        assert (products.call_count, kronecker.call_count) == (0, packings)
+        assert_unit_root_product_matches(g, k, d)
 
 
 # ---------------------------------------------------------------- packed closed form
@@ -957,8 +982,9 @@ def test_a_sparse_norm_stays_on_polynomial_steps():
 
 def test_a_dense_norm_packs_after_a_few_steps():
     """Delta_B under diag(1, 300) takes a closed-form norm of order 300:
-    s_d moves onto packed integers after a few `MPoly` steps, with
-    enough terms that packing sums them in halves. G2 = 27 is a monomial
+    s_1 = -G1 = 18 y1 - 4 is dense already, so the power sums are packed
+    from their first step, into integers wide enough that reading them
+    takes the halving of `_balanced_digits`. G2 = 27 is a monomial
     and G0 = y1^2 (4 y1 - 1) a binomial, so neither power packs. The norm
     is the one the `MPoly` steps give alone."""
     packings = []
