@@ -164,7 +164,7 @@ def cmd_degree(args):
 
 def cmd_implicitize(args):
     C = load_matrix(args.matrix)
-    delta = implicitize(build(C), seed=args.seed)
+    delta = implicitize(build(C))
     return delta.to_json_dict(), delta.to_text() + "\n"
 
 
@@ -235,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("implicitize", parents=[common, seed], help="defining polynomial of the image curve (n x 2)")
+    p = sub.add_parser("implicitize", parents=[common], help="defining polynomial of the image curve (n x 2)")
     p.add_argument("matrix", help="matrix JSON file")
     p.set_defaults(func=cmd_implicitize)
 

@@ -22,16 +22,13 @@ closed form, as products of powers of resultants against single forms
 No defect test is needed, as without proportional rows psi always
 parametrizes a curve, and no square-free pass, as the Horn-Kapranov
 parametrization is birational: the resultant is the defining polynomial
-to the first power, and the degree check rejects anything else. Two
-sampled checks certify a polynomial against the parametrization: its
-vanishing at parametrized points, which validates the implicitization,
-and the inversion of psi by the logarithmic Gauss map. Both evaluate in
-integers, on the terms at psi(u) times one common nonzero factor F, from
-the forms' values at u. The Gauss check weights each term's value by its
-exponents (`_cleared_terms`). The vanishing check needs only their sum,
-one integer per point that a homogeneous Horner scheme gives
-(`_cleared_sum`); it runs on the reduced basis, whose forms at U^-1 u are
-C's at u.
+to the first power, and the degree check rejects anything else. Nor is a
+sampled vanishing check, as the resultant vanishes on psi by construction:
+at y = psi(u) the two pencils share the root u. The one sampled check,
+the inversion of psi by the logarithmic Gauss map, certifies a given
+polynomial against the parametrization. It evaluates in integers, on the
+terms at psi(u) times one common nonzero factor F, from the forms' values
+at u, each term's value weighted by its exponents (`_cleared_terms`).
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -71,7 +68,7 @@ from .mpoly import (
     _term_product,
     sylvester_resultant,
 )
-from .parametrization import ParamSpec, _direction_classes, _sample_forms, build
+from .parametrization import ParamSpec, _direction_classes, _sample_forms
 
 # The map (u1, y1, y2) -> (y1, y2) of exponents, which drops u1.
 _DROP_U1 = IntMatrix([[0, 1, 0], [0, 0, 1]])
@@ -185,7 +182,7 @@ def _end_lines(pencils, E: IntMatrix, W: IntMatrix, w: int):
     return line(num, -sign if df % 2 else sign), line(den, sign)
 
 
-def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
+def implicitize(spec: ParamSpec) -> MPoly:
     """Defining polynomial of the closure of the image of psi, for m = 2.
 
     Requires a matrix without proportional rows (merge first); then the
@@ -209,10 +206,8 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     square-free pass. Since psi_(C U)(u) = alpha_U(psi_C(U u)), the
     polynomial comes back to C by the monomial substitution alpha_U.
     The degree count, which rejects any power, runs on the result over C.
-    The vanishing at sampled parametrized points psi_C(u) is checked on
-    C * U at U^-1 u, from the forms of C at u, where the numbers stay as
-    small as the reduced degrees. Each point takes one integer, the sum of
-    the cleared terms, by a homogeneous Horner scheme (`_cleared_sum`).
+    No point of psi is sampled: at y = psi(u) the pencils share the root
+    u, so the resultant vanishes on the image by construction.
     """
     if spec.m != 2:
         raise ValueError("implicitization needs m = 2")
@@ -226,7 +221,7 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     # has c_i1 = 0.
 
     U = l1_reduce(spec.C)
-    spec_cu = build(spec.C * U)
+    E = spec.C * U
     # Setting u2 = 1 keeps each pencil's u1-degree: with no two rows
     # proportional, at most one row has c_i1 = 0, and that row divides only
     # one of num_k and den_k, so the other keeps its top term in u1. C * U
@@ -234,7 +229,6 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
     # the columns' 1-norms, as the columns sum to 0, and the work estimate
     # of `sylvester_resultant` is refused here, before the binomials of
     # the pencils, which are as long as those degrees, are expanded.
-    E = spec_cu.C
     a, b = (sum(map(abs, E.col(k))) // 2 for k in range(2))
     _refuse_resultant(a + b, (a + 1) * (b + 1))
     # W's rows are E's times T^-1, so no two are proportional either, and
@@ -256,19 +250,6 @@ def implicitize(spec: ParamSpec, seed: int = 0) -> MPoly:
             "implicitization validation failed: degree %d, expected %d"
             % (delta.total_degree(), spec.d)
         )
-    # The vanishing check runs on C * U, where the numbers stay small: the
-    # forms of C * U at U^-1 u are those of C at u, so U^-1 u is never
-    # formed, and psi_(C U)(U^-1 u) = alpha_U(psi_C(u)), where `reduced`
-    # vanishes exactly when delta vanishes at psi_C(u).
-    cleared_sum = _cleared_sum(spec_cu, reduced)
-    rng = random.Random(seed)
-    for _ in range(10):
-        u, forms = _sample_forms(spec, rng)
-        if cleared_sum(forms):
-            raise ValueError(
-                "implicitization validation failed: nonzero at a parametrized "
-                "point u = %s (seed %d)" % (u, seed)
-            )
     return delta
 
 
@@ -314,50 +295,6 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, forms) -> dict:
         e: c * p0[top - s] * prod(map(getitem, tables, e))
         for (e, c), s in zip(terms.items(), degs)
     }
-
-
-def _cleared_sum(spec: ParamSpec, delta: MPoly):
-    """forms -> sum(_cleared_terms(spec, delta, forms).values()), the same
-    integer, for m = 2 and a nonzero delta without negative exponents.
-
-    There F = f_0^D, so the sum is the form of degree D
-    S = sum_e c_e f_0^(D - |e|) f_1^e1 f_2^e2, taken by a homogeneous
-    two-level Horner scheme. The terms are grouped by e1 once, each group
-    a dense list of its coefficients in descending e2. At each point
-    Horner in f_2 runs inside each group, c_e entering times f_0^(D - |e|)
-    from one table of powers of f_0, and Horner in f_1 runs across the
-    groups, which needs no power of f_0, as group e1 has degree D - e1:
-    two products per coefficient, and no power table per variable.
-
-    The lists are dense, gaps in e2 and empty groups included, so a point
-    costs about (max e1 + 1)(max e2 + 1) products: suited to a dense-ish
-    Newton polygon, as implicit equations have, not to a few terms of high
-    degree such as y_1^a y_2^(D - a), where the per-term sum is cheaper."""
-    top = delta.total_degree()
-    groups = {}
-    for (a, b), c in delta.terms.items():
-        groups.setdefault(a, {})[b] = c
-    rows = []
-    for a in range(max(groups), -1, -1):
-        row = groups.get(a, {})
-        b_top = max(row, default=-1)  # an empty group gives an empty list
-        rows.append((top - a - b_top, [row.get(b, 0) for b in range(b_top, -1, -1)]))
-
-    def at(forms):
-        f0, f1, f2 = (prod(map(pow, forms, exps)) for exps in spec.numer_exps)
-        p0 = [1]
-        for _ in range(top):
-            p0.append(p0[-1] * f0)
-        s = 0
-        for k, row in rows:
-            h = 0
-            for c in row:
-                h = h * f2 + c * p0[k]
-                k += 1
-            s = s * f1 + h
-        return s
-
-    return at
 
 
 def gauss_inverse_check(
@@ -797,10 +734,6 @@ def _norm_basis(f: MPoly, M: IntMatrix, snf):
     x10, x11 = (x // d for x in r_m)
     det = x00 * x11 - x01 * x10
     Q = IntMatrix([[det * x11, -det * x01], [-det * x10, det * x00]])
-    # No determinant of P or Q is needed: with P M Q = D and |det D| =
-    # |det M| != 0, as Smith's own P and Q are checked, |det P det Q| = 1.
-    if P * M * Q != snf.D:
-        raise ArithmeticError("reduced Smith basis does not reconstruct D")
     return P, Q
 
 

@@ -7,15 +7,17 @@ pencils of a curve and the implicitization on the basis C is written in,
 the group product on the basis the Smith form comes with, the scaled
 gradient over `Fraction` that the library's integer Gauss check is held
 against, the base points of a surface pencil enumerated and sorted over
-`Fraction`, the lower hull by brute force over segments, and the work
-estimate of a norm of degree e <= 2 with the product G0 G2 formed, and
-for polynomials: the monomial y_i, the coefficients in one variable, the
-projection onto some of the variables, and the normal form taken term by
-term.
+`Fraction`, the lower hull by brute force over segments, the edges of a
+Newton polygon sorted by angle in integers and the rows of C turned to
+match them, the work estimate of a norm of degree e <= 2 with the product
+G0 G2 formed, and for polynomials: the monomial y_i, the coefficients in
+one variable, the projection onto some of the variables, and the normal
+form taken term by term.
 """
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, prod
 
@@ -354,6 +356,59 @@ def lower_hull_by_segments(points):
         for k, p in enumerate(points)
         if not any(on_or_below(a, b, p) for a in points[:k] for b in points[k + 1 :])
     ]
+
+
+def by_angle(vectors):
+    """Nonzero plane vectors sorted counterclockwise from the positive x
+    axis, in integers: first the half-plane, y > 0 or y = 0 < x before the
+    rest, then v before w when the cross product v x w is positive."""
+
+    def lower(v):
+        return v[1] < 0 or (v[1] == 0 and v[0] < 0)
+
+    def order(v, w):
+        return lower(v) - lower(w) or w[0] * v[1] - w[1] * v[0]
+
+    return sorted(vectors, key=cmp_to_key(order))
+
+
+def newton_polygon_edges(p: MPoly):
+    """The edge vectors of the Newton polygon of the two-variable p, each
+    the sum of the hull steps along one direction, sorted `by_angle`.
+
+    The hull is Andrew's monotone chain over the sorted support, keeping
+    the points on an edge, so the steps along an edge are merged here by
+    their primitive direction. A segment gives two opposite edges and a
+    point none."""
+    points = sorted(p.terms)
+
+    def chain(points):
+        out = []
+        for q in points:
+            while len(out) > 1 and (
+                (out[-1][0] - out[-2][0]) * (q[1] - out[-1][1])
+                < (out[-1][1] - out[-2][1]) * (q[0] - out[-1][0])
+            ):
+                out.pop()
+            out.append(q)
+        return out
+
+    ring = chain(points)[:-1] + chain(points[::-1])[:-1]
+    edges = {}
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        g = gcd(dx, dy)
+        x, y = edges.get((dx // g, dy // g), (0, 0))
+        edges[dx // g, dy // g] = (x + dx, y + dy)
+    return by_angle(edges.values())
+
+
+def turned_rows(rows):
+    """The rows (c_i1, c_i2) of an n x 2 matrix turned to (c_i2, -c_i1),
+    sorted `by_angle`: for C without proportional rows, the edges of the
+    Newton polygon of its Delta (Dickenstein-Sturmfels, J. Symbolic
+    Comput. 34, 2002)."""
+    return by_angle((c2, -c1) for c1, c2 in rows)
 
 
 def power_by_products(p: MPoly, d: int) -> MPoly:

@@ -135,6 +135,15 @@ def test_every_public_name_has_a_reader():
     assert unread == []
 
 
+def test_readme_library_example_runs():
+    """The ```python block of README.md runs from the checkout and prints
+    Delta_B as its comment says."""
+    (code,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    out = run_from_checkout("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "4*y1^3 + 27*y2^2 - 18*y1*y2 - y1^2 + 4*y2\n"
+
+
 @pytest.mark.parametrize(
     "script", ["degree_demo.py", "implicitize_demo.py", "transfer_demo.py"]
 )

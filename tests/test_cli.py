@@ -548,6 +548,7 @@ def test_malformed_matrix_rows_exit_two(files, capsys, rows):
         ("degree", "--trials"),
         ("degree", "--seed"),
         ("implicitize", "--trials"),
+        ("implicitize", "--seed"),
         ("transfer", "--trials"),
         ("transfer", "--seed"),
         ("multiplicity", "--trials"),

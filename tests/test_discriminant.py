@@ -17,7 +17,6 @@ import galedisc.parametrization
 from galedisc import mpoly
 from galedisc.discriminant import (
     _affine_pencils,
-    _cleared_sum,
     _cleared_terms,
     _count_below,
     _end_lines,
@@ -42,6 +41,7 @@ from galedisc.parametrization import (
     sample_off_arrangement,
 )
 from oracles import (
+    by_angle,
     coeffs_in,
     diagram_check,
     gauss_inverse_check_fraction,
@@ -49,12 +49,14 @@ from oracles import (
     group_product_on_smith_basis,
     implicitize_unreduced,
     monomial_map,
+    newton_polygon_edges,
     partial_derivative,
     pencils,
     plain_normal_form,
     project,
     set_var_one,
     solve_in_lattice,
+    turned_rows,
 )
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
@@ -66,8 +68,6 @@ M36 = IntMatrix([[-11, -7], [3, 2]])
 M36_INV = IntMatrix([[-2, -7], [3, 11]])
 
 DELTA_B = MPoly(2, {(3, 0): 4, (0, 2): 27, (1, 1): -18, (2, 0): -1, (0, 1): 4})
-# the defining polynomial of B * l1_reduce(B), on which implicitize runs
-DELTA_B_REDUCED = MPoly(2, {(2, 1): 27, (0, 2): 4, (1, 1): -18, (0, 1): -1, (1, 0): 4})
 
 DELTA_C = MPoly(
     2,
@@ -199,48 +199,79 @@ def test_refusals_give_integers_above_the_text_limit_as_digit_counts(int_text_li
         assert message.endswith(" digits] operations, above the limit of 10000000000")
 
 
-@pytest.mark.parametrize("mat", [B, C], ids=["cubic", "rescaled"])
-def test_implicitize_output_vanishes_on_the_image(mat):
+@st.composite
+def nonproportional_matrices(draw):
+    """n x 2 matrices, n = 3..5: zero column sums, no zero row and no two
+    proportional rows."""
+    head = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4)
+    )
+    rows = [list(r) for r in head] + [[-sum(r[0] for r in head), -sum(r[1] for r in head)]]
+    assume(all(any(r) for r in rows))
+    assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
+    return IntMatrix(rows)
+
+
+@st.composite
+def curve_specs(draw):
+    """n x 2 inputs of implicitize, n = 3..5: nonproportional matrices,
+    whose image is always a curve."""
+    return build(draw(nonproportional_matrices()))
+
+
+def assert_vanishes_on_the_image(mat, rng, points):
+    """implicitize's output is zero at points psi(u), u drawn off the
+    arrangement, evaluated exactly in `Fraction`s."""
     spec = build(mat)
     delta = implicitize(spec)
-    rng = random.Random(77)
-    for _ in range(20):
+    for _ in range(points):
         u = sample_off_arrangement(spec, rng)
         assert delta.evaluate(evaluate_psi(spec, u)) == 0
 
 
-@pytest.mark.parametrize("exponent", sorted(DELTA_B_REDUCED.terms))
-def test_implicitize_rejects_a_changed_coefficient(monkeypatch, exponent):
-    """implicitize sees the defining polynomial of B on its reduced basis
-    B * U, which the vanishing check tests, with one coefficient doubled:
-    Delta over B keeps its terms and total degree, so only that check
-    rejects it."""
-    assert pulled_back(DELTA_B_REDUCED, l1_reduce(B)) == DELTA_B
-    real = galedisc.discriminant._normal_form
-    calls = []
-
-    def perturbed(p, m=None):
-        mins, c, prim = real(p, m)
-        calls.append(prim)
-        if len(calls) > 1:  # the move back to B's own basis
-            return mins, c, prim
-        assert prim == DELTA_B_REDUCED
-        terms = dict(prim.terms)
-        terms[exponent] *= 2
-        return mins, c, MPoly(prim.n_vars, terms)
-
-    monkeypatch.setattr(galedisc.discriminant, "_normal_form", perturbed)
-    with pytest.raises(ValueError, match="nonzero at a parametrized point") as info:
-        implicitize(build(B))
-    # the failure names its witness, the first draw at the seed, and the seed
-    u = sample_off_arrangement(build(B), random.Random(0))
-    assert str(info.value).endswith("point u = %s (seed 0)" % (u,))
+@pytest.mark.parametrize("mat", [B, C], ids=["cubic", "rescaled"])
+def test_implicitize_output_vanishes_on_the_image(mat):
+    assert_vanishes_on_the_image(mat, random.Random(77), 20)
 
 
-def test_implicitize_of_a_badly_written_basis_validates_on_the_reduced_one():
-    """B * V, V = [[89, 34], [34, 13]] unimodular, has degree 280: checking
-    Delta over it at ten points of psi took seconds, while the resultant
-    and the check on the reduced basis (degree 3) take milliseconds. The
+@given(nonproportional_matrices(), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=60)
+def test_implicitize_output_vanishes_on_random_curves(mat, seed):
+    """implicitize samples no point of psi, as its resultant vanishes there
+    by construction; this holds it to that on random curves."""
+    assert_vanishes_on_the_image(mat, random.Random(seed), 3)
+
+
+@pytest.mark.parametrize("mat", [B, C, BPRIME], ids=["cubic", "rescaled", "degree-16"])
+def test_newton_polygon_edges_are_the_turned_rows(mat):
+    """For C without proportional rows the edges of Newt(Delta) are C's
+    rows turned by 90 degrees (Dickenstein-Sturmfels, J. Symbolic Comput.
+    34, 2002; Dickenstein-Feichtner-Sturmfels, J. AMS 20, 2007): an
+    oracle of the whole support that shares no code with implicitize."""
+    assert newton_polygon_edges(implicitize(build(mat))) == turned_rows(mat.entries)
+
+
+@given(nonproportional_matrices())
+@settings(deadline=None, max_examples=100)
+def test_newton_polygon_edges_of_random_curves_are_the_turned_rows(mat):
+    assert newton_polygon_edges(implicitize(build(mat))) == turned_rows(mat.entries)
+
+
+def test_newton_polygon_edges_merge_and_sort_in_integers():
+    """Collinear support points merge into one edge, edges sort from the
+    positive x axis counterclockwise, and a segment gives two opposite
+    edges."""
+    square = MPoly(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1, (2, 2): 1, (0, 2): 1, (1, 1): 1})
+    assert newton_polygon_edges(square) == [(2, 0), (0, 2), (-2, 0), (0, -2)]
+    assert newton_polygon_edges(MPoly(2, {(0, 0): 1, (1, 1): 1, (3, 3): 1})) == [(3, 3), (-3, -3)]
+    assert by_angle([(0, -1), (-1, 0), (1, -1), (1, 0), (-1, 1), (1, 1)]) == [
+        (1, 0), (1, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)
+    ]
+
+
+def test_implicitize_of_a_badly_written_basis_runs_on_the_reduced_one():
+    """B * V, V = [[89, 34], [34, 13]] unimodular, has degree 280, and its
+    reduced basis degree 3: the resultant on it takes milliseconds. The
     result is Delta_B moved by alpha_(V^-1): the unreduced resultant of
     B * V itself, of Sylvester size 387, is far above the work limit."""
     v, v_inv = IntMatrix([[89, 34], [34, 13]]), IntMatrix([[13, -34], [-34, 89]])
@@ -266,7 +297,7 @@ def test_implicitize_runs_no_defect_test(monkeypatch):
     monkeypatch.setattr(galedisc, "defect_test", refuse)
     assert not hasattr(galedisc.discriminant, "defect_test")
     for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
-        assert implicitize(build(mat), seed=5) == delta
+        assert implicitize(build(mat)) == delta
 
 
 @pytest.mark.parametrize(
@@ -317,75 +348,12 @@ def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
             assert (expected == 0) == (p is delta)
 
 
-# m = 2 polynomials without negative exponents, with gaps in e1 and e2 and
-# missing rows; a single term and a constant among them
-curve_polys = st.dictionaries(
-    st.tuples(st.integers(0, 7), st.integers(0, 7)),
-    st.integers(-(10**6), 10**6).filter(bool),
-    min_size=1,
-    max_size=14,
-).map(lambda terms: MPoly(2, terms))
-
-
-@given(st.sampled_from([B, C, BPRIME]), curve_polys, st.integers(0, 2**32))
-@example(B, MPoly(2, {(0, 0): 7}), 0)
-@example(B, MPoly(2, {(3, 2): -5}), 1)
-@example(C, MPoly(2, {(6, 0): 2, (3, 4): -1, (0, 1): 3}), 2)
-@example(BPRIME, DELTA_BPRIME, 3)
-@settings(max_examples=150)
-def test_horner_sum_is_the_sum_of_the_cleared_terms(mat, delta, seed):
-    """The vanishing check's one Horner sum per point is the very integer
-    the per-term values sum to."""
-    spec = build(mat)
-    cleared_sum = _cleared_sum(spec, delta)
-    rng = random.Random(seed)
-    for _ in range(3):
-        forms = _forms_at(spec.C, sample_off_arrangement(spec, rng))
-        assert cleared_sum(forms) == sum(_cleared_terms(spec, delta, forms).values())
-
-
-def test_implicitize_checks_vanishing_without_per_term_values(monkeypatch):
-    """The vanishing check takes one Horner sum per point; only the Gauss
-    check needs the values of the terms one by one."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("implicitize formed per-term values")
-
-    monkeypatch.setattr(galedisc.discriminant, "_cleared_terms", refuse)
-    for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
-        assert implicitize(build(mat)) == delta
-
-
-def test_implicitize_seed_insensitive():
-    assert implicitize(build(B), seed=0) == implicitize(build(B), seed=1234)
-
-
 def sympy_squarefree_part(p):
     """Square-free part of p by sympy, primitive and sign-normalized."""
     syms = sympy.symbols("y1:%d" % (p.n_vars + 1))
     sf = sympy.Poly.from_dict(dict(p.terms), *syms, domain=sympy.ZZ).sqf_part()
     terms = {tuple(int(x) for x in e): int(c) for e, c in sf.terms()}
     return _normal_form(MPoly(p.n_vars, terms), IntMatrix([[1, 0], [0, 1]]))[2]
-
-
-@st.composite
-def nonproportional_matrices(draw):
-    """n x 2 matrices, n = 3..5: zero column sums, no zero row and no two
-    proportional rows."""
-    head = draw(
-        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4)
-    )
-    rows = [list(r) for r in head] + [[-sum(r[0] for r in head), -sum(r[1] for r in head)]]
-    assume(all(any(r) for r in rows))
-    assume(len({primitive_direction(r)[0] for r in rows}) == len(rows))
-    return IntMatrix(rows)
-
-
-@st.composite
-def curve_specs(draw):
-    """n x 2 inputs of implicitize, n = 3..5: nonproportional matrices,
-    whose image is always a curve."""
-    return build(draw(nonproportional_matrices()))
 
 
 @given(nonproportional_matrices(), st.integers(0, 2**32))

@@ -19,6 +19,7 @@ from galedisc.discriminant import implicitize, transfer
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import MPoly
 from galedisc.parametrization import build
+from oracles import newton_polygon_edges, turned_rows
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -79,3 +80,12 @@ def workload_digest(workloads, workload, seed):
 @pytest.mark.parametrize("workload, seed", sorted(DIGESTS), ids=lambda x: str(x))
 def test_workload_outputs_are_unchanged(workloads, workload, seed):
     assert workload_digest(workloads, workload, seed) == DIGESTS[workload, seed]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_curve_outputs_have_the_turned_rows_as_newton_polygon_edges(workloads, seed):
+    """The Newton polygon oracle on every `curves` operation: the edges of
+    Newt(Delta) are C's rows turned by 90 degrees."""
+    for op in workloads.make_inputs("curves", seed)[0]:
+        out = implicitize(build(IntMatrix(op.matrix)))
+        assert newton_polygon_edges(out) == turned_rows(op.matrix), op.label
