@@ -4,14 +4,13 @@
 Each 4 x 2 integer matrix below determines a rational map psi whose image is
 a plane curve. The script derives the defining polynomial of that curve by
 resultant elimination, reports timings, and verifies exact vanishing at
-random parameter values.
+the parameter value u = (1, 1), which is off all three arrangements.
 """
 
-import random
 import sys
 import time
 
-from galedisc import build, evaluate_psi, implicitize, sample_off_arrangement
+from galedisc import build, evaluate_psi, implicitize
 from galedisc.intmat import IntMatrix
 
 CASES = [
@@ -22,7 +21,6 @@ CASES = [
 
 
 def main():
-    rng = random.Random(0)
     for label, rows in CASES:
         spec = build(IntMatrix(rows))
         t0 = time.perf_counter()
@@ -36,7 +34,7 @@ def main():
         print(f"   total degree {delta.total_degree()}, {len(delta.terms)} terms, "
               f"computed in {dt:.2f} s")
 
-        u = sample_off_arrangement(spec, rng)
+        u = (1, 1)
         y = evaluate_psi(spec, u)
         val = delta.evaluate(y)
         print(f"   psi({u[0]}, {u[1]}) = ({y[0]}, {y[1]})")

@@ -23,7 +23,6 @@ from .parametrization import (
     evaluate_psi,
     merge_proportional_rows,
     primitive_direction,
-    sample_off_arrangement,
 )
 from .basepoints import BasePoint, LocalIdeal, base_points, is_uniform, localize
 from .degree import (
@@ -60,7 +59,6 @@ __all__ = [
     "evaluate_psi",
     "merge_proportional_rows",
     "primitive_direction",
-    "sample_off_arrangement",
     "BasePoint",
     "LocalIdeal",
     "base_points",

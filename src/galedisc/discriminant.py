@@ -24,11 +24,11 @@ parametrizes a curve, and no square-free pass, as the Horn-Kapranov
 parametrization is birational: the resultant is the defining polynomial
 to the first power, and the degree check rejects anything else. Nor is a
 sampled vanishing check, as the resultant vanishes on psi by construction:
-at y = psi(u) the two pencils share the root u. The one sampled check,
-the inversion of psi by the logarithmic Gauss map, certifies a given
-polynomial against the parametrization. It evaluates in integers, on the
-terms at psi(u) times one common nonzero factor F, from the forms' values
-at u, each term's value weighted by its exponents (`_cleared_terms`).
+at y = psi(u) the two pencils share the root u. The inversion of psi by
+the logarithmic Gauss map certifies a given polynomial against the
+parametrization. It evaluates in integers, on the terms at psi(u) times
+one common factor F, from the forms' values at u, each term's value
+weighted by its exponents (`_cleared_terms`), on a fixed point set.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -48,7 +48,6 @@ with the Laurent shift and its sign. No resultant is taken.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from math import comb, gcd, prod
 from operator import add, getitem, mul, sub
@@ -68,7 +67,7 @@ from .mpoly import (
     _term_product,
     sylvester_resultant,
 )
-from .parametrization import ParamSpec, _direction_classes, _sample_forms
+from .parametrization import ParamSpec, _certificate_points, _direction_classes, _forms_at
 
 # The map (u1, y1, y2) -> (y1, y2) of exponents, which drops u1.
 _DROP_U1 = IntMatrix([[0, 1, 0], [0, 0, 1]])
@@ -253,7 +252,7 @@ def implicitize(spec: ParamSpec) -> MPoly:
     return delta
 
 
-# -- sampled checks in integers -----------------------------------------------
+# -- the Gauss check in integers ----------------------------------------------
 
 
 def _powers(f: int, xs, low: int = 0) -> dict:
@@ -271,18 +270,18 @@ def _powers(f: int, xs, low: int = 0) -> dict:
 
 def _cleared_terms(spec: ParamSpec, delta: MPoly, forms) -> dict:
     """e -> F * c_e * y^e for each term c_e y^e of delta, at y = psi(u) for
-    an integer point u off the arrangement, given by the values `forms` of
-    the linear forms l_i there: one common factor F makes every value an
-    integer, for any m and for Laurent delta.
+    an integer point u, given by the values `forms` of the linear forms
+    l_i there: one common factor F makes every value an integer, for any m
+    and for Laurent delta.
 
     With f_k(u) = prod_i l_i(u)^numer_exps[k][i] each y_k is f_k / f_0, so
     F = f_0^D * prod_k f_k^(-a_k), for D = max_e |e| and
     a_k = min(0, min_e e_k), turns the term into
     c_e f_0^(D - |e|) prod_k f_k^(e_k - a_k), each power taken from a
-    table over the exponents that occur (`_powers`). Since F != 0, a sum
-    of the values vanishes exactly when the same sum of the terms does at
-    psi(u). For delta of degree spec.d without negative exponents
-    F = f_0^d."""
+    table over the exponents that occur (`_powers`): forms in u, defined on
+    the arrangement too. Off it F != 0, so a sum of the values vanishes
+    exactly when the same sum of the terms does at psi(u). For delta of
+    degree spec.d without negative exponents F = f_0^d."""
     terms = delta.terms
     if not terms:
         return {}
@@ -297,36 +296,47 @@ def _cleared_terms(spec: ParamSpec, delta: MPoly, forms) -> dict:
     }
 
 
-def gauss_inverse_check(
-    spec: ParamSpec, delta: MPoly, trials: int = 20, seed: int = 0
-) -> bool:
+# Work bound checked before the Gauss check walks its points: points times
+# terms times the bits b of a term's value (N - 1 form values, each under
+# 2^m N sum_j |c_ij|), weighted by 1 + b / 2^14 for long products. A unit
+# took 1.1e-9 to 2.3e-9 s on a 2-core Xeon (CPython 3.11): 1.8 s for a
+# degree-19 curve's square (1.7e9), 5.7 s for a degree-50 curve (2.5e9).
+_GAUSS_WORK_LIMIT = 3 * 10**9
+
+
+def gauss_inverse_check(spec: ParamSpec, delta: MPoly) -> bool:
     """Check that the scaled gradient of delta inverts psi.
 
     At y = psi(u) the vector (y_k d_k delta) must be proportional to u;
     that pins delta down as the defining polynomial of the image (up to
     factors). It is taken in integers, times the common factor F of
-    `_cleared_terms`: g_k = sum_e e_k F c_e y^e. A point where every g_k
-    vanishes is singular and is resampled. Returns False on the first
-    failed sample.
+    `_cleared_terms`: g_k = sum_e e_k F c_e y^e is a form in u of degree
+    d (D - sum_k a_k), so the minors g_i u_j - g_j u_i, forms of degree
+    N = that + 1, vanish iff they do on `_certificate_points` of degree N.
+    Returns False on the first nonzero minor. Raises ValueError when g
+    vanishes on every point, and before any point when the work is large.
     """
     if delta.n_vars != spec.m:
         raise ValueError("variable count mismatch")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        for _attempt in range(50):
-            u, forms = _sample_forms(spec, rng)
-            values = _cleared_terms(spec, delta, forms).items()
-            g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
-            if any(g):
-                break
-        else:
-            raise ValueError("could not find a smooth parametrized point")
-        for i in range(spec.m):
-            for j in range(i + 1, spec.m):
-                if g[i] * u[j] != g[j] * u[i]:
-                    return False
+    terms = delta.terms
+    lows = [min(0, *col) for col in zip(*terms)]
+    N = spec.d * (max(map(sum, terms), default=0) - sum(lows)) + 1
+    points = comb(N + spec.m - 1, spec.m - 1)
+    bits = N * (max(sum(map(abs, row)) for row in spec.C.entries) * N << spec.m).bit_length()
+    work = points * len(terms) * bits * (bits + 2**14) >> 14
+    if work > _GAUSS_WORK_LIMIT:
+        sizes = (*map(_int_text, (points, len(terms), bits, work)), _GAUSS_WORK_LIMIT)
+        raise ValueError("Gauss check too large: %s points of %s terms of about %s bits need about %s "
+                         "operations, above the limit of %d" % sizes)
+    smooth = False
+    for u in _certificate_points(N, spec.m):
+        values = _cleared_terms(spec, delta, _forms_at(spec.C, u)).items()
+        g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
+        if any(g[i] * u[j] != g[j] * u[i] for i in range(spec.m) for j in range(i)):
+            return False
+        smooth = smooth or any(g)
+    if not smooth:
+        raise ValueError("could not find a smooth parametrized point")
     return True
 
 

@@ -1,4 +1,5 @@
-"""Test-only references for maps the library does not need: the monomial
+"""Test-only references for maps the library does not need: seeded
+integer points off the arrangement, the monomial
 map alpha_M at a rational point, the commuting triangle relating the
 parametrizations of C1 = C2 * M, integer solving in a column lattice, a
 canonical basis of a column lattice, the gcd of maximal minors by
@@ -27,7 +28,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from galedisc.discriminant import _unit_root_product
 from galedisc.intmat import IntMatrix, smith_normal_form
 from galedisc.mpoly import MPoly, substitute_monomial, sylvester_resultant
-from galedisc.parametrization import build, evaluate_psi, sample_off_arrangement
+from galedisc.parametrization import _forms_at, build, evaluate_psi
 
 
 def variable(n_vars: int, var_index: int) -> MPoly:
@@ -82,6 +83,17 @@ def monomial_map(M: IntMatrix, y):
                 v *= vals[k] ** e
         out.append(v)
     return tuple(out)
+
+
+def sample_off_arrangement(spec, rng: random.Random, bound=10000):
+    """A random integer point with every form nonzero (so u != 0), each
+    coordinate drawn by rng.randint(-bound, bound): the seeded points the
+    tests evaluate psi at."""
+    for _ in range(1000):
+        u = tuple(rng.randint(-bound, bound) for _ in range(spec.m))
+        if all(_forms_at(spec.C, u)):
+            return u
+    raise ValueError("could not sample a point off the arrangement")
 
 
 def diagram_check(C1: IntMatrix, C2: IntMatrix, M: IntMatrix, trials=20, seed=0):

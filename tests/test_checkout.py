@@ -88,6 +88,19 @@ def test_every_private_helper_has_a_reader():
     assert unread == []
 
 
+def test_no_library_module_imports_random():
+    """Every verdict of the library is exact, so none of its modules draws
+    random numbers: a sampled check that comes back fails here."""
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "galedisc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    ]
+    assert importers == []
+
+
 def public_definitions(tree):
     """The public module-level functions and classes of a parsed module,
     and the public methods and properties of its classes, each with the

@@ -38,7 +38,6 @@ from galedisc.parametrization import (
     defect_test,
     evaluate_psi,
     primitive_direction,
-    sample_off_arrangement,
 )
 from oracles import (
     by_angle,
@@ -54,6 +53,7 @@ from oracles import (
     pencils,
     plain_normal_form,
     project,
+    sample_off_arrangement,
     set_var_one,
     solve_in_lattice,
     turned_rows,
@@ -356,14 +356,13 @@ def sympy_squarefree_part(p):
     return _normal_form(MPoly(p.n_vars, terms), IntMatrix([[1, 0], [0, 1]]))[2]
 
 
-@given(nonproportional_matrices(), st.integers(0, 2**32))
+@given(nonproportional_matrices())
 @settings(max_examples=200)
-def test_nonproportional_matrices_are_never_defective(mat, seed):
+def test_nonproportional_matrices_are_never_defective(mat):
     """What lets implicitize skip the defect test: with no two rows
     proportional, J_11 = sum_i c_i1^2 / l_i(u) has pairwise distinct poles,
-    so it never vanishes identically, and J u = 0 caps the rank at 1. One
-    sample settles it at any seed."""
-    assert defect_test(build(mat), trials=1, seed=seed) is Verdict.NON_DEFECTIVE
+    so it never vanishes identically, and J u = 0 caps the rank at 1."""
+    assert defect_test(build(mat)) is Verdict.NON_DEFECTIVE
 
 
 @st.composite
@@ -619,12 +618,12 @@ def test_gauss_map_undefined_on_constants():
     ids=["cubic", "rescaled", "quartic-surface", "mistranscribed-quartic"],
 )
 def test_gauss_inverse_check(mat, delta, expected):
-    assert gauss_inverse_check(build(mat), delta, trials=20, seed=0) is expected
+    assert gauss_inverse_check(build(mat), delta) is expected
 
 
 def test_gauss_inverse_check_rejects_unrelated_polynomial():
     lin = MPoly(2, {(1, 0): 1, (0, 1): 1})
-    assert gauss_inverse_check(build(B), lin, trials=20, seed=0) is False
+    assert gauss_inverse_check(build(B), lin) is False
 
 
 def test_gauss_inverse_check_rejects_constant_polynomial():
@@ -632,10 +631,10 @@ def test_gauss_inverse_check_rejects_constant_polynomial():
         gauss_inverse_check(build(B), MPoly.constant(2, 5))
 
 
-def gauss_outcome(check, spec, delta, trials, seed):
+def gauss_outcome(check, *args, **kwargs):
     """The verdict of a Gauss check, or its ValueError message."""
     try:
-        return check(spec, delta, trials=trials, seed=seed)
+        return check(*args, **kwargs)
     except ValueError as e:
         return "ValueError: %s" % e
 
@@ -677,8 +676,8 @@ def test_integer_gauss_check_agrees_with_the_fraction_oracle(surface, data):
     candidate = gauss_candidates(data, delta)
     trials = data.draw(st.integers(1, 5))
     seed = data.draw(st.integers(0, 10**6))
-    assert gauss_outcome(gauss_inverse_check, spec, candidate, trials, seed) == gauss_outcome(
-        gauss_inverse_check_fraction, spec, candidate, trials, seed
+    assert gauss_outcome(gauss_inverse_check, spec, candidate) == gauss_outcome(
+        gauss_inverse_check_fraction, spec, candidate, trials=trials, seed=seed
     )
 
 
@@ -713,15 +712,46 @@ def test_integer_gauss_check_agrees_with_the_fraction_oracle(surface, data):
 )
 def test_integer_gauss_check_agrees_with_the_fraction_oracle_on_fixed_inputs(mat, delta):
     spec = build(mat)
+    got = gauss_outcome(gauss_inverse_check, spec, delta)
     for seed in (0, 1):
-        got = gauss_outcome(gauss_inverse_check, spec, delta, 20, seed)
-        assert got == gauss_outcome(gauss_inverse_check_fraction, spec, delta, 20, seed)
+        assert got == gauss_outcome(gauss_inverse_check_fraction, spec, delta, trials=20, seed=seed)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_sampled_checks_need_a_trial(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        gauss_inverse_check(build(B), DELTA_B, trials=trials)
+@pytest.mark.parametrize(
+    "mat, delta, count",
+    [(B, DELTA_B, 11), (B, DELTA_B.shift((-1, 2)), 17), (C42, QUARTIC42, 105)],
+    ids=["cubic", "cubic-laurent", "quartic-surface"],
+)
+def test_gauss_check_walks_the_points_of_degree_d_times_its_span_plus_one(monkeypatch, mat, delta, count):
+    """A passing check evaluates g at every point of degree
+    D + 1 = d (top - sum_k a_k) + 1: D = 3 * 3 for Delta_B, 3 * 5 once
+    the shift by y1^-1 y2^2 takes top to 4 and a_1 to -1, and 3 * 4 for
+    the quartic, so 11, 17 and comb(15, 2) = 105 points."""
+    walked = []
+    real = galedisc.discriminant._cleared_terms
+    monkeypatch.setattr(
+        galedisc.discriminant, "_cleared_terms", lambda spec, p, forms: walked.append(forms) or real(spec, p, forms)
+    )
+    spec = build(mat)
+    assert gauss_inverse_check(spec, delta) is True
+    top = max(map(sum, delta.terms))
+    span = top - sum(min(0, *col) for col in zip(*delta.terms))
+    points = list(galedisc.parametrization._certificate_points(spec.d * span + 1, spec.m))
+    assert walked == [_forms_at(spec.C, u) for u in points]
+    assert len(walked) == count
+
+
+def test_gauss_check_refuses_a_large_walk_before_any_point(monkeypatch):
+    """The estimate for Delta_B is 11 points of 5 terms of 80 bits; one unit
+    below it, the check refuses without evaluating."""
+    monkeypatch.setattr(galedisc.discriminant, "_cleared_terms", None)
+    monkeypatch.setattr(galedisc.discriminant, "_GAUSS_WORK_LIMIT", 4420)
+    with pytest.raises(ValueError) as err:
+        gauss_inverse_check(build(B), DELTA_B)
+    assert str(err.value) == (
+        "Gauss check too large: 11 points of 5 terms of about 80 bits need about 4421 "
+        "operations, above the limit of 4420"
+    )
 
 
 def test_quartic_vanishes_and_its_mistranscription_does_not():

@@ -3,6 +3,8 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,16 +14,16 @@ from galedisc.intmat import IntMatrix, _int_rank
 from galedisc.parametrization import (
     Verdict,
     _forms_at,
+    _certificate_points,
     _forms_off_arrangement,
     _log_jacobian_scaled,
-    _sample_forms,
     build,
     defect_test,
     evaluate_psi,
     merge_proportional_rows,
     primitive_direction,
-    sample_off_arrangement,
 )
+from oracles import sample_off_arrangement
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -210,32 +212,31 @@ def test_defect_rank_deficient_matrix_is_defective():
     assert defect_test(build(IntMatrix(rows))) is Verdict.PROBABLY_DEFECTIVE
 
 
-def test_defect_test_is_seed_stable():
-    spec = build(C)
-    assert defect_test(spec, seed=123) is defect_test(spec, seed=123)
-
-
-def random_defective_matrix(rng, m):
-    """A regular matrix whose log-Jacobian has rank below m - 1: antipodal
-    row pairs, whose terms cancel, or for m = 3 the rows of an n x 2
-    matrix pushed into Z^3, whose Jacobian has rank at most 1."""
-    if m == 2 or rng.random() < 0.5:
-        while True:
-            half = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(2, 3))]
-            if all(any(r) for r in half):
-                return IntMatrix(half + [[-x for x in r] for r in half])
+def random_defective_matrix(rng, m, shape):
+    """A regular n x m matrix whose log-Jacobian has rank below m - 1:
+    antipodal row pairs, whose terms cancel; the rows of an n x k regular
+    matrix, k < m, pushed into Z^m, whose Jacobian has rank at most k; or
+    n = m, where the zero column sums leave C of rank below m."""
+    if shape == "square":
+        return random_regular_matrix(rng, m, m)
     while True:
-        a = random_regular_matrix(rng, rng.randint(3, 5), 2)
-        lift = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(3)]
-        rows = [[sum(r[t] * lift[k][t] for t in range(2)) for k in range(3)] for r in a.entries]
+        if shape == "antipodal":
+            half = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(max(2, (m + 1) // 2), 4))]
+            rows = half + [[-x for x in r] for r in half]
+        else:
+            k = rng.randint(1, m - 1)
+            a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rng.randint(m, m + 2) - 1)]
+            a.append([-sum(col) for col in zip(*a)])
+            lift = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+            rows = [[sum(r[t] * lift[t][j] for t in range(k)) for j in range(m)] for r in a]
         if all(any(r) for r in rows):
             return IntMatrix(rows)
 
 
-def defect_test_by_fractions(spec, trials=5, seed=0):
-    """defect_test over Fractions: the rank of the unscaled log-Jacobian by
-    Gaussian elimination, on the same random draws."""
-    rng = random.Random(seed)
+def defect_test_by_fractions(spec, rng, trials=5):
+    """The sampled defect test over Fractions: the rank of the unscaled
+    log-Jacobian by Gaussian elimination at seeded points off the
+    arrangement, NonDefective on the first of rank m - 1."""
     for _ in range(trials):
         u = sample_off_arrangement(spec, rng)
         if rank_of_fractions(log_jacobian(spec, u)) == spec.m - 1:
@@ -243,15 +244,27 @@ def defect_test_by_fractions(spec, trials=5, seed=0):
     return Verdict.PROBABLY_DEFECTIVE
 
 
-@given(st.integers(0, 10_000), st.sampled_from(["regular", "defective"]))
-@settings(deadline=None, max_examples=60)
-def test_integer_rank_matches_fraction_rank_of_log_jacobian(seed, kind):
+def defect_outcome(spec):
+    """defect_test's verdict, or "refused" when it gives up."""
+    try:
+        return defect_test(spec)
+    except ValueError as e:
+        assert str(e).startswith("defect test too large")
+        return "refused"
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["regular", "antipodal", "lifted", "square"]))
+@settings(deadline=None, max_examples=80)
+def test_integer_rank_matches_fraction_rank_of_log_jacobian(seed, shape):
+    """m = 2..5: the scaled log-Jacobian is L times the Fraction one at
+    sampled points, with the same rank, and the exact verdict is the
+    oracle's; the three defective shapes are defective."""
     rng = random.Random(seed)
-    m = rng.choice((2, 3))
-    if kind == "regular":
+    m = rng.randint(2, 5)
+    if shape == "regular":
         mat = random_regular_matrix(rng, m + rng.randint(0, 4), m)
     else:
-        mat = random_defective_matrix(rng, m)
+        mat = random_defective_matrix(rng, m, shape)
     spec = build(mat)
     for _ in range(3):
         u = sample_off_arrangement(spec, rng)
@@ -261,7 +274,117 @@ def test_integer_rank_matches_fraction_rank_of_log_jacobian(seed, kind):
             total *= sum(c * x for c, x in zip(row, u))
         assert scaled == [[total * x for x in row] for row in log_jacobian(spec, u)]
         assert _int_rank(scaled) == rank_of_fractions(log_jacobian(spec, u))
-    assert defect_test(spec, seed=seed) is defect_test_by_fractions(spec, seed=seed)
+    verdict = defect_test(spec)
+    assert verdict is defect_test_by_fractions(spec, rng)
+    if shape != "regular":
+        assert verdict is Verdict.PROBABLY_DEFECTIVE
+
+
+@st.composite
+def regular_matrices(draw):
+    """n x m matrices with zero column sums and no zero row, m = 2..5 and
+    n = m..m + 3, entries of the first n - 1 rows in -4..4."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(m, m + 3))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=n - 1, max_size=n - 1))
+    rows.append([-sum(col) for col in zip(*rows)])
+    assume(all(any(r) for r in rows))
+    return IntMatrix(rows)
+
+
+@given(regular_matrices())
+@settings(deadline=None, max_examples=100)
+def test_exact_defect_test_matches_the_fraction_oracle_on_drawn_matrices(mat):
+    """The verdict is the sampled oracle's, and a refusal comes only where
+    the oracle finds the image defective."""
+    spec = build(mat)
+    expected = defect_test_by_fractions(spec, random.Random(0))
+    got = defect_outcome(spec)
+    assert got is expected or (got == "refused" and expected is Verdict.PROBABLY_DEFECTIVE)
+
+
+@pytest.mark.parametrize(
+    "rows, verdict",
+    [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], Verdict.PROBABLY_DEFECTIVE),
+        ([[1, -1, 0, 0], [2, 3, 0, 0], [-3, -2, 0, 0], [0, 0, 1, 2], [0, 0, -2, -3], [0, 0, 1, 1]], Verdict.PROBABLY_DEFECTIVE),
+        ([[1, -1, 0, 0], [2, 3, 0, 0], [-3, -2, 1, 0], [0, 0, 1, 2], [0, 0, -2, -3], [0, 0, 0, 1]], Verdict.NON_DEFECTIVE),
+        ([[2, 1], [-1, 3], [-1, -4]], Verdict.NON_DEFECTIVE),
+    ],
+    ids=["antipodal-6x3", "two-blocks-6x4", "joined-blocks-6x4", "three-rows"],
+)
+def test_defect_verdicts_of_full_rank_matrices(rows, verdict):
+    """C of rank m, so no shortcut: a defective image is proved by the whole
+    point set, here the product of two curves, and one row joining the
+    blocks makes a hypersurface."""
+    spec = build(IntMatrix(rows))
+    assert _int_rank(spec.C.to_lists()) == spec.m
+    assert defect_test(spec) is verdict is defect_test_by_fractions(spec, random.Random(1))
+
+
+def monomials(m, N):
+    """The exponents of the monomials of degree N in m variables."""
+    return [e for e in product(range(N + 1), repeat=m) if sum(e) == N]
+
+
+@pytest.mark.parametrize("N, m", [(0, 2), (1, 2), (7, 2), (0, 3), (5, 3), (4, 4), (3, 5)])
+def test_certificate_points_prove_forms_of_their_degree(N, m):
+    """comb(N + m - 1, m - 1) distinct points u = v + N w, v >= 0 summing to
+    N, w_j = 2^(j - 1); the monomials of degree N take a nonsingular square
+    matrix of values on them, so no nonzero form of degree N vanishes on
+    all of them."""
+    points = list(_certificate_points(N, m))
+    assert len(points) == len(set(points)) == comb(N + m - 1, m - 1)
+    for u in points:
+        v = [x - (N << j) for j, x in enumerate(u)]
+        assert min(v) >= 0 and sum(v) == N
+    values = [[prod(x**k for x, k in zip(u, e)) for e in monomials(m, N)] for u in points]
+    assert _int_rank(values) == len(points)
+
+
+@pytest.mark.parametrize("N", [1, 4, 9])
+def test_certificate_points_do_not_prove_one_degree_more(N):
+    """The bound is tight: on two variables the product of the lines
+    through the N + 1 points is a nonzero form of degree N + 1 that
+    vanishes on all of them."""
+    points = list(_certificate_points(N, 2))
+
+    def lines(x, y):
+        return prod(b * x - a * y for a, b in points)
+
+    assert all(lines(*u) == 0 for u in points)
+    assert lines(1, 0) != 0
+
+
+def test_defect_test_walks_the_points_of_degree_m_minus_1_times_n_minus_1(monkeypatch):
+    """Without a witness the walk takes every point of degree (m - 1)(n - 1),
+    comb((m - 1) n, m - 1) of them: 4 for ANTIPODAL and 66 for a 6 x 3
+    antipodal matrix of rank 3. With C of rank below m it takes none."""
+    walked = []
+    real = galedisc.parametrization._log_jacobian_scaled
+    monkeypatch.setattr(galedisc.parametrization, "_log_jacobian_scaled", lambda spec, u: walked.append(u) or real(spec, u))
+    for rows, count in [
+        (ANTIPODAL.entries, 4),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], 66),
+        ([[1, 1], [2, 2], [-1, -1], [-2, -2]], 0),
+    ]:
+        walked.clear()
+        spec = build(IntMatrix(rows))
+        assert defect_test(spec) is Verdict.PROBABLY_DEFECTIVE
+        assert walked == list(_certificate_points((spec.m - 1) * (spec.n - 1), spec.m))[:count]
+        assert len(walked) == count
+
+
+def test_defect_test_refuses_past_its_point_limit(monkeypatch):
+    """The refusal is lazy: with the limit below the 66 points of a
+    defective 6 x 3 matrix it refuses after the limit, and a matrix whose
+    witness comes first is still decided."""
+    monkeypatch.setattr(galedisc.parametrization, "_CERTIFICATE_POINTS_LIMIT", 10)
+    spec = build(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
+    with pytest.raises(ValueError) as err:
+        defect_test(spec)
+    assert str(err.value) == "defect test too large: no witness among the first 10 of 66 certificate points"
+    assert defect_test(build(C42)) is Verdict.NON_DEFECTIVE
 
 
 @given(st.integers(0, 10_000))
@@ -276,12 +399,6 @@ def test_int_rank_matches_fraction_rank(seed):
     mat = [[sum(l[t] * right[t][j] for t in range(inner)) for j in range(cols)] for l in left]
     expected = rank_of_fractions([[Fraction(x) for x in r] for r in mat])
     assert _int_rank([list(r) for r in mat]) == expected
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_defect_test_needs_a_trial(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        defect_test(build(B), trials=trials)
 
 
 # ---------------------------------------------------------------- proportional rows
@@ -401,31 +518,3 @@ def test_merge_scaling_bits_estimate_is_an_upper_bound(rows):
         mp.setattr(galedisc.parametrization, "_SCALING_BITS_LIMIT", bits - 1)
         with pytest.raises(ValueError, match="proportional rows too large"):
             merge_proportional_rows(C)
-
-
-# ---------------------------------------------------------------- sampling
-
-
-def test_sample_off_arrangement_deterministic_and_valid():
-    spec = build(C)
-    u1 = sample_off_arrangement(spec, random.Random(9))
-    u2 = sample_off_arrangement(spec, random.Random(9))
-    assert u1 == u2
-    evaluate_psi(spec, u1)  # must not raise
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_sampled_forms_are_those_of_the_points_randint_draws(seed):
-    """_sample_forms draws by randrange(-B, B + 1), the call randint(-B, B)
-    makes, so its points are those of a randint loop at the same seed, and
-    the forms it returns are theirs."""
-    spec = build(IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]]))
-    bound = galedisc.parametrization._SAMPLE_BOUND
-    ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(20):
-        u, forms = _sample_forms(spec, ours)
-        while True:
-            v = tuple(theirs.randint(-bound, bound) for _ in range(spec.m))
-            if all(_forms_at(spec.C, v)):
-                break
-        assert u == v and forms == _forms_at(spec.C, u)
