@@ -4,19 +4,10 @@
 For a 3-column matrix whose maximal minors are all nonzero, the surface degree
 is d^2 minus the sum of local multiplicities at the finitely many base points
 of the pencil. The script runs the full computation on a uniform matrix, then
-shows the honest refusal and the partial local data for a non-uniform one.
+shows the honest refusal and the base points of a non-uniform one.
 """
 
-from galedisc import (
-    Staircase2,
-    base_points,
-    build,
-    colength,
-    degree_uniform,
-    is_uniform,
-    localize,
-    staircase_multiplicity,
-)
+from galedisc import base_points, build, degree_uniform, is_uniform
 from galedisc.intmat import IntMatrix
 
 UNIFORM = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
@@ -43,16 +34,8 @@ def show_partial_pipeline(mat):
     except ValueError as e:
         print(f"   degree computation refused: {e}")
     for p in base_points(spec):
-        li = localize(spec, p)
         coords = ":".join(str(c) for c in p.coords)
-        if li.monomial:
-            s = Staircase2.of(li.gens)
-            print(f"   ({coords}) forms {list(p.vanishing)}: monomial, "
-                  f"gens {list(li.gens)}, e = {staircase_multiplicity(s)}, "
-                  f"colength = {colength(s)}")
-        else:
-            print(f"   ({coords}) forms {list(p.vanishing)}: "
-                  f"{len(li.directions)} direction classes, not monomial")
+        print(f"   base point ({coords}), forms {list(p.vanishing)}")
 
 
 def main():

@@ -8,9 +8,8 @@ substitution; this script walks the triangle of transfers and verifies the
 factorization identity and the homogenized form at the end.
 """
 
-from galedisc import build, group_product, homogenize, implicitize, transfer
+from galedisc import MPoly, build, group_product, homogenize, implicitize, transfer
 from galedisc.intmat import IntMatrix
-from galedisc.mpoly import substitute_monomial
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -35,7 +34,9 @@ def main():
 
     print("\nfactorization over the order-3 kernel group:")
     prod = group_product(-delta_b, M_C)
-    lhs = substitute_monomial(moved, M_C).shift(tuple(-x for x in v))
+    # alpha_M moves each term exponent e to M e
+    composed = MPoly(2, {M_C.mul_vec(e): c for e, c in moved.terms.items()})
+    lhs = composed.shift(tuple(-x for x in v))
     print("product of translates == composed-and-shifted transfer:", prod == lhs)
 
     print("\nround trip through the degree-16 basis:")

@@ -12,7 +12,6 @@ from .intmat import (
 )
 from .mpoly import (
     MPoly,
-    substitute_monomial,
     sylvester_resultant,
 )
 from .parametrization import (
@@ -20,11 +19,10 @@ from .parametrization import (
     Verdict,
     build,
     defect_test,
-    evaluate_psi,
     merge_proportional_rows,
     primitive_direction,
 )
-from .basepoints import BasePoint, LocalIdeal, base_points, is_uniform, localize
+from .basepoints import BasePoint, base_points, is_uniform
 from .degree import (
     DegreeReport,
     Staircase2,
@@ -50,20 +48,16 @@ __all__ = [
     "gcd_maximal_minors",
     "smith_normal_form",
     "MPoly",
-    "substitute_monomial",
     "sylvester_resultant",
     "ParamSpec",
     "Verdict",
     "build",
     "defect_test",
-    "evaluate_psi",
     "merge_proportional_rows",
     "primitive_direction",
     "BasePoint",
-    "LocalIdeal",
     "base_points",
     "is_uniform",
-    "localize",
     "DegreeReport",
     "Staircase2",
     "colength",

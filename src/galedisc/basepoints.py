@@ -1,11 +1,11 @@
-"""Base points of the cleared pencil in the plane case, and the local
-monomial data attached to each of them.
+"""Base points of the cleared pencil in the plane case.
 
 All of this is for m = 3: the forms l_i cut out a line arrangement in P^2,
-the pencil f_0, ..., f_3 has a finite base locus exactly when no
-arrangement line lies in it entirely, and localizing the pencil at a base
-point yields (after dropping unit factors and collapsing proportional
-forms) exponent vectors in the local branch coordinates.
+and the pencil f_0, ..., f_3 has a finite base locus exactly when no
+arrangement line lies in it entirely. The base points are the crossings of
+row pairs through which every pencil member vanishes. The CLI's
+`analyze` lists them, and `degree_uniform` reads each one's local
+multiplicity off the pair of rows that cross there.
 """
 
 from __future__ import annotations
@@ -34,49 +34,12 @@ class BasePoint:
         return {"point": [str(c) for c in self.coords], "vanishing": list(self.vanishing)}
 
 
-@dataclass(frozen=True)
-class LocalIdeal:
-    """Exponent data of the pencil localized at a base point.
-
-    directions: the distinct line directions through the point, in order of
-    first appearance along the vanishing list. per_form has one entry per
-    pencil member: (exponents per direction class, unit flag), the flag
-    marking that nonvanishing (hence locally invertible) factors were
-    dropped. gens collects the distinct exponent vectors, minimalized when
-    the ideal is monomial, i.e. when at most two directions meet the point.
-    """
-
-    base: BasePoint
-    directions: tuple
-    per_form: tuple
-    gens: tuple
-    monomial: bool
-
-
 def _cross3(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def _vanishing_at(C: IntMatrix, p):
-    """1-based indices of the forms that vanish at the integer point p."""
-    a, b, c = p
-    return tuple(
-        i + 1
-        for i, (r0, r1, r2) in enumerate(C.entries)
-        if r0 * a + r1 * b + r2 * c == 0
-    )
-
-
-def _integer_point(coords):
-    """An integer representative of a rational point: coords times the
-    least common denominator."""
-    coords = [Fraction(x) for x in coords]
-    den = lcm(*(x.denominator for x in coords))
-    return tuple(x.numerator * (den // x.denominator) for x in coords)
 
 
 def base_points(spec: ParamSpec):
@@ -138,13 +101,12 @@ def _sorted_base_points(found):
 
 
 def _minimal(points):
-    """The minimal ones of int pairs, or of int 1-tuples, in the
-    componentwise order, sorted: of nonnegative pairs, the minimal
-    generators of their monomial ideal. In sorted order a point is
-    dominated exactly when its last coordinate is not below that of every
-    earlier point, so one sweep keeps the points whose last coordinate
-    drops below that of the last one kept, held as low; of 1-tuples that
-    is the least. Signs play no part: `_count_below` in `discriminant`
+    """The minimal ones of int pairs in the componentwise order, sorted:
+    of nonnegative pairs, the minimal generators of their monomial ideal.
+    In sorted order a point is dominated exactly when its last coordinate
+    is not below that of every earlier point, so one sweep keeps the
+    points whose last coordinate drops below that of the last one kept,
+    held as low. Signs play no part: `_count_below` in `discriminant`
     passes negated points."""
     gens = []
     for p in sorted(points):
@@ -152,40 +114,6 @@ def _minimal(points):
             gens.append(p)
             low = p[-1]
     return gens
-
-
-def localize(spec: ParamSpec, p: BasePoint) -> LocalIdeal:
-    """Local exponent data of the pencil at a base point.
-
-    The vanishing set is recomputed from the coordinates rather than taken
-    from p, on the integer point they represent; any representative, ints
-    or Fractions, normalized or not, names the same point. Proportional
-    vanishing forms are collapsed into one direction class each; the class
-    exponent of a pencil member is the sum over the class of its factor
-    exponents.
-    """
-    if spec.m != 3:
-        raise ValueError("localization needs m = 3")
-    vanishing = _vanishing_at(spec.C, _integer_point(p.coords))
-    van0 = [i - 1 for i in vanishing]
-    # positions in van0 of the vanishing forms, by direction class
-    classes = _direction_classes([spec.C.entries[i] for i in van0])
-    per_form = []
-    for e in spec.numer_exps:
-        exps = tuple(sum(e[van0[q]] for q, _ in cls) for cls in classes.values())
-        unit = any(x > 0 for i, x in enumerate(e) if i not in van0)
-        per_form.append((exps, unit))
-    if any(not any(exps) for exps, _ in per_form):
-        raise ValueError("not a base point of the pencil")
-    monomial = len(classes) <= 2
-    gens = set(exps for exps, _ in per_form)
-    return LocalIdeal(
-        base=BasePoint(coords=p.coords, vanishing=vanishing),
-        directions=tuple(classes),
-        per_form=tuple(per_form),
-        gens=tuple(_minimal(gens) if monomial else sorted(gens)),
-        monomial=monomial,
-    )
 
 
 def _crossings(C: IntMatrix):

@@ -24,11 +24,12 @@ parametrizes a curve, and no square-free pass, as the Horn-Kapranov
 parametrization is birational: the resultant is the defining polynomial
 to the first power, and the degree check rejects anything else. Nor is a
 sampled vanishing check, as the resultant vanishes on psi by construction:
-at y = psi(u) the two pencils share the root u. The inversion of psi by
-the logarithmic Gauss map certifies a given polynomial against the
-parametrization. It evaluates in integers, on the terms at psi(u) times
-one common factor F, from the forms' values at u, each term's value
-weighted by its exponents (`_cleared_terms`), on a fixed point set.
+at y = psi(u) the two pencils share the root u. The Gauss check
+certifies a given polynomial against the parametrization: it must vanish
+on psi, and its logarithmic Gauss map must invert psi. It evaluates in
+integers, on the terms at psi(u) times one common factor F, from the
+forms' values at u, each term's value weighted by its exponents
+(`_cleared_terms`), on a fixed point set.
 
 Nested exponent lattices are handled by transfer: when C1 = C2 * M the two
 defining polynomials determine each other through the monomial coordinate
@@ -239,10 +240,9 @@ def implicitize(spec: ParamSpec) -> MPoly:
         raise ValueError(
             "implicitization validation failed: resultant vanished identically"
         )
-    # the resultant is free of u1, so dropping it keeps the terms apart
-    reduced = _normal_form(resultant, _DROP_U1)[2]
-    # a unimodular substitution keeps the coefficients, so the content is 1
-    delta = _normal_form(reduced, U)[2]
+    # the resultant is free of u1, so dropping it and then moving by the
+    # unimodular U keeps the terms apart
+    delta = _normal_form(resultant, U * _DROP_U1)[2]
 
     if delta.total_degree() != spec.d:
         raise ValueError(
@@ -305,15 +305,18 @@ _GAUSS_WORK_LIMIT = 3 * 10**9
 
 
 def gauss_inverse_check(spec: ParamSpec, delta: MPoly) -> bool:
-    """Check that the scaled gradient of delta inverts psi.
+    """Check that delta vanishes on psi and its scaled gradient inverts psi.
 
-    At y = psi(u) the vector (y_k d_k delta) must be proportional to u;
-    that pins delta down as the defining polynomial of the image (up to
-    factors). It is taken in integers, times the common factor F of
-    `_cleared_terms`: g_k = sum_e e_k F c_e y^e is a form in u of degree
-    d (D - sum_k a_k), so the minors g_i u_j - g_j u_i, forms of degree
-    N = that + 1, vanish iff they do on `_certificate_points` of degree N.
-    Returns False on the first nonzero minor. Raises ValueError when g
+    At y = psi(u), delta must vanish and the vector (y_k d_k delta) must be
+    proportional to u; that pins delta down as the defining polynomial of
+    the image (up to factors), as the log Gauss map inverts psi (Kapranov,
+    Math. Ann. 290, 1991). It is taken in integers, times the common
+    factor F of `_cleared_terms`: the sum F delta(psi(u)) of the cleared
+    terms and g_k = sum_e e_k F c_e y^e are forms in u of degree
+    d (D - sum_k a_k), so they and the minors g_i u_j - g_j u_i, forms of
+    degree N = that + 1, vanish iff they do on `_certificate_points` of
+    degree N. Returns False on the first nonzero minor, or once the walk
+    has met both a nonzero sum and a nonzero g. Raises ValueError when g
     vanishes on every point, and before any point when the work is large.
     """
     if delta.n_vars != spec.m:
@@ -328,13 +331,16 @@ def gauss_inverse_check(spec: ParamSpec, delta: MPoly) -> bool:
         sizes = (*map(_int_text, (points, len(terms), bits, work)), _GAUSS_WORK_LIMIT)
         raise ValueError("Gauss check too large: %s points of %s terms of about %s bits need about %s "
                          "operations, above the limit of %d" % sizes)
-    smooth = False
+    smooth = off = False
     for u in _certificate_points(N, spec.m):
-        values = _cleared_terms(spec, delta, _forms_at(spec.C, u)).items()
-        g = [sum(e[k] * v for e, v in values) for k in range(spec.m)]
+        values = _cleared_terms(spec, delta, _forms_at(spec.C, u))
+        g = [sum(e[k] * v for e, v in values.items()) for k in range(spec.m)]
         if any(g[i] * u[j] != g[j] * u[i] for i in range(spec.m) for j in range(i)):
             return False
         smooth = smooth or any(g)
+        off = off or sum(values.values()) != 0
+        if smooth and off:
+            return False
     if not smooth:
         raise ValueError("could not find a smooth parametrized point")
     return True

@@ -150,10 +150,10 @@ def gcd_maximal_minors(c: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """P * M * Q = D with P, Q unimodular and D = diag(invariant_factors)."""
+    """P * M * Q = D with P, Q unimodular, D zero off its diagonal, and
+    that diagonal as invariant_factors."""
 
     P: IntMatrix
-    D: IntMatrix
     Q: IntMatrix
     invariant_factors: tuple
 
@@ -161,12 +161,13 @@ class SNFDecomposition:
 def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     """Smith normal form of an n x k integer matrix, k >= 1.
 
-    Returns P*M*Q = D with P n x n, Q k x k, |det P| = |det Q| = 1 and D
-    n x k, zero off its diagonal d_1 | d_2 | ... | d_min(n, k), which is
-    nonnegative: every row operation on M is applied to P and every column
-    operation to Q. The operations are unimodular, and each pivot divides
-    the rest of the matrix before the next is chosen, so all of this holds
-    by construction. Pivot selection is by minimal absolute value, first in
+    Returns P and Q with P*M*Q = D, P n x n, Q k x k, |det P| = |det Q| = 1
+    and D n x k, zero off its diagonal d_1 | d_2 | ... | d_min(n, k), which
+    is nonnegative and is returned as the invariant factors: every row
+    operation on M is applied to P and every column operation to Q. The
+    operations are unimodular, and each pivot divides the rest of the
+    matrix before the next is chosen, so all of this holds by
+    construction. Pivot selection is by minimal absolute value, first in
     row-major order, so the decomposition is deterministic.
     """
     if not m.cols:
@@ -226,11 +227,10 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    d = IntMatrix._valid(tuple(tuple(r[:k]) for r in a[:n]))
     pm = IntMatrix._valid(tuple(tuple(r[k:]) for r in a[:n]))
     qm = IntMatrix._valid(tuple(tuple(r[:k]) for r in a[n:]))
     factors = tuple(a[i][i] for i in range(min(n, k)))
-    return SNFDecomposition(P=pm, D=d, Q=qm, invariant_factors=factors)
+    return SNFDecomposition(P=pm, Q=qm, invariant_factors=factors)
 
 
 def l1_reduce(c: IntMatrix) -> IntMatrix:

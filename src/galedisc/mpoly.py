@@ -148,10 +148,6 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_vars: int) -> "MPoly":
-        return cls(n_vars, {})
-
-    @classmethod
     def one(cls, n_vars: int) -> "MPoly":
         return cls(n_vars, {(0,) * n_vars: 1})
 
@@ -852,24 +848,14 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int, *, ends=None) -> MPo
     return _det_by_interpolation(p, q, var_index, ends)
 
 
-def substitute_monomial(p: MPoly, m: IntMatrix) -> MPoly:
-    """Monomial change of coordinates: each variable y_j is replaced by the
-    monomial with exponent vector given by column j of m, so a term exponent
-    e maps to m*e. Requires det(m) != 0, which makes the map injective on
-    monomials; the result is Laurent whenever m*e goes negative. `transfer`
-    and `group_product` skip these checks (`_substitute`): their P, Q and
-    M Q come from one checked Smith form P M Q = D of a square M with no
-    invariant factor 0. So does `homogenize`, with its own rank check."""
-    if not m.is_square or m.rows != p.n_vars:
-        raise ValueError("matrix shape mismatch")
-    if m.det() == 0:
-        raise ValueError("singular matrix")
-    return _substitute(p, m)
-
-
 def _substitute(p: MPoly, m: IntMatrix) -> MPoly:
-    """`substitute_monomial` without its checks, for any m with a column
-    per variable of p whose map e -> m e is injective on supp(p)."""
+    """Monomial change of coordinates alpha_m: each variable y_j is replaced
+    by the monomial with exponent vector given by column j of m, so a term
+    exponent e maps to m e, and the result is Laurent wherever m e goes
+    negative. m needs a column per variable of p, and its map e -> m e must
+    be injective on supp(p), which no check here enforces: `group_product`
+    takes P and M Q from one Smith form P M Q of a square M with no
+    invariant factor 0."""
     return MPoly._valid(
         m.rows, {tuple([sum(map(mul, r, e)) for r in m.entries]): c for e, c in p.terms.items()}
     )

@@ -6,10 +6,12 @@ linear forms l_i = <C_i, u> and the map
     psi_C(u) = ( prod_i l_i(u)^{c_i1}, ..., prod_i l_i(u)^{c_im} ),
 
 together with its clearing to a pencil of degree-d forms f_0, ..., f_m.
-This module builds that data, evaluates psi exactly, merges proportional
-rows (tracking the induced coordinate scaling), and runs the exact rank
-test on the logarithmic Jacobian that distinguishes the hypersurface case
-from the defective one.
+This module builds that data, merges proportional rows (tracking the
+induced coordinate scaling), and runs the exact rank test on the
+logarithmic Jacobian that distinguishes the hypersurface case from the
+defective one. psi itself is never evaluated: the forms' integer values
+at integer points (`_forms_at`) serve the rank test here and the Gauss
+check in `discriminant`.
 """
 
 from __future__ import annotations
@@ -165,37 +167,6 @@ def merge_proportional_rows(C: IntMatrix):
 
 def _forms_at(C: IntMatrix, u):
     return [sum(map(mul, row, u)) for row in C.entries]
-
-
-def _forms_off_arrangement(spec: ParamSpec, u):
-    """The forms l_i at an exact rational point, which must make none of
-    them vanish."""
-    if len(u) != spec.m:
-        raise ValueError("point length mismatch")
-    forms = _forms_at(spec.C, [Fraction(x) for x in u])
-    dead = [i + 1 for i, l in enumerate(forms) if l == 0]
-    if dead:
-        raise ValueError(
-            "point on the arrangement: form%s %s vanish%s"
-            % ("s" if len(dead) > 1 else "",
-               ", ".join(map(str, dead)),
-               "" if len(dead) > 1 else "es")
-        )
-    return forms
-
-
-def evaluate_psi(spec: ParamSpec, u):
-    """psi at an exact rational point off the arrangement."""
-    forms = _forms_off_arrangement(spec, u)
-    out = []
-    for k in range(spec.m):
-        y = Fraction(1)
-        for i in range(spec.n):
-            c = spec.C.entries[i][k]
-            if c:
-                y *= forms[i] ** c
-        out.append(y)
-    return tuple(out)
 
 
 def _log_jacobian_scaled(spec: ParamSpec, u):

@@ -1,19 +1,20 @@
 """Test-only references for maps the library does not need: seeded
-integer points off the arrangement, the monomial
+integer points off the arrangement, psi at a rational point, the monomial
 map alpha_M at a rational point, the commuting triangle relating the
 parametrizations of C1 = C2 * M, integer solving in a column lattice, a
 canonical basis of a column lattice, the gcd of maximal minors by
-enumerating them, LLL reduction over `Fraction`, the 4-variable `MPoly`
-pencils of a curve and the implicitization on the basis C is written in,
-the group product on the basis the Smith form comes with, the scaled
-gradient over `Fraction` that the library's integer Gauss check is held
-against, the base points of a surface pencil enumerated and sorted over
-`Fraction`, the lower hull by brute force over segments, the edges of a
-Newton polygon sorted by angle in integers and the rows of C turned to
-match them, the work estimate of a norm of degree e <= 2 with the product
-G0 G2 formed, and for polynomials: the monomial y_i, the coefficients in
-one variable, the projection onto some of the variables, and the normal
-form taken term by term.
+enumerating them, the diagonal matrix of a Smith form, LLL reduction over
+`Fraction`, the 4-variable `MPoly` pencils of a curve and the
+implicitization on the basis C is written in, the group product on the
+basis the Smith form comes with, the scaled gradient over `Fraction` that
+the library's integer Gauss check is held against, the base points of a
+surface pencil enumerated and sorted over `Fraction` and the pencil
+localized at one of them, the lower hull by brute force over segments,
+the edges of a Newton polygon sorted by angle in integers and the rows of
+C turned to match them, the work estimate of a norm of degree e <= 2 with
+the product G0 G2 formed, and for polynomials: the monomial y_i, the
+coefficients in one variable, the projection onto some of the variables,
+and the normal form taken term by term.
 """
 
 import random
@@ -27,8 +28,8 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from galedisc.discriminant import _unit_root_product
 from galedisc.intmat import IntMatrix, smith_normal_form
-from galedisc.mpoly import MPoly, substitute_monomial, sylvester_resultant
-from galedisc.parametrization import _forms_at, build, evaluate_psi
+from galedisc.mpoly import MPoly, _substitute, sylvester_resultant
+from galedisc.parametrization import _forms_at, build, primitive_direction
 
 
 def variable(n_vars: int, var_index: int) -> MPoly:
@@ -85,6 +86,13 @@ def monomial_map(M: IntMatrix, y):
     return tuple(out)
 
 
+def psi_at(spec, u):
+    """psi at a rational point off the arrangement, in Fractions: coordinate
+    k is prod_i l_i(u)^(c_ik)."""
+    forms = _forms_at(spec.C, [Fraction(x) for x in u])
+    return tuple(prod(l**c for l, c in zip(forms, col) if c) for col in zip(*spec.C.entries))
+
+
 def sample_off_arrangement(spec, rng: random.Random, bound=10000):
     """A random integer point with every form nonzero (so u != 0), each
     coordinate drawn by rng.randint(-bound, bound): the seeded points the
@@ -108,9 +116,16 @@ def diagram_check(C1: IntMatrix, C2: IntMatrix, M: IntMatrix, trials=20, seed=0)
     rng = random.Random(seed)
     for _ in range(trials):
         u = sample_off_arrangement(s1, rng)
-        if monomial_map(M, evaluate_psi(s2, M.mul_vec(u))) != evaluate_psi(s1, u):
+        if monomial_map(M, psi_at(s2, M.mul_vec(u))) != psi_at(s1, u):
             return False
     return True
+
+
+def smith_diagonal(snf) -> IntMatrix:
+    """D = P M Q of a Smith form P M Q = D, n x k for P n x n and Q k x k:
+    zero off its diagonal, which holds the invariant factors."""
+    f = snf.invariant_factors
+    return IntMatrix([[f[i] if i == j else 0 for j in range(snf.Q.rows)] for i in range(snf.P.rows)])
 
 
 def solve_in_lattice(m: IntMatrix, v):
@@ -272,7 +287,8 @@ def gauss_map(delta: MPoly, y):
 
 def gauss_inverse_check_fraction(spec, delta: MPoly, trials=20, seed=0) -> bool:
     """gauss_inverse_check as it ran over Fractions: gauss_map at psi(u),
-    resampling where it is undefined, then proportionality to u."""
+    resampling where it is undefined, then proportionality to u and
+    delta(psi(u)) = 0."""
     if delta.n_vars != spec.m:
         raise ValueError("variable count mismatch")
     if trials < 1:
@@ -281,8 +297,9 @@ def gauss_inverse_check_fraction(spec, delta: MPoly, trials=20, seed=0) -> bool:
     for _ in range(trials):
         for _attempt in range(50):
             u = sample_off_arrangement(spec, rng)
+            y = psi_at(spec, u)
             try:
-                g = gauss_map(delta, evaluate_psi(spec, u))
+                g = gauss_map(delta, y)
             except ValueError:
                 continue
             break
@@ -292,6 +309,8 @@ def gauss_inverse_check_fraction(spec, delta: MPoly, trials=20, seed=0) -> bool:
             for j in range(i + 1, spec.m):
                 if g[i] * u[j] != g[j] * u[i]:
                     return False
+        if delta.evaluate(y) != 0:
+            return False
     return True
 
 
@@ -302,11 +321,11 @@ def group_product_on_smith_basis(f: MPoly, M: IntMatrix) -> MPoly:
     if abs(M.det()) == 1 or not f:
         return f
     snf = smith_normal_form(M)
-    h = substitute_monomial(f, snf.P)
+    h = _substitute(f, snf.P)
     for k, dk in enumerate(snf.invariant_factors):
         if dk > 1:
             h = _unit_root_product(h, k + 1, dk)
-    return substitute_monomial(h, M * snf.Q)
+    return _substitute(h, M * snf.Q)
 
 
 # The base point enumeration as it ran on Fraction coordinates: each
@@ -352,6 +371,37 @@ def oracle_base_points(spec):
             for k in range(spec.m + 1)
         )
     )
+
+
+def oracle_localize(spec, coords):
+    """The pencil localized at a base point, over Fractions: (vanishing,
+    directions, per_form, gens, monomial). The vanishing forms fall into
+    direction classes, in order of first appearance; per_form holds, for
+    each pencil member, its exponent on each class and whether it has a
+    factor that does not vanish there (a unit); gens are the distinct
+    exponent vectors, minimal ones only when at most two classes meet, as
+    the ideal is then monomial."""
+    vanishing = oracle_vanishing_at(spec.C, coords)
+    van0 = [i - 1 for i in vanishing]
+    cls_of = {}
+    for i in van0:
+        cls_of.setdefault(primitive_direction(spec.C.entries[i])[0], len(cls_of))
+    per_form = []
+    for exps_k in spec.numer_exps:
+        exps = [0] * len(cls_of)
+        for i in van0:
+            exps[cls_of[primitive_direction(spec.C.entries[i])[0]]] += exps_k[i]
+        unit = any(exps_k[i] > 0 for i in range(spec.n) if i not in van0)
+        per_form.append((tuple(exps), unit))
+    gens = {exps for exps, _ in per_form}
+    monomial = len(cls_of) <= 2
+    if monomial:
+        gens = {
+            g
+            for g in gens
+            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)
+        }
+    return vanishing, tuple(cls_of), tuple(per_form), tuple(sorted(gens)), monomial
 
 
 def lower_hull_by_segments(points):
@@ -453,5 +503,5 @@ def norm_work_by_products(g: MPoly, var_index: int, d: int) -> int:
     coeffs = coeffs_in(g.split_monomial()[1], var_index)
     if max(coeffs) > 2:
         raise ValueError("degree above 2")
-    g_0, g_1, g_2 = (coeffs.get(j, MPoly.zero(g.n_vars)) for j in range(3))
+    g_0, g_1, g_2 = (coeffs.get(j, MPoly(g.n_vars)) for j in range(3))
     return d * d * closed_form_terms(g_0, g_1, g_2, g_0 * g_2, d)

@@ -1,4 +1,5 @@
-"""Base point enumeration on three-column matrices and localized monomial data."""
+"""Base point enumeration on three-column matrices, and the localization
+oracle the degree tests read staircases from."""
 
 import random
 from fractions import Fraction
@@ -7,10 +8,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galedisc.basepoints import BasePoint, _minimal, base_points, is_uniform, localize
+from galedisc.basepoints import _minimal, base_points, is_uniform
 from galedisc.intmat import IntMatrix
-from galedisc.parametrization import build, primitive_direction
-from oracles import oracle_base_points, oracle_vanishing_at
+from galedisc.parametrization import build
+from oracles import oracle_base_points, oracle_localize
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -26,33 +27,8 @@ def F(x):
 # ---------------------------------------------------------------- Fraction oracle
 #
 # oracle_base_points (tests/oracles.py) runs the enumeration on Fraction
-# coordinates; base_points and localize work on integer points and must
-# agree with it exactly.
-
-
-def oracle_localize(spec, coords):
-    """(vanishing, directions, per_form, gens, monomial) at a point."""
-    vanishing = oracle_vanishing_at(spec.C, coords)
-    van0 = [i - 1 for i in vanishing]
-    cls_of = {}
-    for i in van0:
-        cls_of.setdefault(primitive_direction(spec.C.entries[i])[0], len(cls_of))
-    per_form = []
-    for exps_k in spec.numer_exps:
-        exps = [0] * len(cls_of)
-        for i in van0:
-            exps[cls_of[primitive_direction(spec.C.entries[i])[0]]] += exps_k[i]
-        unit = any(exps_k[i] > 0 for i in range(spec.n) if i not in van0)
-        per_form.append((tuple(exps), unit))
-    gens = {exps for exps, _ in per_form}
-    monomial = len(cls_of) <= 2
-    if monomial:
-        gens = {
-            g
-            for g in gens
-            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in gens)
-        }
-    return vanishing, tuple(cls_of), tuple(per_form), tuple(sorted(gens)), monomial
+# coordinates; base_points works on integer points and must agree with it
+# exactly.
 
 
 def random_surface_matrix(rng):
@@ -154,15 +130,9 @@ def test_base_points_rejects_positive_dimensional_locus():
 
 @given(st.integers(0, 10_000))
 @settings(deadline=None, max_examples=80)
-def test_base_points_and_localize_match_the_fraction_oracle(seed):
+def test_base_points_match_the_fraction_oracle(seed):
     spec, pts = random_surface_matrix(random.Random(seed))
     assert [(p.coords, p.vanishing) for p in pts] == oracle_base_points(spec)
-    for p in pts:
-        vanishing, directions, per_form, gens, monomial = oracle_localize(spec, p.coords)
-        li = localize(spec, p)
-        assert li.base == BasePoint(p.coords, vanishing)
-        assert (li.directions, li.per_form) == (directions, per_form)
-        assert (li.gens, li.monomial) == (gens, monomial)
 
 
 def test_base_point_oracle_sees_concurrent_lines():
@@ -180,35 +150,39 @@ def test_coords_normalized_first_nonzero_one():
         assert lead == 1
 
 
-# ---------------------------------------------------------------- localization
+# ---------------------------------------------------------------- localization oracle
+
+
+# `oracle_localize` is the staircase reference of the degree tests; these
+# goldens pin it.
 
 
 def test_localize_monomial_corner():
     """At (0:0:1) the length-7 matrix localizes to a two-class monomial ideal."""
-    spec = build(C43)
-    p = next(q for q in base_points(spec) if q.coords == (F(0), F(0), F(1)))
-    li = localize(spec, p)
-    assert li.monomial
-    assert len(li.directions) == 2
-    assert li.gens == ((0, 3), (2, 1), (4, 0))
+    vanishing, directions, _, gens, monomial = oracle_localize(build(C43), (F(0), F(0), F(1)))
+    assert vanishing == (1, 3, 4)
+    assert monomial
+    assert len(directions) == 2
+    assert gens == ((0, 3), (2, 1), (4, 0))
 
 
 def test_localize_at_all_quartic_surface_points():
     spec = build(C42)
-    out = [localize(spec, p) for p in base_points(spec)]
-    assert all(li.monomial for li in out)
-    assert out[0].gens == ((0, 2), (1, 1), (2, 0))
-    assert out[1].gens == ((0, 1), (1, 0))
+    out = [oracle_localize(spec, p.coords) for p in base_points(spec)]
+    assert all(monomial for *_, monomial in out)
+    assert out[0][3] == ((0, 2), (1, 1), (2, 0))
+    assert out[1][3] == ((0, 1), (1, 0))
 
 
 def test_localize_three_direction_classes_are_not_monomial():
     spec = build(C44A)
     p = next(q for q in base_points(spec) if q.coords == (F(1), F(0), F(0)))
     assert p.vanishing == (3, 4, 5)
-    li = localize(spec, p)
-    assert not li.monomial
-    assert len(li.directions) == 3
-    assert set(li.gens) == {(0, 2, 4), (1, 1, 3), (3, 0, 0)}
+    vanishing, directions, _, gens, monomial = oracle_localize(spec, p.coords)
+    assert vanishing == p.vanishing
+    assert not monomial
+    assert len(directions) == 3
+    assert set(gens) == {(0, 2, 4), (1, 1, 3), (3, 0, 0)}
 
 
 def test_localize_five_row_matrix_regression():
@@ -216,47 +190,13 @@ def test_localize_five_row_matrix_regression():
     assert spec.d == 10
     p = next(q for q in base_points(spec) if q.coords == (F(1), F(1), F(-1)))
     assert p.vanishing == (1, 2)
-    li = localize(spec, p)
-    assert li.monomial
-    assert li.gens == ((0, 5), (1, 4), (7, 1), (8, 0))
+    _, _, _, gens, monomial = oracle_localize(spec, p.coords)
+    assert monomial
+    assert gens == ((0, 5), (1, 4), (7, 1), (8, 0))
 
 
 @given(st.lists(st.tuples(st.integers(0, 6)), min_size=1, max_size=8))
 def test_minimal_keeps_the_least_exponent_of_one_direction_class(points):
-    """At a point where one direction class vanishes, the exponents are
-    1-tuples, and the sweep of `localize` keeps the least of them."""
+    """Of 1-tuples, as the exponents at a point where one direction class
+    vanishes would be, the sweep keeps the least."""
     assert _minimal(points) == [min(points)]
-
-
-def test_localize_rejects_non_basic_points():
-    spec = build(C42)
-    fake = BasePoint((F(1), F(-1), F(1)), (3,))
-    with pytest.raises(ValueError, match="not a base point of the pencil"):
-        localize(spec, fake)
-
-
-@pytest.mark.parametrize(
-    "coords",
-    [
-        (1, -2, 0),
-        (-3, 6, 0),
-        (Fraction(1, 3), Fraction(-2, 3), F(0)),
-        (Fraction(-5, 7), Fraction(10, 7), 0),
-    ],
-)
-def test_localize_takes_any_representative(coords):
-    """Plain ints and non-normalized Fractions name the same point as the
-    reported coordinates; the given coordinates are kept as they are."""
-    spec = build(C42)
-    good = base_points(spec)[0]
-    li = localize(spec, BasePoint(coords, ()))
-    assert li.base == BasePoint(coords, good.vanishing)
-    assert (li.gens, li.per_form) == (localize(spec, good).gens, localize(spec, good).per_form)
-
-
-def test_localize_recomputes_vanishing_set():
-    """A stale vanishing tuple on the input point does not corrupt the answer."""
-    spec = build(C42)
-    good = base_points(spec)[0]
-    tampered = BasePoint(good.coords, (1,))
-    assert localize(spec, tampered).gens == localize(spec, good).gens

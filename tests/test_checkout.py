@@ -72,6 +72,11 @@ def loaded_names(stmt):
             yield from (alias.name for alias in sub.names)
 
 
+def attribute_names(stmt):
+    """The names a statement reads as an attribute, x.name."""
+    return (sub.attr for sub in ast.walk(stmt) if isinstance(sub, ast.Attribute))
+
+
 def test_every_private_helper_has_a_reader():
     """Each private module-level function, class and constant of the
     library is read somewhere in it, outside its own definition: code that
@@ -126,6 +131,8 @@ def test_every_public_name_has_a_reader():
     method and property of its classes, is read outside its own
     definition: in the library, not counting the package's re-exports, in
     the demo scripts, in the benchmark, or in the code of README.md. A
+    method or property counts as read only as an attribute, x.name, so a
+    local or argument of the same spelling does not hide an unread one. A
     public name that only the tests read belongs in the tests."""
     library = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "galedisc").glob("*.py"))}
     statements = [
@@ -136,14 +143,19 @@ def test_every_public_name_has_a_reader():
     ]
     for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
         statements += ast.parse(path.read_text()).body
-    reads = Counter(name for stmt in statements for name in loaded_names(stmt))
-    readme = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S)
-    reads.update(re.findall(r"\w+", " ".join(readme)))
+    readme = " ".join(re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(), re.S))
+    reads = {
+        loaded_names: Counter(re.findall(r"\w+", readme)),
+        attribute_names: Counter(re.findall(r"\.(\w+)", readme)),
+    }
+    for names, counter in reads.items():
+        counter.update(name for stmt in statements for name in names(stmt))
     unread = [
         "%s:%s" % (path.name, qualified)
         for path, tree in library.items()
         for qualified, node in public_definitions(tree)
-        if reads[node.name] == Counter(loaded_names(node))[node.name]
+        for names in [attribute_names if "." in qualified else loaded_names]
+        if reads[names][node.name] == Counter(names(node))[node.name]
     ]
     assert unread == []
 

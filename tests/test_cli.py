@@ -399,6 +399,18 @@ def test_gauss_check_failure_is_still_a_report(files, capsys):
     assert rep["pass"] is False
 
 
+def test_gauss_check_fails_a_polynomial_that_does_not_vanish_on_psi(files, capsys):
+    """Delta_B + 1 has the gradient of Delta_B, which inverts psi, but it
+    does not vanish on psi."""
+    plus_one = {"vars": ["y1", "y2"], "terms": DELTA_B_TERMS + [{"c": "1", "e": [0, 0]}]}
+    code, out, err = run(
+        capsys, "gauss-check", files("b.json", {"rows": B_ROWS}), files("p.json", plus_one), "--text"
+    )
+    assert (code, out, err) == (0, "fail\n", "")
+    rep = run_json(capsys, "gauss-check", files("b.json", {"rows": B_ROWS}), files("p.json", plus_one))
+    assert rep == {"pass": False}
+
+
 # ---------------------------------------------------------------- exit codes
 
 

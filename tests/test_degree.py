@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import galedisc.parametrization
-from galedisc.basepoints import base_points, is_uniform, localize
+from galedisc.basepoints import base_points, is_uniform
 from galedisc.degree import (
     Staircase2,
     _chain,
@@ -20,7 +20,7 @@ from galedisc.degree import (
 )
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import Verdict, build, defect_test
-from oracles import lower_hull_by_segments, oracle_base_points
+from oracles import lower_hull_by_segments, oracle_base_points, oracle_localize
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -324,13 +324,14 @@ def random_uniform_matrix(rng, bound=None):
 
 def random_uniform_spec(rng):
     """A uniform matrix as above with degree at least 1; with build(C), its
-    base points and the local ideals localize finds at them."""
+    base points and the (gens, monomial) of the local ideals that
+    `oracle_localize` finds at them."""
     while True:
         C = random_uniform_matrix(rng)
         spec = build(C)
         pts = base_points(spec)
-        ideals = [localize(spec, p) for p in pts]
-        if spec.d**2 > sum(staircase_multiplicity(Staircase2.of(li.gens)) for li in ideals):
+        ideals = [oracle_localize(spec, p.coords)[3:] for p in pts]
+        if spec.d**2 > sum(staircase_multiplicity(Staircase2.of(gens)) for gens, _ in ideals):
             return C, spec, pts, ideals
 
 
@@ -352,10 +353,11 @@ def test_uniform_crossings_need_no_checks(seed):
 @settings(deadline=None, max_examples=25)
 def test_degree_matches_the_localize_oracle(seed):
     """Each point's multiplicity, read off the pair of crossing rows, equals
-    the staircase multiplicity of the ideal that localize finds there."""
+    the staircase multiplicity of the ideal that the localization oracle
+    finds there."""
     C, spec, pts, ideals = random_uniform_spec(random.Random(seed))
-    assert all(li.monomial for li in ideals)
-    local = [staircase_multiplicity(Staircase2.of(li.gens)) for li in ideals]
+    assert all(monomial for _, monomial in ideals)
+    local = [staircase_multiplicity(Staircase2.of(gens)) for gens, _ in ideals]
     rep = degree_uniform(C)
     assert [(p.coords, p.vanishing, e) for p, e in rep.points] == [
         (p.coords, p.vanishing, e) for p, e in zip(pts, local)

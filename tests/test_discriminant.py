@@ -30,13 +30,12 @@ from galedisc.discriminant import (
     transfer,
 )
 from galedisc.intmat import IntMatrix, gcd_maximal_minors, l1_reduce, smith_normal_form
-from galedisc.mpoly import MPoly, _normal_form, substitute_monomial, sylvester_resultant
+from galedisc.mpoly import MPoly, _normal_form, _substitute, sylvester_resultant
 from galedisc.parametrization import (
     Verdict,
     _forms_at,
     build,
     defect_test,
-    evaluate_psi,
     primitive_direction,
 )
 from oracles import (
@@ -53,8 +52,10 @@ from oracles import (
     pencils,
     plain_normal_form,
     project,
+    psi_at,
     sample_off_arrangement,
     set_var_one,
+    smith_diagonal,
     solve_in_lattice,
     turned_rows,
 )
@@ -226,7 +227,7 @@ def assert_vanishes_on_the_image(mat, rng, points):
     delta = implicitize(spec)
     for _ in range(points):
         u = sample_off_arrangement(spec, rng)
-        assert delta.evaluate(evaluate_psi(spec, u)) == 0
+        assert delta.evaluate(psi_at(spec, u)) == 0
 
 
 @pytest.mark.parametrize("mat", [B, C], ids=["cubic", "rescaled"])
@@ -338,7 +339,7 @@ def test_cleared_value_is_delta_at_psi_times_f0_to_the_d(mat, delta):
             factor /= Fraction(fk) ** a
         if not delta.is_laurent and top == spec.d:
             assert factor == f[0] ** spec.d
-        y = evaluate_psi(spec, u)
+        y = psi_at(spec, u)
         forms = _forms_at(spec.C, u)
         values = _cleared_terms(spec, delta, forms)
         assert values == {e: factor * MPoly(spec.m, {e: c}).evaluate(y) for e, c in delta.terms.items()}
@@ -614,10 +615,14 @@ def test_gauss_map_undefined_on_constants():
         (C, DELTA_C, True),
         (C42, QUARTIC42, True),
         (C42, QUARTIC42_WRONG, False),
+        (B, DELTA_B + 1, False),
+        (C42, QUARTIC42 + 1, False),
     ],
-    ids=["cubic", "rescaled", "quartic-surface", "mistranscribed-quartic"],
+    ids=["cubic", "rescaled", "quartic-surface", "mistranscribed-quartic", "cubic-plus-one", "quartic-plus-one"],
 )
 def test_gauss_inverse_check(mat, delta, expected):
+    """Delta + 1 has Delta's gradient, which inverts psi, but does not
+    vanish on psi, so it fails."""
     assert gauss_inverse_check(build(mat), delta) is expected
 
 
@@ -641,10 +646,10 @@ def gauss_outcome(check, *args, **kwargs):
 
 def gauss_candidates(data, delta):
     """A candidate for the Gauss check in the variables of delta: a random
-    polynomial with Laurent exponents, y^a * delta, delta^2, zero or a
-    constant."""
+    polynomial with Laurent exponents, y^a * delta, delta^2, delta plus a
+    nonzero constant, zero or a constant."""
     m = delta.n_vars
-    kind = data.draw(st.sampled_from(["random", "shifted", "square", "zero", "constant"]))
+    kind = data.draw(st.sampled_from(["random", "shifted", "square", "delta + c", "zero", "constant"]))
     if kind == "random":
         terms = data.draw(
             st.dictionaries(
@@ -658,8 +663,10 @@ def gauss_candidates(data, delta):
         return delta.shift(data.draw(st.tuples(*(st.integers(-3, 3) for _ in range(m)))))
     if kind == "square":
         return delta * delta
+    if kind == "delta + c":
+        return delta + data.draw(st.integers(-5, 5).filter(bool))
     if kind == "zero":
-        return MPoly.zero(m)
+        return MPoly(m)
     return MPoly.constant(m, data.draw(st.integers(-5, 5).filter(bool)))
 
 
@@ -687,25 +694,29 @@ def test_integer_gauss_check_agrees_with_the_fraction_oracle(surface, data):
         (B, DELTA_B),
         (B, DELTA_B.shift((-1, 2))),
         (B, DELTA_B * DELTA_B),
+        (B, DELTA_B + 1),
         (B, DELTA_C),
-        (B, MPoly.zero(2)),
+        (B, MPoly(2)),
         (B, MPoly.constant(2, -3)),
         (C, DELTA_C.shift((3, -4))),
         (C42, QUARTIC42.shift((0, -1, 2))),
         (C42, QUARTIC42 * QUARTIC42),
+        (C42, QUARTIC42 + 1),
         (C42, QUARTIC42_WRONG),
-        (C42, MPoly.zero(3)),
+        (C42, MPoly(3)),
     ],
     ids=[
         "cubic",
         "cubic-laurent",
         "cubic-squared",
+        "cubic-plus-one",
         "unrelated",
         "zero",
         "constant",
         "rescaled-laurent",
         "quartic-laurent",
         "quartic-squared",
+        "quartic-plus-one",
         "mistranscribed-quartic",
         "quartic-zero",
     ],
@@ -760,7 +771,7 @@ def test_quartic_vanishes_and_its_mistranscription_does_not():
     hits = 0
     for _ in range(10):
         u = sample_off_arrangement(spec, rng)
-        y = evaluate_psi(spec, u)
+        y = psi_at(spec, u)
         assert QUARTIC42.evaluate(y) == 0
         hits += QUARTIC42_WRONG.evaluate(y) != 0
     assert hits == 10
@@ -827,7 +838,7 @@ def test_group_product_laurent_identity():
     prod = group_product(-DELTA_B, M35)
     _, v = transfer(DELTA_B, M35)
     assert v == (-9, 3)
-    shifted = substitute_monomial(DELTA_C, M35).shift(tuple(-x for x in v))
+    shifted = _substitute(DELTA_C, M35).shift(tuple(-x for x in v))
     assert prod == shifted
 
 
@@ -838,7 +849,7 @@ def test_group_product_of_a_laurent_shift():
     f = DELTA_B.shift((-1, 0))
     _, v = transfer(f, M35)
     assert v == (-6, 3)
-    shifted = substitute_monomial(DELTA_C, M35).shift(tuple(-x for x in v))
+    shifted = _substitute(DELTA_C, M35).shift(tuple(-x for x in v))
     assert group_product(-f, M35) == shifted
     assert group_product(f, M35) == group_product(DELTA_B, M35).shift((-3, 0))
 
@@ -891,7 +902,7 @@ def test_group_product_of_laurent_input_obeys_the_transfer_law(n, data):
     M = lattice_change(data, n)
     f = primitive_poly(data, n).shift(data.draw(st.tuples(*(st.integers(-2, 2) for _ in range(n)))))
     delta1, v = transfer(f, M)
-    shifted = substitute_monomial(delta1, M).shift(tuple(-x for x in v))
+    shifted = _substitute(delta1, M).shift(tuple(-x for x in v))
     assert group_product(f, M) in (shifted, -shifted)
 
 
@@ -907,7 +918,7 @@ def test_group_product_keeps_content_one(seed):
                 for _ in range(3)
             },
         )
-        if f != MPoly.zero(2) and f.content() == 1:
+        if f != MPoly(2) and f.content() == 1:
             break
     m = IntMatrix([[rng.choice((1, 2)), 0], [rng.randint(-1, 1), rng.choice((1, 2))]])
     assert group_product(f, m).content() == 1
@@ -958,7 +969,7 @@ def test_norm_basis_is_a_smith_basis_with_a_row_no_longer_than_smith(M, f):
     among its completions s + t r."""
     snf = smith_normal_form(M)
     P, Q = _norm_basis(f, M, snf)
-    assert P * M * Q == snf.D
+    assert P * M * Q == smith_diagonal(snf)
     assert abs(P.det()) == 1 and abs(Q.det()) == 1
     assert span(P.entries[1], f) <= span(snf.P.entries[1], f)
     if P != snf.P:
@@ -1025,7 +1036,7 @@ def test_b_low13_norm_degree_and_nodes_on_the_reduced_basis():
     snf = smith_normal_form(M)
     P, _ = _norm_basis(DELTA_B, M, snf)
     for basis, degree, nodes in ((snf.P, 11, 25), (P, 6, 13)):
-        g0 = substitute_monomial(DELTA_B, basis).split_monomial()[1]
+        g0 = _substitute(DELTA_B, basis).split_monomial()[1]
         assert g0.degree_in(2) == degree
         assert _count_below(g0.terms) == nodes
     assert coeffs_in(g0, 2)[6] == MPoly.constant(2, 27)
@@ -1126,7 +1137,7 @@ def test_transfer_rejects_imprimitive_input():
 
 
 SINGULAR = IntMatrix([[1, 2], [2, 4]])
-ZERO2 = MPoly.zero(2)
+ZERO2 = MPoly(2)
 
 
 @pytest.mark.parametrize(
@@ -1235,7 +1246,7 @@ def transfer_by_adjugate(f, M):
     cleared and v = M (-e)."""
     det = M.det()
     adj = sympy.Matrix(M.to_lists()).adjugate()
-    q = substitute_monomial(group_product(f, M), IntMatrix([[int(x) for x in r] for r in adj.tolist()]))
+    q = _substitute(group_product(f, M), IntMatrix([[int(x) for x in r] for r in adj.tolist()]))
     assert all(x % det == 0 for e in q.terms for x in e)
     q = MPoly(f.n_vars, {tuple(x // det for x in e): c for e, c in q.terms.items()})
     mins, c, prim = plain_normal_form(q)

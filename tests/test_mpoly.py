@@ -12,11 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from galedisc.discriminant import _unit_root_product
 from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
-from galedisc.mpoly import (
-    MPoly,
-    substitute_monomial,
-    sylvester_resultant,
-)
+from galedisc.mpoly import MPoly, sylvester_resultant
 from galedisc.mpoly import (
     _det_by_interpolation,
     _digits,
@@ -28,6 +24,7 @@ from galedisc.mpoly import (
     _newton_to_monomial,
     _normal_form,
     _packed,
+    _substitute,
 )
 from oracles import (
     coeffs_in,
@@ -70,9 +67,9 @@ def to_sympy(p, syms):
 
 
 def test_constructors_and_predicates():
-    assert MPoly.zero(3).terms == {}
+    assert MPoly(3).terms == {}
     assert MPoly.one(2) == MPoly.constant(2, 1)
-    assert MPoly.constant(2, 0) == MPoly.zero(2)
+    assert MPoly.constant(2, 0) == MPoly(2)
     assert MPoly.constant(2, 7).total_degree() == 0
     assert (X + Y).total_degree() != 0
 
@@ -139,7 +136,7 @@ def test_arithmetic_goldens():
     p = (X + Y) * (X - Y)
     assert p == X * X - Y * Y
     assert (X + Y) ** 3 == X**3 + 3 * X**2 * Y + 3 * X * Y**2 + Y**3
-    assert X - X == MPoly.zero(2)
+    assert X - X == MPoly(2)
     assert 2 * X == X + X
     assert -(X - Y) == Y - X
 
@@ -227,7 +224,7 @@ def test_packing_many_terms_matches_the_plain_sum(data):
 
 
 def test_powers_of_zero_and_negative_powers():
-    zero = MPoly.zero(2)
+    zero = MPoly(2)
     assert zero**0 == MPoly.one(2)
     assert zero**3 == zero
     with pytest.raises(ValueError, match="negative power"):
@@ -244,8 +241,8 @@ def test_degree_accounting():
     assert p.total_degree() == 3
     assert p.degree_in(1) == 3
     assert p.degree_in(2) == 1
-    assert MPoly.zero(2).total_degree() == -1
-    assert MPoly.zero(2).degree_in(1) == -1
+    assert MPoly(2).total_degree() == -1
+    assert MPoly(2).degree_in(1) == -1
 
 
 def test_laurent_support():
@@ -290,7 +287,7 @@ def test_arithmetic_results_are_valid_polynomials(data):
     results.append(p.shift(shift))
     entries = st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2)
     m = data.draw(entries.map(IntMatrix).filter(IntMatrix.det))
-    moved = substitute_monomial(p, m)
+    moved = _substitute(p, m)
     assert moved == MPoly(2, {m.mul_vec(e): c for e, c in p.terms.items()})
     results.append(moved)
     if p:
@@ -332,19 +329,19 @@ def test_sorted_terms_graded_then_lex_tiebreak():
 def test_normal_form_is_the_chain_it_replaces(data):
     """_normal_form(p, m) is alpha_m(p) split into its monomial, its
     content and its sign-normalized primitive part, as
-    `substitute_monomial` and then `plain_normal_form`, term by term, give
+    `_substitute` and then `plain_normal_form`, term by term, give
     them; under the identity, the same of p itself."""
     p = poly2(data, laurent=True)
     assume(p)
     m = IntMatrix([[data.draw(st.integers(-3, 3)) for _ in range(2)] for _ in range(2)])
     assume(m.det())
-    for image, a in ((p, IntMatrix([[1, 0], [0, 1]])), (substitute_monomial(p, m), m)):
+    for image, a in ((p, IntMatrix([[1, 0], [0, 1]])), (_substitute(p, m), m)):
         assert _normal_form(p, a) == plain_normal_form(image)
     assert p.content() == plain_normal_form(p)[1]
 
 
 def test_zero_input_has_no_normal_form():
-    zero = MPoly.zero(2)
+    zero = MPoly(2)
     for read in (MPoly.content, MPoly.min_exponents, lambda p: _normal_form(p, IntMatrix([[1, 0], [0, 1]]))):
         with pytest.raises(ValueError, match="zero input"):
             read(zero)
@@ -495,7 +492,7 @@ def test_resultant_small_goldens():
     two, three = MPoly.constant(2, 2), MPoly.constant(2, 3)
     assert sylvester_resultant(X * X + 3 * X + two, 2 * X + three, 1) == MPoly.constant(2, -1)
     assert sylvester_resultant(X * X - Y, X - Y, 1) == Y * Y - Y
-    assert sylvester_resultant(X * X - Y * Y, X + Y, 1) == MPoly.zero(2)
+    assert sylvester_resultant(X * X - Y * Y, X + Y, 1) == MPoly(2)
 
 
 def test_resultant_requires_something_to_eliminate():
@@ -648,12 +645,12 @@ def _det_bareiss_poly(mat, n_vars):
                     sign = -sign
                     break
             else:
-                return MPoly.zero(n_vars)
+                return MPoly(n_vars)
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = MPoly.zero(n_vars)
+            m[i][k] = MPoly(n_vars)
         prev = pivot
     result = m[n - 1][n - 1]
     return result if sign == 1 else -result
@@ -663,7 +660,7 @@ def sylvester_matrix(p, q, var_index):
     """The Sylvester matrix of p and q in one variable, rows of p first."""
     dp, dq = p.degree_in(var_index), q.degree_in(var_index)
     pc, qc = coeffs_in(p, var_index), coeffs_in(q, var_index)
-    zero = MPoly.zero(p.n_vars)
+    zero = MPoly(p.n_vars)
     size = dp + dq
     rows = [[zero] * size for _ in range(size)]
     for i in range(dq):
@@ -781,7 +778,7 @@ def test_a_resultant_that_vanishes_identically(limit):
     x, y1, y2 = (variable(n, i) for i in (1, 2, 3))
     f = x * x - y1 * y2
     p, q = f * (x - y1 + MPoly.constant(n, 3)), f * MPoly.constant(n, 10**12)
-    assert engine(p, q, limit) == MPoly.zero(n)
+    assert engine(p, q, limit) == MPoly(n)
 
 
 @pytest.mark.parametrize("limit, calls", [(0, 6), (10**9, 3)], ids=["per-node", "packed"])
@@ -879,7 +876,7 @@ def draw_norm_input(data, e):
     k = data.draw(st.integers(1, n))
     d = data.draw(st.integers(1, 16))
     others = st.tuples(*(st.integers(0, 1) if i != k - 1 else st.just(0) for i in range(n)))
-    g = MPoly.zero(n)
+    g = MPoly(n)
     for j in range(e + 1):
         coeff = data.draw(
             st.dictionaries(others, st.integers(-3, 3).filter(bool), min_size=int(j == e), max_size=4 - n)
@@ -896,7 +893,7 @@ def assert_unit_root_product_matches(g, k, d):
     expected = unit_root_product_by_sylvester(g, k, d)
     for density in (10**12, mpoly._PACK_DENSITY, Fraction(1, 2)):
         with mock.patch.object(mpoly, "_PACK_DENSITY", density):
-            assert substitute_monomial(_unit_root_product(g, k, d), y_d) == expected
+            assert _substitute(_unit_root_product(g, k, d), y_d) == expected
 
 
 def test_small_norms_read_g_once_and_take_no_polynomial_product():
@@ -949,7 +946,7 @@ def test_packed_closed_form_matches_bareiss_and_sympy(data):
     d = data.draw(st.integers(2, 40))
     others = st.tuples(*(st.integers(0, 2) if i != k - 1 else st.just(0) for i in range(n)))
     big = st.builds(int.__mul__, st.integers(1, 10**6), st.sampled_from([1, -1]))
-    g = MPoly.zero(n)
+    g = MPoly(n)
     for j, least in ((0, 1), (1, 0), (2, 1)):
         coeff = data.draw(st.dictionaries(others, big, min_size=least, max_size=1 + (d <= 12)))
         g = g + MPoly(n, coeff) * variable(n, k) ** j
@@ -961,7 +958,7 @@ def test_packed_closed_form_matches_bareiss_and_sympy(data):
         with mock.patch.object(mpoly, "_PACK_DENSITY", density):
             norms.append(_unit_root_product(g, k, d))
     assert norms[0] == norms[1] == norms[2] == unit_root_product_by_sympy(g, k, d)
-    assert substitute_monomial(norms[0], y_d) == unit_root_product_by_sylvester(g, k, d)
+    assert _substitute(norms[0], y_d) == unit_root_product_by_sylvester(g, k, d)
 
 
 def test_a_sparse_norm_stays_on_polynomial_steps():
@@ -1144,7 +1141,7 @@ def test_resultant_with_constant_coefficients_on_the_interpolation_kernel():
         for j in range(6, 11):
             expected *= i - j
     assert sylvester_resultant(p, q, 1) == MPoly.constant(2, expected)
-    assert sylvester_resultant(p, q * (X - 3), 1) == MPoly.zero(2)
+    assert sylvester_resultant(p, q * (X - 3), 1) == MPoly(2)
 
 
 def test_newton_interpolation_round_trip():
@@ -1227,13 +1224,8 @@ def test_int_resultant_matches_sympy(a, b, lead_a, lead_b):
 
 def test_substitute_monomial_golden():
     p = X + Y
-    out = substitute_monomial(p, IntMatrix([[1, 0], [1, 1]]))
+    out = _substitute(p, IntMatrix([[1, 0], [1, 1]]))
     assert out == MPoly(2, {(1, 1): 1, (0, 1): 1})
-
-
-def test_substitute_monomial_rejects_singular():
-    with pytest.raises(ValueError, match="singular matrix"):
-        substitute_monomial(X + Y, IntMatrix([[1, 2], [2, 4]]))
 
 
 @given(st.data())
@@ -1242,4 +1234,4 @@ def test_substitute_monomial_is_multiplicative(data):
     p = poly2(data, max_terms=3)
     q = poly2(data, max_terms=3)
     m = IntMatrix([[1, 1], [0, 1]])
-    assert substitute_monomial(p * q, m) == substitute_monomial(p, m) * substitute_monomial(q, m)
+    assert _substitute(p * q, m) == _substitute(p, m) * _substitute(q, m)

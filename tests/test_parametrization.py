@@ -15,15 +15,13 @@ from galedisc.parametrization import (
     Verdict,
     _forms_at,
     _certificate_points,
-    _forms_off_arrangement,
     _log_jacobian_scaled,
     build,
     defect_test,
-    evaluate_psi,
     merge_proportional_rows,
     primitive_direction,
 )
-from oracles import sample_off_arrangement
+from oracles import psi_at, sample_off_arrangement
 
 B = IntMatrix([[1, 2], [-2, -3], [1, 0], [0, 1]])
 C = IntMatrix([[1, 2], [0, -3], [-3, 0], [2, 1]])
@@ -121,28 +119,17 @@ def test_build_rejections(rows, msg):
         build(IntMatrix(rows))
 
 
-# ---------------------------------------------------------------- evaluation
+# ---------------------------------------------------------------- psi, the oracle
 
 
 def test_psi_value_golden():
-    spec = build(B)
-    assert evaluate_psi(spec, (Fraction(1), Fraction(1))) == (Fraction(3, 25), Fraction(-9, 125))
-
-
-def test_psi_rejects_arrangement_points():
-    spec = build(B)
-    with pytest.raises(ValueError, match="point on the arrangement: form 1 vanishes"):
-        evaluate_psi(spec, (Fraction(1), Fraction(-1, 2)))
-    with pytest.raises(ValueError, match="forms 1, 2, 3, 4 vanish"):
-        evaluate_psi(spec, (Fraction(0), Fraction(0)))
+    assert psi_at(build(B), (1, 1)) == (Fraction(3, 25), Fraction(-9, 125))
 
 
 def test_psi_is_scale_invariant():
     """Degree-zero homogeneity: psi(t*u) = psi(u)."""
     spec = build(C)
-    u = (Fraction(2), Fraction(5))
-    tu = (Fraction(6), Fraction(15))
-    assert evaluate_psi(spec, u) == evaluate_psi(spec, tu)
+    assert psi_at(spec, (2, 5)) == psi_at(spec, (6, 15))
 
 
 # ---------------------------------------------------------------- jacobian
@@ -152,7 +139,7 @@ def log_jacobian(spec, u):
     """The m x m matrix J_jk = sum_i c_ij c_ik / l_i(u) over Fractions, at an
     exact rational point off the arrangement: the oracle of
     _log_jacobian_scaled."""
-    forms = _forms_off_arrangement(spec, u)
+    forms = _forms_at(spec.C, [Fraction(x) for x in u])
     return tuple(
         tuple(
             sum(Fraction(row[j] * row[k]) / l for row, l in zip(spec.C.entries, forms))
@@ -167,12 +154,6 @@ def test_log_jacobian_golden():
     j = log_jacobian(spec, (Fraction(1), Fraction(1)))
     s = Fraction(8, 15)
     assert j == ((s, -s), (-s, s))
-
-
-def test_log_jacobian_rejects_arrangement_points():
-    spec = build(B)
-    with pytest.raises(ValueError, match="point on the arrangement"):
-        log_jacobian(spec, (Fraction(1), Fraction(-1, 2)))
 
 
 @given(st.integers(0, 10_000))
@@ -441,8 +422,8 @@ def test_merge_scaling_invariant():
     rng = random.Random(5)
     for _ in range(4):
         u = sample_off_arrangement(full_spec, rng)
-        a = evaluate_psi(full_spec, u)
-        b = evaluate_psi(merged_spec, u)
+        a = psi_at(full_spec, u)
+        b = psi_at(merged_spec, u)
         assert a == tuple(lk * bk for lk, bk in zip(lam, b))
 
 
