@@ -9,16 +9,18 @@ Resultants have a single engine, evaluation and interpolation in integers
 (Collins, J. ACM 1971): no determinant is ever taken over polynomials. Its
 nodes are the integer points of the box of the resultant's degree bounds,
 which it reads off the two operands. Each line of nodes along one variable
-gives the coefficients in that variable, by a single integer resultant at
-a power of two whose balanced digits they are (Kronecker substitution)
-while the packed integers stay narrow enough to be cheaper than one
-resultant per node, and otherwise node by node, and Newton interpolation
-along each other axis of the box in turn gives the polynomial. Powers and
-the closed-form norms in `discriminant` pack every variable the same way
-(`_kronecker`), and one reader of balanced digits serves all three. Each
-of the two polynomials is evaluated once per distinct point projected onto
-the variables it uses, so a curve's pencils, each in one y_k, are
-evaluated once per line of nodes. A caller that knows the resultant's two
+gives one integer, the resultant with that variable set to a power of two
+X (Kronecker substitution): by a single integer resultant at X while the
+packed integers stay narrow enough to be cheaper than one resultant per
+node, and otherwise node by node, packed after Newton interpolation along
+the line. Newton interpolation along each other axis of the box in turn,
+on those packed integers, gives the polynomial's coefficients packed, and
+their balanced digits in base X are read once. Powers and the closed-form
+norms in `discriminant` pack every variable the same way (`_kronecker`),
+and one reader of balanced digits serves all three. Each of the two
+polynomials is evaluated once per distinct point projected onto the
+variables it uses, so a curve's pencils, each in one y_k, are evaluated
+once per line of nodes. A caller that knows the resultant's two
 end lines along an interpolated axis, its value at 0 and its top
 coefficient there, may hand them in: those lines then take no resultant.
 
@@ -447,7 +449,7 @@ def _newton_to_monomial(dd):
     return coeffs
 
 
-def _interpolate(grid, tops, skip, ends) -> None:
+def _interpolate(grid, tops, ends) -> None:
     """Turn the values of an integer polynomial at the nodes of the box
     0 <= y_v <= tops[v] (a dict from exponent tuples to ints) into its
     coefficients, in place. The polynomial's degree in each y_v must be at
@@ -459,11 +461,9 @@ def _interpolate(grid, tops, skip, ends) -> None:
     by line along one axis while the other coordinates stay fixed, so the
     steps along different axes commute, and each axis can finish before
     the next starts. Raises ArithmeticError on values no integer
-    polynomial takes.
+    polynomial takes. The resultant engine hands it a polynomial whose
+    coefficients are packed integers, with top 0 on the packed axis.
 
-    skip, an axis or None: the grid holds at each node (j, b), j on that
-    axis, the value at b of the coefficient of y^j, and only the other
-    axes are interpolated; the resultant engine passes the axis it walked.
     ends, an axis of top t or None: the grid holds at each node (t, b) on
     it the value at b of the coefficient of y^t, not the polynomial's
     value: on each line along that axis, of values r(0), ..., r(t - 1) and
@@ -472,7 +472,7 @@ def _interpolate(grid, tops, skip, ends) -> None:
     coefficients, to which r(0) and c y^t are added back.
     """
     for i, top in enumerate(tops):
-        if i == skip or not top:
+        if not top:
             continue
         for b in product(*[range(t + 1) if v != i else (0,) for v, t in enumerate(tops)]):
             line = [b[:i] + (j,) + b[i + 1 :] for j in range(top + 1)]
@@ -564,10 +564,11 @@ def _int_resultant(a, b):
 # pencils of Sylvester size 10 to 26 (the grid in CHANGES.md) a packed
 # resultant took 0.40 to 0.75 of the per-node time at widths up to 2496
 # bits, 0.93 to 1.03 from 2570 to 2900 bits and 1.03 to 3.8 from 3150 on.
-# Re-timed on a 2-core Xeon under CPython 3.11, `implicitize` with packing
-# forced took 0.37 s against 0.10 s node by node on [[20, 1], [1, 20],
-# [-21, -21]] (9880 bits), and 0.17 s against 0.036 s on [[9, 4], [-7, 3],
-# [5, -11], [-7, 4]] (14628).
+# Re-timed on a 2-core Xeon under CPython 3.11, with K bounding the
+# resultant's coefficients only, `implicitize` with packing forced took
+# 0.28 s against 0.080 s node by node on [[20, 1], [1, 20], [-21, -21]]
+# (8440 bits), and 0.17 s against 0.034 s on [[9, 4], [-7, 3], [5, -11],
+# [-7, 4]] (14052).
 _PACK_WIDTH_LIMIT = 2500
 
 
@@ -701,34 +702,37 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends) -> MPoly:
     evaluated once.
 
     The lines of the box along one axis A, of least positive top (the first
-    by index among equals) or y_k when no top is positive, are walked once.
-    At the point b of the other axes, a line gives the coefficients R_j(b)
-    of y_A^j: packed (Kronecker substitution; Harvey, J. Symbolic Comput.
-    44, 2009) where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits, as
-    the balanced base-X digits of one `_int_resultant` at y_A = X = 2^K and
-    b, R(X, b) = sum_j R_j(b) X^j; otherwise by one `_int_resultant` per
-    node and Newton interpolation along the line. `_interpolate` then runs
-    along the other axes only. The digits are exact as K bounds by X/2 the
-    1-norm of R at a point in the variables left free there, y_A alone or
-    with one more y_w:
-    - each term of the Sylvester determinant takes one entry from each
-      row, and the 1-norm of a product is at most the product of the
-      1-norms, so that 1-norm is at most
-      (sum_j |p_j|_1)^dq * (sum_j |q_j|_1)^dp at that point, for the
-      coefficients p_j of p and q_j of q in y_k;
-    - |p_j|_1 is at most p_j with its coefficients made positive at 1 in
-      each free variable, which grows with every coordinate as the nodes
-      are >= 0, so that bound, taken once at y_A = 1 and the box's top
-      corner, holds at every point;
-    - K = bound.bit_length() + 1 makes the bound < 2^(K - 1) = X/2.
+    by index among equals) or y_k when no top is positive, are walked once,
+    and each gives one integer, R(X, b) = sum_j R_j(b) X^j for the
+    coefficients R_j of y_A^j, X = 2^K, at the point b of the other axes:
+    packed (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009)
+    where (tops[A] + 1) K is at most _PACK_WIDTH_LIMIT bits, as one
+    `_int_resultant` at y_A = X and b; otherwise by one `_int_resultant`
+    per node and Newton interpolation along the line, its coefficients
+    R_j(b) then packed. These integers are the values at the nodes b of
+    R(X, .), whose coefficients in the other variables are R's
+    coefficients in them packed along y_A, so `_interpolate`, on the box
+    with top 0 along A, gives those packed coefficients, and the balanced
+    base-X digits of each, read once, are R's coefficients. This is exact:
+    - substituting X for y_A is a ring homomorphism, and Newton
+      interpolation is linear, so each step on a packed integer is the
+      packed step on every digit; as every divided difference of an
+      integer polynomial at consecutive integers is an integer, every
+      division of a packed integer is exact;
+    - the digits are read only off R's coefficients, never off the node
+      values R_j(b), so K need only bound those by X/2. Each term of the
+      Sylvester determinant takes one entry from each row, and the 1-norm
+      of a product is at most the product of the 1-norms, so the 1-norm of
+      R is at most the product over the rows of their entries' 1-norms,
+      |p|_1^dq |q|_1^dp, and K = bound.bit_length() + 1 makes that bound
+      < 2^(K - 1) = X/2.
 
     ends, when given and the box has a positive axis w other than A, the
     first such, is called once with w's 1-based index and returns two
     polynomials free of y_k and y_w: R at y_w = 0, and R's coefficient of
     y_w^tops[w]. The lines at those two ends, on either route, then take
-    no `_int_resultant`: the same K reads the balanced digits of that
-    polynomial at y_A = X and the line's point, as its coefficients in y_A
-    are R's in y_A and y_w. `_interpolate` takes w with its ends known.
+    no `_int_resultant`: their integer is that polynomial at y_A = X and
+    the line's point. `_interpolate` takes w with its ends known.
     """
     k -= 1
     sides = []
@@ -746,49 +750,48 @@ def _det_by_interpolation(p: MPoly, q: MPoly, k: int, ends) -> MPoly:
     tops = [dq * a + dp * b if v != k else 0 for v, (a, b) in enumerate(zip(ps, qs))]
     _refuse_resultant(dp + dq, prod(t + 1 for t in tops))
 
-    def values(degs, terms, key) -> list:
-        vals = [0] * (degs[k] + 1)
-        for slot, c, e in terms:
-            for x, j in zip(key, e):
-                c *= x**j
-            vals[slot] += c
-        return vals
-
     def resultant_at(point):
         vals = []
         for degs, used, terms, seen in sides:
             key = tuple([point[v] for v in used])
             side = seen.get(key)
             if side is None:
-                side = seen[key] = values(degs, terms, key)
+                side = seen[key] = [0] * (degs[k] + 1)
+                for slot, c, e in terms:
+                    for x, j in zip(key, e):
+                        c *= x**j
+                    side[slot] += c
             vals.append(side)
         return _int_resultant(*vals)
 
     positive = [t for t in tops if t]
     A = tops.index(min(positive)) if positive else k
-    at = [1 if v == A else t for v, t in enumerate(tops)]
-    p_norm, q_norm = (
-        sum(values(degs, [(s, abs(c), e) for s, c, e in terms], [at[v] for v in used]))
-        for degs, used, terms, _ in sides
-    )
+    p_norm, q_norm = (sum(map(abs, f.terms.values())) for f in (p, q))
     K = (p_norm**dq * q_norm**dp).bit_length() + 1
-    top, grid, known = tops[A], {}, {}
+    top, flat, known = tops[A], tops[:A] + [0] + tops[A + 1 :], {}
     packed = (top + 1) * K <= _PACK_WIDTH_LIMIT
     w = next((v for v, t in enumerate(tops) if t and v != A), None) if ends is not None else None
     if w is not None:
         known = dict(zip((0, tops[w]), ends(w + 1)))
-    for b in product(*[range(t + 1) if v != A else (1 << K,) for v, t in enumerate(tops)]):
-        line = [b[:A] + (j,) + b[A + 1 :] for j in range(top + 1)]
+    grid = {}
+    for b in product(*[range(t + 1) for t in flat]):
+        at = b[:A] + (1 << K,) + b[A + 1 :]
         end = known.get(b[w]) if known else None
         if end is not None:
-            coeffs = _balanced_digits(sum([c * prod(map(pow, b, e)) for e, c in end.terms.items()]), K, top + 1)
+            grid[b] = sum([c * prod(map(pow, at, e)) for e, c in end.terms.items()])
         elif packed:
-            coeffs = _balanced_digits(resultant_at(b), K, top + 1)
+            grid[b] = resultant_at(at)
         else:
-            coeffs = _newton_to_monomial(_divided_differences([resultant_at(x) for x in line]))
-        grid.update(zip(line, coeffs))
-    _interpolate(grid, tops, A, w)
-    return MPoly._valid(p.n_vars, {e: c for e, c in grid.items() if c})
+            line = [resultant_at(b[:A] + (j,) + b[A + 1 :]) for j in range(top + 1)]
+            coeffs = _newton_to_monomial(_divided_differences(line))
+            grid[b] = sum([c << j * K for j, c in enumerate(coeffs)])
+    _interpolate(grid, flat, w)
+    terms = {}
+    for b, r in grid.items():
+        for j, c in enumerate(_balanced_digits(r, K, top + 1)):
+            if c:
+                terms[b[:A] + (j,) + b[A + 1 :]] = c
+    return MPoly._valid(p.n_vars, terms)
 
 
 # Work bound checked before any node is evaluated. Each node runs a PRS of
@@ -830,13 +833,14 @@ def sylvester_resultant(p: MPoly, q: MPoly, var_index: int, *, ends=None) -> MPo
     of the box of its degree bounds in the other variables, the
     coefficients of p and of q are evaluated in integers, a univariate
     subresultant PRS gives the resultant on each line of nodes along one
-    variable packed as a power of two, or at each node where packing would
-    make the integers too wide, and integer Newton interpolation recovers
-    the polynomial. This checks the operands and hands them, with ends, to
-    that engine, `_det_by_interpolation`, which raises ValueError when
-    either operand has degree 0 in y_k, and when the estimated work is
-    above _RESULTANT_WORK_LIMIT. ends, a function of the 1-based index of
-    an interpolated variable, gives the resultant's two end lines along
+    variable set to a power of two, or at each node where packing would
+    make the integers too wide, integer Newton interpolation on those
+    packed integers recovers the polynomial packed, and its coefficients
+    are read off as digits. This checks the operands and hands them, with
+    ends, to that engine, `_det_by_interpolation`, which raises ValueError
+    when either operand has degree 0 in y_k, and when the estimated work
+    is above _RESULTANT_WORK_LIMIT. ends, a function of the 1-based index
+    of an interpolated variable, gives the resultant's two end lines along
     it, which the engine then takes without a resultant.
     """
     if p.n_vars != q.n_vars:

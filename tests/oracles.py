@@ -404,6 +404,20 @@ def oracle_localize(spec, coords):
     return vanishing, tuple(cls_of), tuple(per_form), tuple(sorted(gens)), monomial
 
 
+def minimal_by_dominance(points):
+    """The minimal int pairs by their definition, sorted, each once: every
+    pair that no other pair is below in both coordinates, by a scan over
+    all pairs. Of nonnegative pairs, the minimal generators."""
+    pts = set(points)
+    return tuple(
+        sorted(
+            p
+            for p in pts
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
+        )
+    )
+
+
 def lower_hull_by_segments(points):
     """The points that a strict lower hull keeps, by brute force over a list
     of distinct points sorted by (x, y): the first and the last stay, and

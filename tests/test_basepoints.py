@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from galedisc.basepoints import _minimal, base_points, is_uniform
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import build
-from oracles import oracle_base_points, oracle_localize
+from oracles import minimal_by_dominance, oracle_base_points, oracle_localize
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -195,8 +195,10 @@ def test_localize_five_row_matrix_regression():
     assert gens == ((0, 5), (1, 4), (7, 1), (8, 0))
 
 
-@given(st.lists(st.tuples(st.integers(0, 6)), min_size=1, max_size=8))
-def test_minimal_keeps_the_least_exponent_of_one_direction_class(points):
-    """Of 1-tuples, as the exponents at a point where one direction class
-    vanishes would be, the sweep keeps the least."""
-    assert _minimal(points) == [min(points)]
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=12))
+def test_minimal_of_negated_signed_pairs_matches_the_dominance_scan(points):
+    """`_count_below` in `discriminant` hands the sweep its points negated,
+    int pairs of either sign; it keeps, sorted and once each, the pairs
+    that no other pair is below in both coordinates."""
+    negated = [(-a, -b) for a, b in points]
+    assert tuple(_minimal(negated)) == minimal_by_dominance(negated)

@@ -20,7 +20,7 @@ from galedisc.degree import (
 )
 from galedisc.intmat import IntMatrix
 from galedisc.parametrization import Verdict, build, defect_test
-from oracles import lower_hull_by_segments, oracle_base_points, oracle_localize
+from oracles import lower_hull_by_segments, minimal_by_dominance, oracle_base_points, oracle_localize
 
 C42 = IntMatrix([[2, 1, 3], [-2, -1, -2], [1, 1, 0], [-1, -1, -1]])
 C43 = IntMatrix([[1, -1, 0], [1, -1, 1], [1, -1, 0], [-1, 2, 0], [-1, 1, -2], [-1, 0, 1]])
@@ -87,19 +87,6 @@ def colength_by_counting(gens):
 def test_minimal_generators_dedupes_and_drops_dominated():
     gens = minimal_generators([(4, 0), (0, 3), (2, 1), (5, 5), (4, 0), (2, 1)])
     assert gens == ((0, 3), (2, 1), (4, 0))
-
-
-def minimal_by_dominance(points):
-    """The minimal generators by their definition: every pair that no other
-    pair is below in both coordinates, by a scan over all pairs."""
-    pts = set(points)
-    return tuple(
-        sorted(
-            p
-            for p in pts
-            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-        )
-    )
 
 
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12))

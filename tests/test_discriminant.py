@@ -38,6 +38,7 @@ from galedisc.parametrization import (
     defect_test,
     primitive_direction,
 )
+from test_workload_outputs import DIGESTS, workload_digest, workloads  # noqa: F401, the fixture
 from oracles import (
     by_angle,
     coeffs_in,
@@ -517,6 +518,48 @@ def test_end_lines_are_asked_for_on_the_per_node_route():
             for mat, delta in ((B, DELTA_B), (C, DELTA_C), (BPRIME, DELTA_BPRIME)):
                 assert implicitize(build(mat)) == delta
         assert spy.call_count == 3
+
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_curves_workload_outputs_node_by_node(workloads, seed):
+    """Every `curves` workload output at seeds 1 and 7, with packing off,
+    matches the digest that `tests/test_workload_outputs.py` pins: both of
+    the engine's routes give the same polynomials."""
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", 0):
+        assert workload_digest(workloads, "curves", seed) == DIGESTS["curves", seed]
+
+
+@pytest.mark.parametrize("limit", WIDTH_LIMITS, ids=["per-node", "packed"])
+def test_each_line_is_interpolated_and_read_once(limit):
+    """On B's reduced pencils, with the end lines, each line of nodes along
+    the walked axis y_A gives one packed integer: `_divided_differences`
+    runs once on the one line along the interpolated axis y_w, not once
+    per digit of y_A, and node by node once more, on the one line along
+    y_A that takes resultants. `_balanced_digits` runs once per final line,
+    on R's coefficients in y_A packed at X = 2^K, with K from the row-sum
+    bound |p|_1^dq |q|_1^dp."""
+    E = B * l1_reduce(B)
+    W = _row_lattice_forms(E)
+    p, q = pencils = _affine_pencils(E, W)
+    R = sylvester_resultant(p, q, 1)
+    dp, dq = p.degree_in(1), q.degree_in(1)
+    tops = [0] + [dq * p.degree_in(v) + dp * q.degree_in(v) for v in (2, 3)]
+    A = tops.index(min(tops[1:]))
+    K = (sum(map(abs, p.terms.values())) ** dq * sum(map(abs, q.terms.values())) ** dp).bit_length() + 1
+
+    def packed(b):
+        """R's coefficients of y_A^j y_w^b, j = 0 to tops[A], packed at X."""
+        e = [0, b, b]
+        return sum(R.terms.get(tuple(e[:A] + [j] + e[A + 1 :]), 0) << j * K for j in range(tops[A] + 1))
+
+    lines = [(packed(b), K, tops[A] + 1) for b in range(tops[3 - A] + 1)]
+    with mock.patch.object(mpoly, "_PACK_WIDTH_LIMIT", limit):
+        with mock.patch.object(mpoly, "_divided_differences", wraps=mpoly._divided_differences) as newton:
+            with mock.patch.object(mpoly, "_balanced_digits", wraps=mpoly._balanced_digits) as digits:
+                assert sylvester_resultant(*pencils, 1, ends=partial(_end_lines, pencils, E, W)) == R
+    assert newton.call_count == (1 if limit else 2)
+    assert sorted(c.args for c in digits.call_args_list) == sorted(lines)
 
 
 def test_a_curve_too_wide_to_pack_takes_its_end_lines_node_by_node():

@@ -14,6 +14,7 @@ from galedisc import discriminant, mpoly
 from galedisc.intmat import IntMatrix
 from galedisc.mpoly import MPoly, sylvester_resultant
 from galedisc.mpoly import (
+    _balanced_digits,
     _det_by_interpolation,
     _digits,
     _divided_differences,
@@ -771,6 +772,24 @@ def test_packed_digits_at_the_edge_of_their_range(limit, sign, bits):
 
 
 @WIDTH_LIMITS
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("bits", [2, 64])
+def test_node_values_beyond_the_digits_of_the_coefficients(limit, sign, bits):
+    """p = x against q = x + sign * b y1 y2^2 has the resultant
+    sign * b y1 y2^2, on 2 nodes along y1, the packed axis, by 3 along y2.
+    K = bits + 1 bounds the coefficient b = 2^bits - 2 by X/2 = 2^bits,
+    but not the coefficient of y1 at the node y2 = 2, 4b: reading digits
+    there would carry past y1. They are read off R's coefficients only."""
+    x, y1, y2 = (variable(3, i) for i in (1, 2, 3))
+    b = 2**bits - 2
+    p, q = x, x + sign * b * y1 * y2 * y2
+    K = bits + 1
+    assert _balanced_digits(b << K, K, 2) == [0, b]
+    assert _balanced_digits(sign * 4 * b << K, K, 2) != [0, sign * 4 * b]
+    assert engine(p, q, limit) == sign * b * y1 * y2 * y2
+
+
+@WIDTH_LIMITS
 def test_a_resultant_that_vanishes_identically(limit):
     """(x^2 - y1 y2)(x - y1 + 3) against 10^12 (x^2 - y1 y2) share a factor:
     the resultant is zero on every node and on every packed line."""
@@ -1161,25 +1180,33 @@ def test_newton_interpolation_rejects_non_integer_polynomial():
 def test_box_interpolation_round_trip(data):
     """An integer polynomial of degree at most tops[v] in each y_v, in 1 to
     3 variables, comes back exactly from its values on the box of tops.
-    With an axis skipped, the grid holds at (j, b), j on that axis, the
-    value at b of the coefficient of y^j, and the same coefficients come
-    back."""
+    With an axis A packed, the grid holds one integer per line along A, the
+    polynomial's value at y_A = X = 2^K and the line's point b, and has
+    top 0 along A; interpolated, each line reads back, by its balanced
+    digits, the same coefficients, as K bounds them by X/2."""
     tops = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
     box = list(product(*[range(t + 1) for t in tops]))
     support = data.draw(st.lists(st.sampled_from(box), unique=True, max_size=8))
     coeffs = {e: data.draw(st.integers(-(10**20), 10**20)) for e in support}
-    skip = data.draw(st.sampled_from([None, *range(len(tops))]))
-
-    def value(x):
-        return sum(
-            c * prod(pow(xi, ei) for i, (xi, ei) in enumerate(zip(x, e)) if i != skip)
-            for e, c in coeffs.items()
-            if skip is None or e[skip] == x[skip]
-        )
-
-    grid = {x: value(x) for x in box}
-    _interpolate(grid, tops, skip, None)
-    assert grid == {x: coeffs.get(x, 0) for x in box}
+    axis = data.draw(st.sampled_from([None, *range(len(tops))]))
+    if axis is None:
+        grid = {x: sum(c * prod(map(pow, x, e)) for e, c in coeffs.items()) for x in box}
+        _interpolate(grid, tops, None)
+        assert grid == {x: coeffs.get(x, 0) for x in box}
+        return
+    K = (10**20).bit_length() + 1
+    flat = tops[:axis] + [0] + tops[axis + 1 :]
+    lines = list(product(*[range(t + 1) for t in flat]))
+    grid = {}
+    for b in lines:
+        at = b[:axis] + (1 << K,) + b[axis + 1 :]
+        grid[b] = sum(c * prod(map(pow, at, e)) for e, c in coeffs.items())
+    _interpolate(grid, flat, None)
+    out = {}
+    for b in lines:
+        for j, c in enumerate(_balanced_digits(grid[b], K, tops[axis] + 1)):
+            out[b[:axis] + (j,) + b[axis + 1 :]] = c
+    assert out == {x: coeffs.get(x, 0) for x in box}
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["first-axis", "second-axis"])
@@ -1188,7 +1215,7 @@ def test_box_interpolation_rejects_non_integer_polynomial(axis):
     not in Z[t1, t2], raises."""
     grid = {x: x[axis] * (x[axis] - 1) // 2 for x in product(range(3), range(3))}
     with pytest.raises(ArithmeticError):
-        _interpolate(grid, [2, 2], None, None)
+        _interpolate(grid, [2, 2], None)
 
 
 @given(
